@@ -667,9 +667,24 @@ class _Emitter:
             else:
                 self.fail(f"unsupported state type {ty!r}")
 
-        # strand status lives in the int pointer table, last slot
+        # strand status lives in the int pointer table, after the state
         self.int_ptr_index[("status",)] = len(int_ptrs)
         int_ptrs.append(("status",))
+
+        # footprint outputs (incremental re-execution): per gathered
+        # image, (strands, dim) lo/hi index boxes.  The binder passes NULL
+        # when the run does not record.
+        gathered = sorted(
+            {
+                ins.attrs["image"]
+                for ins in func.body.instructions()
+                if isinstance(ins, Instr) and ins.op == "gather"
+            }
+        )
+        for name in gathered:
+            for kind in ("fp_lo", "fp_hi"):
+                self.int_ptr_index[(kind, name)] = len(int_ptrs)
+                int_ptrs.append((kind, name))
 
         for name in used_images:
             slot = self.images[name]
@@ -1505,6 +1520,7 @@ class _Emitter:
             self.lane_close()
             self.indent -= 1
             self.emit("}")
+        self._record_footprint(n, img, s, d)
         # Row-major tap loops; per tap, a lane-inner SIMD offset+copy.
         # Partial offset sums are hoisted per loop level so the innermost
         # tap adds exactly one table entry.  The output element counter _q
@@ -1547,6 +1563,40 @@ class _Emitter:
         for _ in range(d):
             self.indent -= 1
             self.emit("}")
+
+    def _record_footprint(self, n: Value, img: str, s: int, d: int) -> None:
+        """Fold this gather's sample box into each live lane's footprint.
+
+        The box is the tap tables' first and last entry per axis, i.e.
+        ``clip(n + 1 - s)`` and ``clip(n + s)`` — what
+        ``FootprintRecorder.on_gather`` records for the NumPy backend.
+        Lanes predicated off by an enclosing ``if`` are skipped: the phi
+        blend discards whatever they gathered.  One NULL test outside the
+        lane loop keeps an unrecorded run on the tap code alone.
+        """
+        lo = f"_ip{self.int_ptr_index[('fp_lo', img)]}"
+        hi = f"_ip{self.int_ptr_index[('fp_hi', img)]}"
+        self.emit(f"if ({lo}) {{")
+        self.indent += 1
+        self.lane_open(simd=False)
+        if self.mask_stack:
+            self.emit(f"if (!{self.mask_stack[-1]}[_l]) continue;")
+        self.emit(f"const int64_t _r = _lane[_l] * {d};")
+        for ax in range(d):
+            self.emit("{")
+            self.indent += 1
+            self.emit(f"const int64_t _mx = _sz_{img}[{ax}] - 1;")
+            for var, off in (("_a", 1 - s), ("_b", s)):
+                self.emit(f"int64_t {var} = {self.ref(n, ax)} + ({off});")
+                self.emit(f"{var} = ({var} < 0) ? 0 : {var};")
+                self.emit(f"{var} = ({var} > _mx) ? _mx : {var};")
+            self.emit(f"if (_a < {lo}[_r + {ax}]) {lo}[_r + {ax}] = _a;")
+            self.emit(f"if (_b > {hi}[_r + {ax}]) {hi}[_r + {ax}] = _b;")
+            self.indent -= 1
+            self.emit("}")
+        self.lane_close()
+        self.indent -= 1
+        self.emit("}")
 
     def _op_index_inside(self, ins: Instr) -> None:
         # Mirrors runtime.ops.index_inside: the argument is the *real*

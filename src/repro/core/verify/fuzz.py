@@ -463,16 +463,19 @@ def fuzz(
     differential check with :func:`incremental_check`: each generated
     program gets a random patch sequence replayed through the
     dirty-region update path against fresh-compile cold oracles, under
-    ``schedulers[0]`` and ``backend``.
+    each of ``schedulers`` in turn and ``backend``.
     """
     image = _phantom()
     report = FuzzReport(n_programs=n, schedulers=tuple(schedulers))
 
     def check(program_src: str, sample_seed: int) -> str | None:
         if incremental:
-            return incremental_check(program_src, image, seed=sample_seed,
-                                     backend=backend,
-                                     scheduler=schedulers[0])
+            for sched in schedulers:
+                msg = incremental_check(program_src, image, seed=sample_seed,
+                                        backend=backend, scheduler=sched)
+                if msg is not None:
+                    return f"scheduler {sched!r}: {msg}"
+            return None
         return differential_check(program_src, image, schedulers, fuse,
                                   backend, precision)
 

@@ -23,6 +23,12 @@ plan's ``real_dtype`` — float64 for default-precision kernels, float32 for
 ``--single`` ones; the SC table stays float64 either way (the kernel casts
 once at entry).  Violations raise :class:`~repro.errors.CodegenError`,
 which ``Program`` treats as "fall back to NumPy".
+
+The plan's ``fp_lo``/``fp_hi`` entries are the kernel's footprint
+outputs: bound to a
+:class:`~repro.runtime.incremental.FootprintRecorder`'s per-image box
+arrays when the run records, NULL otherwise (the kernel then skips
+recording).
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ def _check_state_array(arr: np.ndarray, want_dtype, what: str) -> np.ndarray:
 class NativeUpdate:
     """One bound native update kernel over a fixed set of run arrays."""
 
-    def __init__(self, lib, ffi, plan, images, global_values, state, status):
+    def __init__(self, lib, ffi, plan, images, global_values, state, status,
+                 recorder=None):
         self._lib = lib
         self._ffi = ffi
         self._plan = plan
@@ -122,8 +129,27 @@ class NativeUpdate:
                           writable=kind == "state" and entry[1] < n_ret)
             )
 
+        def footprint_box(kind, name):
+            # the kernel indexes these by strand id, like the state arrays
+            dim = plan["image_meta"][name]["dim"]
+            lo, hi = recorder.box_arrays(name, dim)
+            arr = _check_state_array(
+                hi if kind == "fp_hi" else lo, np.int64,
+                f"footprint box of image {name!r}",
+            )
+            if arr.shape != (status.shape[0], dim):
+                raise CodegenError(
+                    f"native backend: footprint box of image {name!r} has "
+                    f"shape {arr.shape} for {status.shape[0]} strands"
+                )
+            return self._buf("int64_t[]", arr, writable=True)
+
         ip_bufs = []
         for entry in plan["int_ptrs"]:
+            if entry[0] in ("fp_lo", "fp_hi"):
+                ip_bufs.append(ffi.NULL if recorder is None
+                               else footprint_box(*entry))
+                continue
             if entry[0] == "status":
                 arr = _check_state_array(status, np.int64, "status")
                 writable.append(("status", arr))

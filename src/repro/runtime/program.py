@@ -201,15 +201,11 @@ class _IncState:
     def __init__(self):
         self.snapshot: _increc.Snapshot | None = None
         self.recorder: _increc.FootprintRecorder | None = None
-        self.footprints: _increc.Footprints | None = None
         #: strand ids whose checkpointed state is invalidated by pending
         #: ``update_input`` calls (consumed by the next ``run_update``)
         self.pending_ids = np.empty(0, dtype=np.int64)
         #: a pending change couldn't be localized: next update is a full run
         self.pending_full = False
-        #: rows whose footprints are stale (re-run without recording);
-        #: refreshed by a subset shadow run before the next intersect
-        self.stale_ids = np.empty(0, dtype=np.int64)
 
 
 class Program:
@@ -471,8 +467,8 @@ class Program:
         stderr warning, never a crash.
 
         ``checkpoint=True`` snapshots the converged strand state (and,
-        under the sequential NumPy configuration, records per-strand
-        input-image footprints inline) so later
+        when the strand updates execute in this process, records
+        per-strand input-image footprints as it goes) so later
         :meth:`update_input`/:meth:`run_update` calls can re-execute
         only the strands a dirty image region invalidates — see
         DESIGN.md "Incremental execution".
@@ -553,18 +549,13 @@ class Program:
             if native_art is None:
                 backend = "numpy"  # warned in _native_artifacts
 
-        # footprint recording piggybacks on the run itself when the
-        # configuration allows it (sequential NumPy: gathers happen
-        # in-process, one block at a time); otherwise footprints are
-        # built later by a dedicated shadow run (build_footprints)
+        # a checkpointing run records footprints as it goes; whether
+        # its strand updates *can* record is settled once the scheduler
+        # and the native binding are (see below)
         rec = _record
-        if rec is None and checkpoint and scheduler == "seq" \
-                and backend == "numpy":
-            if _restore is not None:
-                inc = self._inc
-                rec = inc.recorder if inc is not None else None
-            else:
-                rec = _increc.FootprintRecorder({})
+        if rec is None and checkpoint:
+            rec = (_increc.FootprintRecorder({}) if _restore is None
+                   else self._inc.recorder)
 
         ctx = self._context()
         if rec is not None:
@@ -634,7 +625,7 @@ class Program:
             # checkpoint; dirty strands are re-seeded and re-initialized
             # exactly as a cold run would (init may probe the image, so
             # restoring a stale init is not an option)
-            snap = _restore["snapshot"]
+            snap = self._inc.snapshot
             if snap.total != total:
                 raise RuntimeErrorD(
                     f"checkpoint has {snap.total} strands but the current "
@@ -642,7 +633,7 @@ class Program:
                 )
             restore_t0 = time.perf_counter()
             state, status = snap.copies()
-            restore_dirty = np.asarray(_restore["dirty"], dtype=np.int64)
+            restore_dirty = np.asarray(_restore, dtype=np.int64)
             if rec is not None:
                 rec.reset_rows(restore_dirty)
             if restore_dirty.size:
@@ -675,9 +666,33 @@ class Program:
         update = ns["update"]
         stabilize_fn = ns.get("stabilize")
 
+        native = None
+        if scheduler != "process" and backend == "c":
+            _, plan, lib, ffi = native_art
+            try:
+                # binds the *materialized* state arrays: the native
+                # kernel updates them in place, so the per-step result
+                # adoption/scatter below is skipped entirely
+                native = NativeUpdate(lib, ffi, plan, ctx.images, g,
+                                      state, status, recorder=rec)
+            except CodegenError as exc:
+                print(
+                    f"warning: native backend unavailable, falling "
+                    f"back to NumPy: {exc}",
+                    file=sys.stderr,
+                )
+        shadow_reason = None
+        if rec is not None and native is None and scheduler != "seq":
+            # strand updates run out of process, or through the gather
+            # hook on several threads at once (it is not thread-safe):
+            # footprints come from a sequential shadow run instead
+            shadow_reason = ("process" if scheduler == "process"
+                             else "thread_numpy")
+            _ops.set_footprint_recorder(None)
+            rec = None
+
         pool = None
         sched = None
-        native = None
         if scheduler == "process":
             if ext_sched is not None:
                 pool = ext_sched
@@ -691,7 +706,7 @@ class Program:
             # artifact (the master's build above warmed the cache) and run
             # it directly over their shared views.
             native_setup = None
-            if backend == "c" and native_art is not None:
+            if backend == "c":
                 from repro.core.codegen import cbuild
 
                 native_setup = {
@@ -705,27 +720,12 @@ class Program:
                 self.generated_source, ctx.images, self.dtype, g, state,
                 status, metrics=reg.enabled, native=native_setup
             )
+        elif ext_sched is not None:
+            sched = ext_sched
+        elif scheduler == "thread":
+            sched = ThreadScheduler(workers)
         else:
-            if ext_sched is not None:
-                sched = ext_sched
-            elif scheduler == "thread":
-                sched = ThreadScheduler(workers)
-            else:
-                sched = SequentialScheduler()
-            if backend == "c" and native_art is not None:
-                _, plan, lib, ffi = native_art
-                try:
-                    # binds the *materialized* state arrays: the native
-                    # kernel updates them in place, so the per-step result
-                    # adoption/scatter below is skipped entirely
-                    native = NativeUpdate(lib, ffi, plan, ctx.images, g,
-                                          state, status)
-                except CodegenError as exc:
-                    print(
-                        f"warning: native backend unavailable, falling "
-                        f"back to NumPy: {exc}",
-                        file=sys.stderr,
-                    )
+            sched = SequentialScheduler()
 
         setup_dt = time.perf_counter() - t0
         if tr.enabled:
@@ -880,33 +880,40 @@ class Program:
         n_died = int(np.sum(status == DIE))
 
         if checkpoint:
-            snap = _increc.Snapshot(
-                state=[np.array(s) for s in state],
-                status=status.copy(),
-                sizes=np.asarray(sizes, dtype=np.int64),
-                los=np.asarray(los, dtype=np.int64),
-                total=total,
-                steps=steps,
-                max_steps=max_steps,
-                backend=backend,
-                grid=self.high.grid,
-                grid_dims=len(self.high.iter_names),
-            )
-            if _restore is not None and self._inc is not None:
+            if restore_dirty is not None:
                 inc = self._inc
-                inc.snapshot = snap
-                if rec is None and inc.recorder is not None \
-                        and restore_dirty is not None:
-                    # re-ran without recording: these rows' footprints no
-                    # longer match their (new) trajectories
-                    inc.stale_ids = np.union1d(inc.stale_ids, restore_dirty)
+                snap = inc.snapshot
+                snap.store_rows(restore_dirty, state, status)
+                snap.steps, snap.max_steps = steps, max_steps
             else:
-                inc = _IncState()
-                inc.snapshot = snap
+                inc = self._inc = _IncState()
                 inc.recorder = rec
-                self._inc = inc
+                inc.snapshot = _increc.Snapshot(
+                    state=[np.array(s) for s in state],
+                    status=status.copy(),
+                    sizes=np.asarray(sizes, dtype=np.int64),
+                    los=np.asarray(los, dtype=np.int64),
+                    total=total,
+                    steps=steps,
+                    max_steps=max_steps,
+                    backend=backend,
+                    grid=self.high.grid,
+                    grid_dims=len(self.high.iter_names),
+                )
+            # the decision, for `repro.obs` readers: how this checkpoint's
+            # footprints are obtained, and why
+            how = (f"inline.{backend}" if rec is not None
+                   else f"shadow.{shadow_reason}")
             if reg.enabled:
-                reg.inc("runtime.incremental.checkpoints")
+                reg.inc_many({"runtime.incremental.checkpoints": 1,
+                              f"runtime.footprint.{how}": 1})
+            if tr.enabled:
+                tr.instant("footprint-recording", "incremental", how=how)
+            if rec is None and restore_dirty is not None:
+                # re-ran without recording: re-trace those rows now, on
+                # the inputs their new trajectories were computed from
+                self.build_footprints(restore_dirty,
+                                      tracer=tr if tr.enabled else None)
 
         if restore_dirty is not None and reg.enabled:
             frac = restore_dirty.size / max(total, 1)
@@ -976,14 +983,14 @@ class Program:
     def build_footprints(self, ids=None, tracer=None) -> None:
         """Build (or refresh, when ``ids`` is given) strand footprints.
 
-        Runs a sequential NumPy *shadow* re-execution with the gather
-        recorder installed: bit-identical to the checkpointed run, so
-        the recorded per-strand image AABBs describe exactly the
-        trajectories the snapshot holds.  Called lazily by
-        :meth:`update_input` when the checkpoint was produced by a
-        configuration that cannot record inline (thread/process
-        schedulers, the native backend) — callers never need to invoke
-        it directly.
+        Runs a sequential *shadow* re-execution on the checkpoint's
+        backend with the recorder bound: bit-identical to the
+        checkpointed run, so the recorded per-strand image AABBs
+        describe exactly the trajectories the snapshot holds.  Only
+        checkpoints whose strand updates could not record as they ran
+        (process pools, NumPy blocks on threads) need it; it is called
+        lazily by :meth:`update_input` and after each such update run —
+        callers never need to invoke it directly.
         """
         inc = self._inc
         if inc is None or inc.snapshot is None:
@@ -994,20 +1001,15 @@ class Program:
         snap = inc.snapshot
         t0 = time.perf_counter()
         full = inc.recorder is None or ids is None
-        rec = inc.recorder if not full else _increc.FootprintRecorder({})
         if full:
-            self._metered(False, 1, DEFAULT_BLOCK_SIZE, snap.max_steps,
-                          tracer, "seq", "numpy", _record=rec)
+            rec, ids = _increc.FootprintRecorder({}), None
         else:
-            ids = np.unique(np.asarray(ids, dtype=np.int64))
+            rec, ids = inc.recorder, np.unique(np.asarray(ids, dtype=np.int64))
             if ids.size == 0:
                 return
-            self._metered(False, 1, DEFAULT_BLOCK_SIZE, snap.max_steps,
-                          tracer, "seq", "numpy", _record=rec,
-                          _restore={"snapshot": snap, "dirty": ids})
+        self._metered(False, 1, DEFAULT_BLOCK_SIZE, snap.max_steps, tracer,
+                      "seq", snap.backend, _record=rec, _restore=ids)
         inc.recorder = rec
-        if inc.footprints is not None and inc.footprints.recorder is not rec:
-            inc.footprints = None  # a full rebuild replaced the recorder
         dt = time.perf_counter() - t0
         _mx.GLOBAL.inc("runtime.footprint.builds" if full
                        else "runtime.footprint.refreshes")
@@ -1054,24 +1056,17 @@ class Program:
                     "total_strands": total, "full": True}
         ctx = self._context()
         img = ctx.images[name]
-        # footprints must describe the *pre-patch* trajectories: build
-        # them (and refresh any stale rows) before touching the samples
+        # footprints must describe the *pre-patch* trajectories: a
+        # checkpoint that could not record builds them before the
+        # samples change
         if inc.recorder is None:
             self.build_footprints(tracer=tracer)
-        elif inc.stale_ids.size:
-            self.build_footprints(inc.stale_ids, tracer=tracer)
-            inc.stale_ids = np.empty(0, dtype=np.int64)
-        if inc.footprints is None:
-            inc.footprints = _increc.Footprints(
-                inc.recorder,
-                {nm: im.sizes for nm, im in ctx.images.items()},
-            )
         regions = img.patch(data, region=region)
         if not regions:
             return {"input": name, "regions": [], "dirty_strands": 0,
                     "total_strands": total, "full": False}
         t0 = time.perf_counter()
-        dirty = inc.footprints.dirty_strands(name, regions)
+        dirty = _increc.Footprints(inc.recorder).dirty_strands(name, regions)
         dt = time.perf_counter() - t0
         _mx.GLOBAL.inc("runtime.footprint.intersect_seconds", dt)
         if tracer is not None and getattr(tracer, "enabled", False):
@@ -1174,7 +1169,7 @@ class Program:
         return self._metered(metrics, workers, block_size, max_steps,
                              tracer, scheduler, backend,
                              checkpoint=True, on_step=on_step,
-                             _restore={"snapshot": snap, "dirty": dirty})
+                             _restore=dirty)
 
     # -- synthesized CLI glue (paper §3.3.1) ---------------------------------------
 

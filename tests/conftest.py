@@ -46,3 +46,20 @@ def portrait64():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def bound_kernels(monkeypatch):
+    """``(NativeUpdate, recorder)`` for every native kernel this process
+    binds while the fixture is live, in binding order."""
+    from repro.runtime.native import NativeUpdate
+
+    seen = []
+    init = NativeUpdate.__init__
+
+    def spy(self, *args, recorder=None, **kwargs):
+        init(self, *args, recorder=recorder, **kwargs)
+        seen.append((self, recorder))
+
+    monkeypatch.setattr(NativeUpdate, "__init__", spy)
+    return seen

@@ -199,6 +199,83 @@ class TestSemantics:
             prog.run(backend="fortran")
 
 
+# -- footprint recording inside the kernel -----------------------------------
+
+#: DESIGN.md "Incremental execution": the paper programs plus the
+#: incremental tests' probe program, small enough to run one strand per
+#: NumPy block (45 steps with a 3.0 ray step reach through the volume)
+FOOTPRINT_KW = {
+    "vr-lite": dict(scale=0.06, volume_size=24),
+    "illust-vr": dict(scale=0.06, volume_size=24),
+    "ridge3d": dict(scale=0.4, volume_size=24),
+    "lic2d": dict(scale=0.03),
+}
+
+
+def _footprint_program(name):
+    if name == "probe":
+        from repro.image import Image
+        from tests.test_incremental import IMG, SOURCE
+
+        prog = compile_program(SOURCE)
+        prog.bind_image("img", Image(
+            np.random.default_rng(0).random((IMG, IMG)), dim=2))
+        return prog
+    prog = ALL[name].make_program(**FOOTPRINT_KW[name])
+    if "stepSz" in prog.input_names:
+        prog.set_input("stepSz", 3.0)
+    return prog
+
+
+def _footprint_slots(native):
+    return [native._ip[i] for i, entry in enumerate(native._plan["int_ptrs"])
+            if entry[0] in ("fp_lo", "fp_hi")]
+
+
+@requires_cc
+class TestFootprintRecording:
+    @pytest.mark.parametrize("name", [*FOOTPRINT_KW, "probe"])
+    def test_native_boxes_contain_live_numpy_boxes(self, name):
+        # one strand per NumPy block: the uniform-branch guard then skips
+        # every arm the strand does not take, so the hook sees exactly the
+        # gathers of live lanes
+        ref = _footprint_program(name)
+        ref.run(checkpoint=True, backend="numpy", block_size=1, max_steps=45)
+        prog = _footprint_program(name)
+        prog.run(checkpoint=True, backend="c", max_steps=45)
+        want = ref._inc.recorder.boxes
+        got = prog._inc.recorder.boxes
+        assert want and set(want) <= set(got)
+        sizes = {nm: np.asarray(im.sizes) for nm, im in
+                 prog._context().images.items()}
+        for img, (lo, hi) in want.items():
+            nlo, nhi = got[img]
+            live = (hi >= lo).all(axis=1)
+            assert live.any(), img
+            # the documented ±1 dilation absorbs a floor() that lands on
+            # the other side of a sample under the 1e-12 contract
+            assert (nlo[live] - 1 <= lo[live]).all(), img
+            assert (nhi[live] + 1 >= hi[live]).all(), img
+            recorded = (nhi >= nlo).all(axis=1)
+            assert (nlo[recorded] >= 0).all(), img
+            assert (nhi[recorded] <= sizes[img] - 1).all(), img
+
+    @pytest.mark.parametrize("batch", ["1", None])
+    def test_unrecorded_run_binds_null_and_matches(self, batch, monkeypatch,
+                                                   bound_kernels):
+        if batch is not None:
+            monkeypatch.setenv("REPRO_CGEN_BATCH", batch)
+        plain = run_outputs("ridge3d", "c")
+        recorded = run_outputs("ridge3d", "c", checkpoint=True)
+        (unbound, no_recorder), (bound, recorder) = bound_kernels
+        assert no_recorder is None and recorder is not None
+        slots = _footprint_slots(unbound)
+        assert slots and all(p == unbound._ffi.NULL for p in slots)
+        assert all(p != bound._ffi.NULL for p in _footprint_slots(bound))
+        for k in plain.outputs:
+            assert plain.outputs[k].tobytes() == recorded.outputs[k].tobytes()
+
+
 def _corrupt(high, mutate):
     """A structural copy of ``high`` with its update func mutated."""
     import copy

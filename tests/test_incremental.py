@@ -110,54 +110,54 @@ class TestImagePatch:
             img.patch(np.zeros((5, 5)), region=[[0, 1], [0, 1]])
 
 
-# -- the spatial index --------------------------------------------------------
+# -- the dirty query ----------------------------------------------------------
 
 
-class TestBlockIndex:
-    def test_candidates_superset_of_bruteforce(self):
-        rng = np.random.default_rng(3)
-        n, sizes = 500, np.array([40, 40])
-        lo = rng.integers(0, 30, size=(n, 2))
-        hi = lo + rng.integers(0, 8, size=(n, 2))
-        index = inc._BlockIndex(lo, hi, sizes)
-        for _ in range(30):
-            rlo = rng.integers(0, 35, size=2)
-            rhi = rlo + rng.integers(0, 10, size=2)
-            cand = index.candidates(rlo, rhi)
-            exact = np.flatnonzero(
-                ((lo <= rhi) & (hi >= rlo)).all(axis=1))
-            assert np.isin(exact, cand).all()
+def test_dirty_strands_matches_bruteforce():
+    prog = _prog(_base())
+    prog.run(checkpoint=True)
+    fps = inc.Footprints(prog._inc.recorder)
+    lo, hi = prog._inc.recorder.boxes["img"]
+    d = fps.dilate
 
-    def test_dirty_strands_matches_bruteforce(self):
-        prog = _prog(_base())
-        prog.run(checkpoint=True)
-        fps = prog._inc.footprints
-        if fps is None:
-            prog.build_footprints()
-            fps = inc.Footprints(prog._inc.recorder,
-                                 {"img": np.array([IMG, IMG])})
-        rec = prog._inc.recorder
-        lo, hi = rec.boxes["img"]
-        d = fps.dilate
-        for rlo, rhi in [([3, 3], [5, 5]), ([0, 0], [25, 25]),
-                         ([24, 0], [25, 25])]:
-            got = fps.dirty_strands("img", [(np.asarray(rlo),
-                                             np.asarray(rhi))])
-            exact = np.flatnonzero(
-                ((lo - d <= np.asarray(rhi)) &
-                 (hi + d >= np.asarray(rlo))).all(axis=1))
-            assert got is not None
-            assert np.array_equal(np.sort(got), exact)
+    def exact(rlo, rhi):
+        return ((lo - d <= np.asarray(rhi)) &
+                (hi + d >= np.asarray(rlo))).all(axis=1)
+
+    regions = [([3, 3], [5, 5]), ([0, 0], [25, 25]), ([24, 0], [25, 25])]
+    for rlo, rhi in regions:
+        got = fps.dirty_strands("img", [(rlo, rhi)])
+        assert np.array_equal(got, np.flatnonzero(exact(rlo, rhi)))
+    # several regions: the sorted union, each strand once
+    got = fps.dirty_strands("img", [regions[0], regions[2], regions[0]])
+    assert np.array_equal(
+        got, np.flatnonzero(exact(*regions[0]) | exact(*regions[2])))
 
 
 # -- bit-identity across schedulers and backends ------------------------------
 
 
+def _footprint_counters() -> dict:
+    """Process-wide ``runtime.footprint.*`` counters, minus the timers."""
+    return {k: v for k, v in _mx.GLOBAL.snapshot()["counters"].items()
+            if k.startswith("runtime.footprint.")
+            and not k.endswith("_seconds")}
+
+
+def _counted_since(before: dict) -> dict:
+    after = _footprint_counters()
+    return {k: v - before.get(k, 0) for k, v in after.items()
+            if v != before.get(k, 0)}
+
+
 @pytest.mark.parametrize("scheduler,workers,backend", CONFIGS)
-def test_update_bit_identical_to_cold_run(scheduler, workers, backend):
+def test_update_bit_identical_to_cold_run(scheduler, workers, backend,
+                                          bound_kernels):
     base = _base()
     patched = base.copy()
     patched[3:6, 3:6] += 1.0
+
+    before = _footprint_counters()
 
     prog = _prog(base)
     kw = dict(scheduler=scheduler, workers=workers, backend=backend)
@@ -175,6 +175,106 @@ def test_update_bit_identical_to_cold_run(scheduler, workers, backend):
     for name in want.outputs:
         assert np.array_equal(res.outputs[name], want.outputs[name]), (
             scheduler, backend, name)
+
+    # how the footprints were obtained (DESIGN.md's configuration table):
+    # recorded by the runs themselves wherever the strand updates execute
+    # in this process one block at a time or natively; otherwise one
+    # shadow build, then a refresh of the re-run rows — on the
+    # checkpoint's backend either way
+    if scheduler == "process" or (scheduler, backend) == ("thread", "numpy"):
+        why = "process" if scheduler == "process" else "thread_numpy"
+        assert _counted_since(before) == {
+            f"runtime.footprint.shadow.{why}": 2,
+            "runtime.footprint.builds": 1,
+            "runtime.footprint.refreshes": 1,
+        }
+    else:
+        assert _counted_since(before) == {
+            f"runtime.footprint.inline.{backend}": 2}
+    # ... and in this process: a native checkpoint's shadow run is native
+    assert any(rec is not None for _, rec in bound_kernels) == (backend == "c")
+
+
+#: ridge3d-style particles: every step moves a strand by the image's own
+#: gradient, so a patch changes where dirty strands go next — their
+#: footprints after an update are not the ones the checkpoint recorded
+MOVING_SOURCE = f"""
+input int N = 12;
+image(2)[] img = load("p.nrrd");
+field#2(2)[] F = img ⊛ bspln3;
+
+strand P (int i, int j) {{
+   output vec2 pos = [real(i) * 1.5 + 4.0, real(j) * 1.5 + 4.0];
+   int n = 0;
+   update {{
+      if (!inside(pos, F)) die;
+      pos += 1.5 * ∇F(pos);
+      n += 1;
+      if (n >= 5) stabilize;
+   }}
+}}
+initially [ P(i, j) | i in 0 .. N-1, j in 0 .. N-1 ];
+"""
+
+
+@pytest.mark.skipif(not NATIVE, reason="needs a C compiler")
+@pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("thread", 2)])
+def test_moving_strands_native_updates_record_inline(scheduler, workers):
+    def prog_over(arr):
+        prog = compile_program(MOVING_SOURCE)
+        prog.bind_image("img", Image(arr.copy(), dim=2))
+        return prog
+
+    kw = dict(scheduler=scheduler, workers=workers, backend="c",
+              block_size=37)
+    rng = np.random.default_rng(5)
+    data = _base(2)
+    before = _footprint_counters()
+    prog = prog_over(data)
+    first = prog.run(checkpoint=True, **kw)
+    moved = 0
+    for _ in range(3):
+        i, j = (int(v) for v in rng.integers(2, IMG - 8, size=2))
+        data[i:i + 6, j:j + 6] += rng.normal(scale=0.4, size=(6, 6))
+        info = prog.update_input("img", data[i:i + 6, j:j + 6],
+                                 region=[[i, i + 5], [j, j + 5]])
+        assert 0 < info["dirty_strands"] < info["total_strands"]
+        res = prog.run_update(**kw)
+        want = prog_over(data).run(**kw)
+        assert res.incremental
+        assert np.array_equal(res.outputs["pos"], want.outputs["pos"],
+                              equal_nan=True)
+        moved += int((res.outputs["pos"] != first.outputs["pos"]).any())
+    assert moved  # the patches did redirect strands
+    # a silent fall-back to the shadow run would count a build or a refresh
+    assert _counted_since(before) == {"runtime.footprint.inline.c": 4}
+
+
+def test_gather_hook_hears_only_its_own_thread():
+    import threading
+
+    from repro.runtime import ops
+
+    class Heard:
+        def __init__(self):
+            self.calls = 0
+
+        def on_gather(self, image, n, support):
+            self.calls += 1
+
+    img = Image(_base(), dim=2)
+    n = np.array([[5, 5]], dtype=np.int64)
+    heard = Heard()
+    ops.set_footprint_recorder(heard)
+    try:
+        other = threading.Thread(target=ops.gather, args=(img, n, 2))
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive() and heard.calls == 0
+        ops.gather(img, n, 2)
+        assert heard.calls == 1
+    finally:
+        ops.set_footprint_recorder(None)
 
 
 def test_overlapping_multi_region_update():
