@@ -76,9 +76,10 @@ __all__ = [
 #: RP entries point at dd_real payloads (double or float per the plan's
 #: ``real_dtype``), so the table itself is ``void **``.
 CDEF = (
-    "int dd_update(void **RP, int64_t **IP, unsigned char **BP,"
+    "int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,"
     " const double *SC, const int64_t *IC,"
-    " const int64_t *idx, int64_t start, int64_t end);"
+    " int64_t *idx, int64_t *n_io, int64_t max_steps,"
+    " int64_t *counts, double *seconds);"
 )
 
 #: how long a waiter polls a peer's build lock before assuming the
@@ -359,7 +360,7 @@ def build(c_source: str, flags: list[str] | None = None):
 
     ``flags`` defaults to the double-precision :data:`CFLAGS`; pass
     ``flags_for(True)`` for single-precision kernels.  Returns
-    ``(lib, ffi)`` where ``lib.dd_update`` is the native entry point.  The
+    ``(lib, ffi)`` where ``lib.dd_run`` is the native entry point.  The
     cffi call releases the GIL for its whole duration, which is what lets
     the thread scheduler scale across cores.  Raises :class:`CodegenError`
     when no compiler/cffi is available or the build fails.

@@ -2,20 +2,31 @@
 
 ``generate_c_module(high)`` walks the fully-lowered ``update`` function of a
 compiled program and emits one self-contained C translation unit exposing a
-single entry point::
+single entry point, the super-step driver::
 
-    int dd_update(void **RP, int64_t **IP, unsigned char **BP,
-                  const double *SC, const int64_t *IC,
-                  const int64_t *idx, int64_t start, int64_t end);
+    int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,
+                   const double *SC, const int64_t *IC,
+                   int64_t *idx, int64_t *n_io, int64_t max_steps,
+                   int64_t *counts, double *seconds);
 
 ``RP``/``IP``/``BP`` are flat per-strand buffers (real, int64, bool state plus
 image voxel data and non-scalar globals), ``SC``/``IC`` carry scalar constants
-(scalar globals, image origins / inverse transforms / sizes), ``idx`` is the
-active-lane index list (``NULL`` means the identity mapping ``lane == k``),
-and ``[start, end)`` the half-open lane range to update.  The function
-returns 0 on success and 1 when an integer division by zero occurs on a live
-lane (the caller re-raises ``RuntimeErrorD`` to match the NumPy backend
-contract).
+(scalar globals, image origins / inverse transforms / sizes).  ``idx`` is the
+caller's private work-list of ``*n_io`` active strand indices: ``dd_run``
+updates them for up to ``max_steps`` super-steps, after each step compacting
+the list in place to the strands still running and writing the step's
+``(active, stable, died)`` counts to ``counts[3 * step ...]`` and its
+``CLOCK_MONOTONIC`` duration to ``seconds[step]`` (both caller-owned, at
+least ``max_steps`` rows).  It stops early when the list empties, stores the
+remaining count in ``*n_io`` and returns the number of steps taken, or ``-1``
+when an integer division by zero occurs on a live lane (the caller re-raises
+``RuntimeErrorD`` to match the NumPy backend contract).
+
+The update itself is the file-local ``dd_update(..., idx, start, end)``: one
+pass over lanes ``[start, end)`` of an index list, where a ``NULL`` ``idx``
+means the identity mapping ``lane == k``.  The driver picks that dense form
+whenever the work-list is a contiguous ascending run (proved once at entry —
+compaction preserves order — then an O(1) span test per step).
 
 Unlike the PR 7 emitter (one scalar body per strand), the update loop is
 *strand-batched*: strands are processed ``DD_VB`` at a time, every SSA value
@@ -390,13 +401,64 @@ static void dd_evecs3(const dd_real *m, dd_real *rows) {
 """
 
 
+# The one exported entry point.  Strand status codes are the runtime's
+# (0 running, 1 stabilized, 2 died); %d is the status slot in IP.
+_DRIVER = """
+int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,
+               const double *SC, const int64_t *IC,
+               int64_t *idx, int64_t *n_io, int64_t max_steps,
+               int64_t *counts, double *seconds) {
+    const int64_t *const status = IP[%d];
+    int64_t n = *n_io, step = 0, i;
+    /* compaction keeps a strictly ascending list strictly ascending, so
+     * one proof at entry makes every later density test O(1) */
+    int ascending = 1;
+    for (i = 1; i < n; i++) ascending &= idx[i] > idx[i - 1];
+    for (; step < max_steps && n > 0; step++) {
+        struct timespec t0, t1;
+        int64_t live = 0, stable = 0;
+        int rc;
+        clock_gettime(CLOCK_MONOTONIC, &t0);
+        if (ascending && idx[n - 1] - idx[0] == n - 1)
+            rc = dd_update(RP, IP, BP, SC, IC, 0, idx[0], idx[0] + n);
+        else
+            rc = dd_update(RP, IP, BP, SC, IC, idx, 0, n);
+        if (rc) return -rc;
+        for (i = 0; i < n; i++) {
+            const int64_t s = status[idx[i]];
+            if (s == 0) idx[live++] = idx[i];
+            else stable += s == 1;
+        }
+        clock_gettime(CLOCK_MONOTONIC, &t1);
+        counts[3 * step] = n;
+        counts[3 * step + 1] = stable;
+        counts[3 * step + 2] = n - live - stable;
+        seconds[step] = (double)(t1.tv_sec - t0.tv_sec)
+            + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+        n = live;
+    }
+    *n_io = n;
+    return step;
+}
+"""
+
+
 def _prelude(single: bool, vb: int) -> str:
     precision = _PRECISION_SINGLE if single else _PRECISION_DOUBLE
     return (
         "#include <stdint.h>\n"
-        "#include <math.h>\n\n"
+        "#include <math.h>\n"
+        "#include <time.h>\n\n"
         f"#define DD_VB {vb}\n"
-        '#define DD_SIMD _Pragma("omp simd")\n\n'
+        '#define DD_SIMD _Pragma("omp simd")\n'
+        # one out-of-line copy of the batch body, whatever the driver's
+        # call sites look like: compile time and rounding stay those of
+        # a single function
+        "#if defined(__GNUC__) && !defined(__clang__)\n"
+        "#define DD_NOINLINE __attribute__((noinline, noclone))\n"
+        "#else\n"
+        "#define DD_NOINLINE __attribute__((noinline))\n"
+        "#endif\n\n"
         + precision
         + _HELPERS
     )
@@ -460,13 +522,23 @@ def _c_int(x: int) -> str:
 
 
 class _Namer:
-    """Stable C identifiers for SSA values and a counter for scratch names."""
+    """Stable C identifiers for SSA values and a counter for scratch names.
+
+    Values are numbered densely in first-use order: ``Value.id`` comes
+    from a process-wide counter, so printing it would make the n-th
+    compile of a source emit a different translation unit (and key a
+    different artifact) than the first.
+    """
 
     def __init__(self) -> None:
         self._uid = 0
+        self._vals: dict[int, str] = {}
 
     def val(self, v: Value) -> str:
-        return f"v{v.id}"
+        name = self._vals.get(v.id)
+        if name is None:
+            name = self._vals[v.id] = f"v{len(self._vals)}"
+        return name
 
     def fresh(self, stem: str) -> str:
         self._uid += 1
@@ -2091,9 +2163,10 @@ class _Emitter:
 
         out: list[str] = [_prelude(self.single, self.vb)]
         out.append(
-            "int dd_update(void **RP, int64_t **IP, unsigned char **BP,\n"
-            "              const double *SC, const int64_t *IC,\n"
-            "              const int64_t *idx, int64_t start, int64_t end) {"
+            "static DD_NOINLINE int dd_update(\n"
+            "        void **RP, int64_t **IP, unsigned char **BP,\n"
+            "        const double *SC, const int64_t *IC,\n"
+            "        const int64_t *idx, int64_t start, int64_t end) {"
         )
         self.lines = []
         self.indent = 1
@@ -2196,7 +2269,8 @@ class _Emitter:
 
         out.extend(self.lines)
         out.append("}")
-        c_source = "\n".join(out) + "\n"
+        out.append(_DRIVER % self.int_ptr_index[("status",)])
+        c_source = "\n".join(out)
 
         # per-image metadata the binder needs (dim, tshape) — picklable
         plan_images = {}

@@ -107,7 +107,9 @@ def main(argv=None) -> int:
                    help="compile without probe fusion (A/B the optimizer)")
     p.add_argument("--backend", choices=("numpy", "c"), default="numpy",
                    help="strand-update backend for the compiled legs "
-                        "(c additionally diffs against the NumPy oracle)")
+                        "(c additionally diffs against the NumPy oracle "
+                        "and runs each program under both step-loop "
+                        "drivings, in the kernel and per step)")
     p.add_argument("--single", action="store_true",
                    help="compile the legs in single precision; the float64 "
                         "interpreter stays the oracle at relaxed tolerance")

@@ -239,19 +239,56 @@ def interpret_program(src: str, image) -> dict[str, np.ndarray]:
     return outputs
 
 
-def _run_scheduler(prog_src: str, image, scheduler: str,
-                   fuse: bool = True,
-                   backend: str = "numpy",
-                   precision: str = "double") -> dict[str, np.ndarray]:
+def _run(prog_src: str, image, scheduler: str, fuse: bool, backend: str,
+         precision: str, **run_kw):
     from repro.core.driver import OptOptions, compile_program
 
     prog = compile_program(prog_src, precision=precision,
                            optimize=OptOptions(probe_fusion=fuse))
     prog.bind_image("img", image)
     workers = 1 if scheduler == "seq" else 2
-    res = prog.run(max_steps=100, scheduler=scheduler, workers=workers,
-                   block_size=5, backend=backend)
-    return res.outputs
+    return prog.run(max_steps=100, scheduler=scheduler, workers=workers,
+                    block_size=5, backend=backend, **run_kw)
+
+
+def _run_scheduler(prog_src: str, image, scheduler: str,
+                   fuse: bool = True,
+                   backend: str = "numpy",
+                   precision: str = "double") -> dict[str, np.ndarray]:
+    return _run(prog_src, image, scheduler, fuse, backend, precision).outputs
+
+
+def step_tallies(res) -> tuple:
+    """What a run did, whichever way its super-step loop was driven:
+    step count, final stable/died, and each step's active/stable/died."""
+    rows = res.metrics.snapshot()["series"].get("steps", [])
+    return (res.steps, res.num_stable, res.num_died,
+            [(r["step"], r["active"], r["stable"], r["died"]) for r in rows])
+
+
+def driving_check(src: str, image=None, scheduler: str = "seq",
+                  fuse: bool = True, precision: str = "double") -> str | None:
+    """Run one program on the C backend under both loop drivings; None if
+    they are bit-identical, tallies included, else a message.
+
+    A C run keeps its super-step loop inside the native kernel unless
+    something must see every step boundary (DESIGN.md "Parallel
+    backends"); a no-op ``on_step`` hook is such a something.
+    """
+    if image is None:
+        image = _phantom()
+    kernel = _run(src, image, scheduler, fuse, "c", precision)
+    stepped = _run(src, image, scheduler, fuse, "c", precision,
+                   on_step=lambda ev: None)
+    for name, a in kernel.outputs.items():
+        b = stepped.outputs[name]
+        if not np.array_equal(a, b, equal_nan=True):
+            return (f"kernel-loop vs per-step ({scheduler}) disagree on "
+                    f"{name!r}: {a} vs {b}")
+    if step_tallies(kernel) != step_tallies(stepped):
+        return (f"kernel-loop vs per-step ({scheduler}) tallies disagree: "
+                f"{step_tallies(kernel)} vs {step_tallies(stepped)}")
+    return None
 
 
 def differential_check(
@@ -271,7 +308,9 @@ def differential_check(
     run, so the fuzzer exercises both the fused and the unfused pipeline.
     ``backend="c"`` runs the compiled legs through the native backend, with
     the interpreter still serving as the independent oracle; additionally
-    the sequential NumPy run must match the native baseline to 1e-12.
+    the sequential NumPy run must match the native baseline to 1e-12, and
+    each in-process scheduler's run must equal itself driven per-step
+    (:func:`driving_check`).
 
     ``precision="single"`` compiles every leg in float32 while the HighIR
     interpreter stays float64, making it the independent higher-precision
@@ -310,6 +349,13 @@ def differential_check(
             if not np.allclose(a, b, equal_nan=True, **cross_tol):
                 return (f"backend {backend!r} vs 'numpy' ({precision}) "
                         f"disagree on {name!r}: {a} vs {b}")
+        # the legs above all kept the step loop in the kernel; a process
+        # pool never does, so it has no second driving to compare
+        for sched in schedulers:
+            if sched != "process":
+                msg = driving_check(src, image, sched, fuse, precision)
+                if msg is not None:
+                    return msg
     return None
 
 

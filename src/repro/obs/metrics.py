@@ -63,6 +63,8 @@ import json
 import threading
 from contextlib import contextmanager
 
+import numpy as np
+
 #: histogram bucket upper bounds for wall-clock seconds: a 1-2-5 log grid
 #: from 1us to 100s (observations above the last edge land in the
 #: overflow bucket)
@@ -117,6 +119,20 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def observe_many(self, values) -> None:
+        """Record an array of observations in one pass."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not values.size:
+            return
+        # first bucket whose upper edge >= value, as in observe()
+        buckets = np.searchsorted(self.bounds, values, side="left")
+        for i, c in zip(*np.unique(buckets, return_counts=True)):
+            self.counts[i] += int(c)
+        self.sum += float(values.sum())
+        self.count += values.size
+        self.min = min(self.min, float(values.min()))
+        self.max = max(self.max, float(values.max()))
 
     @property
     def mean(self) -> float:
@@ -228,6 +244,14 @@ class MetricsRegistry:
                 h = self.histograms[name] = Histogram(bounds)
             h.observe(value)
 
+    def observe_many(self, name: str, values, bounds=TIME_BUCKETS) -> None:
+        """Record an array of observations into the named histogram."""
+        with self._lock:
+            h = self.histograms.get(name)
+            if h is None:
+                h = self.histograms[name] = Histogram(bounds)
+            h.observe_many(values)
+
     def op(self, name: str, lanes: int, seconds: float) -> None:
         """Record one runtime-kernel invocation: the op-profiler hot path.
 
@@ -261,6 +285,11 @@ class MetricsRegistry:
         """Append one dict row to the named series (e.g. per-step stats)."""
         with self._lock:
             self.series.setdefault(name, []).append(fields)
+
+    def rows(self, name: str, rows: list) -> None:
+        """Append several dict rows to the named series."""
+        with self._lock:
+            self.series.setdefault(name, []).extend(rows)
 
     # -- aggregation -------------------------------------------------------
 
@@ -348,6 +377,9 @@ class NullRegistry:
     def observe(self, name: str, value: float, bounds=TIME_BUCKETS) -> None:
         pass
 
+    def observe_many(self, name: str, values, bounds=TIME_BUCKETS) -> None:
+        pass
+
     def op(self, name: str, lanes: int, seconds: float) -> None:
         pass
 
@@ -355,6 +387,9 @@ class NullRegistry:
         pass
 
     def row(self, name: str, **fields) -> None:
+        pass
+
+    def rows(self, name: str, rows: list) -> None:
         pass
 
     def snapshot(self) -> dict:

@@ -4,12 +4,13 @@
 :mod:`repro.core.codegen.cbuild` plus the emitter's buffer *plan*
 (:mod:`repro.core.codegen.cgen`) and binds the live run arrays — strand
 state, status, image voxel blocks, global values — into the fixed
-``dd_update`` ABI.  The cffi pointer tables are built once; per block only
-the active-index pointer and the ``[start, end)`` range change, so the
-per-call Python overhead is a handful of casts.  When the index window is a
-contiguous ascending run, ``run_range`` passes a NULL index pointer and the
-batched kernel maps lanes directly (``lane == k``) — the common dense case
-skips the per-lane gather entirely.
+``dd_run`` ABI.  The cffi pointer tables are built once; per call only a
+private copy of the block's index list, its length and the tally arrays
+change.  ``run_range`` is the one way in: it runs a block for ``max_steps``
+super-steps — one, when the caller must see every step boundary; all that
+remain, when nothing does — and the kernel keeps the work-list itself
+(which lanes are still running, whether the list is a contiguous run that
+can skip the per-lane gather) and reports what each step did.
 
 The cffi call releases the GIL for its whole duration.  Disjoint lane
 ranges touch disjoint state elements, so concurrent ``run_range`` calls
@@ -33,8 +34,6 @@ recording).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.errors import CodegenError, RuntimeErrorD
@@ -44,6 +43,14 @@ __all__ = ["BACKEND_NAMES", "NativeUpdate"]
 
 #: Valid values for ``Program.run(backend=...)`` / ``--backend``.
 BACKEND_NAMES = ("numpy", "c")
+
+#: super-steps one ``dd_run`` call may take: the length of the tally
+#: arrays it fills (a longer run re-enters the kernel)
+TALLY_STEPS = 256
+
+_K_CALLS, _K_LANES, _K_SECONDS = (
+    f"op.native_update.{k}" for k in ("calls", "lanes", "seconds")
+)
 
 
 def _check_state_array(arr: np.ndarray, want_dtype, what: str) -> np.ndarray:
@@ -245,46 +252,55 @@ class NativeUpdate:
         self._keep.append(buf)
         return buf
 
-    def run_range(self, idx: np.ndarray, start: int = 0, end: int | None = None) -> None:
-        """Run the native update over lanes ``idx[start:end]``.
+    def run_range(self, idx: np.ndarray, start: int = 0, end: int | None = None,
+                  max_steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Run lanes ``idx[start:end]`` for up to ``max_steps`` super-steps.
 
-        ``idx`` holds strand indices into the flat state buffers.  Raises
-        :class:`RuntimeErrorD` on an integer division by zero, mirroring
-        the NumPy backend's live-lane contract.
+        ``idx`` holds strand indices into the flat state buffers and is
+        not modified: the kernel works on (and compacts) a private copy,
+        and stops early once every lane has stabilized or died.  Returns
+        the kernel's tallies, one row per step taken: ``counts`` — int64
+        ``(steps, 3)`` columns active / stabilized / died — and
+        ``seconds`` — float64 ``(steps,)``, measured inside the kernel.
+        Raises :class:`RuntimeErrorD` on an integer division by zero,
+        mirroring the NumPy backend's live-lane contract.
         """
-        idx = np.ascontiguousarray(idx, dtype=np.int64)
-        if end is None:
-            end = idx.shape[0]
-        n = int(end) - int(start)
-        if n <= 0:
-            return
-        # Dense fast path: a contiguous ascending index run maps lanes
-        # directly (lane == k), so pass NULL and let the kernel skip the
-        # per-lane gather.  The span check is O(1); the full stride-1
-        # confirmation only runs when the span already matches.
-        seg = idx[int(start) : int(end)]
-        first = int(seg[0])
-        if int(seg[-1]) - first == n - 1 and (
-            n <= 2 or bool(np.all(np.diff(seg) == 1))
-        ):
-            idx_buf = self._ffi.NULL
-            start, end = first, first + n
+        work = np.array(idx[start:end], dtype=np.int64)
+        ffi = self._ffi
+        work_buf = ffi.from_buffer("int64_t[]", work, require_writable=True)
+        n_io = ffi.new("int64_t *", work.shape[0])
+        chunks = []
+        left = int(max_steps)
+        while left > 0 and n_io[0] > 0:
+            cap = min(left, TALLY_STEPS)
+            counts = np.empty((cap, 3), dtype=np.int64)
+            seconds = np.empty(cap, dtype=np.float64)
+            taken = self._lib.dd_run(
+                self._rp, self._ip, self._bp, self._sc, self._ic,
+                work_buf, n_io, cap,
+                ffi.from_buffer("int64_t[]", counts, require_writable=True),
+                ffi.from_buffer("double[]", seconds, require_writable=True),
+            )
+            if taken == -1:
+                raise RuntimeErrorD("integer division by zero")
+            if taken < 0:
+                raise RuntimeErrorD(f"native update failed with code {-taken}")
+            chunks.append((counts[:taken], seconds[:taken]))
+            left -= taken
+        if not chunks:  # no lanes, or no steps allowed
+            return np.empty((0, 3), dtype=np.int64), np.empty(0)
+        if len(chunks) == 1:
+            counts, seconds = chunks[0]
         else:
-            idx_buf = self._ffi.from_buffer("int64_t[]", idx)
+            counts = np.concatenate([c for c, _ in chunks])
+            seconds = np.concatenate([s for _, s in chunks])
         m = _mx.ACTIVE
         if m.enabled:
-            t0 = time.perf_counter()
-            rc = self._lib.dd_update(
-                self._rp, self._ip, self._bp, self._sc, self._ic,
-                idx_buf, int(start), int(end),
-            )
-            m.op("native_update", n, time.perf_counter() - t0)
-        else:
-            rc = self._lib.dd_update(
-                self._rp, self._ip, self._bp, self._sc, self._ic,
-                idx_buf, int(start), int(end),
-            )
-        if rc == 1:
-            raise RuntimeErrorD("integer division by zero")
-        if rc != 0:
-            raise RuntimeErrorD(f"native update failed with code {rc}")
+            # one kernel pass over one block per step, as when each step
+            # was its own call
+            m.inc_many({
+                _K_CALLS: counts.shape[0],
+                _K_LANES: int(counts[:, 0].sum()),
+                _K_SECONDS: float(seconds.sum()),
+            })
+        return counts, seconds

@@ -44,6 +44,9 @@ RUNNING, STABILIZE, DIE = 0, 1, 2
 #: the paper's strand-block size ("currently 4096 strands per block", §5.5)
 DEFAULT_BLOCK_SIZE = 4096
 
+#: ``max_steps=None`` as the native kernel's step budget
+_UNBOUNDED_STEPS = 1 << 62
+
 
 @dataclass
 class RunResult:
@@ -193,6 +196,65 @@ def _record_step_metrics(reg, step, n_blocks, active, stable, died,
                         bounds=_mx.IMBALANCE_BUCKETS)
     reg.row("steps", step=step, blocks=n_blocks, active=active,
             stable=stable, died=died, seconds=step_dt)
+
+
+def _record_kernel_steps(reg, first_step, n_steps, tallies, block_workers,
+                         workers):
+    """Book a kernel-driven run: what :func:`_record_step_metrics` would
+    have recorded had every super-step come back to Python.
+
+    ``tallies`` holds one ``(counts, seconds)`` pair per block as
+    returned by :meth:`NativeUpdate.run_range` — a row per step the
+    block took part in, ``n_steps`` for the longest-lived.  Blocks all
+    start at ``first_step``, so row ``i`` of every block belongs to step
+    ``first_step + i``: counts add up across blocks, a step's ``blocks``
+    is the number of blocks that still had a live strand, and its
+    seconds are the kernel seconds its blocks spent (their sum: the wall
+    time under the sequential scheduler, the busy time under threads).
+    """
+    counts = np.zeros((n_steps, 3), dtype=np.int64)
+    n_blocks = np.zeros(n_steps, dtype=np.int64)
+    # worker -> [per-step busy seconds, blocks run]
+    busy: dict = {}
+    for (c, sec), w in zip(tallies, block_workers):
+        k = c.shape[0]
+        counts[:k] += c
+        n_blocks[:k] += 1
+        entry = busy.get(w)
+        if entry is None:
+            entry = busy[w] = [np.zeros(n_steps), 0]
+        entry[0][:k] += sec
+        entry[1] += k
+    per_worker = np.stack([b for b, _ in busy.values()])
+    step_seconds = per_worker.sum(axis=0)
+    active, stable, died = (int(x) for x in counts.sum(axis=0))
+    deltas = {
+        "sched.supersteps": n_steps,
+        "strands.updated": active,
+        "strands.stabilized": stable,
+        "strands.died": died,
+    }
+    for w, (b, nb) in busy.items():
+        busy_key, blocks_key = _worker_keys(w)
+        deltas[busy_key] = float(b.sum())
+        deltas[blocks_key] = nb
+    reg.inc_many(deltas)
+    reg.observe_many("sched.step_seconds", step_seconds)
+    reg.observe_many("sched.block_seconds",
+                     np.concatenate([sec for _, sec in tallies]))
+    if workers > 1:
+        worked = step_seconds > 0
+        reg.observe_many(
+            "sched.imbalance",
+            per_worker.max(axis=0)[worked] * workers / step_seconds[worked],
+            bounds=_mx.IMBALANCE_BUCKETS,
+        )
+    reg.rows("steps", [
+        dict(step=first_step + i, blocks=nb, active=a, stable=st, died=d,
+             seconds=dt)
+        for i, (nb, (a, st, d), dt) in enumerate(
+            zip(n_blocks.tolist(), counts.tolist(), step_seconds.tolist()))
+    ])
 
 
 class _IncState:
@@ -736,6 +798,27 @@ class Program:
             reg.gauge("run.workers", workers)
             reg.gauge("run.block_size", block_size)
 
+        # The decision, for `repro.obs` readers: blocks run to completion
+        # inside the native kernel unless something must see every
+        # super-step boundary (DESIGN.md "Parallel backends")
+        if pool is not None and backend == "c":
+            per_step = "process"
+        elif native is None:
+            per_step = "numpy"  # chosen, or fallen back to at bind time
+        elif stabilize_fn is not None:
+            per_step = "stabilize"
+        elif on_step is not None:
+            per_step = "on_step"
+        elif tr.enabled:
+            per_step = "tracer"
+        else:
+            per_step = None
+        driving = "kernel" if per_step is None else f"per_step.{per_step}"
+        if reg.enabled:
+            reg.inc(f"runtime.loop.{driving}")
+        if tr.enabled:
+            tr.instant("superstep-loop", "run", how=driving)
+
         steps = 0
         if restore_dirty is not None:
             active_idx = restore_dirty
@@ -756,16 +839,22 @@ class Program:
                 elif native is not None:
                     blocks = make_blocks(active_idx, block_size)
                     n_blocks = len(blocks)
+                    # super-steps each block runs before coming back
+                    if per_step is not None:
+                        span = 1
+                    elif max_steps is None:
+                        span = _UNBOUNDED_STEPS
+                    else:
+                        span = max_steps - steps
 
                     def run_native_block(block_idx: np.ndarray):
                         # the native kernel reads and writes the bound
                         # state/status arrays in place (disjoint lanes per
                         # block, so concurrent thread workers are safe) and
                         # releases the GIL for the whole call
-                        native.run_range(block_idx)
-                        return None
+                        return native.run_range(block_idx, max_steps=span)
 
-                    _results, _times = sched.run_step(
+                    tallies, _times = sched.run_step(
                         blocks, run_native_block, tracer=tr, step=steps
                     )
                 else:
@@ -804,6 +893,21 @@ class Program:
                 # observability tallies, AND the active-strand filter
                 # (stabilize_fn mutates state only, never status)
                 active_status = status[active_idx]
+                if per_step is None:
+                    # every block ran until it emptied (or max_steps):
+                    # there is no step boundary left to observe, only the
+                    # kernel's per-step tallies to book
+                    taken = max(c.shape[0] for c, _ in tallies)
+                    if reg.enabled:
+                        _record_kernel_steps(
+                            reg, steps, taken, tallies,
+                            sched.last_block_workers, workers,
+                        )
+                    steps += taken
+                    active_idx = active_idx[active_status == RUNNING]
+                    if reg.enabled:
+                        reg.gauge("strands.active", int(active_idx.size))
+                    continue
                 if stabilize_fn is not None:
                     stable_mask = active_status == STABILIZE
                     if np.any(stable_mask):

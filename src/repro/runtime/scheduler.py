@@ -10,12 +10,26 @@ super-step, each worker grabs and updates strands until the work-list is
 empty.  Barrier synchronization is used to coordinate the threads at the
 end of a super step."
 
-The in-process schedulers here execute one *super-step* when called: they
-are handed the list of strand blocks and a function that updates one
-block, and they return the per-block results plus per-block wall-clock
-times.  The process-pool scheduler — true multicore execution over
-shared-memory strand state — lives in :mod:`repro.runtime.mpsched`; see
-DESIGN.md "Parallel backends" for when each backend wins.
+The in-process schedulers here execute one ``run_step`` when called: they
+are handed the list of strand blocks and a function that runs one block,
+and they return the per-block results plus per-block wall-clock times;
+returning is the barrier.  The process-pool scheduler — true multicore
+execution over shared-memory strand state — lives in
+:mod:`repro.runtime.mpsched`; see DESIGN.md "Parallel backends" for when
+each backend wins.
+
+How much a block does per ``run_step`` is ``Program._run``'s decision.
+The function runs its block for one super-step — the quoted model, a
+barrier after every step — whenever something must see step boundaries:
+the NumPy backend, a process pool, a ``stabilize`` method, an ``on_step``
+callback, an enabled tracer.  Otherwise, on the native backend, it runs
+the block until its last strand has stabilized or died
+(:meth:`~repro.runtime.native.NativeUpdate.run_range` with every
+remaining step), and the only barrier left is the one that ends the run.
+That is unobservable: strands neither communicate nor take part in
+global reductions, so no strand's trajectory depends on which step
+another has reached, and the kernel's per-step tallies let the run book
+the same metrics either way.
 
 When a :class:`repro.obs.Tracer` is passed, each block is additionally
 recorded as a ``cat="block"`` span attributed to the worker that ran it

@@ -193,6 +193,78 @@ class TestSemantics:
         assert counters.get("op.native_update.calls", 0) > 0
         assert counters.get("op.native_update.seconds", 0) > 0
 
+    def test_native_update_metric_is_exact(self):
+        # one call per block per step and one lane per strand update,
+        # whether the steps were looped in the kernel or in Python
+        prog = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"])
+        for hook in (None, lambda ev: None):
+            res = prog.run(backend="c", block_size=16, on_step=hook)
+            c = res.metrics.counters
+            rows = res.metrics.series["steps"]
+            assert c["op.native_update.calls"] == sum(r["blocks"] for r in rows)
+            assert c["op.native_update.lanes"] == c["strands.updated"] \
+                == sum(r["active"] for r in rows)
+            assert 0 < c["op.native_update.seconds"] < res.wall_time
+
+    def test_long_run_reenters_the_kernel(self, monkeypatch):
+        # a run longer than one tally chunk goes back into dd_run and
+        # still counts every step exactly once
+        from repro.runtime import native
+
+        src = """
+            strand S (int i) {
+                output int n = 0;
+                update { n += 1; if (n >= 7 + i) stabilize; }
+            }
+            initially [ S(i) | i in 0 .. 5 ];
+        """
+        prog = compile_program(src)
+        want = prog.run(backend="c")
+        monkeypatch.setattr(native, "TALLY_STEPS", 4)
+        got = prog.run(backend="c")
+        assert got.metrics.counters["runtime.loop.kernel"] == 1
+        assert got.steps == want.steps == 12
+        assert np.array_equal(got.outputs["n"], np.arange(7, 13))
+        assert got.metrics.series["steps"] == [
+            dict(r, seconds=g["seconds"])
+            for r, g in zip(want.metrics.series["steps"],
+                            got.metrics.series["steps"])]
+        assert [r["active"] for r in got.metrics.series["steps"]] == \
+            [6] * 7 + [5, 4, 3, 2, 1]
+        assert got.metrics.counters["sched.supersteps"] == 12
+        # max_steps cuts a chunked run at exactly the step asked for
+        for k in (1, 4, 5, 9):
+            res = prog.run(backend="c", max_steps=k)
+            assert res.steps == k
+            assert np.array_equal(res.outputs["n"], np.minimum(k, np.arange(7, 13)))
+
+    def test_run_range_reports_steps_and_keeps_the_index(self, bound_kernels):
+        src = """
+            strand S (int i) {
+                output int n = 0;
+                update {
+                    n += 1;
+                    if (i == 2 && n == 2) die;
+                    if (n >= 1 + i) stabilize;
+                }
+            }
+            initially [ S(i) | i in 0 .. 7 ];
+        """
+        prog = compile_program(src)
+        prog.run(backend="c", max_steps=0)  # bind, run nothing
+        (native, _), = bound_kernels
+        idx = np.array([6, 1, 3, 2], dtype=np.int64)  # any order, any gaps
+        before = idx.copy()
+        counts, seconds = native.run_range(idx, max_steps=3)
+        assert np.array_equal(idx, before)
+        # at n == 2 strand 1 stabilizes and strand 2 dies
+        assert counts.tolist() == [[4, 0, 0], [4, 1, 1], [2, 0, 0]]
+        assert seconds.shape == (3,) and np.all(seconds > 0)
+        # strand 6 is at n == 3 now and leaves at n == 7
+        counts, _ = native.run_range(idx, 0, 1, max_steps=100)
+        assert counts.tolist() == [[1, 0, 0]] * 3 + [[1, 1, 0]]
+        assert native.run_range(idx, 1, 1)[0].shape == (0, 3)
+
     def test_invalid_backend_rejected(self):
         prog = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"])
         with pytest.raises(InputError, match="backend"):

@@ -250,6 +250,48 @@ def test_moving_strands_native_updates_record_inline(scheduler, workers):
     assert _counted_since(before) == {"runtime.footprint.inline.c": 4}
 
 
+@pytest.mark.skipif(not NATIVE, reason="needs a C compiler")
+@pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("thread", 2)])
+def test_checkpoint_at_max_steps_updates_identically(scheduler, workers):
+    """A kernel-driven run cut short by ``max_steps`` stops on exactly
+    that step; its checkpoint (state, status, footprints) is the one the
+    per-step driving takes there, and updates the same way."""
+    kw = dict(scheduler=scheduler, workers=workers, backend="c",
+              block_size=37, max_steps=3)
+    data = _base(2)
+    patched = data.copy()
+    patched[8:14, 8:14] += 0.3
+
+    def updated(**hook):
+        prog = compile_program(MOVING_SOURCE)
+        prog.bind_image("img", Image(data.copy(), dim=2))
+        first = prog.run(checkpoint=True, **kw, **hook)
+        info = prog.update_input("img", patched[8:14, 8:14],
+                                 region=[[8, 13], [8, 13]])
+        assert 0 < info["dirty_strands"] < info["total_strands"]
+        return first, info, prog.run_update(**kw, **hook)
+
+    first_k, info_k, upd_k = updated()
+    first_s, info_s, upd_s = updated(on_step=lambda ev: None)
+    assert first_k.metrics.counters["runtime.loop.kernel"] == 1
+    assert first_s.metrics.counters["runtime.loop.per_step.on_step"] == 1
+    for a, b in ((first_k, first_s), (upd_k, upd_s)):
+        assert a.steps == b.steps == 3
+        # nobody has run the five steps stabilizing takes
+        assert a.num_stable == b.num_stable == 0
+        assert a.num_died == b.num_died
+        assert np.array_equal(a.outputs["pos"], b.outputs["pos"],
+                              equal_nan=True)
+    assert info_k == info_s
+    assert upd_k.incremental and upd_k.dirty_strands == info_k["dirty_strands"]
+    cold = compile_program(MOVING_SOURCE)
+    cold.bind_image("img", Image(patched.copy(), dim=2))
+    want = cold.run(**kw)
+    # grid outputs keep every strand's row, finished or not
+    assert np.array_equal(upd_k.outputs["pos"], want.outputs["pos"],
+                          equal_nan=True)
+
+
 def test_gather_hook_hears_only_its_own_thread():
     import threading
 

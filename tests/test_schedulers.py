@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.core.codegen import cbuild
 from repro.core.codegen.interp import HighInterpreter, compile_high
 from repro.core.driver import compile_program
+from repro.core.verify.fuzz import step_tallies
 from repro.errors import InputError
 from repro.nrrd import write_nrrd
 from repro.obs import Tracer
@@ -122,6 +124,161 @@ class TestSchedulerEquivalence:
         object.__setattr__(prog, "generated_source", broken)
         with pytest.raises(RuntimeErrorD, match="boom"):
             prog.run(workers=2, scheduler="process")
+
+
+# -- one step loop, two ways to drive it ---------------------------------------
+
+#: particles pushed along the image gradient: they leave the domain, die
+#: on bright samples and stabilize at different steps, so the active list
+#: is sparse and shrinks unevenly across blocks
+DIE_HEAVY = """
+image(2)[] img = load("p.nrrd");
+field#2(2)[] F = img ⊛ bspln3;
+strand P (int i, int j) {
+    output vec2 pos = [real(i) * 1.7 + 1.0, real(j) * 1.7 + 1.0];
+    int n = 0;
+    update {
+        if (!inside(pos, F)) die;
+        if (F(pos) > 0.8) die;
+        pos += 2.5 * ∇F(pos);
+        n += 1;
+        if (n >= 4 + (i + 2 * j) % 9) stabilize;
+    }
+}
+initially [ P(i, j) | i in 0 .. 13, j in 0 .. 13 ];
+"""
+
+PAPER_KW = {
+    "vr-lite": dict(scale=0.1, volume_size=24),
+    "illust-vr": dict(scale=0.1, volume_size=24),
+    "ridge3d": dict(scale=0.4, volume_size=24),
+    "lic2d": dict(scale=0.08),
+}
+
+_DRIVEN: dict = {}
+
+
+def _driven_program(name):
+    """One compiled (and, on first run, ``cc``-built) program per name."""
+    if name not in _DRIVEN:
+        if name == "die-heavy":
+            from repro.image import Image
+
+            prog = compile_program(DIE_HEAVY)
+            data = np.random.default_rng(11).random((26, 26))
+            prog.bind_image("img", Image(data, dim=2))
+        else:
+            from repro.programs import ALL
+
+            prog = ALL[name].make_program(**PAPER_KW[name])
+        _DRIVEN[name] = prog
+    return _DRIVEN[name]
+
+
+def _int_counters(res, partition_free: bool) -> dict:
+    """Counters two drivings of one run must share: no clock readings, no
+    record of the driving itself or of who built the artifact, no
+    per-thread attribution — and, when the two cut the work-list
+    differently, nothing that counts blocks."""
+    out = {}
+    for name, v in res.metrics.snapshot()["counters"].items():
+        if name.endswith("seconds") or name.startswith(("runtime.loop.",
+                                                        "cgen.cache.")):
+            continue
+        if ".worker." in name and res.metrics.gauges["run.workers"] > 1:
+            continue
+        if partition_free and (name.endswith(".blocks")
+                               or name == "op.native_update.calls"):
+            continue
+        out[name] = v
+    return out
+
+
+@pytest.mark.skipif(not cbuild.compiler_available(),
+                    reason="needs cffi plus a C compiler on PATH")
+class TestKernelLoopVsPerStep:
+    """A C run with nothing watching its step boundaries keeps the loop
+    in the kernel; the same run with a no-op ``on_step`` comes back to
+    Python every step.  Nobody can tell them apart by their results."""
+
+    @pytest.mark.parametrize("block_size", [1, 64, 4096])
+    @pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("thread", 2)])
+    @pytest.mark.parametrize("name", [*PAPER_KW, "die-heavy"])
+    def test_bit_identical(self, name, scheduler, workers, block_size):
+        prog = _driven_program(name)
+        kw = dict(backend="c", scheduler=scheduler, workers=workers,
+                  block_size=block_size)
+        kernel = prog.run(**kw)
+        stepped = prog.run(on_step=lambda ev: None, **kw)
+        assert kernel.metrics.counters["runtime.loop.kernel"] == 1
+        assert stepped.metrics.counters["runtime.loop.per_step.on_step"] == 1
+        _results_equal(kernel, stepped)
+
+        # block size 64 is where the two cut differently: per step the
+        # compacted list is re-cut, in the kernel a block stays a block
+        # until its last strand leaves
+        same_cut = block_size != 64
+        rows_k = kernel.metrics.series["steps"]
+        rows_s = stepped.metrics.series["steps"]
+        assert len(rows_k) == len(rows_s) == kernel.steps
+        assert step_tallies(kernel) == step_tallies(stepped)
+        for a, b in zip(rows_k, rows_s):
+            assert type(a["blocks"]) is int
+            if same_cut:
+                assert a["blocks"] == b["blocks"]
+            else:
+                assert a["blocks"] >= b["blocks"] >= 1
+        assert _int_counters(kernel, not same_cut) == \
+            _int_counters(stepped, not same_cut)
+        hk, hs = (r.metrics.snapshot()["histograms"] for r in (kernel, stepped))
+        assert hk["sched.step_seconds"]["count"] == \
+            hs["sched.step_seconds"]["count"] == kernel.steps
+        if same_cut:
+            assert hk["sched.block_seconds"]["count"] == \
+                hs["sched.block_seconds"]["count"]
+        if workers > 1:
+            assert hk["sched.imbalance"]["count"] == \
+                hs["sched.imbalance"]["count"]
+
+    def test_die_heavy_program_shrinks_unevenly(self):
+        res = _driven_program("die-heavy").run(backend="c", block_size=64)
+        active = [r["active"] for r in res.metrics.series["steps"]]
+        assert res.num_died > 20 and res.num_stable > 20
+        assert len(set(active)) > 5 and active == sorted(active, reverse=True)
+        # some step ran more blocks than a re-cut list would have needed
+        assert any(r["blocks"] > -(-r["active"] // 64)
+                   for r in res.metrics.series["steps"])
+
+    @pytest.mark.parametrize("reason,kw", [
+        ("tracer", dict(backend="c", tracer=Tracer())),
+        ("numpy", dict(backend="numpy")),
+        ("numpy", dict(backend="numpy", scheduler="process", workers=2)),
+        ("process", dict(backend="c", scheduler="process", workers=2)),
+    ])
+    def test_decision_is_recorded_with_its_reason(self, reason, kw):
+        res = _driven_program("die-heavy").run(block_size=64, **kw)
+        loop = {k: v for k, v in res.metrics.counters.items()
+                if k.startswith("runtime.loop.")}
+        assert loop == {f"runtime.loop.per_step.{reason}": 1}
+        tracer = kw.get("tracer")
+        if tracer is not None:
+            how = [ev.args["how"] for ev in tracer.events
+                   if ev.name == "superstep-loop"]
+            assert how == [f"per_step.{reason}"]
+
+    def test_stabilize_method_keeps_the_barrier(self):
+        src = """
+            strand S (int i) {
+                output real x = 0.0;
+                update { x += 1.0; if (x > real(i)) stabilize; }
+                stabilize { x = -x; }
+            }
+            initially [ S(i) | i in 0 .. 9 ];
+        """
+        prog = compile_program(src)
+        a, b = prog.run(backend="c"), prog.run(backend="numpy")
+        assert a.metrics.counters["runtime.loop.per_step.stabilize"] == 1
+        _results_equal(a, b)
 
 
 class TestWorkersOption:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from repro.core.codegen import cbuild
 from repro.core.verify.fuzz import (
     ProgramGen,
     differential_check,
@@ -127,6 +129,29 @@ class TestHarnessCatchesBugs:
         msg = fz.differential_check(ProgramGen(0).program(),
                                     schedulers=("seq",))
         assert msg is not None and "interpreter" in msg
+
+
+    @pytest.mark.skipif(not cbuild.compiler_available(),
+                        reason="needs cffi plus a C compiler on PATH")
+    def test_driving_divergence_detected(self, monkeypatch):
+        """The C backend's second leg: a per-step run that drops a strand
+        from one step's tally is told apart from the kernel-driven one."""
+        import repro.core.verify.fuzz as fz
+
+        src = ProgramGen(0).program()
+        assert fz.driving_check(src) is None
+        assert fz.driving_check(src, scheduler="thread") is None
+        real = fz.step_tallies
+
+        def lossy(res):
+            steps, stable, died, rows = real(res)
+            if res.metrics.counters.get("runtime.loop.per_step.on_step"):
+                rows = [(s, a - 1, st, d) for s, a, st, d in rows]
+            return steps, stable, died, rows
+
+        monkeypatch.setattr(fz, "step_tallies", lossy)
+        msg = fz.driving_check(src)
+        assert msg is not None and "tallies" in msg
 
 
 def test_cli_fuzz_exit_status(capsys):

@@ -19,8 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.codegen import cbuild
 from repro.core.driver import compile_program
 from repro.errors import RuntimeErrorD
+from repro.obs import metrics as _mx
 from repro.runtime import ops as rt
 
 GUARDED = """
@@ -139,3 +141,46 @@ class TestCompiled:
             outs.append(res.outputs["q"])
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
+
+
+#: the divisor of strand 1 — block 0 at block size 4 — reaches zero at
+#: step 3; every other strand, and strand 1 before that, divides cleanly
+LATE_ZERO = """
+    strand S (int i) {
+        output int q = 1000;
+        int n = 0;
+        update {
+            int d = 7;
+            if (i == 1) d = 3 - n;
+            q = q / d;
+            n += 1;
+            if (n >= 6) stabilize;
+        }
+    }
+    initially [ S(i) | i in 0 .. 11 ];
+"""
+
+
+@pytest.mark.skipif(not cbuild.compiler_available(),
+                    reason="needs cffi plus a C compiler on PATH")
+class TestNativeStepLoop:
+    """The fault contract survives moving the step loop into the kernel:
+    a zero divisor met deep inside a block's run still surfaces."""
+
+    @pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("thread", 2)])
+    def test_zero_divisor_at_step_three_raises(self, scheduler, workers):
+        prog = compile_program(LATE_ZERO)
+        kw = dict(backend="c", scheduler=scheduler, workers=workers,
+                  block_size=4)
+        # three steps are fine, under either driving
+        ok = prog.run(max_steps=3, **kw)
+        assert ok.metrics.counters["runtime.loop.kernel"] == 1
+        assert ok.steps == 3 and ok.outputs["q"][1] == 1000 // 3 // 2 // 1
+        with _mx.collect() as reg:
+            with pytest.raises(RuntimeErrorD, match="division by zero"):
+                prog.run(**kw)
+        assert reg.counters["runtime.loop.kernel"] == 1
+        with pytest.raises(RuntimeErrorD, match="division by zero"):
+            prog.run(on_step=lambda ev: None, **kw)
+        with pytest.raises(RuntimeErrorD, match="division by zero"):
+            prog.run(backend="numpy", block_size=4)
