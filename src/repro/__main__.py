@@ -32,18 +32,16 @@ selects the zero-overhead disabled path.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from repro.core.driver import OptOptions, compile_file
 from repro.errors import DiderotError
-from repro.inputs import parse_value
+from repro.inputs import add_run_arguments, parse_value
 from repro.obs import Tracer, format_summary, write_chrome_trace
 from repro.obs import metrics as _mx
-from repro.runtime.native import BACKEND_NAMES
-from repro.runtime.scheduler import SCHEDULER_CHOICES, resolve_workers
+from repro.runtime.scheduler import resolve_workers
 
 
 def _write_text(prefix: str, name: str, arr: np.ndarray) -> str:
@@ -61,20 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--input", action="append", default=[], metavar="NAME=VALUE",
                     help="set an input global (repeatable)")
     ap.add_argument("--precision", choices=("single", "double"), default="double")
-    ap.add_argument("--workers", type=str, default=None, metavar="N|auto",
-                    help="worker count, or 'auto' for the CPU count "
-                         "(default: 1, or 'auto' with --scheduler auto)")
-    ap.add_argument("--scheduler", choices=SCHEDULER_CHOICES, default=None,
-                    help="seq, thread, process, or auto (default: seq for 1 "
-                         "worker, thread otherwise); auto picks seq on a "
-                         "single-CPU machine, for 1 worker, or when the "
-                         "program fits in one strand block, else thread for "
-                         "--backend c and process for numpy")
-    ap.add_argument("--backend", choices=BACKEND_NAMES, default="numpy",
-                    help="strand-update backend: numpy (reference) or c "
-                         "(compiled native kernel via cffi; needs a C "
-                         "compiler, falls back to numpy with a warning)")
-    ap.add_argument("--block-size", type=int, default=4096)
+    add_run_arguments(ap)
     ap.add_argument("--max-steps", type=int, default=None)
     ap.add_argument("--out", default="out", help="output file prefix")
     ap.add_argument("--text", action="store_true", help="write text, not NRRD")
@@ -82,12 +67,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="print the generated NumPy code and exit")
     ap.add_argument("--stats", action="store_true",
                     help="print compiler statistics")
-    ap.add_argument("--trace", metavar="FILE",
-                    default=os.environ.get("REPRO_TRACE") or None,
-                    help="write a Chrome trace-event JSON file covering "
-                         "compile and run (also via REPRO_TRACE=FILE)")
-    ap.add_argument("--profile", action="store_true",
-                    help="print a compiler-pass / super-step profile summary")
     ap.add_argument("--check", action="store_true",
                     help="run the IR validator after every compiler pass "
                          "(also via REPRO_CHECK=1)")
@@ -100,14 +79,6 @@ def main(argv: list[str] | None = None) -> int:
                          "REPRO_COMPILE_CACHE environment variable); a hit "
                          "skips the optimizer/lowering/codegen passes "
                          "entirely")
-    ap.add_argument("--metrics", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="collect runtime metrics (on by default; "
-                         "--no-metrics selects the zero-overhead path)")
-    ap.add_argument("--metrics-out", metavar="FILE", default=None,
-                    help="write the run's metrics JSON document "
-                         "(compile passes + op profiler + scheduler "
-                         "health; see python -m repro.obs report)")
     args = ap.parse_args(argv)
 
     raw_workers = args.workers

@@ -2,7 +2,8 @@
 
 :class:`ProgramGen` generates random well-typed Diderot programs over the
 supported surface syntax — arithmetic, vectors, probes (``F(x)``,
-``∇F(x)``), nested conditionals, early exits.  Each sample is executed
+``∇F(x)``), nested conditionals, early exits, copies and swaps between two
+same-typed state variables.  Each sample is executed
 
 * by the compiled pipeline under every requested scheduler
   (``seq``/``thread``/``process``), and
@@ -71,6 +72,7 @@ def render_program(stmts: list) -> str:
         field#2(2)[] F = img ⊛ bspln3;
         strand S (int i) {{
             output real x = real(i) * 0.5;
+            real y = 1.5 - real(i) * 0.25;
             output vec2 v = [0.1, real(i)];
             int n = 0;
             update {{
@@ -96,6 +98,7 @@ class ProgramGen:
         atoms = [
             lambda: f"{r.uniform(-3, 3):.3f}",
             lambda: "x",
+            lambda: "y",
             lambda: "real(i)",
             lambda: "real(n)",
         ]
@@ -187,9 +190,17 @@ class ProgramGen:
                 out.append(("if", self.cond(1), ["stabilize;"], None))
             elif kind < 0.67 and depth > 0:
                 out.append(("if", self.cond(1), ["die;"], None))
+            elif kind < 0.73:
+                # state-to-state copy: update hands back an array it was
+                # given, under another variable's name
+                out.append(r.choice(["x = y;", "y = x;"]))
+            elif kind < 0.79:
+                name = f"t{self.n_locals}"
+                self.n_locals += 1
+                out.append(f"real {name} = x; x = y; y = {name};")
             else:
                 op = r.choice(["=", "+=", "-=", "*="])
-                out.append(f"x {op} {self.real(2)};")
+                out.append(f"{r.choice('xxy')} {op} {self.real(2)};")
         return out
 
     def program_tree(self) -> list:
@@ -240,7 +251,7 @@ def interpret_program(src: str, image) -> dict[str, np.ndarray]:
 
 
 def _run(prog_src: str, image, scheduler: str, fuse: bool, backend: str,
-         precision: str, **run_kw):
+         precision: str, block_size: int = 5, **run_kw):
     from repro.core.driver import OptOptions, compile_program
 
     prog = compile_program(prog_src, precision=precision,
@@ -248,7 +259,7 @@ def _run(prog_src: str, image, scheduler: str, fuse: bool, backend: str,
     prog.bind_image("img", image)
     workers = 1 if scheduler == "seq" else 2
     return prog.run(max_steps=100, scheduler=scheduler, workers=workers,
-                    block_size=5, backend=backend, **run_kw)
+                    block_size=block_size, backend=backend, **run_kw)
 
 
 def _run_scheduler(prog_src: str, image, scheduler: str,
@@ -301,8 +312,9 @@ def differential_check(
 ) -> str | None:
     """Run one program every way; None if all agree, else a message.
 
-    The sequential compiled run is the baseline; the other schedulers must
-    agree *exactly* (same generated code over the same blocks) and the
+    The sequential compiled run is the baseline; the other schedulers —
+    and every scheduler again with one block covering every strand — must
+    agree *exactly* (same generated code over the same strands) and the
     HighIR interpreter to numeric tolerance (it computes probes through a
     different engine).  ``fuse`` toggles probe fusion in every compiled
     run, so the fuzzer exercises both the fused and the unfused pipeline.
@@ -334,13 +346,27 @@ def differential_check(
         if not np.allclose(a, c, equal_nan=True, **interp_tol):
             return (f"compiled ({schedulers[0]}, {precision}) vs interpreter "
                     f"disagree on {name!r}: {a} vs {c}")
-    for sched in schedulers[1:]:
-        out = _run_scheduler(src, image, sched, fuse, backend, precision)
+    def vs_base(out, who: str) -> str | None:
         for name in base:
             a, b = base[name], out[name]
             if not np.allclose(a, b, rtol=1e-12, atol=1e-12, equal_nan=True):
-                return (f"scheduler {sched!r} vs {schedulers[0]!r} disagree "
+                return (f"scheduler {who} vs {schedulers[0]!r} disagree "
                         f"on {name!r}: {b} vs {a}")
+        return None
+
+    for sched in schedulers[1:]:
+        msg = vs_base(_run_scheduler(src, image, sched, fuse, backend,
+                                     precision), repr(sched))
+        if msg is not None:
+            return msg
+    # the legs above cut the strands into blocks of 5; one block covering
+    # every strand takes the kernel's in-place path instead
+    for sched in schedulers:
+        out = _run(src, image, sched, fuse, backend, precision,
+                   block_size=N_STRANDS).outputs
+        msg = vs_base(out, f"{sched!r} (one block)")
+        if msg is not None:
+            return msg
     if backend != "numpy":
         out = _run_scheduler(src, image, schedulers[0], fuse, "numpy",
                              precision)

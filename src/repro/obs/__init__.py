@@ -31,6 +31,7 @@ Activation surfaces:
 
 from repro.obs.export import (
     chrome_trace,
+    env_traced,
     format_metrics,
     format_report,
     format_summary,
@@ -57,6 +58,7 @@ __all__ = [
     "SpanEvent",
     "Tracer",
     "chrome_trace",
+    "env_traced",
     "format_metrics",
     "format_report",
     "format_summary",

@@ -22,6 +22,10 @@ entry point.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
+
+from repro.obs.tracer import NULL_TRACER, tracer_from_env
 
 
 def chrome_trace(tracer) -> dict:
@@ -59,6 +63,26 @@ def write_chrome_trace(tracer, path: str) -> str:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(chrome_trace(tracer), fp, default=float)
     return path
+
+
+@contextmanager
+def env_traced(tracer):
+    """The tracer a run records into: ``tracer`` when given, else one the
+    ``REPRO_TRACE`` environment variable asks for — its Chrome trace is
+    written there when the block ends without raising — else the null
+    tracer."""
+    if tracer is not None:
+        yield tracer
+        return
+    tracer, path = tracer_from_env()
+    yield tracer if tracer is not None else NULL_TRACER
+    if path is not None:
+        try:
+            write_chrome_trace(tracer, path)
+        except OSError as exc:
+            # a bad REPRO_TRACE path must not destroy a finished run
+            print(f"warning: cannot write trace {path}: {exc}",
+                  file=sys.stderr)
 
 
 def _fmt_time(seconds: float) -> str:

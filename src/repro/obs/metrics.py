@@ -127,8 +127,8 @@ class Histogram:
             return
         # first bucket whose upper edge >= value, as in observe()
         buckets = np.searchsorted(self.bounds, values, side="left")
-        for i, c in zip(*np.unique(buckets, return_counts=True)):
-            self.counts[i] += int(c)
+        added = np.bincount(buckets, minlength=len(self.counts)).tolist()
+        self.counts = [have + new for have, new in zip(self.counts, added)]
         self.sum += float(values.sum())
         self.count += values.size
         self.min = min(self.min, float(values.min()))
@@ -483,6 +483,16 @@ def resolve(metrics) -> tuple:
     if metrics is True:
         return MetricsRegistry(), (GLOBAL,)
     return metrics, ()
+
+
+def fold(reg, targets) -> None:
+    """Merge a finished run's registry into :func:`resolve`'s ``fold``
+    targets.  The session-wide :data:`GLOBAL` keeps cumulative counters
+    only; per-step series stay per-run to bound its memory."""
+    if reg.enabled and targets:
+        snap = reg.snapshot()
+        for target in targets:
+            target.merge(snap, include_series=target is not GLOBAL)
 
 
 def fold_pass_spans(tracer, reg=None) -> None:

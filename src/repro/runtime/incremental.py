@@ -24,7 +24,8 @@ state.  This module supplies the machinery ``Program.update_input`` /
 
 ``Snapshot``
     A checkpoint of converged strand state: private copies of the state
-    arrays and status vector, plus the grid metadata needed to restore.
+    arrays and status vector, the run parameters an update must keep, the
+    footprints and the pending dirty set.
 
 ``StepEvent``
     The payload handed to the per-super-step streaming callback.
@@ -70,6 +71,11 @@ class FootprintRecorder:
         self.lane_map: np.ndarray | None = None
 
     # -- wiring ------------------------------------------------------------
+
+    def watch(self, images: dict) -> None:
+        """Name the image objects a run is about to gather from."""
+        self._names.update({id(img): nm for nm, img in images.items()})
+        self.lane_map = None
 
     def resize(self, total: int) -> None:
         """Late-size the per-strand tables (grid dims resolve mid-run)."""
@@ -189,18 +195,24 @@ class Footprints:
 
 @dataclass
 class Snapshot:
-    """Converged strand state checkpointed for incremental restarts."""
+    """Converged strand state checkpointed for incremental restarts, and
+    everything else the update machinery keeps between runs."""
 
     state: list[np.ndarray]
     status: np.ndarray
-    sizes: np.ndarray
-    los: np.ndarray
     total: int
     steps: int
     max_steps: int | None
     backend: str
-    grid: bool
-    grid_dims: tuple[int, ...] | None
+    #: the checkpoint's footprints; ``None`` until a shadow run builds
+    #: the ones the checkpointing run could not record
+    recorder: FootprintRecorder | None = None
+    #: strand ids whose state is invalidated by pending ``update_input``
+    #: calls (consumed by the next ``run_update``)
+    pending_ids: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    #: a pending change couldn't be localized: next update is a full run
+    pending_full: bool = False
 
     def copies(self) -> tuple[list[np.ndarray], np.ndarray]:
         return [s.copy() for s in self.state], self.status.copy()

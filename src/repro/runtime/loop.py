@@ -1,0 +1,286 @@
+"""Strand set, block dispatch and the one super-step loop (paper §5.5).
+
+What a run is composed of after its plan (:mod:`repro.runtime.plan`):
+:func:`make_strands`, the one strand-set constructor; :func:`open_dispatch`,
+a block kernel (:mod:`repro.runtime.kernel`) and a scheduler behind one
+call; :func:`run_steps`, the loop, with everything else that happens at a
+step boundary as a hook.  Cold, checkpointing, shadow and update runs use
+them identically; ``Program`` only chooses which strands start and what
+becomes of the result.
+"""
+
+from __future__ import annotations
+
+import time
+from functools import partial
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.errors import RuntimeErrorD
+from repro.obs import metrics as _mx
+from repro.runtime.incremental import StepEvent
+from repro.runtime.kernel import RUNNING, STABILIZE, NumpyKernel
+from repro.runtime.scheduler import (
+    SequentialScheduler,
+    ThreadScheduler,
+    make_blocks,
+)
+
+#: ``max_steps=None`` as the native kernel's step budget
+_UNBOUNDED_STEPS = 1 << 62
+
+
+class Grid(NamedTuple):
+    """The ``initially`` comprehension's iteration space."""
+
+    sizes: tuple
+    los: tuple
+    total: int
+
+
+def comprehension_grid(program, ctx, g) -> Grid:
+    bounds = program.namespace["bounds"](ctx, *g)
+    sizes, los, total = [], [], 1
+    for i, name in enumerate(program.high.iter_names):
+        lo, hi = int(bounds[2 * i]), int(bounds[2 * i + 1])
+        if hi < lo:
+            raise RuntimeErrorD(
+                f"empty comprehension range {lo}..{hi} for iterator {name!r}"
+            )
+        los.append(lo)
+        sizes.append(hi - lo + 1)
+        total *= hi - lo + 1
+    return Grid(tuple(sizes), tuple(los), total)
+
+
+def make_strands(program, ctx, g, grid: Grid, ids: np.ndarray,
+                 rec=None) -> list[np.ndarray]:
+    """Create strands ``ids`` — iterator decomposition → ``seed`` →
+    ``init`` → materialise: one ``(len(ids), *shape)`` array per state
+    variable, each with private, contiguous, writeable storage."""
+    iter_vals, rem = [], ids
+    for size, lo in zip(reversed(grid.sizes), reversed(grid.los)):
+        iter_vals.insert(0, rem % size + lo)
+        rem = rem // size
+    if rec is not None:
+        rec.lane_map = ids
+    params = program.namespace["seed"](ctx, *g, *iter_vals)
+    state = list(program.namespace["init"](ctx, *g, *params))
+    if rec is not None:
+        rec.lane_map = None
+    # Initializers that fold to constants come back unbatched, and two
+    # state variables initialized from the same SSA value come back as
+    # the same array object — each needs its own storage, since state is
+    # updated in place per block.
+    seen: set[int] = set()
+    names = program.high.init_func.result_names
+    for i, (name, arr) in enumerate(zip(names, state)):
+        arr = np.asarray(arr)
+        if arr.ndim == program._state_tensor_order(name):
+            arr = np.repeat(arr[np.newaxis], ids.size, axis=0)
+        arr = np.ascontiguousarray(arr)
+        if not arr.flags.writeable or id(arr) in seen:
+            arr = arr.copy()
+        seen.add(id(arr))
+        state[i] = arr
+    return state
+
+
+def restore_strands(program, snap, ctx, g, grid, dirty, rec, tr, reg):
+    """The strand set of an update run: clean strands come back from the
+    checkpoint ``snap``; the ``dirty`` ones are re-seeded and
+    re-initialized exactly as a cold run would (init may probe the image,
+    so restoring a stale init is not an option)."""
+    if snap.total != grid.total:
+        raise RuntimeErrorD(
+            f"checkpoint has {snap.total} strands but the current "
+            f"globals produce {grid.total}; run a fresh checkpoint"
+        )
+    t0 = time.perf_counter()
+    state, status = snap.copies()
+    if rec is not None:
+        rec.reset_rows(dirty)
+    if dirty.size:
+        fresh = make_strands(program, ctx, g, grid, dirty, rec)
+        for s_arr, new in zip(state, fresh):
+            s_arr[dirty] = new
+        status[dirty] = RUNNING
+    dt = time.perf_counter() - t0
+    if tr.enabled:
+        tr.complete("snapshot-restore", "incremental", t0, dt,
+                    dirty=int(dirty.size), total=grid.total)
+    if reg.enabled:
+        reg.observe("runtime.restore_seconds", dt)
+    return state, status
+
+
+def open_dispatch(plan, program, ctx, g, state, status, native, rec, reg, tr,
+                  held):
+    """Bind kernel and scheduler for ``plan``: ``(state, status, dispatch)``
+    — the arrays the run must use from here on (a process pool moves them
+    into shared memory) and ``dispatch(active, step)``, which runs one
+    round of blocks over the active strands and returns their ``(counts,
+    seconds)`` tallies and the worker that ran each.  A scheduler the run
+    creates is closed by ``held``; a borrowed one is left open."""
+    sched = plan.borrowed
+    if plan.scheduler == "process":
+        if sched is None:
+            from repro.runtime.mpsched import ProcessScheduler
+
+            sched = ProcessScheduler(plan.workers)
+            held.callback(sched.close)
+        # with the C backend, workers rebuild the native kernel from the
+        # cached artifact (the master's build warmed the cache)
+        native_setup = None
+        if plan.backend == "c":
+            from repro.core.codegen import cbuild
+
+            c_source, nplan, _, _ = program._native_artifacts()
+            native_setup = {
+                "c_source": c_source, "plan": nplan,
+                "flags": cbuild.flags_for(nplan.get("real_dtype") == "float32"),
+            }
+        state, status = sched.setup(
+            program.generated_source, ctx.images, program.dtype, g, state,
+            status, metrics=reg.enabled, native=native_setup)
+        run = partial(sched.run_step, block_size=plan.block_size, tracer=tr,
+                      metrics=reg)
+    else:
+        if sched is None:
+            sched = (ThreadScheduler(plan.workers)
+                     if plan.scheduler == "thread" else SequentialScheduler())
+            held.callback(sched.close)
+        if native is None:  # namespace["update"] is looked up per run
+            run_block = NumpyKernel(program.namespace["update"], ctx, g, state,
+                                    status, recorder=rec).run_block
+        elif plan.driving != "kernel":
+            run_block = native.run_range
+        else:  # every super-step the run has left
+            run_block = partial(native.run_range, max_steps=(
+                _UNBOUNDED_STEPS if plan.max_steps is None else plan.max_steps))
+
+        def run(active, step):
+            return sched.run_step(make_blocks(active, plan.block_size),
+                                  run_block, tracer=tr, step=step)
+
+    def dispatch(active, step):
+        return run(active, step=step)[0], sched.last_block_workers
+
+    return state, status, dispatch
+
+
+def run_steps(active: np.ndarray, status: np.ndarray, dispatch, max_steps,
+              hooks) -> tuple[int, np.ndarray]:
+    """Super-steps until no strand is running (or ``max_steps``): the
+    steps taken and the strands still running.  One dispatch runs every
+    block from the current step on — for one step or, kernel-driven, until
+    the block empties; its tallies say how many steps went by.  After each,
+    every hook is called as ``hook(step, active, active_status, tallies,
+    block_workers, t0)``."""
+    steps = 0
+    while active.size and (max_steps is None or steps < max_steps):
+        t0 = time.perf_counter()
+        tallies, block_workers = dispatch(active, steps)
+        # one status gather serves every hook AND the active-strand filter
+        active_status = status[active]
+        for hook in hooks:
+            hook(steps, active, active_status, tallies, block_workers, t0)
+        steps += max(c.shape[0] for c, _ in tallies)
+        active = active[active_status == RUNNING]
+    return steps, active
+
+
+def step_hooks(program, ctx, g, state, rec, on_step, tr, tallies) -> list:
+    """The hooks of one run, in the order they fire: the ``stabilize``
+    method, the caller's ``on_step``, the tracer's span, and the tally —
+    ``(first step, worker, counts, seconds)`` per block appended to
+    ``tallies`` for :func:`book_steps`, unless that is ``None``."""
+    hooks = []
+    stabilize = program.namespace.get("stabilize")
+    if stabilize is not None:
+        def run_stabilize(step, active, active_status, *_):
+            # mutates state only, never status
+            ids = active[active_status == STABILIZE]
+            if ids.size:
+                if rec is not None:
+                    rec.lane_map = ids
+                new_state = stabilize(ctx, *g, *[s[ids] for s in state])
+                if rec is not None:
+                    rec.lane_map = None
+                for s_arr, new in zip(state, new_state):
+                    s_arr[ids] = new
+
+        hooks.append(run_stabilize)
+    if on_step is not None:
+        names = program.high.init_func.result_names
+        outputs = [(o, state[names.index(o)]) for o in program.high.outputs]
+        hooks.append(lambda step, active, active_status, *_: on_step(StepEvent(
+            step=step, active=active.copy(), status=active_status.copy(),
+            # fancy indexing already yields private copies
+            outputs={o: arr[active] for o, arr in outputs})))
+    if tr.enabled:
+        def span(step, active, active_status, tallies, block_workers, t0):
+            # an enabled tracer keeps the run per-step: a dispatch is a step
+            n, stable, died = sum(c[0] for c, _ in tallies).tolist()
+            tr.complete("superstep", "superstep", t0, time.perf_counter() - t0,
+                        step=step, blocks=len(tallies), active=n,
+                        stable=stable, died=died)
+            tr.gauge("active-strands", n - stable - died)
+
+        hooks.append(span)
+    if tallies is not None:
+        hooks.append(lambda step, a, st, blocks, workers, t0: tallies.extend(
+            (step, w, c, sec) for (c, sec), w in zip(blocks, workers)))
+    return hooks
+
+
+def book_steps(reg, tallies: list, workers: int) -> None:
+    """Book a run's tallies — collected a tuple per block per dispatch, so
+    a 241-step per-step run pays nothing per step for its scheduler-health
+    telemetry — once, whichever way the loop was driven: a block's row
+    ``i`` belongs to step ``first + i``, counts add up across blocks, a
+    step's ``blocks`` is the number of blocks that still had a live strand,
+    and its seconds are the seconds its blocks spent (their sum: wall time
+    under the sequential scheduler, busy time under threads or processes).
+    The load-imbalance index is ``max(busy) / mean(busy over the configured
+    worker count)`` — 1.0 when every worker did equal work, ``workers``
+    when one did everything."""
+    firsts, who, counts, seconds = zip(*tallies)
+    # one row per (block, step it took part in)
+    lens = np.array([c.shape[0] for c in counts])
+    counts, seconds = np.concatenate(counts), np.concatenate(seconds)
+    step = (np.repeat(np.array(firsts) - firsts[0] - np.cumsum(lens) + lens,
+                      lens) + np.arange(lens.sum()))
+    worker = np.repeat(np.array(who), lens)
+    n_steps = int(step.max()) + 1
+    per_step = np.bincount(
+        (3 * step[:, None] + np.arange(3)).ravel(), weights=counts.ravel(),
+        minlength=3 * n_steps).astype(np.int64).reshape(n_steps, 3)
+    busy = np.bincount(
+        worker * n_steps + step, weights=seconds,
+        minlength=(int(worker.max()) + 1) * n_steps).reshape(-1, n_steps)
+    step_seconds = busy.sum(axis=0)
+    active, stable, died = per_step.sum(axis=0).tolist()
+    deltas = {"sched.supersteps": n_steps, "strands.updated": active,
+              "strands.stabilized": stable, "strands.died": died}
+    for w, (b, nb) in enumerate(zip(busy.sum(axis=1).tolist(),
+                                    np.bincount(worker).tolist())):
+        if nb:  # a worker that ran no block has no row
+            deltas[f"sched.worker.worker-{w}.busy_seconds"] = b
+            deltas[f"sched.worker.worker-{w}.blocks"] = nb
+    reg.inc_many(deltas)
+    reg.observe_many("sched.step_seconds", step_seconds)
+    reg.observe_many("sched.block_seconds", seconds)
+    if workers > 1:
+        worked = step_seconds > 0
+        reg.observe_many(
+            "sched.imbalance", busy.max(axis=0)[worked] * workers
+            / step_seconds[worked], bounds=_mx.IMBALANCE_BUCKETS)
+    blocks = np.bincount(step, minlength=n_steps).tolist()
+    reg.rows("steps", [
+        dict(step=firsts[0] + i, blocks=nb, active=a, stable=st, died=d,
+             seconds=dt)
+        for i, (nb, (a, st, d), dt) in enumerate(
+            zip(blocks, per_step.tolist(), step_seconds.tolist()))
+    ])

@@ -21,9 +21,10 @@ paper's parallel runtime (§5.5) with *processes* instead:
 * **Work-list + barrier** — each super-step the master writes the active
   strand indices into the shared index buffer and enqueues
   ``(block_start, block_end)`` ranges on a shared task queue; workers
-  pull ranges until the list is empty, gathering/scattering strand state
-  through their shared-memory views.  The master collecting one ack per
-  block is the paper's end-of-super-step barrier.
+  pull ranges until the list is empty, running each through the block
+  kernel the in-process schedulers use (:mod:`repro.runtime.kernel`) over
+  their shared-memory views.  The master collecting one ack per block is
+  the paper's end-of-super-step barrier.
 
 Strand blocks index disjoint strand sets, so concurrent in-place writes
 never overlap and the results are bit-identical to the sequential
@@ -45,6 +46,7 @@ from repro.errors import RuntimeErrorD
 from repro.obs import NULL_TRACER
 from repro.obs import metrics as _mx
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.runtime.kernel import Ctx, NumpyKernel
 
 #: seconds between liveness checks while waiting on worker messages
 _POLL_INTERVAL = 5.0
@@ -95,19 +97,10 @@ def _attach(spec):
     return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
 
 
-class _WorkerCtx:
-    """The context object generated functions receive (worker-side)."""
-
-    def __init__(self, images: dict, dtype):
-        self.images = images
-        self.dtype = dtype
-
-
 class _WorkerEnv:
     """One run's worker-side state: shared views + compiled functions."""
 
-    __slots__ = ("shms", "state", "status", "active", "update", "ctx", "g",
-                 "reg", "native", "total")
+    __slots__ = ("shms", "active", "reg", "run_block")
 
     def close(self) -> None:
         for shm in self.shms:
@@ -128,12 +121,12 @@ def _apply_setup(wid: int, setup_bytes: bytes) -> _WorkerEnv:
     env = _WorkerEnv()
     env.shms = shms = []
     setup = pickle.loads(setup_bytes)
-    env.state = state = []
+    state = []
     for spec in setup["state"]:
         shm, view = _attach(spec)
         shms.append(shm)
         state.append(view)
-    shm, env.status = _attach(setup["status"])
+    shm, status = _attach(setup["status"])
     shms.append(shm)
     shm, env.active = _attach(setup["active"])
     shms.append(shm)
@@ -146,40 +139,31 @@ def _apply_setup(wid: int, setup_bytes: bytes) -> _WorkerEnv:
                              orientation=orient, dtype=data.dtype)
     ns: dict = {}
     exec(compile(setup["source"], "<diderot-generated>", "exec"), ns)
-    env.update = ns["update"]
-    env.ctx = _WorkerCtx(images, setup["dtype"])
-    env.g = setup["globals"]
+    g = setup["globals"]
     # a fresh local registry (the forked copy of the master's would
     # double-count): op metrics accumulate here and each block's
     # ``done`` ack ships the drained delta back for the master to
     # merge at the super-step barrier
     env.reg = MetricsRegistry() if setup.get("metrics") else NULL_METRICS
     _mx.set_active(env.reg)
-    # native C backend: rebuild the kernel from the artifact cache
-    # (warmed by the master's build) and bind it to the shared views;
-    # any failure degrades this worker to the NumPy path
-    env.native = None
+    # the block kernel, bound to the shared views: the NumPy one unless
+    # the run is native — then rebuilt from the artifact cache (warmed by
+    # the master's build); a failure degrades this worker to NumPy
+    env.run_block = NumpyKernel(ns["update"], Ctx(images, setup["dtype"]),
+                                g, state, status).run_block
     if setup.get("native") is not None:
-        import sys as _sys
-
         from repro.errors import CodegenError
-        from repro.runtime.native import NativeUpdate
+        from repro.runtime.native import NativeUpdate, warn_numpy_fallback
 
         try:
             from repro.core.codegen import cbuild
 
             lib, ffi = cbuild.build(setup["native"]["c_source"],
                                     flags=setup["native"].get("flags"))
-            env.native = NativeUpdate(lib, ffi, setup["native"]["plan"],
-                                      images, env.g, state, env.status)
+            env.run_block = NativeUpdate(lib, ffi, setup["native"]["plan"],
+                                         images, g, state, status).run_range
         except CodegenError as exc:
-            print(
-                f"warning: process worker {wid}: native backend "
-                f"unavailable, falling back to NumPy: {exc}",
-                file=_sys.stderr,
-            )
-            env.native = None
-    env.total = env.status.shape[0]
+            warn_numpy_fallback(exc, who=f"process worker {wid}: ")
     return env
 
 
@@ -200,9 +184,6 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
     except BaseException:
         result_q.put(("fatal", wid, traceback.format_exc()))
         return
-    state, status, active = env.state, env.status, env.active
-    update, ctx, g, reg, native = env.update, env.ctx, env.g, env.reg, env.native
-    total = env.total
     while True:
         idle0 = time.perf_counter()
         task = task_q.get()
@@ -223,44 +204,22 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
                         barrier.wait(timeout=60)
                     except Exception:
                         pass
-            if env is None:
-                old.close()
-                return
             old.close()
-            state, status, active = env.state, env.status, env.active
-            update, ctx, g = env.update, env.ctx, env.g
-            reg, native, total = env.reg, env.native, env.total
+            if env is None:
+                return
             continue
         step, bindex, start, end = task
         t0 = time.perf_counter()
         wait = t0 - idle0
         try:
-            if native is not None:
-                # state/status writes happen in place through the shared
-                # views for both full and partial blocks
-                native.run_range(active, start, end)
-            elif end - start == total:
-                # one block covers every strand: active[0:total] is the
-                # identity, so update shared state in place, copy-free
-                out = update(ctx, *g, *state)
-                *new_state, block_status = out
-                for s, new in zip(state, new_state):
-                    s[...] = new
-                status[...] = block_status
-            else:
-                block_idx = active[start:end]
-                block_state = [s[block_idx] for s in state]
-                out = update(ctx, *g, *block_state)
-                *new_state, block_status = out
-                for s, new in zip(state, new_state):
-                    s[block_idx] = new
-                status[block_idx] = block_status
+            # state/status writes land in place through the shared views
+            counts, _ = env.run_block(env.active[start:end], max_steps=1)
         except BaseException:
             result_q.put(("error", wid, bindex, traceback.format_exc()))
             continue
-        delta = reg.drain() if reg.enabled else None
-        result_q.put(("done", wid, bindex, t0,
-                      time.perf_counter() - t0, end - start, wait, delta))
+        delta = env.reg.drain() if env.reg.enabled else None
+        result_q.put(("done", wid, bindex, t0, time.perf_counter() - t0,
+                      counts[0].tolist(), wait, delta))
     env.close()
 
 
@@ -468,8 +427,11 @@ class ProcessScheduler:
                  tracer=NULL_TRACER, step: int = 0, metrics=NULL_METRICS):
         """Execute one super-step over ``active_idx``.
 
-        Returns ``(n_blocks, per_block_times)``; state/status mutations
-        happen in place in the shared arrays.  ``metrics`` receives the
+        Returns ``(per_block_tallies, per_block_times)`` — a tally is
+        the worker kernel's one-step ``(counts, seconds)`` pair, as the
+        in-process schedulers return from their ``run_block`` — and
+        state/status mutations happen in place in the shared arrays.
+        ``metrics`` receives the
         worker-drained metric deltas (merged here, at the barrier) plus
         per-block queue-wait observations.
         """
@@ -481,15 +443,16 @@ class ProcessScheduler:
         ]
         for i, (start, end) in enumerate(ranges):
             self._task_q.put((step, i, start, end))
-        times = [0.0] * len(ranges)
+        tallies = [None] * len(ranges)
         block_workers = [-1] * len(ranges)
         errors = []
         for _ in ranges:  # the barrier: one ack per block
             msg = self._get_result()
             kind = msg[0]
             if kind == "done":
-                _, wid, bindex, t0, dt, strands, wait, delta = msg
-                times[bindex] = dt
+                _, wid, bindex, t0, dt, counts, wait, delta = msg
+                tallies[bindex] = (np.array([counts], dtype=np.int64),
+                                   np.array([dt]))
                 block_workers[bindex] = wid
                 if metrics.enabled:
                     if delta is not None:
@@ -498,7 +461,7 @@ class ProcessScheduler:
                 if tracer.enabled:
                     tracer.complete("block", "block", t0, dt,
                                     tid=f"worker-{wid}", step=step,
-                                    block=bindex, strands=int(strands))
+                                    block=bindex, strands=counts[0])
             elif kind == "error":
                 errors.append((msg[2], msg[3]))
             else:  # pragma: no cover - fatal after setup barrier
@@ -512,4 +475,4 @@ class ProcessScheduler:
                 f"strand update failed in block {bindex} "
                 f"(process scheduler):\n{tb}"
             )
-        return len(ranges), times
+        return tallies, [float(sec[0]) for _, sec in tallies]

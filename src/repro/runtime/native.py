@@ -34,12 +34,14 @@ recording).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.errors import CodegenError, RuntimeErrorD
 from repro.obs import metrics as _mx
 
-__all__ = ["BACKEND_NAMES", "NativeUpdate"]
+__all__ = ["BACKEND_NAMES", "NativeUpdate", "warn_numpy_fallback"]
 
 #: Valid values for ``Program.run(backend=...)`` / ``--backend``.
 BACKEND_NAMES = ("numpy", "c")
@@ -51,6 +53,13 @@ TALLY_STEPS = 256
 _K_CALLS, _K_LANES, _K_SECONDS = (
     f"op.native_update.{k}" for k in ("calls", "lanes", "seconds")
 )
+
+
+def warn_numpy_fallback(exc, who: str = "") -> None:
+    """Say on stderr that a ``backend="c"`` request degrades to NumPy (the
+    run plan records why and counts ``runtime.backend.fallback.<stage>``)."""
+    print(f"warning: {who}native backend unavailable, falling back to "
+          f"NumPy: {exc}", file=sys.stderr)
 
 
 def _check_state_array(arr: np.ndarray, want_dtype, what: str) -> np.ndarray:

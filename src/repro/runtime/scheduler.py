@@ -18,18 +18,19 @@ execution over shared-memory strand state — lives in
 :mod:`repro.runtime.mpsched`; see DESIGN.md "Parallel backends" for when
 each backend wins.
 
-How much a block does per ``run_step`` is ``Program._run``'s decision.
-The function runs its block for one super-step — the quoted model, a
-barrier after every step — whenever something must see step boundaries:
-the NumPy backend, a process pool, a ``stabilize`` method, an ``on_step``
-callback, an enabled tracer.  Otherwise, on the native backend, it runs
-the block until its last strand has stabilized or died
-(:meth:`~repro.runtime.native.NativeUpdate.run_range` with every
-remaining step), and the only barrier left is the one that ends the run.
-That is unobservable: strands neither communicate nor take part in
-global reductions, so no strand's trajectory depends on which step
+How much a block does per ``run_step`` is the run plan's decision
+(:func:`repro.runtime.plan.resolve`, the ``driving`` field).  The block
+kernel they are handed (:mod:`repro.runtime.kernel`) runs its block for
+one super-step — the quoted model, a barrier after every step — whenever
+something must see step boundaries: the NumPy backend, a process pool, a
+``stabilize`` method, an ``on_step`` callback, an enabled tracer.
+Otherwise, on the native backend, it runs the block until its last strand
+has stabilized or died (:meth:`~repro.runtime.native.NativeUpdate.run_range`
+with every remaining step), and the only barrier left is the one that
+ends the run.  That is unobservable: strands neither communicate nor take
+part in global reductions, so no strand's trajectory depends on which step
 another has reached, and the kernel's per-step tallies let the run book
-the same metrics either way.
+the same metrics either way (:func:`repro.runtime.loop.book_steps`).
 
 When a :class:`repro.obs.Tracer` is passed, each block is additionally
 recorded as a ``cat="block"`` span attributed to the worker that ran it
@@ -50,28 +51,12 @@ from repro.errors import InputError
 from repro.obs import NULL_TRACER
 from repro.obs import metrics as _mx
 
-#: the concrete scheduler names (``Program.run`` also accepts ``"auto"``)
-SCHEDULER_NAMES = ("seq", "thread", "process")
+#: the paper's strand-block size ("currently 4096 strands per block", §5.5)
+DEFAULT_BLOCK_SIZE = 4096
 
 #: every value accepted by ``Program.run(scheduler=...)`` / ``--scheduler``
-SCHEDULER_CHOICES = SCHEDULER_NAMES + ("auto",)
-
-
-def resolve_auto(workers: int, total: int, block_size: int,
-                 backend: str = "numpy") -> str:
-    """Pick a concrete scheduler for ``scheduler="auto"``.
-
-    The heuristic (documented in the CLI help): sequential when only one
-    worker is configured, when the machine has a single CPU (parallel
-    overhead buys nothing), or when the program is tiny (fits in one
-    strand block — fan-out costs more than the work).  Otherwise threads
-    for the native C backend (the cffi call releases the GIL, so threads
-    scale and share state for free) and processes for the NumPy backend
-    (which is GIL-bound on threads).
-    """
-    if workers == 1 or (os.cpu_count() or 1) == 1 or total <= block_size:
-        return "seq"
-    return "thread" if backend == "c" else "process"
+#: (the run plan resolves ``"auto"`` to one of the other three)
+SCHEDULER_CHOICES = ("seq", "thread", "process", "auto")
 
 
 def resolve_workers(workers) -> int:

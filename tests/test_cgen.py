@@ -432,9 +432,39 @@ class TestFallback:
         prog = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"])
         prog.run(max_steps=2, backend="c")
         assert "falling back" in capsys.readouterr().err
-        prog.run(max_steps=2, backend="c")
+        res = prog.run(max_steps=2, backend="c")
         # second run reuses the cached failure without re-warning
         assert "falling back" not in capsys.readouterr().err
+        # ... but still says, in its own metrics, that and where it fell back
+        assert res.metrics.counters["runtime.backend.fallback.build"] == 1
+        assert res.metrics.counters["runtime.loop.per_step.numpy"] == 1
+
+    @requires_cc
+    @pytest.mark.parametrize("scheduler,workers,footprint", [
+        ("seq", 1, "inline.numpy"), ("thread", 2, "shadow.thread_numpy")])
+    def test_refused_binding_falls_back(self, monkeypatch, capsys, scheduler,
+                                        workers, footprint):
+        """The kernel builds but rejects this run's arrays: the same one
+        warning, counted as a bind-time fallback, and the plan re-derived
+        for NumPy (driving, footprint strategy)."""
+        from repro.runtime.native import NativeUpdate
+
+        def refuse(self, *args, **kwargs):
+            raise CodegenError("native backend: state slot 0 is not C-contiguous")
+
+        want = run_outputs("isocontour", "numpy")
+        monkeypatch.setattr(NativeUpdate, "__init__", refuse)
+        got = run_outputs("isocontour", "c", scheduler=scheduler,
+                          workers=workers, checkpoint=True)
+        err = capsys.readouterr().err
+        assert err.count("falling back to NumPy") == 1
+        assert "not C-contiguous" in err
+        c = got.metrics.counters
+        assert c["runtime.backend.fallback.bind"] == 1
+        assert "runtime.backend.fallback.build" not in c
+        assert c["runtime.loop.per_step.numpy"] == 1
+        assert c[f"runtime.footprint.{footprint}"] == 1
+        assert_outputs_equal(want, got)
 
 
 @requires_cc

@@ -178,6 +178,38 @@ class TestParseValue:
         assert res.num_strands == 16
         assert res.outputs["v"][1, 1] == pytest.approx(2.0 * 9.0)
 
+    def test_both_command_lines_declare_the_same_run_flags(self, workspace,
+                                                           monkeypatch, capsys):
+        """``add_run_arguments`` is the one declaration: ``python -m repro``
+        and the synthesized ``Program.cli`` print the same help for the
+        eight flags that configure a run."""
+        import argparse
+
+        from repro.core.driver import compile_file
+        from repro.inputs import add_run_arguments
+
+        ref = argparse.ArgumentParser(prog="x")
+        add_run_arguments(ref)
+        flags = [a for a in ref._actions if a.dest != "help"]
+        assert [a.option_strings[0] for a in flags] == [
+            "--workers", "--scheduler", "--backend", "--block-size",
+            "--trace", "--profile", "--metrics", "--metrics-out"]
+        monkeypatch.chdir(workspace)
+        prog = compile_file(str(workspace / "prog.diderot"))
+        helps = []
+        for show in (lambda: main(["--help"]), lambda: prog.cli(["--help"])):
+            with pytest.raises(SystemExit):
+                show()
+            # argparse re-wraps help (at hyphens too): compare sans blanks
+            helps.append("".join(capsys.readouterr().out.split()))
+        for a in flags:
+            text = "".join((a.help % {"default": a.default}).split())
+            assert text in helps[0] and text in helps[1], a.dest
+        res = prog.cli(["--res", "4", "--backend", "numpy", "--scheduler",
+                        "thread", "--workers", "2", "--block-size", "3",
+                        "--no-metrics"])
+        assert res.num_strands == 16 and not res.metrics.enabled
+
     def test_program_cli_trace_and_profile(self, workspace, capsys, monkeypatch):
         import json
 

@@ -382,6 +382,38 @@ def test_empty_update_restores_snapshot():
     assert np.array_equal(res.outputs["x"], cold.outputs["x"])
 
 
+@pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("process", 2)])
+def test_empty_update_is_a_run_like_any_other(scheduler, workers):
+    """Nothing dirty still means plan resolution, the caller's registry
+    folded the usual way, and the one result assembler."""
+    prog = _prog(_base())
+    kw = dict(scheduler=scheduler, workers=workers)
+    cold = prog.run(checkpoint=True, **kw)
+    with pytest.raises(InputError, match="scheduler"):
+        prog.run_update(scheduler="bogus")
+    with pytest.raises(InputError, match="workers"):
+        prog.run_update(workers=0)
+    with _mx.collect() as reg:
+        res = prog.run_update(**kw)
+    assert res.incremental and res.steps == 0 and res.dirty_strands == 0
+    assert res.updated_indices.size == 0
+    assert (res.num_strands, res.num_stable, res.num_died) == \
+        (cold.num_strands, cold.num_stable, cold.num_died)
+    assert np.array_equal(res.outputs["x"], cold.outputs["x"])
+    assert not np.may_share_memory(res.outputs["x"], cold.outputs["x"])
+    for counters in (res.metrics.counters, reg.counters):
+        assert counters["runtime.incremental.updates"] == 1
+        assert counters["runtime.incremental.rerun_strands"] == 0
+        assert counters["run.count"] == 1 and counters["run.steps"] == 0
+    assert res.metrics.gauges["run.workers"] == workers
+    # ... and the checkpoint still takes a real update afterwards
+    patched = _base()
+    patched[3:6, 3:6] += 1.0
+    prog.update_input("img", patched[3:6, 3:6], region=[[3, 5], [3, 5]])
+    upd = prog.run_update(**kw)
+    assert np.array_equal(upd.outputs["x"], _prog(patched).run().outputs["x"])
+
+
 def test_nonimage_input_change_forces_full_rerun():
     prog = _prog(_base())
     prog.run(checkpoint=True)

@@ -493,3 +493,209 @@ def test_write_nrrd_roundtrip_under_process(tmp_path, noise32):
 
     img = read_nrrd(f"{out}-v.nrrd")
     assert img.sizes == (10, 10)
+
+
+# -- state aliasing: update results that are its inputs -------------------------
+
+#: update results may alias each other or an input state array (the block
+#: kernel's contract, ``repro.runtime.kernel.NumpyKernel``)
+ALIASING = {
+    # t = a; a = b; b = t — update returns the arrays it was handed, swapped
+    "swap": """
+        strand S (int i) {
+            output real a = real(i);
+            output real b = real(i) * 10.0 + 1.0;
+            int n = 0;
+            update {
+                real t = a; a = b; b = t;
+                n += 1;
+                if (n >= 1 + i % 4) stabilize;
+            }
+        }
+        initially [ S(i) | i in 0 .. 11 ];
+    """,
+    "rotate-vec2": """
+        strand S (int i) {
+            output vec2 p = [real(i), 1.0];
+            output vec2 q = [2.0, real(i) * 0.5];
+            output vec2 r = [real(i) * 3.0, -1.0];
+            int n = 0;
+            update {
+                vec2 t = p; p = q; q = r; r = t;
+                n += 1;
+                if (n >= 2 + i % 3) stabilize;
+            }
+        }
+        initially [ S(i) | i in 0 .. 11 ];
+    """,
+    # k is never assigned: it comes back as the array that went in
+    "pass-through": """
+        strand S (int i) {
+            output real k = real(i) * 0.25 + 0.125;
+            output real x = 0.0;
+            update {
+                x += k;
+                if (x > 2.0) stabilize;
+                if (x > 1.9) die;
+            }
+        }
+        initially [ S(i) | i in 0 .. 11 ];
+    """,
+    # two variables assigned one SSA value: the same array, twice
+    "same-expression": """
+        strand S (int i) {
+            output real a = 0.0;
+            output real b = 1.0;
+            int n = 0;
+            update {
+                real e = a + real(i) * 0.5 + 1.0;
+                a = e; b = e;
+                n += 1;
+                if (n >= 3) stabilize;
+            }
+        }
+        initially [ S(i) | i in 0 .. 11 ];
+    """,
+}
+
+_ALIASING_BACKENDS = ["numpy"] + (["c"] if cbuild.compiler_available() else [])
+
+
+class TestStateAliasing:
+    """Bit-identical to seq under every scheduler × backend × block size;
+    4096 means one block covers every strand — the in-place path, where a
+    result that is another variable's state array must be read before that
+    array is overwritten."""
+
+    @pytest.mark.parametrize("block_size", [1, 3, 4096])
+    @pytest.mark.parametrize("backend", _ALIASING_BACKENDS)
+    @pytest.mark.parametrize("scheduler,workers",
+                             [("seq", 1), ("thread", 2), ("process", 2)])
+    @pytest.mark.parametrize("name", list(ALIASING))
+    def test_bit_identical_to_sequential(self, name, scheduler, workers,
+                                         backend, block_size):
+        prog = compile_program(ALIASING[name])
+        # the reference: one strand per block never takes the in-place path
+        base = prog.run(block_size=1)
+        res = prog.run(scheduler=scheduler, workers=workers, backend=backend,
+                       block_size=block_size)
+        _results_equal(res, base)
+
+    def test_swap_really_swaps(self):
+        res = compile_program(ALIASING["swap"]).run()
+        i = np.arange(12.0)
+        odd = (1 + np.arange(12) % 4) % 2 == 1  # stabilized after an odd count
+        assert np.array_equal(res.outputs["a"], np.where(odd, i * 10 + 1, i))
+        assert np.array_equal(res.outputs["b"], np.where(odd, i, i * 10 + 1))
+
+
+# -- a run that fails before its first super-step gives everything back ----------
+
+EMPTY_RANGE = """
+input int n = 0;
+strand S (int i) {
+    output real x = real(i);
+    update { stabilize; }
+}
+initially [ S(i) | i in 1 .. n ];
+"""
+
+
+def _gather_hook():
+    return getattr(rt._FOOTPRINT, "recorder", None)
+
+
+def _workers():
+    """Every live ``diderot-worker-*`` thread and process, whoever owns it
+    (other tests' pooled schedulers may still be around)."""
+    import multiprocessing
+    import threading
+
+    return ({t.ident for t in threading.enumerate()
+             if t.name.startswith("diderot-worker-")}
+            | {p.pid for p in multiprocessing.active_children()
+               if p.name.startswith("diderot-worker-")})
+
+
+def _shm_segments():
+    import os
+
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+class TestFailingSetupReleases:
+    """Set-up is inside the run's one ``finally``: a run that raises
+    before the step loop leaves no gather hook, no worker of its own and
+    no shared memory behind, and leaves a borrowed scheduler alone."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(scheduler="thread", workers=2),
+        dict(scheduler="process", workers=2),
+    ])
+    def test_empty_range_while_checkpointing(self, kw):
+        from repro.errors import RuntimeErrorD
+
+        shm, workers = _shm_segments(), _workers()
+        prog = compile_program(EMPTY_RANGE)
+        with pytest.raises(RuntimeErrorD, match="empty comprehension range"):
+            prog.run(checkpoint=True, **kw)
+        assert _gather_hook() is None
+        assert _workers() <= workers
+        assert _shm_segments() == shm
+        # ... so a later plain run on this thread reports to nobody
+        prog.set_input("n", 4)
+        assert prog.run().num_strands == 4
+        assert not prog.has_checkpoint
+
+    def test_strand_count_mismatch_on_update(self):
+        from repro.errors import RuntimeErrorD
+
+        prog = compile_program(EMPTY_RANGE)
+        prog.set_input("n", 6)
+        prog.run(checkpoint=True)
+        prog.set_input("n", 5, _invalidate=False)  # behind the checkpoint's back
+        with pytest.raises(RuntimeErrorD, match="6 strands"):
+            prog.run_update()
+        assert _gather_hook() is None
+        assert prog.has_checkpoint  # untouched: a matching update still works
+        prog.set_input("n", 6, _invalidate=False)
+        assert prog.run_update().num_strands == 6
+
+    def test_process_worker_fatal_during_setup(self, monkeypatch):
+        from repro.errors import RuntimeErrorD
+        from repro.runtime import mpsched
+
+        def broken(wid, setup_bytes):
+            raise OSError("no shared memory today")
+
+        shm, workers = _shm_segments(), _workers()
+        prog = compile_program(BRANCHY)
+        with monkeypatch.context() as patched:  # before the fork
+            patched.setattr(mpsched, "_apply_setup", broken)
+            with pytest.raises(RuntimeErrorD, match="no shared memory today"):
+                prog.run(scheduler="process", workers=2, checkpoint=True)
+        assert _gather_hook() is None
+        assert _workers() <= workers
+        assert _shm_segments() == shm
+        assert not prog.has_checkpoint
+        _results_equal(prog.run(scheduler="process", workers=2), prog.run())
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_borrowed_scheduler_is_left_open(self, pool):
+        from repro.errors import RuntimeErrorD
+        from repro.runtime.mpsched import ProcessScheduler
+
+        workers = _workers()
+        sched = ThreadScheduler(2) if pool == "thread" else ProcessScheduler(2)
+        try:
+            with pytest.raises(RuntimeErrorD, match="empty comprehension"):
+                compile_program(EMPTY_RANGE).run(scheduler=sched,
+                                                 checkpoint=True)
+            assert _gather_hook() is None
+            prog = compile_program(BRANCHY)
+            for _ in range(2):  # it serves the next runs
+                _results_equal(prog.run(scheduler=sched), prog.run())
+        finally:
+            sched.close()
+        assert _workers() <= workers
