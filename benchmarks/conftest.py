@@ -1,11 +1,14 @@
-"""Shared infrastructure for the paper-reproduction benchmarks.
+"""Shared infrastructure for the figure, Table 1 and ablation scripts.
 
-Every benchmark prints the paper's numbers next to ours and appends its
-rows to ``benchmarks/results/<name>.json`` so EXPERIMENTS.md can be
-regenerated from a run.  Workloads are scaled-down versions of the
-paper's (DESIGN.md's benchmark scaling note); set ``REPRO_BENCH_SCALE``
-to trade time for fidelity (default 1.0 ≈ a few minutes total on one
-core).
+These scripts reproduce what the paper shows that is *not* a timing
+(rendered figures, line counts, instruction counts, the simulated
+scheduler's curves); wall-clock numbers come from ``benchmarks/ledger/``
+only.  Each script asserts the paper's qualitative shape and writes its
+rows to ``benchmarks/results/<name>.json``, from which
+``make_experiments_md.py`` renders EXPERIMENTS.md.  Workloads are
+scaled-down versions of the paper's (DESIGN.md's benchmark scaling
+note); ``REPRO_BENCH_SCALE`` trades time for fidelity (default 1.0 ≈ a
+minute in total on one core) and is the estate's one knob.
 """
 
 from __future__ import annotations
@@ -13,16 +16,10 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import time
-
-import pytest
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-HISTORY_PATH = os.path.join(RESULTS_DIR, "history.jsonl")
-
 
 #: results-document schema: bumped when the stamped envelope changes
 SCHEMA_VERSION = 2
@@ -32,14 +29,14 @@ def record(name: str, payload) -> None:
     """Persist one benchmark's results for EXPERIMENTS.md.
 
     Dict payloads are stamped in place with the results ``schema``
-    version, the benchmark name, and the producing commit's ``git_sha``
-    — callers that re-dump the same payload to a repo-root
-    ``BENCH_*.json`` therefore carry the stamps too.
+    version, the benchmark name, the producing commit's ``git_sha`` and
+    the ``cpu_count`` it ran on.
     """
     if isinstance(payload, dict):
         payload.setdefault("schema", SCHEMA_VERSION)
         payload.setdefault("bench", name)
         payload.setdefault("git_sha", git_sha())
+        payload.setdefault("cpu_count", len(os.sched_getaffinity(0)))
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")
     with open(path, "w") as fp:
@@ -58,39 +55,3 @@ def git_sha() -> str:
         return sha if out.returncode == 0 and sha else "unknown"
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-
-
-def append_history(bench: str, payload: dict) -> None:
-    """Append one git-SHA-stamped row to ``results/history.jsonl``.
-
-    The perf-regression tracker (``benchmarks/regress.py``,
-    ``python -m repro.obs diff``) compares headline numbers across
-    commits; each row carries enough environment context (cpu count,
-    scale) that rows from starved machines can be told apart.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    row = {
-        "bench": bench,
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "git_sha": git_sha(),
-        "cpu_count": len(os.sched_getaffinity(0)),
-        "scale": SCALE,
-        **payload,
-    }
-    with open(HISTORY_PATH, "a") as fp:
-        fp.write(json.dumps(row, default=float) + "\n")
-
-
-def measure(fn, repeats: int = 1) -> float:
-    """Best-of-N wall-clock time of ``fn()`` (seconds)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> float:
-    return SCALE

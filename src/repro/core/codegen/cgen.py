@@ -83,7 +83,7 @@ from ...errors import CodegenError
 from ..ir.base import Func, IfRegion, Instr, Phi, Value
 from ..ty.types import BOOL, INT, TensorTy
 
-__all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE"]
+__all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE", "MAX_VB"]
 
 # Default strand-batch widths: 4 doubles or 8 floats fill one 256-bit
 # vector per lane statement.  gcc prefers 256-bit vectors on current x86
@@ -91,6 +91,8 @@ __all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE"]
 # batch only grows the SoA scratch footprint without adding parallelism.
 DEFAULT_VB_DOUBLE = 4
 DEFAULT_VB_SINGLE = 8
+#: widest batch the emitter accepts (widths run 1 .. MAX_VB)
+MAX_VB = 64
 
 # Cost weights for the blend-vs-branch model.  An IfRegion arm whose summed
 # weight reaches _GUARD_MIN_COST keeps a real `if (any lane)` branch around
@@ -559,8 +561,8 @@ class _Emitter:
         if batch is None:
             batch = DEFAULT_VB_SINGLE if single else DEFAULT_VB_DOUBLE
         batch = int(batch)
-        if not 1 <= batch <= 64:
-            raise CodegenError(f"cgen: batch width {batch} out of range [1, 64]")
+        if not 1 <= batch <= MAX_VB:
+            raise CodegenError(f"cgen: batch width {batch} out of range [1, {MAX_VB}]")
         self.vb = batch
         self.names = _Namer()
         self.lines: list[str] = []
@@ -2292,9 +2294,10 @@ def generate_c_module(
     ``extra_state`` attributes — in practice the HighProgram held by a built
     :class:`~repro.runtime.program.Program`.  ``single=True`` emits a
     ``float`` kernel (relaxed-tolerance path); ``batch`` overrides the
-    strand-batch width (default 8 doubles / 16 floats; 1 gives the scalar
-    baseline kernel).  Raises :class:`~repro.errors.CodegenError` when any
-    construct cannot be translated.
+    strand-batch width (default ``DEFAULT_VB_DOUBLE`` = 4 doubles /
+    ``DEFAULT_VB_SINGLE`` = 8 floats; 1 gives the scalar kernel).  Raises
+    :class:`~repro.errors.CodegenError` when any construct cannot be
+    translated.
     """
     func = getattr(high, "update_func", None)
     if not isinstance(func, Func):

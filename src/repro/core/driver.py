@@ -17,6 +17,7 @@ the ablation benchmarks.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.xform.to_high import HighBuilder, HighProgram
 from repro.core.xform.to_low import to_low
 from repro.core.xform.to_mid import to_mid
 from repro.core.xform.value_numbering import value_number
-from repro.errors import CompileError
+from repro.errors import CompileError, InputError
 from repro.obs import Tracer
 from repro.obs import metrics as _mx
 
@@ -300,7 +301,30 @@ def compile_file(path: str, **kwargs):
     """Compile a ``.diderot`` file (load paths resolve next to it)."""
     import os
 
-    with open(path, encoding="utf-8") as fp:
-        src = fp.read()
+    try:
+        with open(path, encoding="utf-8") as fp:
+            src = fp.read()
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not a UTF-8 Diderot source") from None
     kwargs.setdefault("search_path", os.path.dirname(os.path.abspath(path)))
     return compile_program(src, **kwargs)
+
+
+def source_digest(text: str) -> str:
+    """SHA-256 of one generated source text."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def code_digests(prog) -> tuple[str, str]:
+    """SHA-256 of a Program's generated Python and of its generated C.
+
+    Both emitters are deterministic (``tests/test_codegen_determinism.py``),
+    so the pair is a refactoring oracle: a compiler change that leaves it
+    alone left the generated code byte-identical.  Raises
+    :class:`~repro.errors.CodegenError` for a program the C backend cannot
+    translate (such a program still runs on NumPy).
+    """
+    from repro.core.codegen.cgen import generate_c_module
+
+    c_source, _plan = generate_c_module(prog.high)
+    return source_digest(prog.generated_source), source_digest(c_source)

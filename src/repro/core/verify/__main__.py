@@ -9,7 +9,9 @@
 ``fuzz`` differentially executes seeded random programs (compiled under
 every scheduler vs the HighIR interpreter) and prints shrunk
 counterexamples; ``props`` runs the Figure-10 identity harness; ``check``
-compiles source files with the IR validator enabled between every pass.
+compiles source files with the IR validator enabled between every pass
+and prints the SHA-256 of the generated Python and C — unchanged digests
+across a compiler refactoring mean byte-identical generated code.
 Exit status is non-zero on any failure, so all three work as CI jobs.
 
 Every subcommand aggregates the metrics of all the programs it compiles
@@ -23,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import DiderotError
+from repro.errors import CodegenError, DiderotError
 from repro.obs import metrics as _mx
 
 
@@ -66,19 +68,26 @@ def _cmd_props(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
-    from repro.core.driver import compile_to_source
+    from repro.core.driver import code_digests, compile_file, source_digest
 
     status = 0
     for path in ns.files:
         try:
-            with open(path, encoding="utf-8") as fp:
-                source = fp.read()
-            compile_to_source(source, check=True)
+            # never from the compile cache: a hit skips the passes to validate
+            prog = compile_file(path, check=True, cache=False)
         except (DiderotError, OSError) as exc:
             print(f"{path}: FAIL\n  {exc}")
             status = 1
-        else:
-            print(f"{path}: ok (validated after every pass)")
+            continue
+        try:
+            py_sha, c_sha = code_digests(prog)
+            c_line = f"sha256 {c_sha}"
+        except CodegenError as exc:
+            # valid, and runs on NumPy: C emission is optional, as in a run
+            py_sha = source_digest(prog.generated_source)
+            c_line = f"not translatable ({exc})"
+        print(f"{path}: ok (validated after every pass)\n"
+              f"  python sha256 {py_sha}\n  c      {c_line}")
     return status
 
 

@@ -32,10 +32,12 @@ for the sharing of gathers and weights between co-located probes) and is
 gated by ``OptOptions.probe_fusion`` / the driver's ``--no-fuse`` flag.
 
 Fusion is decided per group by a cost model (:func:`_fusion_profitable`)
-built from the neighborhood shape: 1-D groups are never fused — BENCH_probe
-measured the incremental schedule *losing* (0.67–0.98x) on every 1-D case,
-where there is no prefix to share and the per-axis dispatch overhead
-dominates the single ``2s``-wide contraction — while for ``d ≥ 2`` the
+built from the neighborhood shape: 1-D groups are never fused — the
+incremental schedule *lost* to the direct path on every 1-D case it was
+measured on, where there is no prefix to share and the per-axis dispatch
+overhead dominates the single ``2s``-wide contraction
+(``tests/test_probe_fusion.py::TestCostModel`` pins the decision and that
+1-D programs compile to the unfused code) — while for ``d ≥ 2`` the
 modelled axis-contraction cost of the shared prefix tree is never worse
 than repeating full ``(2s)^d`` contractions, so those groups always fuse.
 """
@@ -71,8 +73,8 @@ def _fusion_profitable(dim: int, support: int, specs: list[tuple]) -> bool:
     pay once per *unique* spec prefix (partial contractions are shared
     through the prefix tree, so duplicates are free).  For ``dim == 1``
     the schedule can share nothing and its constant per-axis dispatch
-    overhead loses in practice (see BENCH_probe.json's 1-D rows), so 1-D
-    groups are rejected outright.
+    overhead loses in practice, so 1-D groups are rejected outright
+    (``tests/test_probe_fusion.py::TestCostModel``).
     """
     if dim < 2:
         return False

@@ -20,8 +20,7 @@ which are adapted into pass/superstep counters on the fly.
     ``.memo_*``, ``guard.*``) regress on any increase beyond
     ``--count-threshold`` (default 2 %); decreases are reported as
     improvements and never fail.  Exit status: 0 when clean, 1 on any
-    regression — the CI perf gate (``benchmarks/regress.py``) builds on
-    this.
+    regression.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ FMA contraction from re-rounding).  The kernel is strand-batched
 pinned at scheduler block sizes 1/64/4096 — full blocks, lane tails, and
 single-lane degenerate batches all hit the same double-precision oracle —
 and with the batch width forced to 1 (``REPRO_CGEN_BATCH=1``), the scalar
-baseline benchmarks use.  Single precision (``precision="single"``) runs
+kernel that is the vectorized emission's reference.  Single precision (``precision="single"``) runs
 natively too, checked against the float64 NumPy run at the relaxed
 tolerance DESIGN.md documents (1e-5 relative).  Corrupted LowIR must
 surface as a clean :class:`~repro.errors.CodegenError`, and a missing C
@@ -98,12 +98,18 @@ class TestGoldenEquivalence:
         assert_outputs_equal(a, b)
 
     def test_forced_scalar_batch_matches_default(self, monkeypatch):
-        # REPRO_CGEN_BATCH=1 is the scalar-baseline kernel the benchmarks
-        # ablate against; it must produce bit-identical results.
+        # REPRO_CGEN_BATCH=1 is the scalar kernel: the knob's one contract
+        # is that it produces bit-identical results to the batched default.
         a = run_outputs("ridge3d", "c")
         monkeypatch.setenv("REPRO_CGEN_BATCH", "1")
         b = run_outputs("ridge3d", "c")
         assert_outputs_equal(a, b)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "65", "4.0"])
+    def test_malformed_batch_is_a_clean_input_error(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_CGEN_BATCH", value)
+        with pytest.raises(InputError, match="REPRO_CGEN_BATCH"):
+            run_outputs("ridge3d", "c")
 
 
 @requires_cc

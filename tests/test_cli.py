@@ -90,6 +90,13 @@ class TestCli:
         code = main([str(tmp_path / "nope.diderot")])
         assert code == 1
 
+    def test_non_utf8_program_is_a_clean_error(self, workspace, capsys):
+        # a binary file handed over as the program (here: its own data)
+        (workspace / "blob.nrrd").write_bytes(b"NRRD0004\n\xff\xfe\x80 data")
+        code = main([str(workspace / "blob.nrrd")])
+        assert code == 1
+        assert "blob.nrrd: not a UTF-8 Diderot source" in capsys.readouterr().err
+
     def test_bad_input_syntax(self, workspace, capsys):
         code = main([str(workspace / "prog.diderot"), "--input", "scale"])
         assert code == 1

@@ -10,14 +10,12 @@ down on every example program, and on the artifact cache it exists for.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import pytest
 
 from repro.core.codegen import cbuild
-from repro.core.codegen.cgen import generate_c_module
-from repro.core.driver import compile_file
+from repro.core.driver import code_digests, compile_file
 from repro.obs import metrics as _mx
 
 EXAMPLES = sorted(
@@ -25,20 +23,12 @@ EXAMPLES = sorted(
     .glob("*.diderot"))
 
 
-def _emitted(path: Path) -> tuple[str, str]:
-    prog = compile_file(str(path), cache=False)
-    c_source, _plan = generate_c_module(prog.high)
-    return prog.generated_source, c_source
-
-
 def test_three_compiles_in_two_orders_are_byte_identical():
     assert len(EXAMPLES) >= 5
     seen: dict[str, set] = {p.name: set() for p in EXAMPLES}
     for order in (EXAMPLES, EXAMPLES[::-1], EXAMPLES):
         for path in order:
-            py, c = _emitted(path)
-            seen[path.name].add((hashlib.sha256(py.encode()).hexdigest(),
-                                 hashlib.sha256(c.encode()).hexdigest()))
+            seen[path.name].add(code_digests(compile_file(str(path), cache=False)))
     assert {name: len(v) for name, v in seen.items()} == \
         {name: 1 for name in seen}
 

@@ -199,7 +199,7 @@ class TestDriverAB:
 
 
 class TestCostModel:
-    """The per-group profitability decision (BENCH_probe's 1-D regression)."""
+    """The per-group profitability decision (1-D groups lose when fused)."""
 
     def test_one_d_rejected(self):
         from repro.core.xform.probe_fuse import _fusion_profitable

@@ -8,6 +8,8 @@ tests at the bottom).
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,49 @@ def test_paper_programs_validate_every_pass(module):
 
     mod = importlib.import_module(f"repro.programs.{module}")
     compile_to_source(mod.SOURCE, check=True)
+
+
+class TestCheckCli:
+    """``python -m repro.core.verify check``: validation plus the digests."""
+
+    def _check(self, *paths):
+        from repro.core.verify.__main__ import main
+
+        return main(["check", *map(str, paths)])
+
+    def test_prints_the_digests_the_determinism_test_pins(self, tmp_path, capsys):
+        from repro.core.driver import code_digests, compile_file
+
+        src = tmp_path / "minimal.diderot"
+        src.write_text(MINIMAL, encoding="utf-8")
+        assert self._check(src, src) == 0
+        out = capsys.readouterr().out
+        assert out.count(f"{src}: ok") == 2
+        py, c = code_digests(compile_file(str(src), cache=False))
+        assert re.findall(r"python sha256 ([0-9a-f]{64})", out) == [py, py]
+        assert re.findall(r"c +sha256 ([0-9a-f]{64})", out) == [c, c]
+
+    def test_program_without_a_c_translation_still_passes(
+            self, tmp_path, capsys, monkeypatch):
+        """C emission is optional, as in a run (warn and fall back to NumPy)."""
+        from repro.core.codegen import cgen
+        from repro.errors import CodegenError
+
+        def no_translation(*_a, **_k):
+            raise CodegenError("cgen: unsupported state type string")
+
+        monkeypatch.setattr(cgen, "generate_c_module", no_translation)
+        src = tmp_path / "minimal.diderot"
+        src.write_text(MINIMAL, encoding="utf-8")
+        assert self._check(src) == 0
+        out = capsys.readouterr().out
+        assert f"{src}: ok" in out and "FAIL" not in out
+        assert re.search(r"python sha256 [0-9a-f]{64}\n", out)
+        assert "c      not translatable (cgen: unsupported state type string)" in out
+
+    def test_non_utf8_file_is_a_clean_failure(self, tmp_path, capsys):
+        blob = tmp_path / "blob.diderot"
+        blob.write_bytes(b"strand \xff\xfe\x80")
+        assert self._check(blob) == 1
+        out = capsys.readouterr().out
+        assert f"{blob}: FAIL" in out and "not a UTF-8 Diderot source" in out
