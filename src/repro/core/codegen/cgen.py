@@ -36,7 +36,7 @@ a contiguous stride-1 access), and each LowIR op lowers to one or more
 ``#pragma omp simd`` lane loops that the C compiler turns into vector code.
 Divergent control flow is if-converted: both arms of an ``IfRegion`` run on
 all lanes under per-lane masks and the phis become branchless blends, except
-that *heavy* arms (cost-modeled over the op table ``_HEAVY_OPS``) keep a real
+that *heavy* arms (cost-modeled over the op table's ``cost`` column) keep a real
 ``if (any-lane)`` branch so a batch that uniformly skips an expensive probe
 does no work for it — the blend-vs-branch cost model from the issue.
 
@@ -80,6 +80,7 @@ from typing import Any
 import numpy as np
 
 from ...errors import CodegenError
+from ..ir import ops as irops
 from ..ir.base import Func, IfRegion, Instr, Phi, Value
 from ..ty.types import BOOL, INT, TensorTy
 
@@ -94,22 +95,10 @@ DEFAULT_VB_SINGLE = 8
 #: widest batch the emitter accepts (widths run 1 .. MAX_VB)
 MAX_VB = 64
 
-# Cost weights for the blend-vs-branch model.  An IfRegion arm whose summed
-# weight reaches _GUARD_MIN_COST keeps a real `if (any lane)` branch around
-# it; cheaper arms always execute and rely on the phi blend alone.  Weights
-# approximate emitted-loop trip counts relative to one elementwise lane op.
-_HEAVY_OPS = {
-    "gather": 24,
-    "probe_parts": 48,
-    "conv_contract": 24,
-    "contract_axis": 12,
-    "evecs": 48,
-    "evals": 24,
-    "normalize_v": 8,
-    "pow": 8,
-    "dot": 4,
-    "horner": 3,
-}
+# The blend-vs-branch model.  An IfRegion arm whose summed op weight (the
+# op table's ``cost`` column) reaches _GUARD_MIN_COST keeps a real
+# `if (any lane)` branch around it; cheaper arms always execute and rely on
+# the phi blend alone.
 _GUARD_MIN_COST = 8
 
 
@@ -921,11 +910,34 @@ class _Emitter:
     # -- instruction dispatch -----------------------------------------------
 
     def _emit_instr(self, ins: Instr) -> None:
+        """An op with a ``c`` template in the op table for this result kind
+        is elementwise; every other op has a hand-written ``_op_<name>``."""
         op = ins.op
+        info = irops.LOW.get(op)
+        tmpl = irops.template(info.c, ins) if info is not None else None
+        if tmpl is not None:
+            self._elementwise(ins, tmpl)
+            return
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             self.fail(f"unsupported LowIR op {op!r}")
         handler(ins)
+
+    def _elementwise(self, ins: Instr, tmpl: str) -> None:
+        """``tmpl`` over every element and lane, smaller operands broadcast
+        (``{r<i>}``: argument i as a real)."""
+        res = ins.result
+        sz = self.size_of(res)
+
+        def rhs(i):
+            refs = [self._bcast_ref(a, i, sz) for a in ins.args]
+            reals = {
+                f"r{k}": f"(dd_real){r}" if a.ty == INT else r
+                for k, (a, r) in enumerate(zip(ins.args, refs))
+            }
+            return tmpl.format(*refs, **reals)
+
+        self._ew_loop(res, rhs)
 
     # .. constants ..........................................................
 
@@ -934,49 +946,7 @@ class _Emitter:
         # (see _declare_const); nothing to do at the original program point.
         pass
 
-    # .. arithmetic .........................................................
-
-    def _binop_ew(self, ins: Instr, cop: str) -> None:
-        a, b = ins.args
-        res = ins.result
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: f"{self._bcast_ref(a, i, sz)} {cop} {self._bcast_ref(b, i, sz)}",
-        )
-
-    def _op_add(self, ins: Instr) -> None:
-        if ins.result.ty == INT:
-            a, b = ins.args
-            name = self.names.val(ins.result)
-            self.lane_stmt(f"{name}[_l] = {self.ref(a)} + {self.ref(b)};")
-        else:
-            self._binop_ew(ins, "+")
-
-    def _op_sub(self, ins: Instr) -> None:
-        if ins.result.ty == INT:
-            a, b = ins.args
-            name = self.names.val(ins.result)
-            self.lane_stmt(f"{name}[_l] = {self.ref(a)} - {self.ref(b)};")
-        else:
-            self._binop_ew(ins, "-")
-
-    def _op_neg(self, ins: Instr) -> None:
-        (a,) = ins.args
-        res = ins.result
-        if res.ty == INT:
-            self.lane_stmt(f"{self.names.val(res)}[_l] = -{self.ref(a)};")
-            return
-        sz = self.size_of(res)
-        self._ew_loop(res, lambda i: f"-{self._bcast_ref(a, i, sz)}")
-
-    def _op_mul(self, ins: Instr) -> None:
-        a, b = ins.args
-        res = ins.result
-        if res.ty == INT:
-            self.lane_stmt(f"{self.names.val(res)}[_l] = {self.ref(a)} * {self.ref(b)};")
-            return
-        self._binop_ew(ins, "*")
+    # .. integer division (the real forms are elementwise) ...................
 
     def _int_div_like(self, ins: Instr, cop: str) -> None:
         """Integer / and % with the runtime's zero-divisor contract: a zero
@@ -999,228 +969,12 @@ class _Emitter:
             self.lane_close()
 
     def _op_div(self, ins: Instr) -> None:
-        if ins.result.ty == INT:
-            # C truncation-toward-zero matches the NumPy backend's idiv.
-            self._int_div_like(ins, "/")
-            return
-        self._binop_ew(ins, "/")
+        # C truncation-toward-zero matches the NumPy backend's idiv.
+        self._int_div_like(ins, "/")
 
     def _op_mod(self, ins: Instr) -> None:
-        if ins.result.ty == INT:
-            # imod = a - idiv(a,b)*b; C % has the same truncated semantics.
-            self._int_div_like(ins, "%")
-            return
-        self._ew_fmod(ins)
-
-    def _ew_fmod(self, ins: Instr) -> None:
-        a, b = ins.args
-        res = ins.result
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: f"dd_fmod({self._bcast_ref(a, i, sz)}, {self._bcast_ref(b, i, sz)})",
-        )
-
-    _op_fmod = _ew_fmod
-
-    def _op_pow(self, ins: Instr) -> None:
-        a, b = ins.args
-        res = ins.result
-        if res.ty == INT:
-            self.fail("integer pow is not supported by the native backend")
-        sz = self.size_of(res)
-
-        def bexpr(i):
-            e = self._bcast_ref(b, i, sz)
-            return f"(dd_real){e}" if b.ty == INT else e
-
-        self._ew_loop(
-            res, lambda i: f"dd_pow({self._bcast_ref(a, i, sz)}, {bexpr(i)})"
-        )
-
-    # .. comparisons / logic ................................................
-
-    def _cmp(self, ins: Instr, cop: str) -> None:
-        a, b = ins.args
-        res = ins.result
-        if not (self.is_scalar_val(a) and self.is_scalar_val(b)):
-            self.fail(f"tensor comparison ({ins.op}) is not supported")
-        self.lane_stmt(f"{self.names.val(res)}[_l] = {self.ref(a)} {cop} {self.ref(b)};")
-
-    def _op_eq(self, ins: Instr) -> None:
-        self._cmp(ins, "==")
-
-    def _op_ne(self, ins: Instr) -> None:
-        self._cmp(ins, "!=")
-
-    def _op_lt(self, ins: Instr) -> None:
-        self._cmp(ins, "<")
-
-    def _op_le(self, ins: Instr) -> None:
-        self._cmp(ins, "<=")
-
-    def _op_gt(self, ins: Instr) -> None:
-        self._cmp(ins, ">")
-
-    def _op_ge(self, ins: Instr) -> None:
-        self._cmp(ins, ">=")
-
-    def _op_and(self, ins: Instr) -> None:
-        a, b = ins.args
-        self.lane_stmt(
-            f"{self.names.val(ins.result)}[_l] = {self.ref(a)} && {self.ref(b)};"
-        )
-
-    def _op_or(self, ins: Instr) -> None:
-        a, b = ins.args
-        self.lane_stmt(
-            f"{self.names.val(ins.result)}[_l] = {self.ref(a)} || {self.ref(b)};"
-        )
-
-    def _op_not(self, ins: Instr) -> None:
-        (a,) = ins.args
-        self.lane_stmt(f"{self.names.val(ins.result)}[_l] = !{self.ref(a)};")
-
-    # .. math functions ......................................................
-
-    def _mathfn(self, ins: Instr, cname: str) -> None:
-        (a,) = ins.args
-        res = ins.result
-        sz = self.size_of(res)
-        self._ew_loop(res, lambda i: f"{cname}({self._bcast_ref(a, i, sz)})")
-
-    def _op_sin(self, ins):
-        self._mathfn(ins, "dd_sin")
-
-    def _op_cos(self, ins):
-        self._mathfn(ins, "dd_cos")
-
-    def _op_tan(self, ins):
-        self._mathfn(ins, "dd_tan")
-
-    def _op_asin(self, ins):
-        self._mathfn(ins, "dd_asin")
-
-    def _op_acos(self, ins):
-        self._mathfn(ins, "dd_acos")
-
-    def _op_atan(self, ins):
-        self._mathfn(ins, "dd_atan")
-
-    def _op_exp(self, ins):
-        self._mathfn(ins, "dd_exp")
-
-    def _op_log(self, ins):
-        self._mathfn(ins, "dd_log")
-
-    def _op_sqrt(self, ins):
-        self._mathfn(ins, "dd_sqrt")
-
-    def _op_ceil(self, ins):
-        self._mathfn(ins, "dd_ceil")
-
-    def _op_floor(self, ins):
-        self._mathfn(ins, "dd_floor")
-
-    def _op_atan2(self, ins: Instr) -> None:
-        a, b = ins.args
-        res = ins.result
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: (
-                f"dd_atan2({self._bcast_ref(a, i, sz)}, {self._bcast_ref(b, i, sz)})"
-            ),
-        )
-
-    def _op_abs(self, ins: Instr) -> None:
-        (a,) = ins.args
-        res = ins.result
-        if res.ty == INT:
-            an = self.ref(a)
-            self.lane_stmt(f"{self.names.val(res)}[_l] = ({an} < 0) ? -{an} : {an};")
-            return
-        sz = self.size_of(res)
-        self._ew_loop(res, lambda i: f"dd_fabs({self._bcast_ref(a, i, sz)})")
-
-    def _op_min(self, ins: Instr) -> None:
-        a, b = ins.args
-        res = ins.result
-        if res.ty == INT:
-            an, bn = self.ref(a), self.ref(b)
-            self.lane_stmt(f"{self.names.val(res)}[_l] = ({an} < {bn}) ? {an} : {bn};")
-            return
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: f"dd_min({self._bcast_ref(a, i, sz)}, {self._bcast_ref(b, i, sz)})",
-        )
-
-    def _op_max(self, ins: Instr) -> None:
-        a, b = ins.args
-        res = ins.result
-        if res.ty == INT:
-            an, bn = self.ref(a), self.ref(b)
-            self.lane_stmt(f"{self.names.val(res)}[_l] = ({an} > {bn}) ? {an} : {bn};")
-            return
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: f"dd_max({self._bcast_ref(a, i, sz)}, {self._bcast_ref(b, i, sz)})",
-        )
-
-    def _op_clamp(self, ins: Instr) -> None:
-        # Diderot argument order: clamp(lo, hi, x)
-        lo, hi, x = ins.args
-        res = ins.result
-        if res.ty == INT:
-            xn, ln, hn = self.ref(x), self.ref(lo), self.ref(hi)
-            lo_t = f"(({xn} > {ln}) ? {xn} : {ln})"
-            self.lane_stmt(f"{self.names.val(res)}[_l] = ({lo_t} < {hn}) ? {lo_t} : {hn};")
-            return
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: (
-                f"dd_clamp({self._bcast_ref(x, i, sz)}, "
-                f"{self._bcast_ref(lo, i, sz)}, {self._bcast_ref(hi, i, sz)})"
-            ),
-        )
-
-    def _op_lerp(self, ins: Instr) -> None:
-        a, b, t = ins.args
-        res = ins.result
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: (
-                f"{self._bcast_ref(a, i, sz)} + {self._bcast_ref(t, i, sz)} * "
-                f"({self._bcast_ref(b, i, sz)} - {self._bcast_ref(a, i, sz)})"
-            ),
-        )
-
-    def _op_select(self, ins: Instr) -> None:
-        c, t, e = ins.args
-        res = ins.result
-        sz = self.size_of(res)
-        self._ew_loop(
-            res,
-            lambda i: (
-                f"{self.ref(c)} ? {self._bcast_ref(t, i, sz)} : "
-                f"{self._bcast_ref(e, i, sz)}"
-            ),
-        )
-
-    # .. conversions .........................................................
-
-    def _op_int_to_real(self, ins: Instr) -> None:
-        (a,) = ins.args
-        self.lane_stmt(f"{self.names.val(ins.result)}[_l] = (dd_real){self.ref(a)};")
-
-    def _op_real_to_int(self, ins: Instr) -> None:
-        (a,) = ins.args
-        # np.trunc then int64: C's (int64_t) cast truncates toward zero.
-        self.lane_stmt(f"{self.names.val(ins.result)}[_l] = (int64_t){self.ref(a)};")
+        # imod = a - idiv(a,b)*b; C % has the same truncated semantics.
+        self._int_div_like(ins, "%")
 
     # .. tensor algebra ......................................................
 
@@ -1239,9 +993,9 @@ class _Emitter:
             )
             self.lane_stmt(f"{name}[_l] = {chain};")
         elif oa == 2 and ob == 1:
-            n = self.size_of(b)
+            rows, n = a.ty.shape
             i = self.names.fresh("i")
-            self.emit(f"for (int {i} = 0; {i} < {n}; {i}++) {{")
+            self.emit(f"for (int {i} = 0; {i} < {rows}; {i}++) {{")
             self.indent += 1
             chain = " + ".join(
                 f"{self.ref(a, f'{i} * {n} + {k}')} * {self.ref(b, k)}"
@@ -1251,30 +1005,31 @@ class _Emitter:
             self.indent -= 1
             self.emit("}")
         elif oa == 1 and ob == 2:
-            n = self.size_of(a)
+            n, cols = b.ty.shape
             j = self.names.fresh("j")
-            self.emit(f"for (int {j} = 0; {j} < {n}; {j}++) {{")
+            self.emit(f"for (int {j} = 0; {j} < {cols}; {j}++) {{")
             self.indent += 1
             chain = " + ".join(
-                f"{self.ref(a, k)} * {self.ref(b, f'{k} * {n} + {j}')}"
+                f"{self.ref(a, k)} * {self.ref(b, f'{k} * {cols} + {j}')}"
                 for k in range(n)
             )
             self.lane_stmt(f"{name}[({j}) * DD_VB + _l] = {chain};")
             self.indent -= 1
             self.emit("}")
         elif oa == 2 and ob == 2:
-            n = a.ty.shape[0]
+            rows, n = a.ty.shape
+            cols = b.ty.shape[1]
             i = self.names.fresh("i")
             j = self.names.fresh("j")
-            self.emit(f"for (int {i} = 0; {i} < {n}; {i}++)")
-            self.emit(f"for (int {j} = 0; {j} < {n}; {j}++) {{")
+            self.emit(f"for (int {i} = 0; {i} < {rows}; {i}++)")
+            self.emit(f"for (int {j} = 0; {j} < {cols}; {j}++) {{")
             self.indent += 1
             chain = " + ".join(
                 f"{self.ref(a, f'{i} * {n} + {k}')} * "
-                f"{self.ref(b, f'{k} * {n} + {j}')}"
+                f"{self.ref(b, f'{k} * {cols} + {j}')}"
                 for k in range(n)
             )
-            self.lane_stmt(f"{name}[({i} * {n} + {j}) * DD_VB + _l] = {chain};")
+            self.lane_stmt(f"{name}[({i} * {cols} + {j}) * DD_VB + _l] = {chain};")
             self.indent -= 1
             self.emit("}")
         else:
@@ -1968,11 +1723,12 @@ class _Emitter:
     # -- control flow --------------------------------------------------------
 
     def _body_cost(self, body) -> int:
-        """Blend-vs-branch weight of an IfRegion arm (see _HEAVY_OPS)."""
+        """Blend-vs-branch weight of an IfRegion arm (the op table's costs)."""
         cost = 0
         for item in body.items:
             if isinstance(item, Instr):
-                cost += _HEAVY_OPS.get(item.op, 1)
+                info = irops.LOW.get(item.op)  # an unknown op fails at emission
+                cost += info.cost if info is not None else 1
             elif isinstance(item, IfRegion):
                 cost += (
                     2

@@ -18,6 +18,7 @@ the ablation benchmarks.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,22 +97,37 @@ def _count(func) -> int:
     return sum(1 for _ in func.body.instructions())
 
 
+@contextmanager
+def _blame(after: str, ir: str, func):
+    """Name the pass (and IR level, function) a check failure follows."""
+    try:
+        yield
+    except CompileError as exc:
+        raise CompileError(
+            f"IR validation failed after pass {after!r} "
+            f"({ir} IR, function {func.name!r}): {exc}"
+        ) from exc
+
+
 def _optimize(func, vocab, opts: OptOptions, tracer, ir: str, verify=None) -> None:
-    if opts.contraction:
-        with tracer.span("contraction", cat="pass", func=func.name, ir=ir):
-            contract(func, vocab)
+    def contraction() -> None:
+        # checked, a contraction that leaves its loop on the round bound
+        # fails like any other broken pass invariant
+        with tracer.span("contraction", cat="pass", func=func.name, ir=ir), \
+                _blame("contraction", ir, func):
+            contract(func, vocab, check=verify is not None)
         if verify is not None:
             verify(func, ir, "contraction")
+
+    if opts.contraction:
+        contraction()
     if opts.value_numbering:
         with tracer.span("value-numbering", cat="pass", func=func.name, ir=ir) as sp:
             sp.set("removed", value_number(func))
         if verify is not None:
             verify(func, ir, "value-numbering")
     if opts.contraction:
-        with tracer.span("contraction", cat="pass", func=func.name, ir=ir):
-            contract(func, vocab)
-        if verify is not None:
-            verify(func, ir, "contraction")
+        contraction()
 
 
 def _resolve_cache(cache) -> bool:
@@ -171,14 +187,9 @@ def compile_to_source(
     def _verify(fn, ir: str, after: str) -> None:
         if not check:
             return
-        with tr.span("verify", cat="check", func=fn.name, ir=ir, after=after):
-            try:
-                verify_func(fn, ir, images=hp.images if hp else None)
-            except CompileError as exc:
-                raise CompileError(
-                    f"IR validation failed after pass {after!r} "
-                    f"({ir} IR, function {fn.name!r}): {exc}"
-                ) from exc
+        with tr.span("verify", cat="check", func=fn.name, ir=ir, after=after), \
+                _blame(after, ir, fn):
+            verify_func(fn, ir, images=hp.images if hp else None)
 
     verify = _verify if check else None
     with tr.span("parse", cat="pass"):

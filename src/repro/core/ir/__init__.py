@@ -10,9 +10,8 @@ because the 2012 surface language has structured control flow only, each
 function body is a tree of instructions and ``if`` regions with explicit
 φ-lists at the joins, rather than a free-form CFG (DESIGN.md, deviation 1).
 The three levels share this structure and differ in their operator
-vocabularies, declared in :mod:`repro.core.ir.high`,
-:mod:`repro.core.ir.mid`, and :mod:`repro.core.ir.low` and enforced by
-:func:`repro.core.ir.base.validate`.
+vocabularies, three views of the one op table in
+:mod:`repro.core.ir.ops`, enforced by :func:`repro.core.ir.base.validate`.
 
 * **HighIR** — "essentially a desugared version of the source language":
   tensor operations and probes of *normalized* convolution fields.

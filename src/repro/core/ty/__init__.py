@@ -22,7 +22,6 @@ from repro.core.ty.types import (
     Ty,
     vec,
 )
-from repro.core.ty.check import check_program, TypedProgram
 
 __all__ = [
     "BOOL",
@@ -38,3 +37,15 @@ __all__ = [
     "check_program",
     "vec",
 ]
+
+
+def __getattr__(name: str):
+    # The checker is imported on first use, not with the package: it pulls
+    # in the overload tables, which derive from repro.core.ir.ops, which
+    # imports this package's types — importing it here would close that
+    # cycle whenever the op table happens to be imported first.
+    if name in ("check_program", "TypedProgram"):
+        from repro.core.ty import check
+
+        return getattr(check, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

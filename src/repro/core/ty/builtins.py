@@ -3,80 +3,39 @@
 "Although Diderot is a monomorphic language, most of its operators have
 instances at multiple types ... we use a mix of ad hoc overloading and
 polymorphism in the type checker" (paper §5.1).  Each operator maps to a
-list of :class:`Sig` patterns tried in order; the first whose parameters
-match (see :func:`repro.core.ty.types.match`) and whose guard passes
-determines the result type.
+list of :class:`~repro.core.ty.types.Sig` patterns tried in order; the
+first whose parameters match (see :func:`repro.core.ty.types.match`) and
+whose guard passes determines the result type.  The instances on concrete
+values are the op table's (:mod:`repro.core.ir.ops`, by ``surface``
+spelling); this module adds what only the surface language has — fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.core.ir import ops as irops
 from repro.core.ty.types import (
     BOOL,
-    ContVar,
-    DimVar,
+    D,
+    D1,
     FieldTy,
     ImageTy,
     INT,
+    K,
+    K2,
     KernelTy,
     REAL,
-    ShapeVar,
-    STRING,
+    S,
+    Sig,
     TensorTy,
     Ty,
-    match,
-    substitute,
+    const,
+    resolve as resolve_sigs,
+    subst,
 )
 
-S = ShapeVar("σ")
-S2 = ShapeVar("σ2")
-D = DimVar("d")
-D1 = DimVar("d1")
-D2 = DimVar("d2")
-D3 = DimVar("d3")
-K = ContVar("k")
-K2 = ContVar("k2")
-
-TENSOR_S = TensorTy((S,))
 FIELD = FieldTy(K, D, (S,))
-
-
-@dataclass
-class Sig:
-    """One overload instance.
-
-    ``result`` computes the result type from the unification bindings;
-    ``guard`` may veto a structurally matching call with an error message
-    (e.g. differentiating a C⁰ field — the continuity tracking of §3.4).
-    """
-
-    params: tuple
-    result: Callable[[dict], Ty]
-    guard: Optional[Callable[[dict], Optional[str]]] = None
-
-    def try_apply(self, arg_tys: list) -> tuple[Optional[Ty], Optional[str]]:
-        """(result_ty, None) on success; (None, guard_error|None) otherwise."""
-        if len(arg_tys) != len(self.params):
-            return None, None
-        env: dict = {}
-        for p, a in zip(self.params, arg_tys):
-            if not match(p, a, env):
-                return None, None
-        if self.guard is not None:
-            err = self.guard(env)
-            if err is not None:
-                return None, err
-        return self.result(env), None
-
-
-def const(ty: Ty) -> Callable[[dict], Ty]:
-    return lambda env: ty
-
-
-def subst(pattern: Ty) -> Callable[[dict], Ty]:
-    return lambda env: substitute(pattern, env)
 
 
 def _differentiable(env: dict) -> Optional[str]:
@@ -104,64 +63,32 @@ def _min_cont_field(env: dict) -> Ty:
     return FieldTy(min(env["k"], env["k2"]), env["d"], tuple(env["σ"]))
 
 
-#: operator name → overload list.  Tried in order; first match wins.
-OPERATORS: dict[str, list[Sig]] = {
-    "+": [
-        Sig((INT, INT), const(INT)),
-        Sig((TENSOR_S, TENSOR_S), subst(TENSOR_S)),
-        Sig((FieldTy(K, D, (S,)), FieldTy(K2, D, (S,))), _min_cont_field),
-    ],
-    "-": [
-        Sig((INT, INT), const(INT)),
-        Sig((TENSOR_S, TENSOR_S), subst(TENSOR_S)),
-        Sig((FieldTy(K, D, (S,)), FieldTy(K2, D, (S,))), _min_cont_field),
-    ],
-    "*": [
-        Sig((INT, INT), const(INT)),
-        Sig((REAL, TENSOR_S), subst(TENSOR_S)),
-        Sig((TENSOR_S, REAL), subst(TENSOR_S)),
-        Sig((REAL, FIELD), subst(FIELD)),
-        Sig((FIELD, REAL), subst(FIELD)),
-    ],
-    "/": [
-        Sig((INT, INT), const(INT)),
-        Sig((TENSOR_S, REAL), subst(TENSOR_S)),
-        Sig((FIELD, REAL), subst(FIELD)),
-    ],
-    "%": [Sig((INT, INT), const(INT))],
-    "^": [
-        Sig((REAL, INT), const(REAL)),
-        Sig((REAL, REAL), const(REAL)),
-    ],
-    "neg": [
-        Sig((INT,), const(INT)),
-        Sig((TENSOR_S,), subst(TENSOR_S)),
-        Sig((FIELD,), subst(FIELD)),
-    ],
-    "!": [Sig((BOOL,), const(BOOL))],
-    "&&": [Sig((BOOL, BOOL), const(BOOL))],
-    "||": [Sig((BOOL, BOOL), const(BOOL))],
-    "==": [
-        Sig((INT, INT), const(BOOL)),
-        Sig((REAL, REAL), const(BOOL)),
-        Sig((BOOL, BOOL), const(BOOL)),
-        Sig((STRING, STRING), const(BOOL)),
-    ],
-    "<": [Sig((INT, INT), const(BOOL)), Sig((REAL, REAL), const(BOOL))],
-    # dot product / contraction of adjacent indices (paper §3.2)
-    "•": [
-        Sig((TensorTy((D,)), TensorTy((D,))), const(REAL)),
-        Sig((TensorTy((D1, D2)), TensorTy((D2,))), subst(TensorTy((D1,)))),
-        Sig((TensorTy((D1,)), TensorTy((D1, D2))), subst(TensorTy((D2,)))),
-        Sig((TensorTy((D1, D2)), TensorTy((D2, D3))), subst(TensorTy((D1, D3)))),
-    ],
-    "×": [
-        Sig((TensorTy((3,)), TensorTy((3,))), const(TensorTy((3,)))),
-        Sig((TensorTy((2,)), TensorTy((2,))), const(REAL)),
-    ],
-    "⊗": [
-        Sig((TensorTy((D1,)), TensorTy((D2,))), subst(TensorTy((D1, D2)))),
-    ],
+def _from_table(functions: bool) -> dict[str, list[Sig]]:
+    """The tensor-level overloads of every spelling the op table declares
+    (the very ``Sig`` objects the IR validator resolves)."""
+    return {
+        name: list(irops.OPS[op].sigs)
+        for name, op in irops.surface(functions).items()
+    }
+
+
+#: operator name → overload list.  Tried in order; first match wins.  The
+#: value-level instances come from the op table; added here are the two
+#: operators that are syntactic forms, the field-level instances, and the
+#: operators that exist on fields only.
+OPERATORS: dict[str, list[Sig]] = _from_table(functions=False)
+OPERATORS["neg"] = [*irops.OPS["neg"].sigs, Sig((FIELD,), subst(FIELD))]
+OPERATORS["norm"] = list(irops.OPS["norm"].sigs)
+for _sym in "+-":
+    OPERATORS[_sym].append(
+        Sig((FIELD, FieldTy(K2, D, (S,))), _min_cont_field)
+    )
+OPERATORS["*"] += [
+    Sig((REAL, FIELD), subst(FIELD)),
+    Sig((FIELD, REAL), subst(FIELD)),
+]
+OPERATORS["/"].append(Sig((FIELD, REAL), subst(FIELD)))
+OPERATORS.update({
     # convolution: image ⊛ kernel or kernel ⊛ image (Figures 1 and 7)
     "⊛": [
         Sig((ImageTy(D, (S,)), KernelTy(K)), subst(FieldTy(K, D, (S,)))),
@@ -200,53 +127,19 @@ OPERATORS: dict[str, list[Sig]] = {
             guard=_differentiable,
         ),
     ],
-    "norm": [
-        Sig((TensorTy((S,)),), const(REAL)),
-    ],
-}
+})
 
-# '!=', '<=', '>', '>=' share the '==' / '<' tables.
-OPERATORS["!="] = OPERATORS["=="]
-OPERATORS["<="] = OPERATORS["<"]
-OPERATORS[">"] = OPERATORS["<"]
-OPERATORS[">="] = OPERATORS["<"]
-
-_R1 = [Sig((REAL,), const(REAL))]
-_R2 = [Sig((REAL, REAL), const(REAL))]
-
-#: builtin function name → overload list.
-FUNCTIONS: dict[str, list[Sig]] = {
-    "inside": [
-        Sig((TensorTy((D,)), FieldTy(K, D, (S,))), const(BOOL)),
-        # 1-D fields are probed at real positions, not tensor[1].
-        Sig((REAL, FieldTy(K, 1, (S,))), const(BOOL)),
-    ],
-    "normalize": [Sig((TensorTy((D,)),), subst(TensorTy((D,))))],
-    "trace": [Sig((TensorTy((D, D)),), const(REAL))],
-    "det": [Sig((TensorTy((D, D)),), const(REAL))],
-    "transpose": [Sig((TensorTy((D1, D2)),), subst(TensorTy((D2, D1))))],
-    "evals": [Sig((TensorTy((D, D)),), subst(TensorTy((D,))))],
-    "evecs": [Sig((TensorTy((D, D)),), subst(TensorTy((D, D))))],
-    "dot": [Sig((TensorTy((D,)), TensorTy((D,))), const(REAL))],
-    "cross": OPERATORS["×"],
-    "outer": OPERATORS["⊗"],
-    "sqrt": _R1, "sin": _R1, "cos": _R1, "tan": _R1,
-    "asin": _R1, "acos": _R1, "atan": _R1, "exp": _R1, "log": _R1,
-    "atan2": _R2, "pow": _R2,
-    "abs": [Sig((INT,), const(INT)), Sig((REAL,), const(REAL))],
-    "min": [Sig((INT, INT), const(INT)), Sig((REAL, REAL), const(REAL))],
-    "max": [Sig((INT, INT), const(INT)), Sig((REAL, REAL), const(REAL))],
-    # clamp(lo, hi, x) — Teem/Diderot argument order
-    "clamp": [Sig((REAL, REAL, REAL), const(REAL))],
-    "lerp": [
-        Sig((TENSOR_S, TENSOR_S, REAL), subst(TENSOR_S)),
-    ],
-    "real": [Sig((INT,), const(REAL)), Sig((REAL,), const(REAL))],
-    "int": [Sig((REAL,), const(INT)), Sig((INT,), const(INT))],
-    "fmod": _R2,
-    "floor": _R1,
-    "ceil": _R1,
-}
+#: builtin function name → overload list: the op table's, plus the domain
+#: test on fields and the identity instances of the two casts (which emit
+#: no op).
+FUNCTIONS: dict[str, list[Sig]] = _from_table(functions=True)
+FUNCTIONS["inside"] = [
+    Sig((TensorTy((D,)), FieldTy(K, D, (S,))), const(BOOL)),
+    # 1-D fields are probed at real positions, not tensor[1].
+    Sig((REAL, FieldTy(K, 1, (S,))), const(BOOL)),
+]
+FUNCTIONS["real"].append(Sig((REAL,), const(REAL)))
+FUNCTIONS["int"].append(Sig((INT,), const(INT)))
 
 #: builtin constant name → type.
 CONSTANTS: dict[str, Ty] = {
@@ -255,17 +148,5 @@ CONSTANTS: dict[str, Ty] = {
 
 
 def resolve(table: dict[str, list[Sig]], name: str, arg_tys: list) -> tuple[Optional[Ty], Optional[str]]:
-    """Resolve an overloaded name against ground argument types.
-
-    Returns ``(result_ty, None)`` on success or ``(None, message)`` where
-    ``message`` is a guard error (if one fired) or ``None`` for a plain
-    no-instance failure.
-    """
-    guard_err: Optional[str] = None
-    for sig in table.get(name, []):
-        ty, err = sig.try_apply(arg_tys)
-        if ty is not None:
-            return ty, None
-        if err is not None and guard_err is None:
-            guard_err = err
-    return None, guard_err
+    """Resolve an overloaded name (see :func:`repro.core.ty.types.resolve`)."""
+    return resolve_sigs(table.get(name, ()), arg_tys)

@@ -7,11 +7,16 @@ Concrete value types: ``bool``, ``int``, ``string``, and ``tensor[σ]``
 Signature *patterns* may additionally contain :class:`ShapeVar`,
 :class:`DimVar`, and :class:`ContVar` — the "shape variables and dimension
 variables" of §5.1 — which :func:`match` binds against ground types.
+:class:`Sig` is one overload instance over such patterns and
+:func:`resolve` picks among a list of them; the op table
+(:mod:`repro.core.ir.ops`) and the typechecker's tables
+(:mod:`repro.core.ty.builtins`) are both written in these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 
 class Ty:
@@ -261,3 +266,73 @@ def substitute(pattern: Ty, env: dict) -> Ty:
             sub_shape(pattern.shape),
         )
     return pattern
+
+
+# --------------------------------------------------------------------------
+# overload signatures: the pattern variables every table shares, and Sig
+
+
+S = ShapeVar("σ")
+D = DimVar("d")
+D1 = DimVar("d1")
+D2 = DimVar("d2")
+D3 = DimVar("d3")
+K = ContVar("k")
+K2 = ContVar("k2")
+
+TENSOR_S = TensorTy((S,))
+
+
+@dataclass
+class Sig:
+    """One overload instance.
+
+    ``result`` computes the result type from the unification bindings;
+    ``guard`` may veto a structurally matching call with an error message
+    (e.g. differentiating a C⁰ field — the continuity tracking of §3.4).
+    """
+
+    params: tuple
+    result: Callable[[dict], Ty]
+    guard: Optional[Callable[[dict], Optional[str]]] = None
+
+    def try_apply(self, arg_tys: list) -> tuple[Optional[Ty], Optional[str]]:
+        """(result_ty, None) on success; (None, guard_error|None) otherwise."""
+        if len(arg_tys) != len(self.params):
+            return None, None
+        env: dict = {}
+        for p, a in zip(self.params, arg_tys):
+            if not match(p, a, env):
+                return None, None
+        if self.guard is not None:
+            err = self.guard(env)
+            if err is not None:
+                return None, err
+        return self.result(env), None
+
+
+def const(ty: Ty) -> Callable[[dict], Ty]:
+    return lambda env: ty
+
+
+def subst(pattern: Ty) -> Callable[[dict], Ty]:
+    return lambda env: substitute(pattern, env)
+
+
+def resolve(sigs, arg_tys: list) -> tuple[Optional[Ty], Optional[str]]:
+    """Resolve an overload list against ground argument types.
+
+    The signatures are tried in order; the first whose parameters match
+    and whose guard passes determines the result type.  Returns
+    ``(result_ty, None)`` on success or ``(None, message)`` where
+    ``message`` is a guard error (if one fired) or ``None`` for a plain
+    no-instance failure.
+    """
+    guard_err: Optional[str] = None
+    for sig in sigs:
+        ty, err = sig.try_apply(arg_tys)
+        if ty is not None:
+            return ty, None
+        if err is not None and guard_err is None:
+            guard_err = err
+    return None, guard_err

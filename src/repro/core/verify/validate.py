@@ -9,7 +9,10 @@ on top: every instruction's result type is recomputed from its argument
 types and attributes against the op's signature and compared with the
 recorded type, so a pass that rewrites an instruction inconsistently is
 caught at the pass boundary instead of as a shape error deep inside
-generated NumPy code.
+generated NumPy code.  An op's signature is its row in the op table
+(:mod:`repro.core.ir.ops`): the very ``Sig`` patterns the typechecker
+resolves, or — for ops whose rule reads attributes or lowered type tags —
+the ``_TypeChecker`` method the row names.
 
 Types are the semantic :class:`~repro.core.ty.types.Ty` objects at HighIR
 level plus the lowered tags ``("ivec", d)``, ``("vox", image, support)``
@@ -22,7 +25,7 @@ import numpy as np
 
 from repro.core.ir import ops as irops
 from repro.core.ir.base import Body, Func, Instr, validate
-from repro.core.ty.types import BOOL, INT, REAL, STRING, TensorTy
+from repro.core.ty.types import BOOL, INT, REAL, STRING, TensorTy, resolve
 from repro.errors import CompileError
 from repro.kernels import Kernel
 
@@ -32,13 +35,6 @@ LEVELS = {
     "mid": (irops.MID, "MidIR"),
     "low": (irops.LOW, "LowIR"),
 }
-
-_MATH_1 = {
-    "sqrt", "sin", "cos", "tan", "asin", "acos", "atan", "exp", "log",
-    "floor", "ceil",
-}
-_MATH_2 = {"atan2", "fmod"}
-_CMP_ORDERED = {"lt", "le", "gt", "ge"}
 
 
 def _is_tensor(ty) -> bool:
@@ -50,10 +46,10 @@ def _shape(ty) -> tuple:
 
 
 class _TypeChecker:
-    def __init__(self, func: Func, level: str, display: str, images=None):
+    def __init__(self, func: Func, level: str, images=None):
         self.func = func
         self.level = level
-        self.display = display
+        self.vocab, self.display = LEVELS[level]
         self.images = images
 
     def fail(self, instr: Instr, msg: str) -> None:
@@ -98,11 +94,9 @@ class _TypeChecker:
                         )
 
     def _check(self, instr: Instr) -> None:
-        if instr.op == "probe_parts":
-            # the one multi-result op; checked whole rather than via _infer
-            self._check_probe_parts(instr)
-            return
-        if len(instr.results) != 1:
+        # probe_parts is the one multi-result op: its rule checks every
+        # result itself and returns None
+        if instr.op != "probe_parts" and len(instr.results) != 1:
             self.fail(instr, f"expected exactly one result, got {len(instr.results)}")
         expected = self._infer(instr)
         if expected is not None and expected != instr.results[0].ty:
@@ -116,22 +110,16 @@ class _TypeChecker:
 
     def _infer(self, instr: Instr):
         """Recompute the result type; None means "no constraint derivable"."""
-        op = instr.op
+        info = self.vocab[instr.op]
         tys = [a.ty for a in instr.args]
-        method = getattr(self, f"_op_{op}", None)
-        if method is not None:
-            return method(instr, tys)
-        if op in _MATH_1:
-            self._want(instr, tys, (REAL,))
-            return REAL
-        if op in _MATH_2:
-            self._want(instr, tys, (REAL, REAL))
-            return REAL
-        if op in _CMP_ORDERED:
-            if tys not in ([INT, INT], [REAL, REAL]):
-                self.fail(instr, f"ordered comparison of {tys[0]} and {tys[1]}")
-            return BOOL
-        self.fail(instr, f"no signature for op {op!r}")
+        if info.rule is not None:
+            return getattr(self, info.rule)(instr, tys)
+        ty, guard_err = resolve(info.sigs, tys)
+        if ty is None:
+            got = ", ".join(str(t) for t in tys)
+            self.fail(instr, guard_err or f"no instance of {instr.op} — "
+                                          f"{info.doc} — for ({got})")
+        return ty
 
     def _want(self, instr: Instr, tys: list, want: tuple) -> None:
         if len(tys) != len(want) or any(t != w for t, w in zip(tys, want)):
@@ -139,12 +127,7 @@ class _TypeChecker:
             exp = ", ".join(str(w) for w in want)
             self.fail(instr, f"argument types ({got}) do not match ({exp})")
 
-    def _matrix(self, instr: Instr, ty) -> tuple:
-        if not (_is_tensor(ty) and len(_shape(ty)) == 2):
-            self.fail(instr, f"expected a matrix argument, got {ty}")
-        return _shape(ty)
-
-    # arithmetic ---------------------------------------------------------------
+    # attribute-reading rules of the common ops -------------------------------
 
     def _op_const(self, instr, tys):
         if tys:
@@ -173,7 +156,7 @@ class _TypeChecker:
                     )
                 return rty
             if isinstance(rty, tuple) and rty and rty[0] in ("weights", "ivec"):
-                # folded vec_cons / floor_i results keep their lowered tag
+                # a folded vec_cons result keeps its lowered tag
                 n = rty[1]
                 if v.shape[-1:] != (n,):
                     self.fail(
@@ -185,106 +168,12 @@ class _TypeChecker:
             self.fail(instr, f"constant array with non-tensor type {rty}")
         self.fail(instr, f"unsupported constant {type(v).__name__}")
 
-    def _addsub(self, instr, tys):
-        if tys == [INT, INT]:
-            return INT
-        if len(tys) == 2 and _is_tensor(tys[0]) and tys[0] == tys[1]:
-            return tys[0]
-        self.fail(instr, f"cannot add/subtract {tys[0]} and {tys[1]}")
-
-    _op_add = _addsub
-    _op_sub = _addsub
-
-    def _op_mul(self, instr, tys):
-        if tys == [INT, INT]:
-            return INT
-        if len(tys) == 2 and all(map(_is_tensor, tys)):
-            s0, s1 = _shape(tys[0]), _shape(tys[1])
-            if s0 == ():
-                return tys[1]
-            if s1 == ():
-                return tys[0]
-        self.fail(instr, f"cannot multiply {tys[0]} and {tys[1]} "
-                         "(one operand must be a scalar)")
-
-    def _op_div(self, instr, tys):
-        if tys == [INT, INT]:
-            return INT
-        if (len(tys) == 2 and all(map(_is_tensor, tys))
-                and _shape(tys[1]) == ()):
-            return tys[0]
-        self.fail(instr, f"cannot divide {tys[0]} by {tys[1]}")
-
-    def _op_mod(self, instr, tys):
-        self._want(instr, tys, (INT, INT))
-        return INT
-
-    def _op_neg(self, instr, tys):
-        if tys == [INT]:
-            return INT
-        if len(tys) == 1 and _is_tensor(tys[0]):
-            return tys[0]
-        self.fail(instr, f"cannot negate {tys[0]}")
-
-    def _op_pow(self, instr, tys):
-        if len(tys) == 2 and tys[0] == REAL and tys[1] in (REAL, INT):
-            return REAL
-        self.fail(instr, f"pow of {tys} (expected real^real or real^int)")
-
-    def _eqne(self, instr, tys):
-        if len(tys) == 2 and tys[0] == tys[1] and tys[0] in (INT, REAL, BOOL, STRING):
-            return BOOL
-        self.fail(instr, f"cannot compare {tys[0]} and {tys[1]} for equality")
-
-    _op_eq = _eqne
-    _op_ne = _eqne
-
-    def _logic2(self, instr, tys):
-        self._want(instr, tys, (BOOL, BOOL))
-        return BOOL
-
-    _op_and = _logic2
-    _op_or = _logic2
-
-    def _op_not(self, instr, tys):
-        self._want(instr, tys, (BOOL,))
-        return BOOL
-
     def _op_select(self, instr, tys):
         if len(tys) != 3 or tys[0] != BOOL:
             self.fail(instr, "select expects (bool, T, T)")
         if tys[1] != tys[2]:
             self.fail(instr, f"select branches disagree: {tys[1]} vs {tys[2]}")
         return tys[1]
-
-    # tensor ops ---------------------------------------------------------------
-
-    def _op_dot(self, instr, tys):
-        if len(tys) == 2 and all(map(_is_tensor, tys)):
-            s0, s1 = _shape(tys[0]), _shape(tys[1])
-            if len(s0) == 1 and s1 == s0:
-                return REAL
-            if len(s0) == 2 and len(s1) == 1 and s0[1] == s1[0]:
-                return TensorTy((s0[0],))
-            if len(s0) == 1 and len(s1) == 2 and s0[0] == s1[0]:
-                return TensorTy((s1[1],))
-            if len(s0) == 2 and len(s1) == 2 and s0[1] == s1[0]:
-                return TensorTy((s0[0], s1[1]))
-        self.fail(instr, f"dot is not defined for {tys[0]} and {tys[1]}")
-
-    def _op_cross(self, instr, tys):
-        if len(tys) == 2 and tys[0] == tys[1]:
-            if tys[0] == TensorTy((3,)):
-                return TensorTy((3,))
-            if tys[0] == TensorTy((2,)):
-                return REAL
-        self.fail(instr, f"cross is not defined for {tys}")
-
-    def _op_outer(self, instr, tys):
-        if (len(tys) == 2 and all(map(_is_tensor, tys))
-                and len(_shape(tys[0])) == 1 and len(_shape(tys[1])) == 1):
-            return TensorTy((_shape(tys[0])[0], _shape(tys[1])[0]))
-        self.fail(instr, f"outer product of {tys}")
 
     def _op_norm(self, instr, tys):
         if len(tys) != 1 or not _is_tensor(tys[0]):
@@ -296,39 +185,6 @@ class _TypeChecker:
                 f"match operand order {len(_shape(tys[0]))}",
             )
         return REAL
-
-    def _square(self, instr, tys):
-        n, m = self._matrix(instr, tys[0])
-        if n != m:
-            self.fail(instr, f"expected a square matrix, got {tys[0]}")
-        return n
-
-    def _op_trace(self, instr, tys):
-        self._square(instr, tys)
-        return REAL
-
-    def _op_det(self, instr, tys):
-        n = self._square(instr, tys)
-        if n > 3:
-            self.fail(instr, f"det supports up to 3x3 matrices, got {n}x{n}")
-        return REAL
-
-    def _op_transpose(self, instr, tys):
-        n, m = self._matrix(instr, tys[0])
-        return TensorTy((m, n))
-
-    def _op_evals(self, instr, tys):
-        n = self._square(instr, tys)
-        return TensorTy((n,))
-
-    def _op_evecs(self, instr, tys):
-        n = self._square(instr, tys)
-        return TensorTy((n, n))
-
-    def _op_normalize_v(self, instr, tys):
-        if len(tys) == 1 and _is_tensor(tys[0]) and len(_shape(tys[0])) == 1:
-            return tys[0]
-        self.fail(instr, f"normalize of {tys}")
 
     def _op_tensor_cons(self, instr, tys):
         if not tys:
@@ -358,37 +214,6 @@ class _TypeChecker:
         if tys or not isinstance(n, int) or n < 1:
             self.fail(instr, f"identity with n={n!r}")
         return TensorTy((n, n))
-
-    def _minmax(self, instr, tys):
-        if tys in ([INT, INT], [REAL, REAL]):
-            return tys[0]
-        self.fail(instr, f"min/max of {tys}")
-
-    _op_min = _minmax
-    _op_max = _minmax
-
-    def _op_abs(self, instr, tys):
-        if tys in ([INT], [REAL]):
-            return tys[0]
-        self.fail(instr, f"abs of {tys}")
-
-    def _op_clamp(self, instr, tys):
-        self._want(instr, tys, (REAL, REAL, REAL))
-        return REAL
-
-    def _op_lerp(self, instr, tys):
-        if (len(tys) == 3 and _is_tensor(tys[0]) and tys[0] == tys[1]
-                and tys[2] == REAL):
-            return tys[0]
-        self.fail(instr, f"lerp of {tys}")
-
-    def _op_int_to_real(self, instr, tys):
-        self._want(instr, tys, (INT,))
-        return REAL
-
-    def _op_real_to_int(self, instr, tys):
-        self._want(instr, tys, (REAL,))
-        return INT
 
     # HighIR field ops ---------------------------------------------------------
 
@@ -563,8 +388,7 @@ class _TypeChecker:
             return TensorTy(tuple(slot.shape))
         return None
 
-    def _check_probe_parts(self, instr: Instr) -> None:
-        tys = [a.ty for a in instr.args]
+    def _op_probe_parts(self, instr, tys):
         image = instr.attrs.get("image")
         support = instr.attrs.get("support")
         dim = instr.attrs.get("dim")
@@ -697,6 +521,6 @@ def verify_func(func: Func, level: str, images=None) -> None:
     """
     if level not in LEVELS:
         raise CompileError(f"unknown IR level {level!r}")
-    vocab, display = LEVELS[level]
-    validate(func, vocab, display)
-    _TypeChecker(func, level, display, images).run()
+    checker = _TypeChecker(func, level, images)
+    validate(func, checker.vocab, checker.display)
+    checker.run()

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.ir.base import Body, Func, Instr, Value
 from repro.core.ty.types import INT
+from repro.errors import CompileError
 from repro.runtime import ops as rt
 
 # -- constant evaluation -------------------------------------------------------
@@ -102,7 +103,10 @@ def _fold(instr: Instr, args: list) -> object:
     if op == "norm":
         return float(rt.norm(_as_np(a[0]), instr.attrs["order"]))
     if op == "dot":
-        return rt.dot(_as_np(a[0]), _as_np(a[1]))
+        # by tensor order, like the generated code: rt.dot guesses from the
+        # shapes and would take a constant vector•matrix for matrix•vector
+        u, v = _as_np(a[0]), _as_np(a[1])
+        return rt.dot_ord(u, v, u.ndim, v.ndim)
     if op == "cross":
         return rt.cross(_as_np(a[0]), _as_np(a[1]))
     if op == "outer":
@@ -287,12 +291,26 @@ class _Contract:
         walk(self.func.body)
 
 
-def contract(func: Func, vocabulary: dict, max_rounds: int = 10) -> Func:
-    """Run contraction to a fixpoint (bounded by ``max_rounds``)."""
+def contract(func: Func, vocabulary: dict, max_rounds: int = 10,
+             check: bool = False) -> Func:
+    """Run contraction to a fixpoint (bounded by ``max_rounds``).
+
+    The bound is the termination property of "Properties of
+    Normalization" (arXiv 1705.08801) as a rewrite count.  Unchecked, a
+    function still changing after ``max_rounds`` is returned as it stands
+    (every round is sound on its own, so it is correct, just not fully
+    contracted); under ``check`` that is a
+    :class:`~repro.errors.CompileError`.
+    """
     for _ in range(max_rounds):
         c = _Contract(func, vocabulary)
         c.forward(func.body)
         c.dce()
         if not c.changed:
-            break
+            return func
+    if check:
+        raise CompileError(
+            f"contraction of {func.name!r} still changing after "
+            f"{max_rounds} rounds (no fixpoint within the bound)"
+        )
     return func

@@ -85,29 +85,9 @@ class HighProgram:
     outputs: list[str]
 
 
-_MATH_FUNCS = {
-    "sqrt", "sin", "cos", "tan", "asin", "acos", "atan", "exp", "log",
-    "atan2", "fmod", "floor", "ceil",
-}
-_DIRECT_FUNCS = {
-    "trace": "trace",
-    "det": "det",
-    "transpose": "transpose",
-    "evals": "evals",
-    "evecs": "evecs",
-    "normalize": "normalize_v",
-    "min": "min",
-    "max": "max",
-    "abs": "abs",
-    "clamp": "clamp",
-    "lerp": "lerp",
-    "dot": "dot",
-    "cross": "cross",
-    "outer": "outer",
-    "pow": "pow",
-}
-
-_CMP = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+#: source spelling → op, from the op table's ``surface`` column
+_BINOPS = irops.surface(functions=False)
+_FUNCS = irops.surface(functions=True)
 
 
 class HighBuilder:
@@ -425,8 +405,7 @@ class HighBuilder:
             else:
                 cur = ctx.env[s.name]
                 rhs = ctx.eval(s.value)
-                opname = {"+=": "add", "-=": "sub", "*=": "mul", "/=": "div"}[s.op]
-                ctx.env[s.name] = ctx.body.emit(opname, [cur, rhs], cur.ty)
+                ctx.env[s.name] = ctx.body.emit(_BINOPS[s.op[0]], [cur, rhs], cur.ty)
             return
         if isinstance(s, ast.IfStmt):
             cond = ctx.eval(s.cond)
@@ -631,11 +610,7 @@ class ExprCtx:
                 return self.body.emit("not", [v], BOOL)
             raise CompileError(f"unary {e.op!r} does not produce a concrete value")
         if isinstance(e, ast.BinOp):
-            opname = {
-                "+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod",
-                "^": "pow", "•": "dot", "×": "cross", "⊗": "outer",
-                "&&": "and", "||": "or",
-            }.get(e.op) or _CMP.get(e.op)
+            opname = _BINOPS.get(e.op)
             if opname is None:
                 raise CompileError(f"operator {e.op!r} in concrete context")
             left = self.eval(e.left)
@@ -690,10 +665,7 @@ class ExprCtx:
             if arg.ty == INT:
                 return arg
             return self.body.emit("real_to_int", [arg], INT)
-        if name in _MATH_FUNCS:
+        if name in _FUNCS:
             args = [self.eval(a) for a in e.args]
-            return self.body.emit(name, args, e.ty)
-        if name in _DIRECT_FUNCS:
-            args = [self.eval(a) for a in e.args]
-            return self.body.emit(_DIRECT_FUNCS[name], args, e.ty)
+            return self.body.emit(_FUNCS[name], args, e.ty)
         raise CompileError(f"unknown function {name!r}")

@@ -71,6 +71,15 @@ class TestFolding:
             return [b.emit("dot", [u, v], REAL)]
         assert final_const(fold(build)) == 11.0
 
+    def test_vector_dot_matrix_contracts_the_leading_axis(self):
+        # u • M is Σᵢ uᵢ Mᵢⱼ; a shape-guessing fold once computed M • u
+        def build(b):
+            u = b.emit("const", [], TensorTy((3,)), value=np.array([1.0, 2.0, 3.0]))
+            m = b.emit("const", [], TensorTy((3, 3)),
+                       value=np.arange(9.0).reshape(3, 3))
+            return [b.emit("dot", [u, m], TensorTy((3,)))]
+        assert final_const(fold(build)).tolist() == [24.0, 30.0, 36.0]
+
     def test_comparison(self):
         fn = fold(lambda b: [b.emit("lt", [
             b.emit("const", [], REAL, value=1.0),

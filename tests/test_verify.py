@@ -241,8 +241,8 @@ class TestPassNaming:
 
         real_contract = driver.contract
 
-        def corrupting_contract(func, vocab):
-            real_contract(func, vocab)
+        def corrupting_contract(func, vocab, **kw):
+            real_contract(func, vocab, **kw)
             if func.name == "update":
                 for instr in func.body.instructions():
                     if instr.op == "add":
@@ -252,6 +252,21 @@ class TestPassNaming:
         monkeypatch.setattr(driver, "contract", corrupting_contract)
         with pytest.raises(CompileError, match="after pass 'contraction'"):
             compile_to_source(MINIMAL, check=True)
+
+    def test_contraction_round_bound_is_checked(self, monkeypatch):
+        """Leaving contraction's loop on the round bound, not at a
+        fixpoint, is a blamed failure when checking and silent otherwise."""
+        from functools import partial
+
+        from repro.core import driver
+
+        # round one changes MINIMAL's update, so a bound of one round is hit
+        monkeypatch.setattr(driver, "contract",
+                            partial(driver.contract, max_rounds=1))
+        with pytest.raises(CompileError, match="after pass 'contraction'") as err:
+            compile_to_source(MINIMAL, check=True)
+        assert "after 1 rounds" in str(err.value)
+        compile_to_source(MINIMAL, check=False)
 
     def test_uncorrupted_pipeline_is_silent(self):
         compile_to_source(MINIMAL, check=True)
