@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from conftest import SCALE, record
 
-from repro.obs import Tracer
+from repro.obs import Obs
 from repro.programs import lic2d
 from repro.runtime.simsched import speedup_curve
 
@@ -35,9 +35,9 @@ def test_blocksize_ablation(benchmark):
     for bs in BLOCK_SIZES:
         prog = lic2d.make_program(precision="single", scale=res / 250.0,
                                   field_size=64)
-        tracer = Tracer()
-        prog.run(block_size=bs, tracer=tracer)
-        trace = tracer.block_step_times()
+        obs = Obs(detail=True)
+        prog.run(block_size=bs, obs=obs)
+        trace = obs.block_step_times()
         speedups[bs] = speedup_curve(trace, [8], LOCK_OVERHEAD)[8]
         seq_times[bs] = sum(sum(step) for step in trace)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

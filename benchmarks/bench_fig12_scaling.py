@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from conftest import record
 
-from repro.obs import Tracer
+from repro.obs import Obs
 from repro.programs import illust_vr, lic2d, ridge3d, vr_lite
 from repro.runtime.simsched import speedup_curve
 
@@ -51,10 +51,10 @@ def test_figure12_speedup_curves(benchmark):
     curves = {}
     strands = {}
     for name, prog in progs.items():
-        tracer = Tracer()
-        result = prog.run(block_size=BLOCK_SIZE, tracer=tracer)
+        obs = Obs(detail=True)
+        result = prog.run(block_size=BLOCK_SIZE, obs=obs)
         strands[name] = result.num_strands
-        curves[name] = speedup_curve(tracer, WORKERS)
+        curves[name] = speedup_curve(obs, WORKERS)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     print("\n\nFigure 12 — simulated parallel speedup (single precision)")

@@ -12,7 +12,7 @@ setting of input variables" (§3.3.1) and its runtime writes program output
                                     [--out PREFIX] [--text]
                                     [--emit-python] [--stats] [--check]
                                     [--trace FILE.json] [--profile]
-                                    [--no-metrics] [--metrics-out FILE.json]
+                                    [--metrics-out FILE.json]
                                     [--compile-cache]
 
 Each output variable is written to ``PREFIX-<name>.nrrd`` (or ``.txt``
@@ -22,11 +22,10 @@ passes and the runtime's super-steps/blocks; ``--profile`` prints the
 same data as a summary table.  Setting ``REPRO_TRACE=FILE.json`` in the
 environment is equivalent to ``--trace FILE.json``.
 
-Metrics are on by default (the registry described in DESIGN.md "Metrics
-& profiling"): ``--metrics-out FILE`` saves the invocation's metrics
-JSON document (compile-pass timings, the op-profiler counters, scheduler
-health) for ``python -m repro.obs report`` / ``diff``; ``--no-metrics``
-selects the zero-overhead disabled path.
+The compile and the run record into one :class:`repro.obs.Obs` (DESIGN.md
+"Observability"): ``--metrics-out FILE`` saves its metrics JSON document
+(compile-pass timings, the op-profiler counters, scheduler health) for
+``python -m repro.obs report``.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ import numpy as np
 from repro.core.driver import OptOptions, compile_file
 from repro.errors import DiderotError
 from repro.inputs import add_run_arguments, parse_value
-from repro.obs import Tracer, format_summary, write_chrome_trace
-from repro.obs import metrics as _mx
+from repro.obs import Obs, format_summary, write_chrome_trace, write_metrics_json
 from repro.runtime.scheduler import resolve_workers
 
 
@@ -89,23 +87,15 @@ def main(argv: list[str] | None = None) -> int:
     except DiderotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.metrics_out and not args.metrics:
-        print("error: --metrics-out requires metrics "
-              "(drop --no-metrics)", file=sys.stderr)
-        return 1
-
-    tracer = Tracer() if (args.trace or args.profile) else None
-    # one ambient registry for the whole invocation: the compile's pass
-    # timings and the run's metrics land in a single document
-    if args.metrics:
-        with _mx.collect() as session:
-            return _compile_and_run(args, workers, tracer, session)
-    return _compile_and_run(args, workers, tracer, None)
+    # one recorder for the whole invocation: the compile's pass timings
+    # and the run's metrics land in a single document and one timeline
+    with Obs("cli", detail=bool(args.trace or args.profile)) as obs:
+        return _compile_and_run(args, workers, obs)
 
 
-def _compile_and_run(args, workers, tracer, session) -> int:
+def _compile_and_run(args, workers, obs) -> int:
     try:
-        prog = compile_file(args.program, precision=args.precision, tracer=tracer,
+        prog = compile_file(args.program, precision=args.precision, obs=obs,
                             check=True if args.check else None,
                             optimize=OptOptions(probe_fusion=not args.no_fuse),
                             cache=args.compile_cache)
@@ -142,10 +132,9 @@ def _compile_and_run(args, workers, tracer, session) -> int:
             workers=workers,
             block_size=args.block_size,
             max_steps=args.max_steps,
-            tracer=tracer,
             scheduler=args.scheduler,
             backend=args.backend,
-            metrics=None if session is not None else False,
+            obs=obs,
         )
     except DiderotError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -159,18 +148,18 @@ def _compile_and_run(args, workers, tracer, session) -> int:
     status = 0
     if args.trace:
         try:
-            write_chrome_trace(tracer, args.trace)
+            write_chrome_trace(obs, args.trace)
             print(f"wrote trace {args.trace}")
         except OSError as exc:
             print(f"error: cannot write trace {args.trace}: {exc}",
                   file=sys.stderr)
             status = 1
     if args.profile:
-        print(format_summary(tracer, metrics=session))
+        print(format_summary(obs))
     if args.metrics_out:
         try:
-            _mx.write_metrics_json(
-                session, args.metrics_out,
+            write_metrics_json(
+                obs, args.metrics_out,
                 meta={"program": args.program, "workers": workers,
                       "scheduler": args.scheduler or
                       ("seq" if workers == 1 else "thread"),

@@ -59,7 +59,7 @@ import threading
 import time
 
 from ...errors import CodegenError
-from ...obs import metrics as _mx
+from ...obs import current
 
 __all__ = [
     "CDEF",
@@ -301,7 +301,7 @@ def _evict_lru(d: str, keep_key: str | None = None) -> int:
         _unlink_quiet(path[:-3] + ".c")
         evicted += 1
     if evicted:
-        _mx.ACTIVE.inc("cgen.cache.evicted", evicted)
+        current().inc("cgen.cache.evicted", evicted)
     return evicted
 
 
@@ -388,7 +388,7 @@ def build(c_source: str, flags: list[str] | None = None):
     c_path = os.path.join(d, f"{key}.c")
 
     if os.path.exists(so_path):
-        _mx.ACTIVE.inc("cgen.cache.hits")
+        current().inc("cgen.cache.hits")
         # refresh the artifact's LRU position so hot entries survive
         # REPRO_CGEN_CACHE_MAX eviction
         try:
@@ -417,17 +417,17 @@ def _build_locked(cc, flags, c_source, c_path, so_path, d, key) -> None:
         while True:
             if os.path.exists(so_path):
                 # a peer published while we waited: a shared-stampede hit
-                _mx.ACTIVE.inc("cgen.cache.hits")
+                current().inc("cgen.cache.hits")
                 if waited:
-                    _mx.ACTIVE.inc("cgen.cache.lock_waits")
+                    current().inc("cgen.cache.lock_waits")
                 return
             if lock.try_acquire():
                 if os.path.exists(so_path):  # re-check under the lock
-                    _mx.ACTIVE.inc("cgen.cache.hits")
+                    current().inc("cgen.cache.hits")
                     return
-                _mx.ACTIVE.inc("cgen.cache.misses")
+                current().inc("cgen.cache.misses")
                 if waited:
-                    _mx.ACTIVE.inc("cgen.cache.lock_waits")
+                    current().inc("cgen.cache.lock_waits")
                 _atomic_write(c_path, c_source.encode())
                 _compile(cc, flags, c_path, so_path, d)
                 _evict_lru(d, keep_key=key)

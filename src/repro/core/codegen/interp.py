@@ -196,8 +196,8 @@ def compile_high(source: str, optimize=None) -> HighProgram:
     typed = check_program(parse_program(source))
     hp = HighBuilder(typed).build()
     from repro.core.ir import ops as irops
-    from repro.obs import NULL_TRACER
+    from repro.obs import current
 
     for fn in HighBuilder.all_funcs(hp):
-        _optimize(fn, irops.HIGH, opts, NULL_TRACER, "high")
+        _optimize(fn, irops.HIGH, opts, current(), "high")
     return hp

@@ -6,10 +6,10 @@ value numbering → MidIR (probe synthesis) → contraction + value numbering
 → LowIR (kernel expansion) → contraction + value numbering → Python/NumPy
 code generation.
 
-Every stage is traced (one ``cat="pass"`` span per pass, carrying IR
+Every stage is a span (one ``cat="pass"`` span per pass, carrying IR
 instruction counts and value-numbering removal counts), so
-:class:`CompileStats` is a *view* over the trace — pass a
-:class:`repro.obs.Tracer` to see the same spans alongside the runtime's.
+:class:`CompileStats` is a *view* over the compile's events — pass the
+:class:`repro.obs.Obs` you run with to see them alongside the runtime's.
 
 Optimizations can be disabled individually (``optimize=...``) to support
 the ablation benchmarks.
@@ -34,8 +34,7 @@ from repro.core.xform.to_low import to_low
 from repro.core.xform.to_mid import to_mid
 from repro.core.xform.value_numbering import value_number
 from repro.errors import CompileError, InputError
-from repro.obs import Tracer
-from repro.obs import metrics as _mx
+from repro.obs import scope
 
 
 @dataclass
@@ -59,7 +58,7 @@ class CompileStats:
     §5.4 optimization ablations.
 
     Built from the compile trace (:meth:`from_trace`); the driver emits
-    an ``instr-count`` instant after each IR stage and a ``removed`` count
+    an ``instr-count`` event after each IR stage and a ``removed`` count
     on every value-numbering pass span.
     """
 
@@ -109,11 +108,11 @@ def _blame(after: str, ir: str, func):
         ) from exc
 
 
-def _optimize(func, vocab, opts: OptOptions, tracer, ir: str, verify=None) -> None:
+def _optimize(func, vocab, opts: OptOptions, obs, ir: str, verify=None) -> None:
     def contraction() -> None:
         # checked, a contraction that leaves its loop on the round bound
         # fails like any other broken pass invariant
-        with tracer.span("contraction", cat="pass", func=func.name, ir=ir), \
+        with obs.span("contraction", cat="pass", func=func.name, ir=ir), \
                 _blame("contraction", ir, func):
             contract(func, vocab, check=verify is not None)
         if verify is not None:
@@ -122,7 +121,7 @@ def _optimize(func, vocab, opts: OptOptions, tracer, ir: str, verify=None) -> No
     if opts.contraction:
         contraction()
     if opts.value_numbering:
-        with tracer.span("value-numbering", cat="pass", func=func.name, ir=ir) as sp:
+        with obs.span("value-numbering", cat="pass", func=func.name, ir=ir) as sp:
             sp.set("removed", value_number(func))
         if verify is not None:
             verify(func, ir, "value-numbering")
@@ -148,15 +147,16 @@ def _resolve_cache(cache) -> bool:
 def compile_to_source(
     source: str,
     optimize: OptOptions | None = None,
-    tracer=None,
+    obs=None,
     check: bool | None = None,
     cache: bool | None = None,
     cache_extra: tuple = (),
 ) -> tuple[str, HighProgram, CompileStats]:
     """Compile Diderot source to generated Python source + metadata.
 
-    ``tracer`` receives one span per compiler pass; when omitted (or
-    disabled) an internal tracer collects the same events so the returned
+    ``obs`` receives one span per compiler pass (and, derived from each,
+    the ``pass.<name>.seconds`` / ``.calls`` counters); when omitted, a
+    fresh child of the current ``Obs`` does, so the returned
     :class:`CompileStats` is always populated.
 
     ``check`` enables pass-boundary IR validation
@@ -173,13 +173,19 @@ def compile_to_source(
     :func:`compile_program`), and on a hit the optimizer passes, lowering,
     and codegen are all skipped — the pickled entry supplies the lowered
     program, generated source, and stats.  A hit emits one
-    ``cat="cache"`` span (and *no* optimizer-pass spans, which is how the
+    ``cat="cache"`` event (and *no* optimizer-pass spans, which is how the
     tests verify nothing re-ran).  Defaults to ``REPRO_COMPILE_CACHE``.
     """
+    with scope(obs, "compile") as obs:
+        return _compile(source, optimize or OptOptions(), obs, check, cache,
+                        cache_extra)
+
+
+def _compile(source, opts, obs, check, cache, cache_extra):
+    """The pipeline of :func:`compile_to_source`, recording into ``obs``."""
     from repro.core.verify import check_enabled, verify_func
 
-    opts = optimize or OptOptions()
-    tr = tracer if (tracer is not None and tracer.enabled) else Tracer()
+    first = len(obs.events)  # a caller's Obs may hold earlier compiles
     if check is None:
         check = check_enabled()
     hp = None
@@ -187,41 +193,40 @@ def compile_to_source(
     def _verify(fn, ir: str, after: str) -> None:
         if not check:
             return
-        with tr.span("verify", cat="check", func=fn.name, ir=ir, after=after), \
+        with obs.span("verify", cat="check", func=fn.name, ir=ir, after=after), \
                 _blame(after, ir, fn):
             verify_func(fn, ir, images=hp.images if hp else None)
 
     verify = _verify if check else None
-    with tr.span("parse", cat="pass"):
+    with obs.span("parse", cat="pass"):
         prog = parse_program(source)
-    with tr.span("typecheck", cat="pass"):
+    with obs.span("typecheck", cat="pass"):
         typed = check_program(prog)
-    with tr.span("highir", cat="pass"):
-        hp = HighBuilder(typed, tracer=tr).build()
+    with obs.span("highir", cat="pass"):
+        hp = HighBuilder(typed, obs=obs).build()
 
     cache_key = None
     if _resolve_cache(cache):
         from repro.serve import cache as _cc
 
         cache_key = _cc.fingerprint(hp, opts, cache_extra)
-        entry = _cc.load(cache_key, tracer=tr)
+        entry = _cc.load(cache_key, obs=obs)
         if entry is not None:
-            _mx.fold_pass_spans(tr)
             return entry.gen_source, entry.high, entry.stats
 
     funcs = HighBuilder.all_funcs(hp)
     for fn in funcs:
-        tr.instant("instr-count", cat="count", func=fn.name, ir="high", value=_count(fn))
+        obs.event("instr-count", cat="count", func=fn.name, ir="high", value=_count(fn))
         _verify(fn, "high", "highir")
-        _optimize(fn, irops.HIGH, opts, tr, "high", verify=verify)
-        with tr.span("midir", cat="pass", func=fn.name):
+        _optimize(fn, irops.HIGH, opts, obs, "high", verify=verify)
+        with obs.span("midir", cat="pass", func=fn.name):
             to_mid(fn, hp.images)
         _verify(fn, "mid", "midir")
-        tr.instant("instr-count", cat="count", func=fn.name, ir="mid-unopt",
-                   value=_count(fn))
-        _optimize(fn, irops.MID, opts, tr, "mid", verify=verify)
+        obs.event("instr-count", cat="count", func=fn.name, ir="mid-unopt",
+                  value=_count(fn))
+        _optimize(fn, irops.MID, opts, obs, "mid", verify=verify)
         if opts.probe_fusion:
-            with tr.span("probe-fuse", cat="pass", func=fn.name, ir="mid") as sp:
+            with obs.span("probe-fuse", cat="pass", func=fn.name, ir="mid") as sp:
                 fstats = probe_fuse(fn)
                 for k, v in fstats.items():
                     sp.set(k, v)
@@ -230,24 +235,20 @@ def compile_to_source(
             if fstats["groups"] or fstats["chains"]:
                 # clean up after the rewrite (fusion can strand dead
                 # duplicates and VN may merge shared chain prefixes)
-                _optimize(fn, irops.MID, opts, tr, "mid", verify=verify)
-        tr.instant("instr-count", cat="count", func=fn.name, ir="mid", value=_count(fn))
-        with tr.span("lowir", cat="pass", func=fn.name):
+                _optimize(fn, irops.MID, opts, obs, "mid", verify=verify)
+        obs.event("instr-count", cat="count", func=fn.name, ir="mid", value=_count(fn))
+        with obs.span("lowir", cat="pass", func=fn.name):
             to_low(fn)
         _verify(fn, "low", "lowir")
-        _optimize(fn, irops.LOW, opts, tr, "low", verify=verify)
-        tr.instant("instr-count", cat="count", func=fn.name, ir="low", value=_count(fn))
-    with tr.span("codegen", cat="pass"):
+        _optimize(fn, irops.LOW, opts, obs, "low", verify=verify)
+        obs.event("instr-count", cat="count", func=fn.name, ir="low", value=_count(fn))
+    with obs.span("codegen", cat="pass"):
         source_out = generate_module(funcs)
-    # pass timings also land in the metrics registry (ambient collect
-    # scope and the session-wide GLOBAL), so `--metrics-out` documents
-    # carry compile cost alongside runtime cost
-    _mx.fold_pass_spans(tr)
-    stats = CompileStats.from_trace(tr.events)
+    stats = CompileStats.from_trace(obs.events[first:])
     if cache_key is not None:
         from repro.serve import cache as _cc
 
-        _cc.store(cache_key, source_out, hp, stats, tracer=tr)
+        _cc.store(cache_key, source_out, hp, stats, obs=obs)
     return source_out, hp, stats
 
 
@@ -256,7 +257,7 @@ def compile_program(
     precision: str = "double",
     optimize: OptOptions | None = None,
     search_path: str = ".",
-    tracer=None,
+    obs=None,
     check: bool | None = None,
     cache: bool | None = None,
 ):
@@ -274,9 +275,9 @@ def compile_program(
         Optimization toggles; defaults to everything on.
     search_path:
         Directory against which ``load(...)`` paths resolve.
-    tracer:
-        Optional :class:`repro.obs.Tracer` that receives the compiler-pass
-        spans (pass the same tracer to :meth:`Program.run
+    obs:
+        Optional :class:`repro.obs.Obs` that receives the compiler-pass
+        spans (pass the same one to :meth:`Program.run
         <repro.runtime.program.Program.run>` for one unified timeline).
     check:
         Run the IR validators at every pass boundary (``--check``);
@@ -294,7 +295,7 @@ def compile_program(
     if precision not in ("single", "double"):
         raise CompileError(f"precision must be 'single' or 'double', got {precision!r}")
     dtype = np.float32 if precision == "single" else np.float64
-    gen_source, hp, stats = compile_to_source(source, optimize, tracer=tracer,
+    gen_source, hp, stats = compile_to_source(source, optimize, obs=obs,
                                               check=check, cache=cache,
                                               cache_extra=("precision", precision))
     namespace = load_module(gen_source)

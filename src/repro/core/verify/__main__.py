@@ -15,9 +15,8 @@ across a compiler refactoring mean byte-identical generated code.
 Exit status is non-zero on any failure, so all three work as CI jobs.
 
 Every subcommand aggregates the metrics of all the programs it compiles
-and runs into one registry (``repro.obs.metrics.collect``);
-``--metrics-out FILE`` saves the aggregate document and ``--no-metrics``
-disables collection.
+and runs into one ``repro.obs.Obs`` (each compile and run folds into it);
+``--metrics-out FILE`` saves the aggregate document.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import argparse
 import sys
 
 from repro.errors import CodegenError, DiderotError
-from repro.obs import metrics as _mx
+from repro.obs import Obs, write_metrics_json
 
 
 def _cmd_fuzz(ns) -> int:
@@ -97,10 +96,6 @@ def main(argv=None) -> int:
         description="compiler verification: differential fuzzing, "
                     "normalization properties, per-pass IR validation",
     )
-    parser.add_argument("--metrics", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="collect metrics across every compiled/run "
-                             "program (on by default)")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the aggregate metrics JSON document")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -140,15 +135,13 @@ def main(argv=None) -> int:
 
     ns = parser.parse_args(argv)
     try:
-        if ns.metrics:
-            with _mx.collect() as reg:
-                status = ns.fn(ns)
-            if ns.metrics_out:
-                _mx.write_metrics_json(reg, ns.metrics_out,
-                                       meta={"command": ns.cmd})
-                print(f"wrote metrics {ns.metrics_out}")
-            return status
-        return ns.fn(ns)
+        with Obs("verify") as session:
+            status = ns.fn(ns)
+        if ns.metrics_out:
+            write_metrics_json(session, ns.metrics_out,
+                               meta={"command": ns.cmd})
+            print(f"wrote metrics {ns.metrics_out}")
+        return status
     except DiderotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

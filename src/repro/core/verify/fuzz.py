@@ -111,7 +111,9 @@ class ProgramGen:
             lambda: f"({self.real(depth - 1)} - {self.real(depth - 1)})",
             lambda: f"({self.real(depth - 1)} * {self.real(depth - 1)})",
             lambda: f"({self.real(depth - 1)} / (|({self.real(depth - 1)})| + 1.5))",
-            lambda: f"sqrt(|({self.real(depth - 1)})|)",
+            # + 0.5: sqrt's slope is unbounded at 0, where it would amplify
+            # rounding noise past the differential tolerance
+            lambda: f"sqrt(|({self.real(depth - 1)})| + 0.5)",
             lambda: f"min({self.real(depth - 1)}, {self.real(depth - 1)})",
             lambda: f"max({self.real(depth - 1)}, {self.real(depth - 1)})",
             lambda: f"-{self.real(depth - 1)}",

@@ -91,12 +91,12 @@ _FUNCS = irops.surface(functions=True)
 
 
 class HighBuilder:
-    def __init__(self, typed: TypedProgram, check: bool = True, tracer=None):
-        from repro.obs import NULL_TRACER
+    def __init__(self, typed: TypedProgram, check: bool = True, obs=None):
+        from repro.obs import current
 
         self.typed = typed
         self.check = check
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.obs = obs or current()
         self.images: dict[str, ImageSlot] = {}
         self.fields: dict[str, nf.SymField] = {}
         self.kernels: dict[str, Kernel] = dict(KERNELS)
@@ -345,7 +345,7 @@ class HighBuilder:
 
     def build_method(self, prog: ast.Program, mname: str) -> Func:
         method = prog.strand.method(mname)
-        with self.tracer.span("simplify", cat="pass", func=mname):
+        with self.obs.span("simplify", cat="pass", func=mname):
             body_ast = simplify_method(method.body, is_update=(mname == "update"))
         body = Body()
         env: dict[str, Value] = {}

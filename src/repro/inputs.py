@@ -28,8 +28,8 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
     ``--workers --scheduler --backend --block-size`` map onto
     :meth:`Program.run <repro.runtime.program.Program.run>`'s parameters;
-    ``--trace --profile --metrics --metrics-out`` onto its ``tracer`` and
-    ``metrics``.
+    ``--trace --profile --metrics-out`` onto its ``obs`` (``--trace``'s
+    default is the one place ``REPRO_TRACE`` is read).
     """
     from repro.runtime.native import BACKEND_NAMES
     from repro.runtime.scheduler import DEFAULT_BLOCK_SIZE, SCHEDULER_CHOICES
@@ -58,10 +58,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="print a pass / super-step / worker profile "
                              "summary")
-    parser.add_argument("--metrics", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="collect runtime metrics (on by default; "
-                             "--no-metrics selects the zero-overhead path)")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the run's metrics JSON document (see "
                              "python -m repro.obs report)")

@@ -1,70 +1,56 @@
-"""Observability: tracing, metrics, and profiling (`repro.obs`).
+"""Observability: one run-scoped recorder and one clock (`repro.obs`).
 
-A unified layer over the measurements the paper's evaluation (§6) relies
-on: per-compiler-pass timing and instruction counts, and per-super-step /
-per-block runtime timing with worker attribution.
+The measurements the paper's evaluation (§6) relies on — per-compiler-pass
+timing and instruction counts, per-run-phase and per-super-step runtime
+timing with worker attribution, op and scheduler-health aggregates — all
+go through one object, :class:`Obs` (DESIGN.md "Observability"):
 
-* :mod:`repro.obs.tracer` — the thread-safe event collector: spans,
-  counters, and gauges, with a zero-allocation disabled mode
-  (:data:`NULL_TRACER`);
-* :mod:`repro.obs.metrics` — the always-on aggregate registry: op
-  counters, scheduler-health histograms, the per-step convergence
-  series, and the ``repro-metrics-v1`` JSON document;
-* :mod:`repro.obs.export` — exporters: Chrome trace-event JSON (loadable
-  in Perfetto / ``chrome://tracing``), the summary table, and the
-  metrics run report;
-* ``python -m repro.obs`` — ``report`` renders a saved metrics file,
-  ``diff`` compares two with noise-tolerant thresholds (the CI perf
-  gate's engine).
+* :mod:`repro.obs.recorder` — :class:`Obs` (spans, decisions and the four
+  metric instruments), the current-``Obs`` context (:func:`current`,
+  :func:`scope`, :data:`ROOT`) and :data:`clock`, the only wall-clock
+  read for measurement in ``src/``;
+* :mod:`repro.obs.metrics` — the histogram and the ``repro-metrics-v1``
+  JSON document;
+* :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in Perfetto
+  / ``chrome://tracing``), the ``--profile`` summary, the run report;
+* ``python -m repro.obs report FILE`` — render a saved metrics or trace
+  file.
 
-Activation surfaces:
-
-* metrics are **on by default**: every ``Program.run`` returns its
-  registry as ``result.metrics`` and folds into the session-wide
-  ``metrics.GLOBAL``; pass ``metrics=False`` (or ``--no-metrics``) for
-  the zero-overhead path, ``--metrics-out FILE`` to save the document
-* ``python -m repro PROG --trace out.json`` / ``--profile``
-* ``Program.run(..., tracer=Tracer(...))`` with optional ``on_pass`` /
-  ``on_superstep`` callbacks
-* the ``REPRO_TRACE=out.json`` environment variable
+Every ``Program.run`` records into an ``Obs`` — the one passed as
+``obs=``, else a fresh child of the current one — and returns it as
+``result.metrics``; ``--trace FILE`` / ``--profile`` on the CLIs pass an
+``Obs(detail=True)``, ``--metrics-out FILE`` saves its aggregates.
 """
 
 from repro.obs.export import (
     chrome_trace,
-    env_traced,
     format_metrics,
     format_report,
     format_summary,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
-    NULL_METRICS,
     Histogram,
-    MetricsRegistry,
-    NullRegistry,
     metrics_doc,
     read_metrics_json,
     write_metrics_json,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, SpanEvent, Tracer, tracer_from_env
+from repro.obs.recorder import ROOT, Obs, SpanEvent, clock, current, scope
 
 __all__ = [
-    "NULL_METRICS",
-    "NULL_TRACER",
+    "ROOT",
     "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NullTracer",
+    "Obs",
     "SpanEvent",
-    "Tracer",
     "chrome_trace",
-    "env_traced",
+    "clock",
+    "current",
     "format_metrics",
     "format_report",
     "format_summary",
     "metrics_doc",
     "read_metrics_json",
-    "tracer_from_env",
+    "scope",
     "write_chrome_trace",
     "write_metrics_json",
 ]

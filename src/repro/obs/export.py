@@ -3,7 +3,7 @@
 The Chrome exporter emits the `trace-event format`__ consumed by Perfetto
 and ``chrome://tracing``: one ``"X"`` (complete) event per span, ``"i"``
 instants, ``"C"`` counter samples, and ``"M"`` metadata events naming the
-worker threads.  Timestamps are microseconds from the tracer's epoch.
+worker threads.  Timestamps are microseconds from the recorder's epoch.
 
 __ https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -11,9 +11,9 @@ The summary exporter (:func:`format_summary`, the CLI's ``--profile``)
 renders three tables: compiler passes, per-function instruction counts,
 and runtime super-steps with per-worker utilization.
 
-:func:`format_metrics` / :func:`format_report` render a
-:class:`repro.obs.metrics.MetricsRegistry` (or a saved metrics JSON
-document) as the run report: compiler-pass totals, the hot-op profiler
+:func:`format_metrics` / :func:`format_report` render the aggregates of
+an :class:`repro.obs.Obs` (or a saved metrics JSON document) as the run
+report: compiler-pass totals, the hot-op profiler
 table, scheduler-health distributions, per-worker load shares, and the
 per-step convergence curve.  ``python -m repro.obs report`` is the CLI
 entry point.
@@ -22,17 +22,15 @@ entry point.
 from __future__ import annotations
 
 import json
-import sys
-from contextlib import contextmanager
 
-from repro.obs.tracer import NULL_TRACER, tracer_from_env
+from repro.obs.metrics import Histogram
 
 
-def chrome_trace(tracer) -> dict:
-    """Render a tracer's events as a Chrome trace-event JSON object."""
+def chrome_trace(obs) -> dict:
+    """Render an ``Obs``'s events as a Chrome trace-event JSON object."""
     tids: dict[str, int] = {}
     out: list[dict] = []
-    for ev in tracer.events:
+    for ev in obs.events:
         if ev.tid not in tids:
             tids[ev.tid] = len(tids) + 1
     for label, tid in tids.items():
@@ -40,7 +38,7 @@ def chrome_trace(tracer) -> dict:
             "ph": "M", "name": "thread_name", "pid": 1, "tid": tid,
             "args": {"name": label},
         })
-    for ev in tracer.events:
+    for ev in obs.events:
         rec = {
             "name": ev.name,
             "cat": ev.cat or "repro",
@@ -58,31 +56,11 @@ def chrome_trace(tracer) -> dict:
     return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(tracer, path: str) -> str:
+def write_chrome_trace(obs, path: str) -> str:
     """Write the Chrome trace-event JSON file; returns the path."""
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(chrome_trace(tracer), fp, default=float)
+        json.dump(chrome_trace(obs), fp, default=float)
     return path
-
-
-@contextmanager
-def env_traced(tracer):
-    """The tracer a run records into: ``tracer`` when given, else one the
-    ``REPRO_TRACE`` environment variable asks for — its Chrome trace is
-    written there when the block ends without raising — else the null
-    tracer."""
-    if tracer is not None:
-        yield tracer
-        return
-    tracer, path = tracer_from_env()
-    yield tracer if tracer is not None else NULL_TRACER
-    if path is not None:
-        try:
-            write_chrome_trace(tracer, path)
-        except OSError as exc:
-            # a bad REPRO_TRACE path must not destroy a finished run
-            print(f"warning: cannot write trace {path}: {exc}",
-                  file=sys.stderr)
 
 
 def _fmt_time(seconds: float) -> str:
@@ -93,11 +71,11 @@ def _fmt_time(seconds: float) -> str:
     return f"{seconds * 1e6:.0f}us"
 
 
-def _pass_table(tracer) -> list[str]:
+def _pass_table(obs) -> list[str]:
     order: list[str] = []
     total: dict[str, float] = {}
     count: dict[str, int] = {}
-    for ev in tracer.spans("pass"):
+    for ev in obs.spans("pass"):
         if ev.name not in total:
             order.append(ev.name)
             total[ev.name] = 0.0
@@ -113,10 +91,10 @@ def _pass_table(tracer) -> list[str]:
     return lines
 
 
-def _instr_table(tracer) -> list[str]:
+def _instr_table(obs) -> list[str]:
     counts: dict[str, dict[str, int]] = {}
     removed: dict[str, int] = {}
-    for ev in tracer.events:
+    for ev in obs.events:
         if ev.name == "instr-count" and ev.cat == "count":
             counts.setdefault(ev.args["func"], {})[ev.args["ir"]] = ev.args["value"]
         elif ev.name == "value-numbering" and ev.cat == "pass":
@@ -134,8 +112,8 @@ def _instr_table(tracer) -> list[str]:
     return lines
 
 
-def _superstep_table(tracer) -> list[str]:
-    steps = tracer.spans("superstep")
+def _superstep_table(obs) -> list[str]:
+    steps = obs.spans("superstep")
     if not steps:
         return []
     lines = ["super-steps:",
@@ -162,8 +140,8 @@ def _tid_sort_key(tid: str) -> tuple:
     return (tid, -1)
 
 
-def _worker_table(tracer) -> list[str]:
-    blocks = tracer.spans("block")
+def _worker_table(obs) -> list[str]:
+    blocks = obs.spans("block")
     if not blocks:
         return []
     busy: dict[str, float] = {}
@@ -171,7 +149,7 @@ def _worker_table(tracer) -> list[str]:
     for ev in blocks:
         busy[ev.tid] = busy.get(ev.tid, 0.0) + ev.dur
         n[ev.tid] = n.get(ev.tid, 0) + 1
-    span_total = sum(ev.dur for ev in tracer.spans("superstep"))
+    span_total = sum(ev.dur for ev in obs.spans("superstep"))
     lines = ["workers:",
              f"  {'worker':<16}{'blocks':>8}{'busy':>10}{'util':>7}"]
     for tid in sorted(busy, key=_tid_sort_key):
@@ -182,38 +160,34 @@ def _worker_table(tracer) -> list[str]:
     return lines
 
 
-def format_summary(tracer, metrics=None) -> str:
-    """Human-readable profile of everything the tracer collected.
-
-    When a metrics registry (or snapshot) is also given, its op-profiler
-    and scheduler-health tables (:func:`format_metrics`) are appended —
-    the CLI's ``--profile`` passes the run's registry here.
-    """
-    pass_table = _pass_table(tracer)
+def format_summary(obs) -> str:
+    """Human-readable profile of everything ``obs`` recorded (the CLI's
+    ``--profile``): the event tables, then the op-profiler and
+    scheduler-health tables of :func:`format_metrics`."""
+    pass_table = _pass_table(obs)
     sections = [
         pass_table,
-        _instr_table(tracer),
-        _superstep_table(tracer),
-        _worker_table(tracer),
+        _instr_table(obs),
+        _superstep_table(obs),
+        _worker_table(obs),
     ]
     body = "\n\n".join("\n".join(s) for s in sections if s)
-    if metrics is not None:
-        # the tracer's pass table (when present) is a superset of the
-        # metrics one — don't print both
-        mbody = format_metrics(metrics, passes=not pass_table)
-        if mbody:
-            body = f"{body}\n\n{mbody}" if body else mbody
+    # the span pass table (when present) is a superset of the counter
+    # one — don't print both
+    mbody = format_metrics(obs, passes=not pass_table)
+    if mbody:
+        body = f"{body}\n\n{mbody}" if body else mbody
     return body if body else "(no trace events collected)"
 
 
-# -- metrics-registry rendering ----------------------------------------------
+# -- aggregate rendering ------------------------------------------------------
 
 
-def _snap_of(metrics) -> dict:
-    """Accept a registry, a snapshot dict, or a metrics JSON document."""
-    if hasattr(metrics, "snapshot"):
-        return metrics.snapshot()
-    return metrics
+def _snap_of(obs) -> dict:
+    """Accept an ``Obs``, a snapshot dict, or a metrics JSON document."""
+    if hasattr(obs, "snapshot"):
+        return obs.snapshot()
+    return obs
 
 
 def _group_ops(counters: dict) -> dict[str, dict[str, float]]:
@@ -288,8 +262,6 @@ def _pass_metrics_table(counters: dict) -> list[str]:
 
 
 def _hist_line(name: str, hd: dict) -> str:
-    from repro.obs.metrics import Histogram
-
     h = Histogram.from_dict(hd) if isinstance(hd, dict) else hd
     return (f"  {name:<28}{h.count:>7}"
             f"{_fmt_time(h.mean):>10}{_fmt_time(h.percentile(50)):>10}"
@@ -320,8 +292,6 @@ def _sched_health_table(snap: dict) -> list[str]:
             lines.append(_hist_line(name, hd))
     imb = hists.get("sched.imbalance")
     if imb:
-        from repro.obs.metrics import Histogram
-
         h = Histogram.from_dict(imb) if isinstance(imb, dict) else imb
         lines.append(
             f"  load imbalance (max/mean busy): p50 {h.percentile(50):.2f}, "
@@ -371,13 +341,13 @@ def _convergence_table(series: dict, limit: int = 40) -> list[str]:
     return lines
 
 
-def format_metrics(metrics, passes: bool = True) -> str:
-    """Human-readable rendering of a metrics registry / snapshot / doc.
+def format_metrics(obs, passes: bool = True) -> str:
+    """Human-readable rendering of an ``Obs`` / snapshot / metrics doc.
 
     ``passes=False`` drops the compiler-pass table (``format_summary``
-    uses it when the tracer already rendered a richer one).
+    uses it when the pass spans already rendered a richer one).
     """
-    snap = _snap_of(metrics)
+    snap = _snap_of(obs)
     counters = snap.get("counters", {})
     sections = [
         _pass_metrics_table(counters) if passes else None,

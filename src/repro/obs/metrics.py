@@ -1,67 +1,27 @@
-"""The always-on metrics registry: counters, gauges, histograms, series.
+"""Metric instruments and the metrics JSON document.
 
-Where :mod:`repro.obs.tracer` records *events* (a timeline you replay or
-render), this module records *aggregates* — cheap enough that they stay
-on by default.  Three kinds of instruments, all thread-safe behind one
-lock:
-
-* **counters** — monotonically accumulated floats/ints (op invocation
-  counts, element throughput, guard skips, busy seconds);
-* **gauges** — last-value-wins samples (active strand count);
-* **histograms** — fixed-bucket distributions with percentile readout
-  (super-step seconds, queue wait, load imbalance);
-* **series** — append-only lists of dict rows (the per-step convergence
-  curve the run report plots).
+The aggregates an :class:`repro.obs.Obs` keeps, cheap enough to be always
+on: **counters** (accumulated floats/ints — op invocation counts, lane
+throughput, guard skips, busy seconds), **gauges** (last value wins),
+**histograms** (:class:`Histogram`: fixed buckets with percentile
+readout — super-step seconds, queue wait, load imbalance) and **series**
+(append-only dict rows — the per-step convergence curve).  This module
+holds the histogram, the bucket grids and the ``repro-metrics-v1``
+document; recording lives in :mod:`repro.obs.recorder`.
 
 Deterministic vs. timing metrics
 --------------------------------
 Counter names under ``op.*`` ending in ``.calls``, ``.lanes`` or
 ``.memo_*``, and the ``guard.*`` counters, count *work*, not time: for a
 fixed program and block size they are bit-identical across the
-sequential, thread, and process schedulers (asserted by
-``tests/test_metrics.py``).  Names ending in ``.seconds`` and every
-histogram are wall-clock measurements and are compared only with
-noise-tolerant thresholds (``python -m repro.obs diff``).
-
-Cache and serving metrics
--------------------------
-The compile-once layers report through the same registry:
-``compile_cache.{hits,misses,evicted}`` from the persistent compile
-cache (:mod:`repro.serve.cache`), ``cgen.cache.{hits,misses,evicted,
-lock_waits}`` from the native artifact cache
-(:mod:`repro.core.codegen.cbuild`), and the front door's
-``serve.requests`` / ``serve.http.<status>`` / ``serve.shed`` counters,
-``serve.batch.{requests,batches,coalesced}`` coalescing counters, and
-``serve.batch.size`` / ``serve.request_seconds`` histograms
-(:mod:`repro.serve.server`).  Cache counters increment on :data:`ACTIVE`
-outside any run, i.e. on :data:`GLOBAL` unless a run is in flight.
-
-Cross-process protocol
-----------------------
-Forked :class:`~repro.runtime.mpsched.ProcessScheduler` workers install
-a fresh local registry, and :func:`MetricsRegistry.drain` its contents
-into each block's ``done`` ack; the master merges the deltas at the
-super-step barrier, so process runs report the same op counters as
-sequential runs instead of silently dropping worker-side counts.
-
-The active registry
--------------------
-Instrumented runtime code writes to :data:`ACTIVE` (module attribute,
-swapped by ``Program.run`` for the duration of a run and restored
-after).  :data:`GLOBAL` is the process-wide cumulative registry: it is
-the default ``ACTIVE``, and every run's registry is folded into it when
-the run ends, so session-level tools (``rt.guard_stats()``) keep
-working across runs without per-run state leaking into
-``RunResult.metrics``.  Disabled mode is :data:`NULL_METRICS`
-(:class:`NullRegistry`): ``enabled`` is False and instrumented code
-guards all work behind it, so a metrics-off run does no extra work.
+sequential, thread, and process schedulers, and across runs that overlap
+in time (asserted by ``tests/test_metrics.py``).  Names ending in
+``.seconds`` and every histogram are wall-clock measurements.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -80,6 +40,11 @@ IMBALANCE_BUCKETS = (1.0, 1.05, 1.1, 1.2, 1.35, 1.5, 2.0, 3.0, 5.0, 10.0)
 #: requests per serving batch, strands per request)
 SIZE_BUCKETS = tuple(float(1 << k) for k in range(0, 17))
 
+#: the shared grids, valid by construction: a histogram over one of them
+#: skips the bounds check (every request- or run-scoped ``Obs`` builds its
+#: histograms anew)
+_GRIDS = (TIME_BUCKETS, IMBALANCE_BUCKETS, SIZE_BUCKETS)
+
 
 class Histogram:
     """A fixed-bucket histogram with percentile readout.
@@ -93,9 +58,10 @@ class Histogram:
     __slots__ = ("bounds", "counts", "sum", "count", "min", "max")
 
     def __init__(self, bounds=TIME_BUCKETS):
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("histogram bounds must be strictly increasing")
+        if bounds not in _GRIDS:
+            bounds = tuple(float(b) for b in bounds)
+            if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
+                raise ValueError("histogram bounds must be strictly increasing")
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
@@ -168,8 +134,7 @@ class Histogram:
             other = other.to_dict()
         if tuple(other["bounds"]) != self.bounds:
             raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other["counts"]):
-            self.counts[i] += c
+        self.counts = [a + b for a, b in zip(self.counts, other["counts"])]
         self.sum += other["sum"]
         self.count += other["count"]
         self.min = min(self.min, other["min"])
@@ -177,7 +142,7 @@ class Histogram:
 
     def to_dict(self) -> dict:
         return {
-            "bounds": list(self.bounds),
+            "bounds": self.bounds,  # the tuple itself: a shared grid stays one
             "counts": list(self.counts),
             "sum": self.sum,
             "count": self.count,
@@ -192,353 +157,22 @@ class Histogram:
         return h
 
 
-# op name → ("op.X.calls", "op.X.lanes", "op.X.seconds"), interned once so
-# the op-profiler hot path never builds key strings
-_OP_KEYS: dict = {}
-
-
-class MetricsRegistry:
-    """Thread-safe counter/gauge/histogram/series store.
-
-    All mutation goes through one lock; readers take snapshots.  The
-    per-call cost is a dict update under an uncontended lock — the
-    instrumented runtime records at *block* granularity (one update per
-    kernel call over thousands of strands), which is what keeps the
-    always-on overhead within the ≤3 % budget (EXPERIMENTS.md).
-    """
-
-    enabled = True
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self.series: dict[str, list] = {}
-
-    # -- recording ---------------------------------------------------------
-
-    def inc(self, name: str, delta: float = 1) -> None:
-        """Accumulate ``delta`` into the named counter."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + delta
-
-    def inc_many(self, deltas: dict) -> None:
-        """Accumulate several counters under one lock acquisition."""
-        with self._lock:
-            c = self.counters
-            for name, delta in deltas.items():
-                c[name] = c.get(name, 0) + delta
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge to its latest value."""
-        with self._lock:
-            self.gauges[name] = value
-
-    def observe(self, name: str, value: float, bounds=TIME_BUCKETS) -> None:
-        """Record one observation into the named histogram (created with
-        ``bounds`` on first use)."""
-        with self._lock:
-            h = self.histograms.get(name)
-            if h is None:
-                h = self.histograms[name] = Histogram(bounds)
-            h.observe(value)
-
-    def observe_many(self, name: str, values, bounds=TIME_BUCKETS) -> None:
-        """Record an array of observations into the named histogram."""
-        with self._lock:
-            h = self.histograms.get(name)
-            if h is None:
-                h = self.histograms[name] = Histogram(bounds)
-            h.observe_many(values)
-
-    def op(self, name: str, lanes: int, seconds: float) -> None:
-        """Record one runtime-kernel invocation: the op-profiler hot path.
-
-        ``name`` is the IR op name the generated code calls (the
-        ``rt.<name>`` emitted by :mod:`repro.core.codegen.pygen`), so the
-        hot-op table attributes runtime cost directly to LowIR/MidIR
-        vocabulary.  One lock acquisition updates calls, element (lane)
-        throughput, and accumulated wall seconds.
-        """
-        keys = _OP_KEYS.get(name)
-        if keys is None:
-            keys = _OP_KEYS[name] = (
-                f"op.{name}.calls", f"op.{name}.lanes", f"op.{name}.seconds"
-            )
-        k_calls, k_lanes, k_seconds = keys
-        with self._lock:
-            c = self.counters
-            c[k_calls] = c.get(k_calls, 0) + 1
-            c[k_lanes] = c.get(k_lanes, 0) + lanes
-            c[k_seconds] = c.get(k_seconds, 0.0) + seconds
-
-    def guard(self, skipped: bool) -> None:
-        """Count one uniform-branch guard evaluation (see ``rt.any_lane``)."""
-        with self._lock:
-            c = self.counters
-            c["guard.checked"] = c.get("guard.checked", 0) + 1
-            if skipped:
-                c["guard.skipped"] = c.get("guard.skipped", 0) + 1
-
-    def row(self, name: str, **fields) -> None:
-        """Append one dict row to the named series (e.g. per-step stats)."""
-        with self._lock:
-            self.series.setdefault(name, []).append(fields)
-
-    def rows(self, name: str, rows: list) -> None:
-        """Append several dict rows to the named series."""
-        with self._lock:
-            self.series.setdefault(name, []).extend(rows)
-
-    # -- aggregation -------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A JSON-able copy of everything recorded so far."""
-        with self._lock:
-            return {
-                "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
-                "histograms": {
-                    k: h.to_dict() for k, h in self.histograms.items()
-                },
-                "series": {k: list(v) for k, v in self.series.items()},
-            }
-
-    def drain(self) -> dict:
-        """Snapshot and reset: the per-block delta a forked worker ships
-        back in its ``done`` ack (merged by the master at the barrier)."""
-        with self._lock:
-            out = {
-                "counters": self.counters,
-                "gauges": self.gauges,
-                "histograms": {
-                    k: h.to_dict() for k, h in self.histograms.items()
-                },
-                "series": self.series,
-            }
-            self.counters = {}
-            self.gauges = {}
-            self.histograms = {}
-            self.series = {}
-        return out
-
-    def merge(self, snap: dict, include_series: bool = True) -> None:
-        """Fold a snapshot/drain dict (or another registry) into this one."""
-        if isinstance(snap, MetricsRegistry):
-            snap = snap.snapshot()
-        with self._lock:
-            c = self.counters
-            for name, v in snap.get("counters", {}).items():
-                c[name] = c.get(name, 0) + v
-            self.gauges.update(snap.get("gauges", {}))
-            for name, hd in snap.get("histograms", {}).items():
-                h = self.histograms.get(name)
-                if h is None:
-                    self.histograms[name] = Histogram.from_dict(hd)
-                else:
-                    h.merge(hd)
-            if include_series:
-                for name, rows in snap.get("series", {}).items():
-                    self.series.setdefault(name, []).extend(rows)
-
-    def reset(self) -> None:
-        """Zero every instrument (counters, gauges, histograms, series)."""
-        with self._lock:
-            self.counters.clear()
-            self.gauges.clear()
-            self.histograms.clear()
-            self.series.clear()
-
-
-class NullRegistry:
-    """The disabled registry: every operation is a no-op.
-
-    Instrumented hot paths check ``enabled`` first, so a metrics-off run
-    takes no locks, reads no clocks, and allocates nothing
-    (``tests/test_metrics.py::TestNullRegistry``).
-    """
-
-    enabled = False
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-    series: dict = {}
-
-    def inc(self, name: str, delta: float = 1) -> None:
-        pass
-
-    def inc_many(self, deltas: dict) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float, bounds=TIME_BUCKETS) -> None:
-        pass
-
-    def observe_many(self, name: str, values, bounds=TIME_BUCKETS) -> None:
-        pass
-
-    def op(self, name: str, lanes: int, seconds: float) -> None:
-        pass
-
-    def guard(self, skipped: bool) -> None:
-        pass
-
-    def row(self, name: str, **fields) -> None:
-        pass
-
-    def rows(self, name: str, rows: list) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
-
-    def drain(self) -> dict:
-        return self.snapshot()
-
-    def merge(self, snap: dict, include_series: bool = True) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-
-#: the shared disabled registry — use this instead of ``None`` checks
-NULL_METRICS = NullRegistry()
-
-#: the process-wide cumulative registry (default :data:`ACTIVE`; every
-#: finished run folds its per-run registry into it)
-GLOBAL = MetricsRegistry()
-
-#: the registry instrumented runtime code writes to *right now*; swapped
-#: by ``Program.run`` / forked workers, restored when the run ends
-ACTIVE: MetricsRegistry | NullRegistry = GLOBAL
-
-_AMBIENT_LOCK = threading.Lock()
-_AMBIENT: MetricsRegistry | None = None
-
-
-def set_active(reg) -> object:
-    """Install ``reg`` as the active registry; returns the previous one."""
-    global ACTIVE
-    prev = ACTIVE
-    ACTIVE = reg
-    return prev
-
-
-def ambient() -> MetricsRegistry | None:
-    """The registry a :func:`collect` scope asked runs to share, if any."""
-    return _AMBIENT
-
-
-@contextmanager
-def collect(reg: MetricsRegistry | None = None):
-    """Scope under which ``Program.run(metrics=None)`` joins one registry.
-
-    The CLIs use this to aggregate a whole session (e.g. every program a
-    fuzz sweep runs) into a single metrics document::
-
-        with metrics.collect() as reg:
-            prog.run(); other.run()
-        write_metrics_json(reg, "metrics.json")
-    """
-    global _AMBIENT
-    if reg is None:
-        reg = MetricsRegistry()
-    with _AMBIENT_LOCK:
-        prev = _AMBIENT
-        _AMBIENT = reg
-    try:
-        yield reg
-    finally:
-        with _AMBIENT_LOCK:
-            _AMBIENT = prev
-
-
-def resolve(metrics) -> tuple:
-    """Map a ``Program.run(metrics=...)`` argument to ``(registry, fold)``.
-
-    ``registry`` is what the run records into (always fresh per run in
-    the default modes, so nothing leaks across runs); ``fold`` is the
-    tuple of registries the run's snapshot is merged into when it ends —
-    the ambient :func:`collect` registry (series included) and the
-    session-wide :data:`GLOBAL` (series excluded, to bound its memory).
-
-    * ``None`` (the default): metrics on — fresh registry, folded into
-      the ambient collect scope (if any) and :data:`GLOBAL`;
-    * ``False``: off — :data:`NULL_METRICS`, nothing folded;
-    * ``True``: fresh registry folded into :data:`GLOBAL` only (opts out
-      of an enclosing collect scope);
-    * a registry instance: used as-is, nothing folded (the caller owns
-      aggregation).
-    """
-    if metrics is None:
-        amb = ambient()
-        targets = (amb, GLOBAL) if amb is not None else (GLOBAL,)
-        return MetricsRegistry(), targets
-    if metrics is False:
-        return NULL_METRICS, ()
-    if metrics is True:
-        return MetricsRegistry(), (GLOBAL,)
-    return metrics, ()
-
-
-def fold(reg, targets) -> None:
-    """Merge a finished run's registry into :func:`resolve`'s ``fold``
-    targets.  The session-wide :data:`GLOBAL` keeps cumulative counters
-    only; per-step series stay per-run to bound its memory."""
-    if reg.enabled and targets:
-        snap = reg.snapshot()
-        for target in targets:
-            target.merge(snap, include_series=target is not GLOBAL)
-
-
-def fold_pass_spans(tracer, reg=None) -> None:
-    """Fold a compile trace's ``cat="pass"`` spans into pass counters.
-
-    The driver's internal tracer always records one span per compiler
-    pass; this turns them into ``pass.<name>.seconds`` /
-    ``pass.<name>.calls`` counters so compile cost shows up in the same
-    metrics document as runtime cost.  With no explicit ``reg`` the
-    counters fold into the ambient :func:`collect` scope (if any) and
-    :data:`GLOBAL`.
-    """
-    if tracer is None or not getattr(tracer, "enabled", False):
-        return
-    deltas: dict[str, float] = {}
-    for ev in tracer.spans("pass"):
-        key = f"pass.{ev.name}"
-        deltas[f"{key}.seconds"] = deltas.get(f"{key}.seconds", 0.0) + ev.dur
-        deltas[f"{key}.calls"] = deltas.get(f"{key}.calls", 0) + 1
-    if not deltas:
-        return
-    if reg is not None:
-        targets = (reg,)
-    else:
-        amb = ambient()
-        targets = (amb, GLOBAL) if amb is not None else (GLOBAL,)
-    for target in targets:
-        target.inc_many(deltas)
-
-
 # -- the metrics JSON document ------------------------------------------------
 
 #: schema tag written into every metrics JSON file
 SCHEMA = "repro-metrics-v1"
 
 
-def metrics_doc(reg, meta: dict | None = None) -> dict:
-    """Render a registry (or snapshot dict) as a metrics JSON document."""
-    snap = reg.snapshot() if hasattr(reg, "snapshot") else reg
+def metrics_doc(obs, meta: dict | None = None) -> dict:
+    """Render an ``Obs`` (or snapshot dict) as a metrics JSON document."""
+    snap = obs.snapshot() if hasattr(obs, "snapshot") else obs
     return {"schema": SCHEMA, "meta": dict(meta or {}), **snap}
 
 
-def write_metrics_json(reg, path: str, meta: dict | None = None) -> str:
+def write_metrics_json(obs, path: str, meta: dict | None = None) -> str:
     """Write the metrics JSON document to ``path``; returns the path."""
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(metrics_doc(reg, meta), fp, indent=2, default=float)
+        json.dump(metrics_doc(obs, meta), fp, indent=2, default=float)
         fp.write("\n")
     return path
 
@@ -548,8 +182,8 @@ def read_metrics_json(path: str) -> dict:
 
     A ``--trace`` file (Chrome trace-event JSON) is converted into the
     metrics schema by totalling span durations per ``cat.name`` into
-    ``.seconds``/``.calls`` counters, so ``python -m repro.obs diff`` can
-    compare traces and metrics files interchangeably.
+    ``.seconds``/``.calls`` counters, so ``python -m repro.obs report``
+    renders traces and metrics files interchangeably.
     """
     with open(path, encoding="utf-8") as fp:
         doc = json.load(fp)

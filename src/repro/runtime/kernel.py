@@ -15,9 +15,9 @@ the in-process schedulers and the process pool's workers both call.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
+
+from repro.obs import clock
 
 #: status codes returned by compiled update functions
 RUNNING, STABILIZE, DIE = 0, 1, 2
@@ -65,7 +65,7 @@ class NumpyKernel:
         """One super-step over ``idx``: a NumPy block comes back after
         every step (``per_step.numpy`` in the run plan), so more than one
         is never asked for."""
-        t0 = time.perf_counter()
+        t0 = clock()
         state, status = self._state, self._status
         if self._recorder is not None:
             self._recorder.lane_map = idx
@@ -97,4 +97,4 @@ class NumpyKernel:
         running = np.count_nonzero(code == RUNNING)
         stable = np.count_nonzero(code == STABILIZE) if running < n else 0
         counts = np.array([[n, stable, n - running - stable]], dtype=np.int64)
-        return counts, np.array([time.perf_counter() - t0])
+        return counts, np.array([clock() - t0])

@@ -11,14 +11,15 @@ becomes of the result.
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import RuntimeErrorD
-from repro.obs import metrics as _mx
+from repro.obs import clock
+from repro.obs.metrics import IMBALANCE_BUCKETS
 from repro.runtime.incremental import StepEvent
 from repro.runtime.kernel import RUNNING, STABILIZE, NumpyKernel
 from repro.runtime.scheduler import (
@@ -87,7 +88,7 @@ def make_strands(program, ctx, g, grid: Grid, ids: np.ndarray,
     return state
 
 
-def restore_strands(program, snap, ctx, g, grid, dirty, rec, tr, reg):
+def restore_strands(program, snap, ctx, g, grid, dirty, rec, obs):
     """The strand set of an update run: clean strands come back from the
     checkpoint ``snap``; the ``dirty`` ones are re-seeded and
     re-initialized exactly as a cold run would (init may probe the image,
@@ -97,25 +98,21 @@ def restore_strands(program, snap, ctx, g, grid, dirty, rec, tr, reg):
             f"checkpoint has {snap.total} strands but the current "
             f"globals produce {grid.total}; run a fresh checkpoint"
         )
-    t0 = time.perf_counter()
-    state, status = snap.copies()
-    if rec is not None:
-        rec.reset_rows(dirty)
-    if dirty.size:
-        fresh = make_strands(program, ctx, g, grid, dirty, rec)
-        for s_arr, new in zip(state, fresh):
-            s_arr[dirty] = new
-        status[dirty] = RUNNING
-    dt = time.perf_counter() - t0
-    if tr.enabled:
-        tr.complete("snapshot-restore", "incremental", t0, dt,
-                    dirty=int(dirty.size), total=grid.total)
-    if reg.enabled:
-        reg.observe("runtime.restore_seconds", dt)
+    with obs.span("snapshot-restore", "incremental",
+                  hist="runtime.restore_seconds", dirty=int(dirty.size),
+                  total=grid.total):
+        state, status = snap.copies()
+        if rec is not None:
+            rec.reset_rows(dirty)
+        if dirty.size:
+            fresh = make_strands(program, ctx, g, grid, dirty, rec)
+            for s_arr, new in zip(state, fresh):
+                s_arr[dirty] = new
+            status[dirty] = RUNNING
     return state, status
 
 
-def open_dispatch(plan, program, ctx, g, state, status, native, rec, reg, tr,
+def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,
                   held):
     """Bind kernel and scheduler for ``plan``: ``(state, status, dispatch)``
     — the arrays the run must use from here on (a process pool moves them
@@ -143,9 +140,8 @@ def open_dispatch(plan, program, ctx, g, state, status, native, rec, reg, tr,
             }
         state, status = sched.setup(
             program.generated_source, ctx.images, program.dtype, g, state,
-            status, metrics=reg.enabled, native=native_setup)
-        run = partial(sched.run_step, block_size=plan.block_size, tracer=tr,
-                      metrics=reg)
+            status, native=native_setup)
+        run = partial(sched.run_step, block_size=plan.block_size, obs=obs)
     else:
         if sched is None:
             sched = (ThreadScheduler(plan.workers)
@@ -162,10 +158,14 @@ def open_dispatch(plan, program, ctx, g, state, status, native, rec, reg, tr,
 
         def run(active, step):
             return sched.run_step(make_blocks(active, plan.block_size),
-                                  run_block, tracer=tr, step=step)
+                                  run_block, obs=obs, step=step)
+
+    span = (partial(obs.span, "kernel", "run") if plan.driving == "kernel"
+            else nullcontext)
 
     def dispatch(active, step):
-        return run(active, step=step)[0], sched.last_block_workers
+        with span():
+            return run(active, step=step)[0], sched.last_block_workers
 
     return state, status, dispatch
 
@@ -180,7 +180,7 @@ def run_steps(active: np.ndarray, status: np.ndarray, dispatch, max_steps,
     block_workers, t0)``."""
     steps = 0
     while active.size and (max_steps is None or steps < max_steps):
-        t0 = time.perf_counter()
+        t0 = clock()
         tallies, block_workers = dispatch(active, steps)
         # one status gather serves every hook AND the active-strand filter
         active_status = status[active]
@@ -191,11 +191,11 @@ def run_steps(active: np.ndarray, status: np.ndarray, dispatch, max_steps,
     return steps, active
 
 
-def step_hooks(program, ctx, g, state, rec, on_step, tr, tallies) -> list:
+def step_hooks(program, ctx, g, state, rec, on_step, obs, tallies) -> list:
     """The hooks of one run, in the order they fire: the ``stabilize``
-    method, the caller's ``on_step``, the tracer's span, and the tally —
+    method, the caller's ``on_step``, the ``detail`` span, and the tally —
     ``(first step, worker, counts, seconds)`` per block appended to
-    ``tallies`` for :func:`book_steps`, unless that is ``None``."""
+    ``tallies`` for :func:`book_steps`."""
     hooks = []
     stabilize = program.namespace.get("stabilize")
     if stabilize is not None:
@@ -219,23 +219,22 @@ def step_hooks(program, ctx, g, state, rec, on_step, tr, tallies) -> list:
             step=step, active=active.copy(), status=active_status.copy(),
             # fancy indexing already yields private copies
             outputs={o: arr[active] for o, arr in outputs})))
-    if tr.enabled:
+    if obs.detail:
         def span(step, active, active_status, tallies, block_workers, t0):
-            # an enabled tracer keeps the run per-step: a dispatch is a step
+            # detail keeps the run per-step: a dispatch is a step
             n, stable, died = sum(c[0] for c, _ in tallies).tolist()
-            tr.complete("superstep", "superstep", t0, time.perf_counter() - t0,
-                        step=step, blocks=len(tallies), active=n,
-                        stable=stable, died=died)
-            tr.gauge("active-strands", n - stable - died)
+            obs.complete("superstep", "superstep", t0, clock() - t0,
+                         step=step, blocks=len(tallies), active=n,
+                         stable=stable, died=died)
+            obs.gauge("strands.active", n - stable - died)
 
         hooks.append(span)
-    if tallies is not None:
-        hooks.append(lambda step, a, st, blocks, workers, t0: tallies.extend(
-            (step, w, c, sec) for (c, sec), w in zip(blocks, workers)))
+    hooks.append(lambda step, a, st, blocks, workers, t0: tallies.extend(
+        (step, w, c, sec) for (c, sec), w in zip(blocks, workers)))
     return hooks
 
 
-def book_steps(reg, tallies: list, workers: int) -> None:
+def book_steps(obs, tallies: list, workers: int) -> None:
     """Book a run's tallies — collected a tuple per block per dispatch, so
     a 241-step per-step run pays nothing per step for its scheduler-health
     telemetry — once, whichever way the loop was driven: a block's row
@@ -269,16 +268,16 @@ def book_steps(reg, tallies: list, workers: int) -> None:
         if nb:  # a worker that ran no block has no row
             deltas[f"sched.worker.worker-{w}.busy_seconds"] = b
             deltas[f"sched.worker.worker-{w}.blocks"] = nb
-    reg.inc_many(deltas)
-    reg.observe_many("sched.step_seconds", step_seconds)
-    reg.observe_many("sched.block_seconds", seconds)
+    obs.inc_many(deltas)
+    obs.observe_many("sched.step_seconds", step_seconds)
+    obs.observe_many("sched.block_seconds", seconds)
     if workers > 1:
         worked = step_seconds > 0
-        reg.observe_many(
+        obs.observe_many(
             "sched.imbalance", busy.max(axis=0)[worked] * workers
-            / step_seconds[worked], bounds=_mx.IMBALANCE_BUCKETS)
+            / step_seconds[worked], bounds=IMBALANCE_BUCKETS)
     blocks = np.bincount(step, minlength=n_steps).tolist()
-    reg.rows("steps", [
+    obs.rows("steps", [
         dict(step=firsts[0] + i, blocks=nb, active=a, stable=st, died=d,
              seconds=dt)
         for i, (nb, (a, st, d), dt) in enumerate(

@@ -36,17 +36,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import queue as _queue
-import time
 import traceback
 
 import numpy as np
 from multiprocessing import shared_memory
 
 from repro.errors import RuntimeErrorD
-from repro.obs import NULL_TRACER
-from repro.obs import metrics as _mx
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs import Obs, clock, current
 from repro.runtime.kernel import Ctx, NumpyKernel
+from repro.runtime.scheduler import block_span
 
 #: seconds between liveness checks while waiting on worker messages
 _POLL_INTERVAL = 5.0
@@ -100,7 +98,7 @@ def _attach(spec):
 class _WorkerEnv:
     """One run's worker-side state: shared views + compiled functions."""
 
-    __slots__ = ("shms", "active", "reg", "run_block")
+    __slots__ = ("shms", "active", "run_block")
 
     def close(self) -> None:
         for shm in self.shms:
@@ -140,12 +138,6 @@ def _apply_setup(wid: int, setup_bytes: bytes) -> _WorkerEnv:
     ns: dict = {}
     exec(compile(setup["source"], "<diderot-generated>", "exec"), ns)
     g = setup["globals"]
-    # a fresh local registry (the forked copy of the master's would
-    # double-count): op metrics accumulate here and each block's
-    # ``done`` ack ships the drained delta back for the master to
-    # merge at the super-step barrier
-    env.reg = MetricsRegistry() if setup.get("metrics") else NULL_METRICS
-    _mx.set_active(env.reg)
     # the block kernel, bound to the shared views: the NumPy one unless
     # the run is native — then rebuilt from the artifact cache (warmed by
     # the master's build); a failure degrades this worker to NumPy
@@ -177,50 +169,55 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
     ``barrier`` (parties = workers + master) guarantees every worker
     consumed exactly one setup message before the master enqueues
     anything else.
+
+    The worker records into an ``Obs`` of its own (the forked copy of the
+    master's would double-count): op metrics accumulate there and each
+    block's ``done`` ack ships the drained delta back for the master to
+    merge at the super-step barrier.
     """
-    try:
-        env = _apply_setup(wid, setup_bytes)
-        result_q.put(("ready", wid))
-    except BaseException:
-        result_q.put(("fatal", wid, traceback.format_exc()))
-        return
-    while True:
-        idle0 = time.perf_counter()
-        task = task_q.get()
-        if task is None:
-            break
-        if task[0] == "setup":
-            old, env = env, None
-            try:
-                env = _apply_setup(wid, task[1])
-                result_q.put(("ready", wid))
-            except BaseException:
-                result_q.put(("fatal", wid, traceback.format_exc()))
-            finally:
-                # reach the barrier even on failure, or the master (and
-                # the sibling workers) would hang in wait()
-                if barrier is not None:
-                    try:
-                        barrier.wait(timeout=60)
-                    except Exception:
-                        pass
-            old.close()
-            if env is None:
-                return
-            continue
-        step, bindex, start, end = task
-        t0 = time.perf_counter()
-        wait = t0 - idle0
+    with Obs(f"worker-{wid}", parent=None) as obs:
         try:
-            # state/status writes land in place through the shared views
-            counts, _ = env.run_block(env.active[start:end], max_steps=1)
+            env = _apply_setup(wid, setup_bytes)
+            result_q.put(("ready", wid))
         except BaseException:
-            result_q.put(("error", wid, bindex, traceback.format_exc()))
-            continue
-        delta = env.reg.drain() if env.reg.enabled else None
-        result_q.put(("done", wid, bindex, t0, time.perf_counter() - t0,
-                      counts[0].tolist(), wait, delta))
-    env.close()
+            result_q.put(("fatal", wid, traceback.format_exc()))
+            return
+        while True:
+            idle0 = clock()
+            task = task_q.get()
+            if task is None:
+                break
+            if task[0] == "setup":
+                old, env = env, None
+                try:
+                    env = _apply_setup(wid, task[1])
+                    result_q.put(("ready", wid))
+                except BaseException:
+                    result_q.put(("fatal", wid, traceback.format_exc()))
+                finally:
+                    # reach the barrier even on failure, or the master (and
+                    # the sibling workers) would hang in wait()
+                    if barrier is not None:
+                        try:
+                            barrier.wait(timeout=60)
+                        except Exception:
+                            pass
+                old.close()
+                if env is None:
+                    return
+                continue
+            step, bindex, start, end = task
+            t0 = clock()
+            wait = t0 - idle0
+            try:
+                # state/status writes land in place through the shared views
+                counts, _ = env.run_block(env.active[start:end], max_steps=1)
+            except BaseException:
+                result_q.put(("error", wid, bindex, traceback.format_exc()))
+                continue
+            result_q.put(("done", wid, bindex, t0, clock() - t0,
+                          counts[0].tolist(), wait, obs.drain()))
+        env.close()
 
 
 class ProcessScheduler:
@@ -254,13 +251,8 @@ class ProcessScheduler:
     # -- lifecycle ---------------------------------------------------------
 
     def setup(self, source: str, images: dict, dtype, global_values,
-              state: list[np.ndarray], status: np.ndarray,
-              metrics: bool = True, native=None):
+              state: list[np.ndarray], status: np.ndarray, native=None):
         """Move state into shared memory and fork the pool.
-
-        ``metrics`` tells workers whether to run their local metrics
-        registry (drained into every block ack); pass False for the
-        zero-overhead path.
 
         ``native`` — optional ``{"c_source": ..., "plan": ..., "flags": ...}``
         dict from the master's :mod:`~repro.core.codegen.cgen` build; workers
@@ -296,7 +288,7 @@ class ProcessScheduler:
                 # reuse the existing block, refreshing the payload in
                 # place (dirty-region patches mutate the master's data)
                 np.copyto(sa.view, img.data)
-                _mx.GLOBAL.inc("sched.shm.image_reuse")
+                current().inc("sched.shm.image_reuse")
             else:
                 if sa is not None:
                     stale_images.append(sa)
@@ -316,7 +308,6 @@ class ProcessScheduler:
                 "state": [sa.spec() for sa in state_sa],
                 "status": status_sa.spec(),
                 "active": active_sa.spec(),
-                "metrics": bool(metrics),
                 "native": native,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -424,17 +415,18 @@ class ProcessScheduler:
                     ) from None
 
     def run_step(self, active_idx: np.ndarray, block_size: int,
-                 tracer=NULL_TRACER, step: int = 0, metrics=NULL_METRICS):
+                 obs=None, step: int = 0):
         """Execute one super-step over ``active_idx``.
 
         Returns ``(per_block_tallies, per_block_times)`` — a tally is
         the worker kernel's one-step ``(counts, seconds)`` pair, as the
         in-process schedulers return from their ``run_block`` — and
         state/status mutations happen in place in the shared arrays.
-        ``metrics`` receives the
-        worker-drained metric deltas (merged here, at the barrier) plus
-        per-block queue-wait observations.
+        ``obs`` (default: the current one) receives the worker-drained
+        metric deltas (merged here, at the barrier) plus per-block
+        queue-wait observations.
         """
+        obs = obs or current()
         n_active = int(active_idx.size)
         self._active[:n_active] = active_idx
         ranges = [
@@ -454,14 +446,9 @@ class ProcessScheduler:
                 tallies[bindex] = (np.array([counts], dtype=np.int64),
                                    np.array([dt]))
                 block_workers[bindex] = wid
-                if metrics.enabled:
-                    if delta is not None:
-                        metrics.merge(delta)
-                    metrics.observe("sched.queue_wait_seconds", wait)
-                if tracer.enabled:
-                    tracer.complete("block", "block", t0, dt,
-                                    tid=f"worker-{wid}", step=step,
-                                    block=bindex, strands=counts[0])
+                obs.merge(delta)
+                obs.observe("sched.queue_wait_seconds", wait)
+                block_span(obs, step, bindex, t0, dt, wid, counts[0])
             elif kind == "error":
                 errors.append((msg[2], msg[3]))
             else:  # pragma: no cover - fatal after setup barrier

@@ -39,7 +39,7 @@ import sys
 import numpy as np
 
 from repro.errors import CodegenError, RuntimeErrorD
-from repro.obs import metrics as _mx
+from repro.obs import current
 
 __all__ = ["BACKEND_NAMES", "NativeUpdate", "warn_numpy_fallback"]
 
@@ -303,13 +303,11 @@ class NativeUpdate:
         else:
             counts = np.concatenate([c for c, _ in chunks])
             seconds = np.concatenate([s for _, s in chunks])
-        m = _mx.ACTIVE
-        if m.enabled:
-            # one kernel pass over one block per step, as when each step
-            # was its own call
-            m.inc_many({
-                _K_CALLS: counts.shape[0],
-                _K_LANES: int(counts[:, 0].sum()),
-                _K_SECONDS: float(seconds.sum()),
-            })
+        # one kernel pass over one block per step, as when each step was
+        # its own call
+        current().inc_many({
+            _K_CALLS: counts.shape[0],
+            _K_LANES: int(counts[:, 0].sum()),
+            _K_SECONDS: float(seconds.sum()),
+        })
         return counts, seconds

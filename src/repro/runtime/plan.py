@@ -51,33 +51,31 @@ class RunPlan:
         """True when this run's own strand updates record footprints."""
         return (self.footprint or "").startswith("inline")
 
-    def emit(self, reg, tr) -> None:
-        """Report the decisions as counters and trace instants."""
-        if reg.enabled:
-            counts = {f"runtime.loop.{self.driving}": 1}
-            if self.fallback is not None:
-                counts[f"runtime.backend.fallback.{self.fallback[0]}"] = 1
-            if self.footprint is not None:
-                counts[f"runtime.footprint.{self.footprint}"] = 1
-            reg.inc_many(counts)
-            reg.gauge("run.workers", self.workers)
-            reg.gauge("run.block_size", self.block_size)
-        if tr.enabled:
-            tr.instant("superstep-loop", "run", how=self.driving,
-                       scheduler=f"{self.scheduler_why}→{self.scheduler}")
-            if self.footprint is not None:
-                tr.instant("footprint-recording", "incremental",
-                           how=self.footprint)
+    def emit(self, obs) -> None:
+        """Report the decisions as counters and events."""
+        counts = {f"runtime.loop.{self.driving}": 1}
+        if self.fallback is not None:
+            counts[f"runtime.backend.fallback.{self.fallback[0]}"] = 1
+        if self.footprint is not None:
+            counts[f"runtime.footprint.{self.footprint}"] = 1
+            obs.event("footprint-recording", "incremental",
+                      how=self.footprint)
+        obs.inc_many(counts)
+        obs.gauge("run.workers", self.workers)
+        obs.gauge("run.block_size", self.block_size)
+        obs.event("superstep-loop", "run", how=self.driving,
+                  scheduler=f"{self.scheduler_why}→{self.scheduler}")
 
 
 def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
-            total, on_step, tracing, recording, update,
+            total, on_step, detail, recording, update,
             bind_error=None) -> RunPlan:
     """Decide how ``program`` runs ``total`` strands.  ``scheduler`` is a
     name from ``SCHEDULER_CHOICES``, ``None`` or a scheduler instance;
-    ``recording`` says the run wants footprints; ``bind_error`` is why the
-    native kernel refused this run's arrays (the caller resolves again when
-    binding fails).  A bad scheduler, worker count or backend raises
+    ``detail`` says the run's ``Obs`` records per-step spans, ``recording``
+    that the run wants footprints; ``bind_error`` is why the native kernel
+    refused this run's arrays (the caller resolves again when binding
+    fails).  A bad scheduler, worker count or backend raises
     :class:`~repro.errors.InputError`."""
     borrowed, why = None, "requested"
     if scheduler is not None and not isinstance(scheduler, str):
@@ -135,7 +133,7 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
         driving = "per_step.stabilize"
     elif on_step is not None:
         driving = "per_step.on_step"
-    elif tracing:
+    elif detail:  # an Obs(detail=True) wants a span per super-step
         driving = "per_step.tracer"
     else:  # nothing has to see a super-step boundary
         driving = "kernel"

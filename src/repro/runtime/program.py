@@ -14,7 +14,6 @@ input variables" (§3.3.1) — see :meth:`Program.cli`.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -24,8 +23,7 @@ from repro.core.xform.to_high import HighProgram
 from repro.errors import CodegenError, InputError
 from repro.image import Image
 from repro.nrrd import read_nrrd
-from repro.obs import NULL_TRACER, env_traced, write_chrome_trace
-from repro.obs import metrics as _mx
+from repro.obs import Obs, current, scope
 from repro.runtime import incremental as _increc
 from repro.runtime import loop as _loop
 from repro.runtime import ops as _ops
@@ -68,9 +66,8 @@ class RunResult:
     grid: bool = True
     #: number of grid axes (comprehension iterators); 1 for collections
     grid_dims: int = 1
-    #: the run's :class:`repro.obs.metrics.MetricsRegistry` (op counters,
-    #: scheduler health, per-step series); a ``NullRegistry`` when the
-    #: run was executed with ``metrics=False``
+    #: the :class:`repro.obs.Obs` the run recorded into (op counters,
+    #: scheduler health, per-step series, the run's spans)
     metrics: object = None
     #: True when this result came from an incremental update run
     #: (:meth:`Program.run_update`) rather than a cold run
@@ -293,12 +290,11 @@ class Program:
         workers: int | str = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
         max_steps: int | None = None,
-        tracer=None,
         scheduler: str | None = None,
-        metrics=None,
         backend: str | None = None,
         checkpoint: bool = False,
         on_step=None,
+        obs=None,
     ) -> RunResult:
         """Execute the program to completion.
 
@@ -321,27 +317,14 @@ class Program:
         reused process pool re-arms its live workers with the new run's
         shared state instead of forking.
 
-        ``tracer`` is an optional :class:`repro.obs.Tracer`: each
-        super-step becomes a span carrying active/stable/died strand
-        counts, with per-block child spans attributed to the worker
-        (thread or process) that ran them; its ``on_superstep`` callback
-        fires as each step completes.  When no tracer is passed and the
-        ``REPRO_TRACE`` environment variable names a path, a tracer is
-        created and a Chrome trace-event file is written there after the
-        run.  With tracing off the hot path allocates no span objects.
-
-        ``metrics`` controls the always-on metrics registry (DESIGN.md
-        "Metrics & profiling"):
-
-        * ``None`` (default) — record into a fresh per-run registry,
-          returned as ``result.metrics``; its counters also fold into the
-          process-wide session registry (``repro.obs.metrics.GLOBAL``)
-          and any ambient ``metrics.collect()`` scope.
-        * ``False`` — disable metrics entirely (the zero-overhead
-          :class:`~repro.obs.metrics.NullRegistry` path).
-        * ``True`` — same as ``None`` (explicit opt-in).
-        * a :class:`~repro.obs.metrics.MetricsRegistry` — record into the
-          caller's registry directly (no fold).
+        ``obs`` is the :class:`repro.obs.Obs` the run records into and
+        returns as ``result.metrics`` (DESIGN.md "Observability"); when
+        omitted, a fresh child of the current one, whose aggregates fold
+        into that parent when the run ends.  The run's phases (``setup``,
+        ``bind``, ``steps``, ``kernel``, ``result``) are always spans;
+        with ``Obs(detail=True)`` each super-step is a span too, carrying
+        active/stable/died strand counts, with per-block child spans
+        attributed to the worker (thread or process) that ran them.
 
         ``backend`` selects the strand-update implementation:
         ``"numpy"`` (default) runs the generated NumPy module;
@@ -366,11 +349,10 @@ class Program:
         serving layer's chunked ``/run`` responses are built on.
         """
         rec = _increc.FootprintRecorder({}) if checkpoint else None
-        with env_traced(tracer) as tr:
-            result, plan, state, status = self._execute(
-                metrics, tr, workers=workers, block_size=block_size,
-                max_steps=max_steps, scheduler=scheduler, backend=backend,
-                on_step=on_step, rec=rec)
+        result, plan, state, status = self._execute(
+            obs, workers=workers, block_size=block_size,
+            max_steps=max_steps, scheduler=scheduler, backend=backend,
+            on_step=on_step, rec=rec)
         if checkpoint:
             # a run that could not record leaves the footprints to a lazy
             # shadow run (build_footprints)
@@ -381,112 +363,108 @@ class Program:
                 recorder=rec if plan.records else None)
         return result
 
-    def _execute(self, metrics, tr, *, workers, block_size, max_steps,
-                 scheduler, backend, on_step=None, rec=None, dirty=None):
+    def _execute(self, obs, *, workers, block_size, max_steps, scheduler,
+                 backend, on_step=None, rec=None, dirty=None):
         """One run, composed of the four pieces (DESIGN.md "Parallel
         backends"): plan → strand set → block kernel → super-step loop;
         returns ``(result, plan, state, status)``.  ``dirty`` is ``None``
         for a cold run — every strand is created — or the strand ids to
         re-create over the checkpoint's restored state; ``rec`` receives
         the footprints when the plan lets the strand updates record.
-        Everything the run acquires — the active registry, the gather
-        hook, a scheduler or pool of its own — is given back by the one
-        ``finally``, set-up included."""
-        reg, fold = _mx.resolve(metrics)
-        prev = _mx.set_active(reg)
-        held = ExitStack()
+        Everything the run acquires — its ``Obs`` scope, the gather hook,
+        a scheduler or pool of its own — is given back by the one ``with``,
+        set-up included."""
         tallies: list = []
-        try:
-            ctx = self._context()
-            if rec is not None:
-                rec.watch(ctx.images)  # global gathers until strands exist
-                _ops.set_footprint_recorder(rec)
-                held.callback(_ops.set_footprint_recorder, None)
-            g = self._globals_tuple(ctx)
-            t0 = time.perf_counter()
-            grid = _loop.comprehension_grid(self, ctx, g)
-            want = dict(scheduler=scheduler, workers=workers, backend=backend,
-                        block_size=block_size, max_steps=max_steps,
-                        total=grid.total, on_step=on_step, tracing=tr.enabled,
-                        recording=rec is not None, update=dirty is not None)
-            plan = resolve(self, **want)
-            if rec is not None:
-                rec.resize(grid.total)
+        with scope(obs, "run") as obs, \
+                obs.span("run", "run", counter="run.wall_seconds") as whole, \
+                ExitStack() as held:
+            with obs.span("setup", "run", counter="run.setup_seconds") as sp:
+                ctx = self._context()
+                if rec is not None:
+                    rec.watch(ctx.images)  # global gathers until strands exist
+                    _ops.set_footprint_recorder(rec)
+                    held.callback(_ops.set_footprint_recorder, None)
+                g = self._globals_tuple(ctx)
+                grid = _loop.comprehension_grid(self, ctx, g)
+                want = dict(scheduler=scheduler, workers=workers,
+                            backend=backend, block_size=block_size,
+                            max_steps=max_steps, total=grid.total,
+                            on_step=on_step, detail=obs.detail,
+                            recording=rec is not None,
+                            update=dirty is not None)
+                plan = resolve(self, **want)
+                if rec is not None:
+                    rec.resize(grid.total)
 
-            if dirty is None:
-                active = np.arange(grid.total, dtype=np.int64)
-                state = _loop.make_strands(self, ctx, g, grid, active, rec)
-                status = np.zeros(grid.total, dtype=np.int64)  # RUNNING
-            else:
-                active = dirty
-                state, status = _loop.restore_strands(
-                    self, self._inc, ctx, g, grid, dirty, rec, tr, reg)
+                if dirty is None:
+                    active = np.arange(grid.total, dtype=np.int64)
+                    state = _loop.make_strands(self, ctx, g, grid, active, rec)
+                    status = np.zeros(grid.total, dtype=np.int64)  # RUNNING
+                else:
+                    active = dirty
+                    state, status = _loop.restore_strands(
+                        self, self._inc, ctx, g, grid, dirty, rec, obs)
 
-            native = None
-            if plan.backend == "c" and plan.scheduler != "process":
-                _, nplan, lib, ffi = self._native_artifacts()
+                native = None
+                if plan.backend == "c" and plan.scheduler != "process":
+                    _, nplan, lib, ffi = self._native_artifacts()
+                    try:
+                        # binds the *materialized* state arrays: the native
+                        # kernel updates them in place
+                        with obs.span("bind", "run"):
+                            native = NativeUpdate(lib, ffi, nplan, ctx.images,
+                                                  g, state, status,
+                                                  recorder=rec)
+                    except CodegenError as exc:
+                        warn_numpy_fallback(exc)
+                        plan = resolve(self, **want, bind_error=str(exc))
+                if rec is not None and not plan.records:
+                    # footprints come from a sequential shadow run instead
+                    _ops.set_footprint_recorder(None)
+                    rec = None
+                state, status, dispatch = _loop.open_dispatch(
+                    plan, self, ctx, g, state, status, native, rec, obs, held)
+                sp.args.update(strands=grid.total, scheduler=plan.scheduler)
+                plan.emit(obs)
+
+            with obs.span("steps", "run"):
+                hooks = _loop.step_hooks(self, ctx, g, state, rec, on_step,
+                                         obs, tallies)
                 try:
-                    # binds the *materialized* state arrays: the native
-                    # kernel updates them in place
-                    native = NativeUpdate(lib, ffi, nplan, ctx.images, g,
-                                          state, status, recorder=rec)
-                except CodegenError as exc:
-                    warn_numpy_fallback(exc)
-                    plan = resolve(self, **want, bind_error=str(exc))
-            if rec is not None and not plan.records:
-                # footprints come from a sequential shadow run instead
-                _ops.set_footprint_recorder(None)
-                rec = None
-            state, status, dispatch = _loop.open_dispatch(
-                plan, self, ctx, g, state, status, native, rec, reg, tr, held)
+                    steps, active = _loop.run_steps(active, status, dispatch,
+                                                    max_steps, hooks)
+                finally:
+                    if tallies:  # a failing run keeps what it did
+                        _loop.book_steps(obs, tallies, plan.workers)
+                if plan.scheduler == "process":
+                    # outputs must outlive the pool's shared blocks
+                    state = [np.array(s) for s in state]
+                    status = np.array(status)
+                held.close()
 
-            setup_dt = time.perf_counter() - t0
-            if tr.enabled:
-                tr.complete("setup", "run", t0, setup_dt, strands=grid.total,
-                            scheduler=plan.scheduler)
-            if reg.enabled:
-                reg.inc("run.setup_seconds", setup_dt)
-            plan.emit(reg, tr)
-
-            hooks = _loop.step_hooks(self, ctx, g, state, rec, on_step, tr,
-                                     tallies if reg.enabled else None)
-            steps, active = _loop.run_steps(active, status, dispatch,
-                                            max_steps, hooks)
-            if plan.scheduler == "process":
-                # outputs must outlive the pool's shared blocks
-                state, status = [np.array(s) for s in state], np.array(status)
-            held.close()
-
-            wall = time.perf_counter() - t0
-            if reg.enabled:
+            with obs.span("result", "run"):
                 counts = {"run.count": 1, "run.steps": steps,
-                          "run.strands": grid.total, "run.wall_seconds": wall}
+                          "run.strands": grid.total}
                 if plan.footprint is not None:
                     counts["runtime.incremental.checkpoints"] = 1
                 if plan.update:
                     counts["runtime.incremental.updates"] = 1
                     counts["runtime.incremental.rerun_strands"] = int(dirty.size)
-                    reg.observe("runtime.dirty_fraction",
+                    obs.observe("runtime.dirty_fraction",
                                 dirty.size / max(grid.total, 1))
-                reg.inc_many(counts)
-                reg.gauge("strands.active", int(active.size))
-            result = self._result(grid, state, status, steps, wall, reg, dirty)
-            if tr.enabled:
-                tr.complete("run", "run", t0, wall, workers=plan.workers,
-                            block_size=block_size, steps=steps,
-                            strands=grid.total, stable=result.num_stable,
-                            died=result.num_died)
-        finally:
-            held.close()
-            if tallies:  # a failing run keeps what it did
-                _loop.book_steps(reg, tallies, plan.workers)
-            _mx.set_active(prev)
-            _mx.fold(reg, fold)
+                obs.inc_many(counts)
+                obs.gauge("strands.active", int(active.size))
+                result = self._result(grid, state, status, steps, obs, dirty)
+            whole.args.update(
+                workers=plan.workers, block_size=block_size, steps=steps,
+                strands=grid.total, stable=result.num_stable,
+                died=result.num_died)
+        result.wall_time = whole.dur
         return result, plan, state, status
 
-    def _result(self, grid, state, status, steps, wall, reg,
-                dirty) -> RunResult:
-        """Assemble outputs and statistics; ``dirty`` marks an update run."""
+    def _result(self, grid, state, status, steps, obs, dirty) -> RunResult:
+        """Assemble outputs and statistics; ``dirty`` marks an update run.
+        The caller fills in ``wall_time`` once the run's span has closed."""
         name_to_arr = dict(zip(self.high.init_func.result_names, state))
         outputs: dict[str, np.ndarray] = {}
         if self.high.grid:
@@ -504,10 +482,10 @@ class Program:
             num_strands=grid.total,
             num_stable=int(np.sum(status == STABILIZE)),
             num_died=int(np.sum(status == DIE)),
-            wall_time=wall,
+            wall_time=0.0,
             grid=self.high.grid,
             grid_dims=len(self.high.iter_names),
-            metrics=reg,
+            metrics=obs,
             incremental=dirty is not None,
             dirty_strands=n_dirty,
             dirty_fraction=n_dirty / max(grid.total, 1),
@@ -531,7 +509,7 @@ class Program:
                 f"no checkpoint to {what}: call run(checkpoint=True) first")
         return self._inc
 
-    def build_footprints(self, ids=None, tracer=None) -> None:
+    def build_footprints(self, ids=None, obs=None) -> None:
         """Build (or refresh, when ``ids`` is given) strand footprints.
 
         Runs a sequential *shadow* re-execution on the checkpoint's
@@ -541,32 +519,31 @@ class Program:
         checkpoints whose strand updates could not record as they ran
         (process pools, NumPy blocks on threads) need it; it is called
         lazily by :meth:`update_input` and after each such update run —
-        callers never need to invoke it directly.
+        callers never need to invoke it directly.  ``obs`` (default: the
+        current one) gets the ``footprint-build`` span and counters; the
+        shadow run's own metrics describe no run anyone asked for and are
+        recorded into a throw-away ``Obs``.
         """
         snap = self._checkpoint("build footprints for")
-        t0 = time.perf_counter()
+        obs = obs or current()
         if ids is not None:
             ids = np.unique(np.asarray(ids, dtype=np.int64))
             if ids.size == 0:
                 return
         full = snap.recorder is None or ids is None
         rec = _increc.FootprintRecorder({}) if full else snap.recorder
-        self._execute(False, tracer or NULL_TRACER, workers=1,
-                      block_size=DEFAULT_BLOCK_SIZE,
-                      max_steps=snap.max_steps, scheduler="seq",
-                      backend=snap.backend, rec=rec,
-                      dirty=None if full else ids)
-        snap.recorder = rec
-        dt = time.perf_counter() - t0
-        _mx.GLOBAL.inc("runtime.footprint.builds" if full
-                       else "runtime.footprint.refreshes")
-        _mx.GLOBAL.inc("runtime.footprint.build_seconds", dt)
-        if tracer is not None and getattr(tracer, "enabled", False):
-            tracer.complete("footprint-build", "incremental", t0, dt,
-                            full=full)
+        with obs.span("footprint-build", "incremental",
+                      counter="runtime.footprint.build_seconds", full=full):
+            self._execute(Obs("shadow", parent=None), workers=1,
+                          block_size=DEFAULT_BLOCK_SIZE,
+                          max_steps=snap.max_steps, scheduler="seq",
+                          backend=snap.backend, rec=rec,
+                          dirty=None if full else ids)
+            snap.recorder = rec
+        obs.inc("runtime.footprint.builds" if full
+                else "runtime.footprint.refreshes")
 
-    def update_input(self, name: str, data, region=None,
-                     tracer=None) -> dict:
+    def update_input(self, name: str, data, region=None, obs=None) -> dict:
         """Patch an input in place and queue the invalidated strands.
 
         For image globals, ``data``/``region`` go to
@@ -584,6 +561,7 @@ class Program:
         "total_strands", "full"}``.
         """
         snap = self._checkpoint("update")
+        obs = obs or current()
 
         def info(regions, dirty_strands: int, full: bool) -> dict:
             return {"input": name, "regions": regions,
@@ -599,24 +577,22 @@ class Program:
                 )
             self.set_input(name, data, _invalidate=False)
             snap.pending_full = True
-            _mx.GLOBAL.inc("runtime.incremental.nonlocal_updates")
+            obs.inc("runtime.incremental.nonlocal_updates")
             return info([], snap.total, True)
         img = self._context().images[name]
         # footprints must describe the *pre-patch* trajectories: a
         # checkpoint that could not record builds them before the
         # samples change
         if snap.recorder is None:
-            self.build_footprints(tracer=tracer)
+            self.build_footprints(obs=obs)
         regions = img.patch(data, region=region)
         if not regions:
             return info([], 0, False)
-        t0 = time.perf_counter()
-        dirty = _increc.Footprints(snap.recorder).dirty_strands(name, regions)
-        dt = time.perf_counter() - t0
-        _mx.GLOBAL.inc("runtime.footprint.intersect_seconds", dt)
-        if tracer is not None and getattr(tracer, "enabled", False):
-            tracer.complete("dirty-intersect", "incremental", t0, dt,
-                            regions=len(regions))
+        with obs.span("dirty-intersect", "incremental",
+                      counter="runtime.footprint.intersect_seconds",
+                      regions=len(regions)):
+            dirty = _increc.Footprints(snap.recorder).dirty_strands(
+                name, regions)
         if dirty is None:
             # an untracked (global-box) read overlaps the patch
             snap.pending_full = True
@@ -631,11 +607,10 @@ class Program:
         workers: int | str = 1,
         block_size: int = DEFAULT_BLOCK_SIZE,
         max_steps: int | None = None,
-        tracer=None,
         scheduler=None,
-        metrics=None,
         backend: str | None = None,
         on_step=None,
+        obs=None,
     ) -> RunResult:
         """Re-execute only the strands invalidated since the checkpoint.
 
@@ -669,24 +644,22 @@ class Program:
         dirty = snap.pending_ids
         if snap.pending_full or int(dirty.size) >= snap.total:
             # the fresh checkpoint replaces the pending set with the rest
-            _mx.GLOBAL.inc("runtime.incremental.full_reruns")
+            (obs or current()).inc("runtime.incremental.full_reruns")
             return self.run(workers=workers, block_size=block_size,
-                            max_steps=max_steps, tracer=tracer,
-                            scheduler=scheduler, metrics=metrics,
+                            max_steps=max_steps, scheduler=scheduler,
                             backend=backend, checkpoint=True,
-                            on_step=on_step)
-        with env_traced(tracer) as tr:
-            result, plan, state, status = self._execute(
-                metrics, tr, workers=workers, block_size=block_size,
-                max_steps=max_steps, scheduler=scheduler, backend=backend,
-                on_step=on_step, rec=snap.recorder, dirty=dirty)
-            snap.pending_ids = np.empty(0, dtype=np.int64)
-            snap.store_rows(dirty, state, status)
-            snap.steps, snap.max_steps = result.steps, max_steps
-            if not plan.records:
-                # re-ran without recording: re-trace those rows now, on
-                # the inputs their new trajectories were computed from
-                self.build_footprints(dirty, tracer=tr)
+                            on_step=on_step, obs=obs)
+        result, plan, state, status = self._execute(
+            obs, workers=workers, block_size=block_size,
+            max_steps=max_steps, scheduler=scheduler, backend=backend,
+            on_step=on_step, rec=snap.recorder, dirty=dirty)
+        snap.pending_ids = np.empty(0, dtype=np.int64)
+        snap.store_rows(dirty, state, status)
+        snap.steps, snap.max_steps = result.steps, max_steps
+        if not plan.records:
+            # re-ran without recording: re-trace those rows now, on the
+            # inputs their new trajectories were computed from
+            self.build_footprints(dirty, obs=obs)
         return result
 
     # -- synthesized CLI glue (paper §3.3.1) ---------------------------------------
@@ -697,13 +670,17 @@ class Program:
         This is the "glue code that allows command-line setting of input
         variables" the compiler synthesizes in the paper.  Values use the
         shared textual forms of :func:`repro.inputs.parse_value`;
-        ``--trace FILE`` and ``--profile`` expose the runtime's tracing,
-        ``--metrics-out FILE`` / ``--no-metrics`` the metrics registry.
+        ``--trace FILE`` and ``--profile`` expose the run's spans,
+        ``--metrics-out FILE`` its aggregates.
         """
         import argparse
 
         from repro.inputs import add_run_arguments, parse_value
-        from repro.obs import Tracer, format_summary
+        from repro.obs import (
+            format_summary,
+            write_chrome_trace,
+            write_metrics_json,
+        )
 
         parser = argparse.ArgumentParser(description="Diderot program")
         for name in self.high.input_names:
@@ -723,22 +700,20 @@ class Program:
             raw = getattr(args, name)
             if raw is not None:
                 self.set_input(name, parse_value(raw))
-        tracer = Tracer() if (args.trace or args.profile) else None
         workers = args.workers
         if workers is None:
             workers = "auto" if args.scheduler == "auto" else "1"
-        result = self.run(workers=workers, block_size=args.block_size,
-                          tracer=tracer, scheduler=args.scheduler,
-                          metrics=None if args.metrics else False,
-                          backend=args.backend)
+        with Obs("cli", detail=bool(args.trace or args.profile)) as obs:
+            result = self.run(workers=workers, block_size=args.block_size,
+                              scheduler=args.scheduler, backend=args.backend,
+                              obs=obs)
         if args.trace:
-            write_chrome_trace(tracer, args.trace)
+            write_chrome_trace(obs, args.trace)
         if args.profile:
-            print(format_summary(tracer, metrics=result.metrics
-                                 if args.metrics else None))
-        if args.metrics_out and args.metrics:
-            _mx.write_metrics_json(
-                result.metrics, args.metrics_out,
+            print(format_summary(obs))
+        if args.metrics_out:
+            write_metrics_json(
+                obs, args.metrics_out,
                 meta={"workers": workers,
                       "block_size": args.block_size,
                       "wall_seconds": result.wall_time},

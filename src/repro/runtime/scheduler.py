@@ -23,7 +23,7 @@ How much a block does per ``run_step`` is the run plan's decision
 kernel they are handed (:mod:`repro.runtime.kernel`) runs its block for
 one super-step — the quoted model, a barrier after every step — whenever
 something must see step boundaries: the NumPy backend, a process pool, a
-``stabilize`` method, an ``on_step`` callback, an enabled tracer.
+``stabilize`` method, an ``on_step`` callback, an ``Obs(detail=True)``.
 Otherwise, on the native backend, it runs the block until its last strand
 has stabilized or died (:meth:`~repro.runtime.native.NativeUpdate.run_range`
 with every remaining step), and the only barrier left is the one that
@@ -32,9 +32,10 @@ part in global reductions, so no strand's trajectory depends on which step
 another has reached, and the kernel's per-step tallies let the run book
 the same metrics either way (:func:`repro.runtime.loop.book_steps`).
 
-When a :class:`repro.obs.Tracer` is passed, each block is additionally
-recorded as a ``cat="block"`` span attributed to the worker that ran it
-(the raw material for the simulated-multicore analysis in
+``run_step(..., obs=)`` names the :class:`repro.obs.Obs` the step records
+into (default: the current one).  With ``detail`` each block is
+additionally recorded as a ``cat="block"`` span attributed to the worker
+that ran it (the raw material for the simulated-multicore analysis in
 :mod:`repro.runtime.simsched` and the per-worker utilization table);
 ``last_block_workers`` records which worker ran each block.
 """
@@ -43,13 +44,11 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 
 import numpy as np
 
 from repro.errors import InputError
-from repro.obs import NULL_TRACER
-from repro.obs import metrics as _mx
+from repro.obs import clock, current
 
 #: the paper's strand-block size ("currently 4096 strands per block", §5.5)
 DEFAULT_BLOCK_SIZE = 4096
@@ -93,23 +92,31 @@ def make_blocks(active_idx: np.ndarray, block_size: int) -> list[np.ndarray]:
     ]
 
 
+def block_span(obs, step: int, block: int, start: float, dur: float,
+               worker: int, strands: int) -> None:
+    """The per-block span every scheduler records — under ``detail`` only:
+    there is one per block per super-step."""
+    if obs.detail:
+        obs.complete("block", "block", start, dur, tid=f"worker-{worker}",
+                     step=step, block=block, strands=strands)
+
+
 class SequentialScheduler:
     """The sequential loop nest: one block after another."""
 
     def __init__(self):
         self.last_block_workers: list[int] = []
 
-    def run_step(self, blocks, run_block, tracer=NULL_TRACER, step=0):
+    def run_step(self, blocks, run_block, obs=None, step=0):
+        obs = obs or current()
         results = []
         times = []
         for i, block in enumerate(blocks):
-            t0 = time.perf_counter()
+            t0 = clock()
             results.append(run_block(block))
-            dt = time.perf_counter() - t0
+            dt = clock() - t0
             times.append(dt)
-            if tracer.enabled:
-                tracer.complete("block", "block", t0, dt, tid="worker-0",
-                                step=step, block=i, strands=int(len(block)))
+            block_span(obs, step, i, t0, dt, 0, int(len(block)))
         self.last_block_workers = [0] * len(blocks)
         return results, times
 
@@ -141,7 +148,7 @@ class ThreadScheduler:
         # per-step work-list state, all guarded by the condition variable
         self._blocks: list = []
         self._run_block = None
-        self._tracer = NULL_TRACER
+        self._obs = None
         self._step = 0
         self._next = 0        # the work-list cursor (§6.4's lock)
         self._pending = 0     # blocks not yet completed this step
@@ -159,9 +166,8 @@ class ThreadScheduler:
             t.start()
 
     def _worker(self, wid: int) -> None:
-        label = f"worker-{wid}"
         while True:
-            idle0 = time.perf_counter()
+            idle0 = clock()
             with self._cv:
                 while not self._closed and self._next >= len(self._blocks):
                     self._cv.wait()
@@ -171,18 +177,18 @@ class ThreadScheduler:
                 self._next += 1
                 blocks = self._blocks
                 run_block = self._run_block
-                tracer = self._tracer
+                obs = self._obs
                 step = self._step
-            reg = _mx.ACTIVE
-            if reg.enabled:
-                # queue wait: how long this worker sat idle before it
-                # could grab a block (scheduler-health telemetry)
-                reg.observe("sched.queue_wait_seconds",
-                            time.perf_counter() - idle0)
+            # queue wait: how long this worker sat idle before it could
+            # grab a block (scheduler-health telemetry)
+            obs.observe("sched.queue_wait_seconds", clock() - idle0)
             try:
-                t0 = time.perf_counter()
-                out = run_block(blocks[i])
-                dt = time.perf_counter() - t0
+                # a pool thread's context is not the caller's: the run's
+                # Obs arrives with the block
+                with obs.activate():
+                    t0 = clock()
+                    out = run_block(blocks[i])
+                    dt = clock() - t0
             except BaseException as exc:  # propagate after the barrier
                 with self._cv:
                     self._errors.append(exc)
@@ -194,10 +200,7 @@ class ThreadScheduler:
                     if self._pending <= 0:
                         self._cv.notify_all()
                 continue
-            if tracer.enabled:
-                tracer.complete("block", "block", t0, dt, tid=label,
-                                step=step, block=i,
-                                strands=int(len(blocks[i])))
+            block_span(obs, step, i, t0, dt, wid, int(len(blocks[i])))
             with self._cv:
                 self._results[i] = out
                 self._times[i] = dt
@@ -206,14 +209,14 @@ class ThreadScheduler:
                 if self._pending <= 0:
                     self._cv.notify_all()
 
-    def run_step(self, blocks, run_block, tracer=NULL_TRACER, step=0):
+    def run_step(self, blocks, run_block, obs=None, step=0):
         n = len(blocks)
         with self._cv:
             if self._closed:
                 raise RuntimeError("ThreadScheduler is closed")
             self._blocks = blocks
             self._run_block = run_block
-            self._tracer = tracer
+            self._obs = obs or current()
             self._step = step
             self._results = [None] * n
             self._times = [0.0] * n

@@ -3,14 +3,14 @@
 The paper's parallel results (Table 2's 1P/2P/8P columns, Figure 12) were
 measured on an 8-core Xeon; this reproduction runs in a 1-core container.
 We therefore *measure* the real cost of every strand block in a sequential
-run (``Program.run(..., tracer=Tracer())`` — the scheduler records one
+run (``Program.run(..., obs=Obs(detail=True))`` — the scheduler records one
 ``cat="block"`` span per block) and replay the per-super-step block trace
 through a discrete simulation of the paper's scheduler: N workers pulling
 blocks from a central work-list whose lock costs ``lock_overhead`` seconds
 per acquisition, with a barrier at the end of each super-step.
 
-Every entry point accepts either a :class:`repro.obs.Tracer` (the block
-spans are extracted via ``Tracer.block_step_times()``) or a raw
+Every entry point accepts either a :class:`repro.obs.Obs` (the block
+spans are extracted via ``Obs.block_step_times()``) or a raw
 ``list[list[float]]`` of per-step block durations.
 
 The simulation can only redistribute measured work, never shrink it, so
@@ -41,7 +41,7 @@ class SimResult:
 
 
 def as_block_trace(trace) -> list[list[float]]:
-    """Normalize a trace argument: a Tracer, or per-step duration lists."""
+    """Normalize a trace argument: an Obs, or per-step duration lists."""
     method = getattr(trace, "block_step_times", None)
     return method() if callable(method) else trace
 

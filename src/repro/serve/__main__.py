@@ -86,9 +86,9 @@ async def _serve(args) -> int:
     await stop.wait()
     await app.close()
     if args.metrics_out:
-        from repro.obs import metrics as _mx
+        from repro.obs import ROOT, write_metrics_json
 
-        _mx.write_metrics_json(_mx.GLOBAL, args.metrics_out)
+        write_metrics_json(ROOT, args.metrics_out)
     return 0
 
 
@@ -150,7 +150,7 @@ async def _request_stream(port: int, path: str, doc) -> tuple[int, list]:
 async def _smoke(args) -> int:
     import numpy as np
 
-    from repro.obs import metrics as _mx
+    from repro.obs import ROOT
 
     path = args.register[0].split("=", 1)[1] if args.register else \
         "examples/programs/probe_serve.diderot"
@@ -182,7 +182,7 @@ async def _smoke(args) -> int:
         got = np.asarray(doc["outputs"]["out"][0])
         assert np.array_equal(got, want), (got, want)
 
-    snap = _mx.GLOBAL.snapshot()["counters"]
+    snap = ROOT.snapshot()["counters"]
     coalesced = snap.get("serve.batch.coalesced", 0)
     batches = snap.get("serve.batch.batches", 0)
     assert coalesced >= 2, f"no coalescing observed: {snap}"
@@ -201,7 +201,7 @@ async def _smoke(args) -> int:
     ])
     codes = sorted({s for s, _ in flood})
     assert 429 in codes, f"no 429 under max_queue=1: {codes}"
-    shed = _mx.GLOBAL.snapshot()["counters"].get("serve.shed", 0)
+    shed = ROOT.snapshot()["counters"].get("serve.shed", 0)
     assert shed >= 1, "serve.shed counter did not record the 429s"
 
     await app.close()
@@ -240,7 +240,7 @@ async def _smoke_incremental() -> dict:
     import numpy as np
 
     from repro.nrrd.writer import write_nrrd
-    from repro.obs import metrics as _mx
+    from repro.obs import ROOT
 
     with tempfile.TemporaryDirectory(prefix="serve-inc-") as tmp:
         rng = np.random.default_rng(0)
@@ -294,7 +294,7 @@ async def _smoke_incremental() -> dict:
         want = np.asarray(oracle["outputs"]["x"], dtype=np.float64)
         assert np.array_equal(merged, want), "update not bit-identical"
 
-        snap = _mx.GLOBAL.snapshot()["counters"]
+        snap = ROOT.snapshot()["counters"]
         assert snap.get("serve.incremental.updates", 0) >= 1, snap
         chunks = snap.get("serve.stream.chunks", 0)
         assert chunks >= 2, snap

@@ -26,10 +26,12 @@ Metrics: ``serve.batch.requests`` / ``serve.batch.batches`` /
 from __future__ import annotations
 
 import asyncio
+import contextvars
 
 import numpy as np
 
-from repro.obs import metrics as _mx
+from repro.obs import Obs, current
+from repro.obs.metrics import SIZE_BUCKETS
 
 __all__ = ["Overloaded", "ProbeBatcher"]
 
@@ -58,17 +60,21 @@ class ProbeBatcher:
         if self._closed:
             raise Overloaded(f"batcher for {self.entry.name!r} is closed")
         if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self._drain())
+            # created in an empty context (a task copies the one it is
+            # created in): the drain task outlives the request that happens
+            # to start it, and must not record into that request's Obs
+            self._task = contextvars.Context().run(
+                asyncio.get_running_loop().create_task, self._drain())
         fut = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((points, fut))
         except asyncio.QueueFull:
-            _mx.ACTIVE.inc("serve.shed")
+            current().inc("serve.shed")
             raise Overloaded(
                 f"{self.entry.name!r}: {self.max_queue} requests already "
                 "queued"
             ) from None
-        _mx.ACTIVE.inc("serve.batch.requests")
+        current().inc("serve.batch.requests")
         return await fut
 
     async def close(self) -> None:
@@ -115,19 +121,22 @@ class ProbeBatcher:
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: list) -> None:
-        reg = _mx.ACTIVE
-        reg.inc("serve.batch.batches")
-        reg.observe("serve.batch.size", len(batch), bounds=_mx.SIZE_BUCKETS)
-        if len(batch) > 1:
-            reg.inc("serve.batch.coalesced", len(batch))
         points = np.concatenate([p for p, _ in batch], axis=0)
-        try:
-            outputs = await asyncio.to_thread(self.entry.run_batch, points)
-        except BaseException as exc:
-            for _, fut in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
+        # one Obs per coalesced batch; to_thread carries it to the run
+        with Obs("batch") as obs, \
+                obs.span("batch", "serve", requests=len(batch)):
+            obs.inc("serve.batch.batches")
+            obs.observe("serve.batch.size", len(batch), bounds=SIZE_BUCKETS)
+            if len(batch) > 1:
+                obs.inc("serve.batch.coalesced", len(batch))
+            try:
+                outputs = await asyncio.to_thread(self.entry.run_batch,
+                                                  points)
+            except BaseException as exc:
+                for _, fut in batch:
+                    if not fut.done():
+                        fut.set_exception(exc)
+                return
         off = 0
         for p, fut in batch:
             n = p.shape[0]

@@ -34,8 +34,8 @@ Environment knobs:
   unbounded.
 
 Metrics: ``compile_cache.hits`` / ``compile_cache.misses`` /
-``compile_cache.evicted`` counters on the active registry, plus one
-``cat="cache"`` tracer span per lookup.
+``compile_cache.evicted`` counters on the current ``Obs``, plus one
+``cat="cache"`` event per lookup.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs import metrics as _mx
+from repro.obs import current
 
 __all__ = [
     "CompileCacheEntry",
@@ -201,13 +201,15 @@ def _entry_path(key: str) -> Path:
     return cache_dir() / f"{key}.pkl"
 
 
-def load(key: str, tracer=None):
+def load(key: str, obs=None):
     """Look up a compile by key; returns a CompileCacheEntry or None.
 
     A hit refreshes the entry's mtime (LRU recency) and increments
     ``compile_cache.hits``; a miss (including a corrupt entry, which is
-    deleted) increments ``compile_cache.misses``.
+    deleted) increments ``compile_cache.misses``; either is an event on
+    ``obs`` (default: the current one), with the key.
     """
+    obs = obs or current()
     path = _entry_path(key)
     entry = None
     try:
@@ -227,21 +229,19 @@ def load(key: str, tracer=None):
         except OSError:
             pass
     if entry is not None:
-        _mx.ACTIVE.inc("compile_cache.hits")
+        obs.inc("compile_cache.hits")
         try:
             os.utime(path)
         except OSError:
             pass
-        if tracer is not None:
-            tracer.instant("compile-cache-hit", cat="cache", key=key)
+        obs.event("compile-cache-hit", cat="cache", key=key)
     else:
-        _mx.ACTIVE.inc("compile_cache.misses")
-        if tracer is not None:
-            tracer.instant("compile-cache-miss", cat="cache", key=key)
+        obs.inc("compile_cache.misses")
+        obs.event("compile-cache-miss", cat="cache", key=key)
     return entry
 
 
-def store(key: str, gen_source: str, high, stats, tracer=None) -> None:
+def store(key: str, gen_source: str, high, stats, obs=None) -> None:
     """Persist a compile atomically; best-effort (I/O errors are not
     compile errors — a read-only cache dir just means no caching)."""
     d = cache_dir()
@@ -258,8 +258,7 @@ def store(key: str, gen_source: str, high, stats, tracer=None) -> None:
                 os.unlink(tmp)
     except (OSError, pickle.PicklingError):
         return
-    if tracer is not None:
-        tracer.instant("compile-cache-store", cat="cache", key=key)
+    (obs or current()).event("compile-cache-store", cat="cache", key=key)
     _evict_lru(d, keep_key=key)
 
 
@@ -295,7 +294,7 @@ def _evict_lru(d: Path, keep_key: str | None = None) -> None:
             continue
         try:
             os.unlink(p)
-            _mx.ACTIVE.inc("compile_cache.evicted")
+            current().inc("compile_cache.evicted")
             excess -= 1
         except OSError:
             pass

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import InputError
 from repro.image import Image
-from repro.obs import metrics as _mx
+from repro.obs import current
 
 __all__ = ["ProbeSpec", "ProgramEntry", "ProgramRegistry", "warm_manifest"]
 
@@ -110,8 +110,7 @@ class ProgramEntry:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, *, inputs: dict | None = None, tracer=None, metrics=None,
-            on_step=None):
+    def run(self, *, inputs: dict | None = None, on_step=None):
         """One full program run on the pooled scheduler (serialized).
 
         ``on_step`` (a per-super-step callback receiving
@@ -128,12 +127,10 @@ class ProgramEntry:
             return self.program.run(
                 workers=self.workers,
                 scheduler=pool if pool is not None else self.scheduler,
-                tracer=tracer, metrics=metrics, backend=self.backend,
-                on_step=on_step,
+                backend=self.backend, on_step=on_step,
             )
 
-    def update(self, image: str, data, region=None, *, tracer=None,
-               metrics=None, on_step=None):
+    def update(self, image: str, data, region=None, *, on_step=None):
         """Dirty-region image update: patch + incremental re-run.
 
         Primes a checkpoint (one cold run over the entry's current
@@ -150,25 +147,23 @@ class ProgramEntry:
             pool = self._pooled_scheduler()
             sched = pool if pool is not None else self.scheduler
             if not self.program.has_checkpoint:
-                _mx.ACTIVE.inc("serve.incremental.cold_checkpoints")
+                current().inc("serve.incremental.cold_checkpoints")
                 self.program.run(
-                    workers=self.workers, scheduler=sched, tracer=tracer,
-                    metrics=metrics, backend=self.backend, checkpoint=True,
+                    workers=self.workers, scheduler=sched,
+                    backend=self.backend, checkpoint=True,
                 )
-            info = self.program.update_input(image, data, region=region,
-                                             tracer=tracer)
+            info = self.program.update_input(image, data, region=region)
             result = self.program.run_update(
-                workers=self.workers, scheduler=sched, tracer=tracer,
-                metrics=metrics, on_step=on_step,
+                workers=self.workers, scheduler=sched, on_step=on_step,
             )
-            _mx.ACTIVE.inc("serve.incremental.updates")
-            _mx.ACTIVE.observe(
+            current().inc("serve.incremental.updates")
+            current().observe(
                 "serve.incremental.dirty_fraction",
                 info["dirty_strands"] / max(info["total_strands"], 1),
             )
         return info, result
 
-    def run_batch(self, points: np.ndarray, *, tracer=None, metrics=None):
+    def run_batch(self, points: np.ndarray):
         """Run one coalesced probe batch; returns ``{output: rows}``.
 
         ``points`` has shape ``(n, *point_shape)``; each output comes
@@ -196,7 +191,7 @@ class ProgramEntry:
         else:
             data = points
         img = Image(data, dim=1, tensor_shape=tuple(slot.shape))
-        with self.lock:
+        with current().span("run_batch", "serve", points=n), self.lock:
             if self._closed:
                 raise InputError(f"program {self.name!r} has been evicted")
             self.requests += 1
@@ -207,7 +202,7 @@ class ProgramEntry:
             result = self.program.run(
                 workers=self.workers,
                 scheduler=pool if pool is not None else self.scheduler,
-                tracer=tracer, metrics=metrics, backend=self.backend,
+                backend=self.backend,
             )
         return {name: arr[:n] for name, arr in result.outputs.items()}
 
@@ -244,8 +239,8 @@ class ProgramRegistry:
                  optimize=None, search_path: str | None = None,
                  probe: ProbeSpec | None = None,
                  scheduler: str | None = None, workers: int = 1,
-                 backend: str | None = None, cache: bool = True,
-                 tracer=None) -> ProgramEntry:
+                 backend: str | None = None,
+                 cache: bool = True) -> ProgramEntry:
         """Compile (through the persistent compile cache) and register.
 
         Exactly one of ``source`` / ``path`` must be given.  Registering
@@ -258,24 +253,23 @@ class ProgramRegistry:
             raise InputError("register() needs exactly one of source=/path=")
         if path is not None:
             program = compile_file(path, precision=precision,
-                                   optimize=optimize, tracer=tracer,
-                                   cache=cache)
+                                   optimize=optimize, cache=cache)
         else:
             program = compile_program(source, precision=precision,
                                       optimize=optimize,
                                       search_path=search_path or ".",
-                                      tracer=tracer, cache=cache)
+                                      cache=cache)
         entry = ProgramEntry(name, program, probe=probe, scheduler=scheduler,
                              workers=workers, backend=backend)
         with self._lock:
             old = self._entries.pop(name, None)
             self._entries[name] = entry
-            _mx.ACTIVE.inc("serve.registry.registered")
+            current().inc("serve.registry.registered")
             evicted = []
             while self.capacity is not None and len(self._entries) > self.capacity:
                 _, lru = self._entries.popitem(last=False)
                 evicted.append(lru)
-                _mx.ACTIVE.inc("serve.registry.evicted")
+                current().inc("serve.registry.evicted")
         if old is not None:
             old.close()
         for lru in evicted:
@@ -298,7 +292,7 @@ class ProgramRegistry:
         with self._lock:
             entry = self._entries.pop(name, None)
             if entry is not None:
-                _mx.ACTIVE.inc("serve.registry.evicted")
+                current().inc("serve.registry.evicted")
         if entry is None:
             return False
         entry.close()
@@ -321,7 +315,7 @@ class ProgramRegistry:
 
 
 def warm_manifest(registry: ProgramRegistry, manifest_path: str, *,
-                  cache: bool = True, tracer=None) -> list[ProgramEntry]:
+                  cache: bool = True) -> list[ProgramEntry]:
     """Pre-compile and register every program listed in a JSON manifest.
 
     The manifest is either ``{"programs": [...]}`` or a bare list; each
@@ -355,7 +349,7 @@ def warm_manifest(registry: ProgramRegistry, manifest_path: str, *,
             precision=item.get("precision", "double"), probe=probe,
             scheduler=item.get("scheduler"),
             workers=int(item.get("workers", 1)),
-            backend=item.get("backend"), cache=cache, tracer=tracer,
+            backend=item.get("backend"), cache=cache,
         )
         if "source" in item:
             kwargs["source"] = item["source"]
@@ -370,5 +364,5 @@ def warm_manifest(registry: ProgramRegistry, manifest_path: str, *,
                 f"manifest entry {item['name']!r} needs 'path' or 'source'"
             )
         entries.append(registry.register(item["name"], **kwargs))
-        _mx.ACTIVE.inc("serve.registry.warmed")
+        current().inc("serve.registry.warmed")
     return entries

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 import numpy as np
 
 from repro.errors import DiderotError
-from repro.obs import metrics as _mx
+from repro.obs import ROOT, Obs, current
+from repro.obs.metrics import metrics_doc
 from repro.serve.batch import Overloaded, ProbeBatcher
 from repro.serve.registry import ProbeSpec, ProgramRegistry
 
@@ -126,33 +126,38 @@ class ServeApp:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        t0 = time.perf_counter()
-        status, payload = 500, {"error": "internal error"}
-        method = path = ""
-        try:
-            method, path, body = await self._read_request(reader)
-            status, payload = await self._dispatch(method, path, body)
-        except _HttpError as exc:
-            status, payload = exc.status, {"error": str(exc)}
-        except Overloaded as exc:
-            status, payload = 429, {"error": str(exc)}
-        except KeyError as exc:
-            status, payload = 404, {"error": f"unknown program {exc.args[0]!r}"}
-        except (DiderotError, ValueError) as exc:
-            status, payload = 400, {"error": str(exc)}
-        except (ConnectionError, asyncio.IncompleteReadError):
-            writer.close()
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        reg = _mx.GLOBAL
-        reg.inc("serve.requests")
-        reg.inc(f"serve.http.{status}")
-        reg.observe("serve.request_seconds", time.perf_counter() - t0)
-        if isinstance(payload, _Stream):
-            await self._respond_stream(writer, status, payload.gen)
-        else:
-            await self._respond(writer, status, payload)
+        # one Obs per request: whatever the request runs — a compile, a
+        # run on a to_thread hop, a streamed update — records into it (or
+        # into a child).  It folds into the process root before a plain
+        # answer is written, so a client that has its answer finds its
+        # request in GET /metrics; a stream is part of the request.
+        with Obs("request") as obs:
+            status, payload = 500, {"error": "internal error"}
+            with obs.span("request", "serve", hist="serve.request_seconds"):
+                try:
+                    method, path, body = await self._read_request(reader)
+                    status, payload = await self._dispatch(method, path, body)
+                except _HttpError as exc:
+                    status, payload = exc.status, {"error": str(exc)}
+                except Overloaded as exc:
+                    status, payload = 429, {"error": str(exc)}
+                except KeyError as exc:
+                    status, payload = 404, {
+                        "error": f"unknown program {exc.args[0]!r}"}
+                except (DiderotError, ValueError) as exc:
+                    status, payload = 400, {"error": str(exc)}
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    writer.close()
+                    return
+                except Exception as exc:  # pragma: no cover - defensive
+                    status, payload = 500, {
+                        "error": f"{type(exc).__name__}: {exc}"}
+            obs.inc("serve.requests")
+            obs.inc(f"serve.http.{status}")
+            if isinstance(payload, _Stream):
+                await self._respond_stream(writer, status, payload.gen)
+                return
+        await self._respond(writer, status, payload)
 
     async def _read_request(self, reader):
         line = await reader.readline()
@@ -197,7 +202,6 @@ class ServeApp:
                 pass
 
     async def _respond_stream(self, writer, status: int, gen) -> None:
-        reg = _mx.GLOBAL
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/x-ndjson\r\n"
@@ -211,7 +215,7 @@ class ServeApp:
                 data = (json.dumps(chunk, default=float) + "\n").encode("utf-8")
                 writer.write(f"{len(data):x}\r\n".encode("latin-1")
                              + data + b"\r\n")
-                reg.inc("serve.stream.chunks")
+                current().inc("serve.stream.chunks")
                 await writer.drain()
             writer.write(b"0\r\n\r\n")
             await writer.drain()
@@ -230,7 +234,7 @@ class ServeApp:
         if seg == ["healthz"] and method == "GET":
             return 200, {"ok": True, "programs": len(self.registry)}
         if seg == ["metrics"] and method == "GET":
-            return 200, _mx.metrics_doc(_mx.GLOBAL)
+            return 200, metrics_doc(ROOT)
         if seg == ["programs"] and method == "GET":
             return 200, {"programs": self.registry.list()}
         if len(seg) == 2 and seg[0] == "programs":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import (
     hand_phantom,
@@ -16,6 +17,12 @@ from repro.data import (
     portrait_phantom,
     vector_field_2d,
 )
+
+# tier-1 runs the same examples on every machine, with or without a local
+# .hypothesis/ directory; exploration belongs to CI's `verify fuzz` jobs,
+# which print their seeds
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.codegen import cbuild
 from repro.errors import CodegenError
-from repro.obs import metrics as _mx
+from repro.obs import ROOT
 
 requires_cc = pytest.mark.skipif(
     not cbuild.compiler_available(),
@@ -41,7 +41,7 @@ int dd_update(void **RP, int64_t **IP, unsigned char **BP,
 
 
 def _counter(name: str) -> float:
-    return _mx.GLOBAL.snapshot()["counters"].get(name, 0)
+    return ROOT.snapshot()["counters"].get(name, 0)
 
 
 class TestVersionProbe:

@@ -190,12 +190,8 @@ class TestSemantics:
         assert report.ok, report.failures[0].message
 
     def test_native_update_metric_recorded(self):
-        from repro.obs import metrics as _mx
-
         prog = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"])
-        with _mx.collect() as reg:
-            prog.run(max_steps=5, backend="c")
-        counters = reg.snapshot()["counters"]
+        counters = prog.run(max_steps=5, backend="c").metrics.counters
         assert counters.get("op.native_update.calls", 0) > 0
         assert counters.get("op.native_update.seconds", 0) > 0
 

@@ -189,7 +189,7 @@ class TestParseValue:
                                                            monkeypatch, capsys):
         """``add_run_arguments`` is the one declaration: ``python -m repro``
         and the synthesized ``Program.cli`` print the same help for the
-        eight flags that configure a run."""
+        seven flags that configure a run."""
         import argparse
 
         from repro.core.driver import compile_file
@@ -200,7 +200,7 @@ class TestParseValue:
         flags = [a for a in ref._actions if a.dest != "help"]
         assert [a.option_strings[0] for a in flags] == [
             "--workers", "--scheduler", "--backend", "--block-size",
-            "--trace", "--profile", "--metrics", "--metrics-out"]
+            "--trace", "--profile", "--metrics-out"]
         monkeypatch.chdir(workspace)
         prog = compile_file(str(workspace / "prog.diderot"))
         helps = []
@@ -213,9 +213,9 @@ class TestParseValue:
             text = "".join((a.help % {"default": a.default}).split())
             assert text in helps[0] and text in helps[1], a.dest
         res = prog.cli(["--res", "4", "--backend", "numpy", "--scheduler",
-                        "thread", "--workers", "2", "--block-size", "3",
-                        "--no-metrics"])
-        assert res.num_strands == 16 and not res.metrics.enabled
+                        "thread", "--workers", "2", "--block-size", "3"])
+        assert res.num_strands == 16
+        assert res.metrics.counters["run.count"] == 1
 
     def test_program_cli_trace_and_profile(self, workspace, capsys, monkeypatch):
         import json

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.codegen import cbuild
 from repro.core.driver import code_digests, compile_file
-from repro.obs import metrics as _mx
+from repro.obs import ROOT
 
 EXAMPLES = sorted(
     (Path(__file__).resolve().parents[1] / "examples" / "programs")
@@ -49,7 +49,7 @@ def test_second_program_object_reuses_the_artifact(tmp_path, monkeypatch):
     path = next(p for p in EXAMPLES if p.name == "isocontour.diderot")
 
     def cache_counters() -> tuple:
-        c = _mx.GLOBAL.snapshot()["counters"]
+        c = ROOT.snapshot()["counters"]
         return c.get("cgen.cache.hits", 0), c.get("cgen.cache.misses", 0)
 
     hits, misses = cache_counters()

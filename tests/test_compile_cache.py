@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.driver import OptOptions, compile_program
-from repro.obs import Tracer
-from repro.obs import metrics as _mx
+from repro.obs import ROOT, Obs
 from repro.serve import cache as cc
 
 SRC = """
@@ -46,20 +45,21 @@ def cache_dir(tmp_path, monkeypatch):
 
 
 def _counter(name: str) -> float:
-    return _mx.GLOBAL.snapshot()["counters"].get(name, 0)
+    return ROOT.snapshot()["counters"].get(name, 0)
 
 
 class TestHitMiss:
     def test_cold_compile_misses_then_hits(self, cache_dir):
         miss0, hit0 = _counter("compile_cache.misses"), _counter("compile_cache.hits")
-        tr1 = Tracer()
-        p1 = compile_program(SRC, tracer=tr1, cache=True)
+        with Obs() as tr1:  # counts into tr1, which folds into the root
+            p1 = compile_program(SRC, obs=tr1, cache=True)
+        assert tr1.counters["compile_cache.misses"] == 1
         assert _counter("compile_cache.misses") == miss0 + 1
         assert BACKEND <= {e.name for e in tr1.spans("pass")}
         assert len(list(cache_dir.glob("*.pkl"))) == 1
 
-        tr2 = Tracer()
-        p2 = compile_program(SRC, tracer=tr2, cache=True)
+        with Obs() as tr2:
+            p2 = compile_program(SRC, obs=tr2, cache=True)
         assert _counter("compile_cache.hits") == hit0 + 1
         passes = {e.name for e in tr2.spans("pass")}
         assert passes <= FRONTEND, f"optimizer passes re-ran on a hit: {passes}"
@@ -76,10 +76,10 @@ class TestHitMiss:
 
     def test_formatting_changes_still_hit(self, cache_dir):
         compile_program(SRC, cache=True)
-        tr = Tracer()
+        tr = Obs()
         reformatted = SRC.replace("input int N = 6;",
                                   "// renamed nothing\ninput int N = 6;")
-        compile_program(reformatted, tracer=tr, cache=True)
+        compile_program(reformatted, obs=tr, cache=True)
         assert {e.name for e in tr.spans("pass")} <= FRONTEND
 
     def test_disabled_by_default(self, cache_dir, monkeypatch):
@@ -94,7 +94,7 @@ class TestHitMiss:
 class TestKeySensitivity:
     def test_opt_options_key(self, cache_dir):
         compile_program(SRC, cache=True)
-        tr = Tracer()
+        tr = Obs()
         compile_program(SRC, cache=True,
                         optimize=OptOptions(value_numbering=False))
         # different OptOptions → a different entry, i.e. a miss
@@ -137,8 +137,8 @@ class TestRobustness:
         p1 = compile_program(SRC, cache=True)
         entry = next(cache_dir.glob("*.pkl"))
         entry.write_bytes(b"not a pickle")
-        tr = Tracer()
-        p2 = compile_program(SRC, tracer=tr, cache=True)
+        tr = Obs()
+        p2 = compile_program(SRC, obs=tr, cache=True)
         # the corrupt entry was purged, the compile re-ran and re-stored
         # (fresh SSA ids make the regenerated text differ; behavior and
         # the re-published cache entry are what matter)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen.interp import HighInterpreter, compile_high
@@ -56,7 +56,9 @@ class Gen:
             lambda: f"({self.real(depth - 1)} - {self.real(depth - 1)})",
             lambda: f"({self.real(depth - 1)} * {self.real(depth - 1)})",
             lambda: f"({self.real(depth - 1)} / (|({self.real(depth - 1)})| + 1.5))",
-            lambda: f"sqrt(|({self.real(depth - 1)})|)",
+            # + 0.5: sqrt's slope is unbounded at 0, where it would amplify
+            # rounding noise past the differential tolerance
+            lambda: f"sqrt(|({self.real(depth - 1)})| + 0.5)",
             lambda: f"min({self.real(depth - 1)}, {self.real(depth - 1)})",
             lambda: f"max({self.real(depth - 1)}, {self.real(depth - 1)})",
             lambda: f"-{self.real(depth - 1)}",
@@ -202,6 +204,7 @@ def run_compiled(src: str, optimize: OptOptions) -> dict[str, np.ndarray]:
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
+@example(seed=59245)  # sqrt of an out-of-domain gradient component ≈ 0
 @settings(max_examples=40, deadline=None)
 def test_three_way_differential(seed):
     src = Gen(seed).program()

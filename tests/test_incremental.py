@@ -23,7 +23,7 @@ from repro.core.codegen import cbuild
 from repro.core.driver import compile_program
 from repro.errors import InputError
 from repro.image import Image
-from repro.obs import metrics as _mx
+from repro.obs import ROOT, Obs
 from repro.runtime import incremental as inc
 
 NATIVE = cbuild.compiler_available()
@@ -139,7 +139,7 @@ def test_dirty_strands_matches_bruteforce():
 
 def _footprint_counters() -> dict:
     """Process-wide ``runtime.footprint.*`` counters, minus the timers."""
-    return {k: v for k, v in _mx.GLOBAL.snapshot()["counters"].items()
+    return {k: v for k, v in ROOT.snapshot()["counters"].items()
             if k.startswith("runtime.footprint.")
             and not k.endswith("_seconds")}
 
@@ -393,7 +393,7 @@ def test_empty_update_is_a_run_like_any_other(scheduler, workers):
         prog.run_update(scheduler="bogus")
     with pytest.raises(InputError, match="workers"):
         prog.run_update(workers=0)
-    with _mx.collect() as reg:
+    with Obs("session") as reg:
         res = prog.run_update(**kw)
     assert res.incremental and res.steps == 0 and res.dirty_strands == 0
     assert res.updated_indices.size == 0
@@ -477,7 +477,7 @@ def test_on_step_events_cold_and_update():
 
 def test_metrics_record_dirty_fraction():
     base = _base()
-    with _mx.collect() as reg:
+    with Obs("session") as reg:
         prog = _prog(base)
         prog.run(checkpoint=True)
         patched = base.copy()
@@ -556,14 +556,14 @@ def test_warm_manifest(tmp_path):
     ]}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest),
                                             encoding="utf-8")
-    before = _mx.GLOBAL.snapshot()["counters"].get("serve.registry.warmed", 0)
+    before = ROOT.snapshot()["counters"].get("serve.registry.warmed", 0)
     reg = ProgramRegistry()
     entries = warm_manifest(reg, str(tmp_path / "manifest.json"))
     assert [e.name for e in entries] == ["w1"]
     assert "w1" in reg
     res = entries[0].run(inputs={})
     assert res.outputs["x"].shape == (N, N)
-    after = _mx.GLOBAL.snapshot()["counters"].get("serve.registry.warmed", 0)
+    after = ROOT.snapshot()["counters"].get("serve.registry.warmed", 0)
     assert after == before + 1
 
 

@@ -181,10 +181,10 @@ class TestDriverAB:
         assert len([r for r in results if r.strip()]) == 10
 
     def test_fusion_pass_is_traced(self):
-        from repro.obs import Tracer
+        from repro.obs import Obs
 
-        tr = Tracer()
-        compile_to_source(probe_source(2, 2, "bspln3"), tracer=tr)
+        tr = Obs()
+        compile_to_source(probe_source(2, 2, "bspln3"), obs=tr)
         spans = [e for e in tr.events if e.cat == "pass"
                  and e.name == "probe-fuse"]
         assert spans
@@ -242,10 +242,10 @@ class TestCostModel:
 
     def test_rejection_counted_in_stats(self):
         from repro.core.driver import compile_to_source as cts
-        from repro.obs import Tracer
+        from repro.obs import Obs
 
-        tr = Tracer()
-        cts(probe_source(1, 1, "bspln3"), tracer=tr,
+        tr = Obs()
+        cts(probe_source(1, 1, "bspln3"), obs=tr,
             optimize=OptOptions(probe_fusion=True))
         spans = [e for e in tr.events if e.cat == "pass"
                  and e.name == "probe-fuse"]

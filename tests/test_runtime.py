@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.driver import compile_program
-from repro.obs import Tracer
+from repro.obs import Obs
 from repro.runtime.scheduler import SequentialScheduler, ThreadScheduler, make_blocks
 from repro.runtime.simsched import (
     DEFAULT_LOCK_OVERHEAD,
@@ -113,10 +113,10 @@ class TestSchedulers:
         assert solo.last_block_workers == [0] * len(blocks)
 
     def test_tracer_attribution_matches_workers(self):
-        tracer = Tracer()
+        tracer = Obs(detail=True)
         blocks = make_blocks(np.arange(24), 4)
         sched = ThreadScheduler(2)
-        sched.run_step(blocks, lambda b: b.sum(), tracer=tracer, step=0)
+        sched.run_step(blocks, lambda b: b.sum(), obs=tracer, step=0)
         spans = tracer.spans("block")
         assert len(spans) == len(blocks)
         by_block = {ev.args["block"]: ev.tid for ev in spans}
@@ -124,10 +124,10 @@ class TestSchedulers:
             assert by_block[i] == f"worker-{wid}"
 
     def test_sequential_scheduler_traces_blocks(self):
-        tracer = Tracer()
+        tracer = Obs(detail=True)
         blocks = make_blocks(np.arange(10), 3)
         SequentialScheduler().run_step(blocks, lambda b: b.sum(),
-                                       tracer=tracer, step=7)
+                                       obs=tracer, step=7)
         spans = tracer.spans("block")
         assert [ev.args["step"] for ev in spans] == [7] * 4
         assert {ev.tid for ev in spans} == {"worker-0"}
@@ -202,8 +202,8 @@ class TestTraceCollection:
             initially [ S(i) | i in 0 .. 99 ];
         """
         prog = compile_program(src)
-        tracer = Tracer()
-        res = prog.run(block_size=16, tracer=tracer)
+        tracer = Obs(detail=True)
+        res = prog.run(block_size=16, obs=tracer)
         trace = tracer.block_step_times()
         assert res.steps == 3
         assert len(trace) == 3
@@ -218,8 +218,8 @@ class TestTraceCollection:
             }
             initially [ S(i) | i in 0 .. 99 ];
         """
-        tracer = Tracer()
-        compile_program(src).run(block_size=16, tracer=tracer)
+        tracer = Obs(detail=True)
+        compile_program(src).run(block_size=16, obs=tracer)
         steps = tracer.spans("superstep")
         assert [ev.args["step"] for ev in steps] == [0, 1, 2]
         assert steps[0].args["active"] == 100

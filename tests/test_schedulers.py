@@ -19,7 +19,7 @@ from repro.core.driver import compile_program
 from repro.core.verify.fuzz import step_tallies
 from repro.errors import InputError
 from repro.nrrd import write_nrrd
-from repro.obs import Tracer
+from repro.obs import Obs
 from repro.runtime import ops as rt
 from repro.runtime.scheduler import ThreadScheduler, resolve_workers
 
@@ -108,8 +108,8 @@ class TestSchedulerEquivalence:
 
     def test_process_workers_attributed(self):
         prog = compile_program(BRANCHY)
-        tracer = Tracer()
-        prog.run(workers=2, scheduler="process", block_size=16, tracer=tracer)
+        tracer = Obs(detail=True)
+        prog.run(workers=2, scheduler="process", block_size=16, obs=tracer)
         tids = {ev.tid for ev in tracer.spans("block")}
         assert tids <= {"worker-0", "worker-1"}
         per_step = tracer.block_workers()
@@ -250,7 +250,7 @@ class TestKernelLoopVsPerStep:
                    for r in res.metrics.series["steps"])
 
     @pytest.mark.parametrize("reason,kw", [
-        ("tracer", dict(backend="c", tracer=Tracer())),
+        ("tracer", dict(backend="c", obs=Obs(detail=True))),
         ("numpy", dict(backend="numpy")),
         ("numpy", dict(backend="numpy", scheduler="process", workers=2)),
         ("process", dict(backend="c", scheduler="process", workers=2)),
@@ -260,7 +260,7 @@ class TestKernelLoopVsPerStep:
         loop = {k: v for k, v in res.metrics.counters.items()
                 if k.startswith("runtime.loop.")}
         assert loop == {f"runtime.loop.per_step.{reason}": 1}
-        tracer = kw.get("tracer")
+        tracer = kw.get("obs")
         if tracer is not None:
             how = [ev.args["how"] for ev in tracer.events
                    if ev.name == "superstep-loop"]

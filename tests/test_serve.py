@@ -18,7 +18,7 @@ import pytest
 from repro.core.driver import compile_file
 from repro.errors import InputError
 from repro.image import Image
-from repro.obs import metrics as _mx
+from repro.obs import ROOT
 from repro.serve.batch import Overloaded, ProbeBatcher
 from repro.serve.registry import ProbeSpec, ProgramRegistry
 from repro.serve.server import ServeApp
@@ -37,7 +37,7 @@ initially [ s(i) | i in 0..(N-1) ];
 
 
 def _counter(name: str) -> float:
-    return _mx.GLOBAL.snapshot()["counters"].get(name, 0)
+    return ROOT.snapshot()["counters"].get(name, 0)
 
 
 def _points(n: int) -> np.ndarray:
@@ -294,3 +294,131 @@ class TestHttpServer:
         assert doc["outputs"]["y"] == [0.0, 3.0, 6.0, 9.0, 12.0]
         assert s_del == 200
         assert s_gone == 404
+
+
+# -- one Obs per request: overlapping requests do not mix their counters --------
+
+# the work of these two is the same whatever the image holds (every probe
+# is inside, every strand takes forty steps — long enough that concurrent
+# requests really overlap), so the order in which racing requests reach an
+# entry's lock cannot change a work counter
+_PROBING_A = """
+image(2)[] img = load("p.nrrd");
+field#2(2)[] F = img ⊛ bspln3;
+strand S (int i, int j) {
+    output real x = 0.0;
+    int n = 0;
+    update {
+        vec2 p = [real(i) + 2.5, real(j) + 2.5];
+        x = x + F(p) + 0.25 * (∇F(p))[0];
+        n += 1;
+        if (n >= 40) stabilize;
+    }
+}
+initially [ S(i, j) | i in 0 .. 11, j in 0 .. 11 ];
+"""
+_PROBING_B = _PROBING_A.replace("i in 0 .. 11, j in 0 .. 11",
+                                "i in 0 .. 7, j in 0 .. 15") \
+                       .replace("(∇F(p))[0]", "(∇F(p))[1] + F(p + [0.5, 0.5])")
+
+
+def _work(counters: dict) -> dict:
+    return {k: v for k, v in counters.items()
+            if k == "strands.updated"
+            or (k.startswith("op.") and k.endswith((".calls", ".lanes")))}
+
+
+def _added(after: dict, before: dict) -> dict:
+    delta = {k: v - before.get(k, 0) for k, v in after.items()}
+    return {k: v for k, v in delta.items() if v}
+
+
+class TestRequestScopedObs:
+    @pytest.fixture()
+    def image_dir(self, tmp_path):
+        from repro.nrrd.writer import write_nrrd
+
+        base = np.random.default_rng(3).random((20, 24))
+        write_nrrd(str(tmp_path / "p.nrrd"), base)
+        return str(tmp_path), base
+
+    def test_metrics_are_the_sum_of_the_requests(self, image_dir):
+        from repro.core.driver import compile_program
+        from repro.obs import Obs
+
+        tmp, base = image_dir
+        patch = (base[3:6, 4:9] + 1.0).tolist()
+        region = [[3, 5], [4, 8]]
+
+        # what each request costs alone, measured through the library
+        expected: dict = {}
+        solo_a = compile_program(_PROBING_A, search_path=tmp)
+        solo_b = compile_program(_PROBING_B, search_path=tmp)
+
+        def update_a():
+            solo_a.run(checkpoint=True)
+            solo_a.update_input("img", np.asarray(patch), region=region)
+            solo_a.run_update()
+
+        for request in (solo_a.run, solo_a.run, solo_b.run, update_a):
+            with Obs(parent=None) as alone:
+                request()
+            for k, v in _work(alone.counters).items():
+                expected[k] = expected.get(k, 0) + v
+        assert expected["op.gather.calls"] > 0
+
+        async def drive():
+            app = ServeApp(ProgramRegistry())
+            await app.start("127.0.0.1", 0)
+            for name, source in (("a", _PROBING_A), ("b", _PROBING_B)):
+                status, doc = await _http(app.port, "POST", f"/programs/{name}",
+                                          {"source": source, "search_path": tmp})
+                assert status == 200, doc
+            _, before = await _http(app.port, "GET", "/metrics")
+            answers = await asyncio.gather(
+                _http(app.port, "POST", "/run/a", {}),
+                _http(app.port, "POST", "/run/b", {}),
+                _http(app.port, "POST", "/update/a",
+                      {"image": "img", "data": patch, "region": region}),
+                _http(app.port, "POST", "/run/a", {}),
+            )
+            _, after = await _http(app.port, "GET", "/metrics")
+            await app.close()
+            return answers, before, after
+
+        for trial in range(10):
+            answers, before, after = asyncio.run(drive())
+            assert [status for status, _ in answers] == [200] * 4, answers
+            assert _added(_work(after["counters"]),
+                          _work(before["counters"])) == expected, trial
+            assert _added(after["counters"], before["counters"])[
+                "serve.requests"] == 5  # the four, and the first /metrics
+
+    def test_root_grows_with_names_not_requests(self):
+        points = _points(4).tolist()
+
+        async def drive():
+            app = ServeApp(ProgramRegistry(), window=0.0)
+            await app.start("127.0.0.1", 0)
+            status, _ = await _http(app.port, "POST", "/programs/demo", {
+                "path": EXAMPLE,
+                "probe": {"points_image": "pts", "count_input": "N"},
+            })
+            assert status == 200
+            sizes = []
+            for _ in range(2):
+                for _ in range(100):
+                    status, _ = await _http(app.port, "POST", "/probe/demo",
+                                            {"points": points})
+                    assert status == 200
+                snap = ROOT.snapshot()
+                sizes.append((len(snap["counters"]), len(snap["histograms"]),
+                              len(snap["gauges"])))
+            await app.close()
+            return sizes
+
+        before = _counter("serve.requests")
+        first, second = asyncio.run(drive())
+        assert _counter("serve.requests") == before + 201
+        assert first == second
+        assert ROOT.events == [] and ROOT.series == {}

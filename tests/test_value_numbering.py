@@ -147,13 +147,13 @@ def mid_update_op_counts(src, vn: bool):
     from repro.core.driver import _optimize
     from repro.core.codegen.interp import compile_high
     from repro.core.xform.to_mid import to_mid
-    from repro.obs import NULL_TRACER
+    from repro.obs import Obs
 
     opts = OptOptions(value_numbering=vn)
     hp = compile_high(src, optimize=opts)
     fn = hp.update_func
     to_mid(fn, hp.images)
-    _optimize(fn, irops.MID, opts, NULL_TRACER, "mid")
+    _optimize(fn, irops.MID, opts, Obs(parent=None), "mid")
     return {
         op: count_ops(fn, op)
         for op in ("gather", "to_index", "conv_contract", "weights")

@@ -275,20 +275,20 @@ class TestPassNaming:
 
 class TestDriverIntegration:
     def test_check_emits_spans(self):
-        from repro.obs import Tracer
+        from repro.obs import Obs
 
-        tr = Tracer()
-        compile_to_source(MINIMAL, tracer=tr, check=True)
+        tr = Obs()
+        compile_to_source(MINIMAL, obs=tr, check=True)
         checks = [e for e in tr.events if e.cat == "check"]
         assert checks, "check=True must emit cat='check' spans"
         afters = {e.args["after"] for e in checks}
         assert {"highir", "midir", "lowir"} <= afters
 
     def test_check_off_emits_no_spans(self):
-        from repro.obs import Tracer
+        from repro.obs import Obs
 
-        tr = Tracer()
-        compile_to_source(MINIMAL, tracer=tr, check=False)
+        tr = Obs()
+        compile_to_source(MINIMAL, obs=tr, check=False)
         assert not [e for e in tr.events if e.cat == "check"]
 
     def test_env_gate(self, monkeypatch):

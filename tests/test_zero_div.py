@@ -22,7 +22,7 @@ import pytest
 from repro.core.codegen import cbuild
 from repro.core.driver import compile_program
 from repro.errors import RuntimeErrorD
-from repro.obs import metrics as _mx
+from repro.obs import Obs
 from repro.runtime import ops as rt
 
 GUARDED = """
@@ -176,7 +176,7 @@ class TestNativeStepLoop:
         ok = prog.run(max_steps=3, **kw)
         assert ok.metrics.counters["runtime.loop.kernel"] == 1
         assert ok.steps == 3 and ok.outputs["q"][1] == 1000 // 3 // 2 // 1
-        with _mx.collect() as reg:
+        with Obs("session") as reg:
             with pytest.raises(RuntimeErrorD, match="division by zero"):
                 prog.run(**kw)
         assert reg.counters["runtime.loop.kernel"] == 1
