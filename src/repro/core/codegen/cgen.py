@@ -40,6 +40,11 @@ that *heavy* arms (cost-modeled over the op table's ``cost`` column) keep a real
 ``if (any-lane)`` branch so a batch that uniformly skips an expensive probe
 does no work for it — the blend-vs-branch cost model from the issue.
 
+How a type is held in C is decided once (``_Emitter.rep``), and how a loop,
+a lane loop, a store and a reduction are printed once (the printer section
+of ``_Emitter``); the ``_op_<name>`` emitters only say what is computed per
+element and lane.
+
 Per-lane arithmetic order is identical to the scalar emitter (contractions
 accumulate in registers in the same serial order; no cross-lane reduction
 exists anywhere), so the double-precision batched kernel is bit-identical to
@@ -75,7 +80,8 @@ the NumPy backend.
 from __future__ import annotations
 
 import math
-from typing import Any
+from contextlib import ExitStack, contextmanager
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -456,53 +462,59 @@ def _prelude(single: bool, vb: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Type helpers
+# Value representation and literals
 # ---------------------------------------------------------------------------
 
 
-def _tensor_size(ty: Any) -> int:
-    """Flat element count for a REAL/tensor type (1 for a scalar)."""
-    n = 1
-    for s in ty.shape:
-        n *= s
-    return n
+class _Rep(NamedTuple):
+    """How values of one IR type are held in C."""
+
+    ctype: str  # element type: "dd_real" | "int64_t" | "int"
+    # logical shape, "scalar" | "array"; a varying scalar is still a
+    # DD_VB-wide C array, one slot per lane
+    kind: str
+    size: int  # flat element count
+    # "real" | "int" | "bool": the `_TABLES` row that carries the type across
+    # the buffer ABI; None for compiler-internal types, which never cross it
+    table: str | None
 
 
-def _val_size(ty: Any) -> int:
-    """Flat element count of a value of any LowIR type tag."""
-    if ty == INT or ty == BOOL or isinstance(ty, (type(INT), type(BOOL))):
-        return 1
-    if isinstance(ty, TensorTy):
-        return _tensor_size(ty)
-    if isinstance(ty, tuple):
-        tag = ty[0]
-        if tag == "ivec":
-            return int(ty[1])
-        if tag == "weights":
-            return int(ty[1])
-        # vox / part sizes depend on image metadata; resolved by callers that
-        # carry the image table.
-    raise CodegenError(f"cgen: cannot size type {ty!r}")
+_REAL = _Rep("dd_real", "scalar", 1, "real")
+_INT = _Rep("int64_t", "scalar", 1, "int")
+_BOOL = _Rep("int", "scalar", 1, "bool")
+
+
+class _Table(NamedTuple):
+    """Where the buffer ABI carries one class of values."""
+
+    ptrs: str  # plan key of the per-strand pointer table
+    alias: str  # C alias prefix of that table's entries
+    consts: str  # plan key of the scalar-constant table (its C name, upper-cased)
+    load: str  # state buffer element -> SoA slot
+    store: str  # SoA slot -> state buffer element
+
+
+_TABLES = {
+    "real": _Table("real_ptrs", "_rp", "sc", "{}", "{}"),
+    "int": _Table("int_ptrs", "_ip", "ic", "{}", "{}"),
+    # bool state is one byte per strand; in the kernel it is a 0/1 int
+    "bool": _Table("bool_ptrs", "_bp", "ic", "{} != 0", "(unsigned char)({} != 0)"),
+}
 
 
 def _c_float(x: float, single: bool = False) -> str:
     """An exact C literal for a Python float (rounded once for float)."""
+    suffix = ""
     if single:
         x = float(np.float32(x))
-        if math.isnan(x):
-            return "NAN"
-        if math.isinf(x):
-            return "INFINITY" if x > 0 else "-INFINITY"
-        if x == int(x) and abs(x) < 1e15:
-            return f"{x:.1f}f"
-        return float(x).hex() + "f"
+        suffix = "f"
     if math.isnan(x):
         return "NAN"
     if math.isinf(x):
         return "INFINITY" if x > 0 else "-INFINITY"
     if x == int(x) and abs(x) < 1e15:
-        return f"{x:.1f}"
-    return float(x).hex()
+        return f"{x:.1f}{suffix}"
+    return float(x).hex() + suffix
 
 
 def _c_int(x: int) -> str:
@@ -510,6 +522,28 @@ def _c_int(x: int) -> str:
     if x == -(2**63):
         return "(-9223372036854775807LL - 1)"
     return f"{x}LL"
+
+
+def _off(base: int | str | None, e: int | str) -> int | str:
+    """Element index ``base + e``: folded when both are Python ints, spelled
+    out when either is a C expression; no ``base`` is no offset at all."""
+    if base is None:
+        return e
+    if isinstance(e, int):
+        if isinstance(base, int):
+            return base + e
+        if e == 0:
+            return base
+    return f"{base} + {e}"
+
+
+def _for(var: str, n: int | str) -> str:
+    """The header of every counted loop the emitter prints."""
+    return f"for (int {var} = 0; {var} < {n}; {var}++)"
+
+
+#: the lane loop: ``_n`` is DD_VB in the main loop, the remainder in the tail
+_LANE_FOR = _for("_l", "_n")
 
 
 class _Namer:
@@ -541,6 +575,39 @@ class _Namer:
 # ---------------------------------------------------------------------------
 
 
+class _Pads(dict):
+    """Indent depth -> leading whitespace, each built once."""
+
+    def __missing__(self, depth: int) -> str:
+        pad = self[depth] = "    " * depth
+        return pad
+
+
+_PADS = _Pads()
+
+
+class _Scope:
+    """What the printer's ``with`` forms return.  The opening line is out
+    and the indent taken by the time the ``with`` is entered; it binds
+    ``value`` (a loop's index), and leaving it gives the indent back and
+    prints the line ``close`` ("" for a bare indent) — or does nothing,
+    ``close`` being ``None``, for a form that took no indent."""
+
+    __slots__ = ("em", "value", "close")
+
+    def __init__(self, em: _Emitter, value: str | int | None, close: str | None) -> None:
+        self.em, self.value, self.close = em, value, close
+
+    def __enter__(self) -> str | int | None:
+        return self.value
+
+    def __exit__(self, *exc: object) -> None:
+        if self.close is not None:
+            self.em.indent -= 1
+            if self.close:
+                self.em.emit(self.close)
+
+
 class _Emitter:
     def __init__(self, high: Any, single: bool = False, batch: int | None = None) -> None:
         self.high = high
@@ -556,30 +623,33 @@ class _Emitter:
         self.names = _Namer()
         self.lines: list[str] = []
         self.indent = 1
-        # value id -> flat element count of the logical value
-        self.sizes: dict[int, int] = {}
-        # value id -> "array" | "scalar" (logical shape; varying scalars are
-        # still DD_VB-wide C arrays, one slot per lane)
-        self.kinds: dict[int, str] = {}
-        # ids of lane-invariant values (globals + hoisted constants)
-        self.uniform: set[int] = set()
+        # A *block* is an SSA value or a named scratch array; these three are
+        # keyed by Value.id or by the scratch name.
+        # block -> flat element count of the logical value
+        self.sizes: dict[int | str, int] = {}
+        # block -> "array" | "scalar" (see _Rep.kind)
+        self.kinds: dict[int | str, str] = {}
+        # lane-invariant blocks (globals + hoisted constants)
+        self.uniform: set[int | str] = set()
         # ids of values that must be zero-initialized (phi operands: their
         # defining arm may be skipped by an any-lane guard)
         self.zero_init: set[int] = set()
-        # IfRegion predication masks, innermost last (C names of int[DD_VB])
+        # IfRegion predication masks, innermost last (scratch int blocks)
         self.mask_stack: list[str] = []
-        # plan tables, filled by _build_plan
-        self.plan: dict[str, Any] = {}
-        self.real_ptr_index: dict[Any, int] = {}
-        self.int_ptr_index: dict[Any, int] = {}
-        self.bool_ptr_index: dict[Any, int] = {}
-        self.sc_index: dict[Any, int] = {}
-        self.ic_index: dict[Any, int] = {}
+        # the buffer tables of the plan, filled by _build_plan, and the
+        # position of each entry in its table
+        self.plan: dict[str, Any] = {
+            "real_ptrs": [], "int_ptrs": [], "bool_ptrs": [], "sc": [], "ic": [],
+        }
+        self.index: dict[tuple, int] = {}
+        # the two `with` targets that bind nothing new, made once
+        self._braced = _Scope(self, None, "}")
+        self._element0 = _Scope(self, 0, None)
 
     # -- plumbing -----------------------------------------------------------
 
-    def emit(self, line: str = "") -> None:
-        self.lines.append(("    " * self.indent) + line if line else "")
+    def emit(self, line: str) -> None:
+        self.lines.append(_PADS[self.indent] + line)
 
     def fail(self, msg: str) -> None:
         raise CodegenError(f"cgen: {msg}")
@@ -587,96 +657,214 @@ class _Emitter:
     def flit(self, x: float) -> str:
         return _c_float(float(x), self.single)
 
-    # -- lane-loop helpers --------------------------------------------------
-
-    def lane_stmt(self, stmt: str, simd: bool = True) -> None:
-        """One lane loop ``for (_l = 0; _l < _n; _l++) stmt``."""
-        if simd and self.vb > 1:
-            self.emit("DD_SIMD")
-        self.emit(f"for (int _l = 0; _l < _n; _l++) {stmt}")
-
-    def lane_open(self, simd: bool = True) -> None:
-        if simd and self.vb > 1:
-            self.emit("DD_SIMD")
-        self.emit("for (int _l = 0; _l < _n; _l++) {")
-        self.indent += 1
-
-    def lane_close(self) -> None:
-        self.indent -= 1
-        self.emit("}")
-
-    # -- image metadata -----------------------------------------------------
+    # -- representation -----------------------------------------------------
 
     def _image_info(self, name: str) -> tuple[int, int]:
         """(dim, tensor element count) for an image by name."""
         slot = self.images.get(name)
         if slot is None:
             self.fail(f"unknown image {name!r}")
-        tsize = 1
-        for s in slot.shape:
-            tsize *= s
-        return slot.dim, tsize
+        return slot.dim, math.prod(slot.shape)
 
-    def _vox_size(self, ty: Any) -> int:
-        tag = ty[0]
-        if tag == "vox":
+    def rep(self, ty: Any, role: str = "") -> _Rep:
+        """The C representation of IR type ``ty`` — the one place that knows
+        it.  ``role`` names what a value that must cross the buffer ABI is
+        ("global", "state", "const"): compiler-internal types are refused."""
+        tag = ty[0] if isinstance(ty, tuple) else None
+        rep = None
+        if isinstance(ty, TensorTy) and ty.shape == ():
+            rep = _REAL
+        elif isinstance(ty, TensorTy):
+            rep = _Rep("dd_real", "array", math.prod(ty.shape), "real")
+        elif ty == INT:
+            rep = _INT
+        elif ty == BOOL:
+            rep = _BOOL
+        elif tag == "ivec":
+            rep = _Rep("int64_t", "array", int(ty[1]), None)
+        elif tag == "weights":
+            rep = _Rep("dd_real", "array", int(ty[1]), None)
+        elif tag == "vox":
             _, img, s = ty
             dim, tsize = self._image_info(img)
-            return ((2 * int(s)) ** dim) * tsize
-        if tag == "part":
+            rep = _Rep("dd_real", "array", ((2 * int(s)) ** dim) * tsize, None)
+        elif tag == "part":
             _, img, s, axes = ty
             _, tsize = self._image_info(img)
-            return ((2 * int(s)) ** int(axes)) * tsize
-        self.fail(f"cannot size type {ty!r}")
-        return 0  # unreachable
+            rep = _Rep("dd_real", "array", ((2 * int(s)) ** int(axes)) * tsize, None)
+        if rep is None or (role and rep.table is None):
+            self.fail(f"unsupported {role or 'value'} type {ty!r}")
+        return rep
 
-    def size_of(self, v: Value) -> int:
-        sz = self.sizes.get(v.id)
+    def bind(self, v: Value | str, rep: _Rep | None = None, uniform: bool = False) -> _Rep:
+        """Record how block ``v`` is held (a value's type decides; a scratch
+        block says).  The only writer of ``kinds`` / ``sizes``."""
+        if rep is None:
+            rep = self.rep(v.ty)
+        key = v if isinstance(v, str) else v.id
+        self.kinds[key] = rep.kind
+        self.sizes[key] = rep.size
+        if uniform:
+            self.uniform.add(key)
+        return rep
+
+    def size_of(self, v: Value | str) -> int:
+        sz = self.sizes.get(v if isinstance(v, str) else v.id)
         if sz is None:
-            self.fail(f"value v{v.id} has no recorded size")
+            self.fail(f"block {v!r} has no recorded size")
         return sz
 
-    def compute_size(self, ty: Any) -> int:
-        if isinstance(ty, tuple) and ty[0] in ("vox", "part"):
-            return self._vox_size(ty)
-        return _val_size(ty)
+    def is_scalar_val(self, v: Value | str) -> bool:
+        return self.kinds.get(v if isinstance(v, str) else v.id) == "scalar"
 
-    # -- value references ---------------------------------------------------
-
-    def is_scalar_val(self, v: Value) -> bool:
-        return self.kinds.get(v.id) == "scalar"
-
-    def ref(self, v: Value, e: str | int = 0, lane: str = "_l") -> str:
-        """C expression for element ``e`` of value ``v`` on lane ``lane``."""
-        name = self.names.val(v)
-        uni = v.id in self.uniform
-        if self.kinds.get(v.id) == "scalar":
-            return name if uni else f"{name}[{lane}]"
-        if uni:
+    def ref(self, v: Value | str, e: str | int = 0) -> str:
+        """C expression for element ``e`` of block ``v`` on lane ``_l`` —
+        reads and writes alike.  Varying blocks are element-major with the
+        lane index innermost, so a lane loop over one element is a
+        contiguous stride-1 access."""
+        scratch = isinstance(v, str)
+        if scratch:
+            key = name = v
+        else:
+            key = v.id
+            name = self.names.val(v)
+        if self.kinds.get(key) == "scalar":
+            return name if key in self.uniform else f"{name}[_l]"
+        if key in self.uniform:
             return f"{name}[{e}]"
-        if isinstance(e, int):
-            return f"{name}[{e * self.vb} + {lane}]"
-        return f"{name}[({e}) * DD_VB + {lane}]"
+        if not scratch and isinstance(e, int):
+            return f"{name}[{e * self.vb} + _l]"
+        return f"{name}[({e}) * DD_VB + _l]"
+
+    # -- the printer ----------------------------------------------------------
+    #
+    # Every loop, lane loop, store and reduction of the batch body is
+    # printed by the methods of this section; the op emitters below say
+    # *what* is computed per element and lane and never spell a `for`.
+
+    def indented(self) -> _Scope:
+        self.indent += 1
+        return _Scope(self, None, "")
+
+    def block(self, head: str = "") -> _Scope:
+        """``head { ... }`` (a bare scope without ``head``)."""
+        self.emit(f"{head} {{" if head else "{")
+        self.indent += 1
+        return self._braced
+
+    def loop(self, n: int, stem: str = "i", var: str | None = None,
+             collapse: bool = False) -> _Scope:
+        """A rolled loop of ``n`` trips; yields its index, a fresh name from
+        ``stem`` unless the caller had to number ``var`` earlier.
+
+        ``collapse`` prints the header alone: the loop shares the brace of
+        the loop opened next, a perfect nest with nothing between the two
+        headers."""
+        v = var or self.names.fresh(stem)
+        if collapse:
+            self.emit(_for(v, n))
+            return _Scope(self, v, None)
+        self.emit(f"{_for(v, n)} {{")
+        self.indent += 1
+        return _Scope(self, v, "}")
+
+    def elements(self, v: Value | str, stem: str = "i") -> _Scope:
+        """The element index of block ``v``: 0 for a scalar, else the index
+        of a rolled loop over its elements."""
+        if self.is_scalar_val(v):
+            return self._element0
+        return self.loop(self.size_of(v), stem)
+
+    def lane(self, stmt: str, simd: bool = True) -> None:
+        """One lane loop ``for (_l = 0; _l < _n; _l++) stmt``."""
+        if simd and self.vb > 1:
+            self.emit("DD_SIMD")
+        self.emit(f"{_LANE_FOR} {stmt}")
+
+    def lanes(self, simd: bool = True) -> _Scope:
+        """A multi-statement lane loop, for per-lane scalar sequences."""
+        if simd and self.vb > 1:
+            self.emit("DD_SIMD")
+        return self.block(_LANE_FOR)
+
+    def store(self, v: Value | str, e: str | int, rhs: str, op: str = "=",
+              simd: bool = True) -> None:
+        """``v[e] op rhs`` on every lane: one lane loop, the address by
+        :meth:`ref` like any read."""
+        self.lane(f"{self.ref(v, e)} {op} {rhs};", simd)
+
+    @staticmethod
+    def chain(terms: Iterable[str]) -> str:
+        """A reduction unrolled into a left-associated sum of ``terms``.
+
+        gcc refuses to outer-vectorize a lane loop containing an inner
+        serial reduction ("complicated access pattern"), but vectorizes the
+        same straight-line chain trivially — and the association order is
+        that of a scalar ``+=`` loop and of the NumPy backend, which the
+        1e-12 oracle agreement depends on."""
+        return " + ".join(terms)
+
+    def declare(self, v: Value | str, rep: _Rep | None = None, zero: bool = False) -> _Rep:
+        """Bind block ``v`` and declare its varying SoA storage."""
+        rep = self.bind(v, rep)
+        name = v if isinstance(v, str) else self.names.val(v)
+        dims = "DD_VB" if rep.kind == "scalar" else f"{rep.size} * DD_VB"
+        self.emit(f"{rep.ctype} {name}[{dims}]{' = {0}' if zero else ''};")
+        return rep
+
+    def scratch(self, stem: str, ctype: str, n: int | None = None) -> str:
+        """Declare a fresh scratch block — ``n`` elements, or a per-lane
+        scalar — and return its name, which ``ref``/``store`` take like a
+        value (its element index is always printed symbolically)."""
+        name = self.names.fresh(stem)
+        self.declare(name, _Rep(ctype, "scalar" if n is None else "array", n or 1, None))
+        return name
+
+    def copy(self, dst: Value | str, src: Value | str, dst_at: int | None = None,
+             src_at: int | None = None) -> None:
+        """Element-for-element copy: all of ``src`` into ``dst`` from element
+        ``dst_at`` on, or — given ``src_at`` — all of ``dst`` out of ``src``
+        from there on."""
+        with self.elements(src if src_at is None else dst) as i:
+            self.store(dst, _off(dst_at, i), self.ref(src, _off(src_at, i)))
+
+    def clean_coord(self, src: str) -> None:
+        """Per-lane ``_c``: index-space coordinate ``src`` as
+        fields.probe.split_position cleans it before taking the floor
+        (non-finite -> 0, then clamped to +/-2^40)."""
+        big = self.flit(1099511627776.0)
+        self.emit(f"dd_real _c = isfinite({src}) ? {src} : 0.0;")
+        self.emit(f"_c = dd_clamp(_c, -{big}, {big});")
+
+    def clamp_to_image(self, var: str, expr: str, size: str | None = None) -> None:
+        """Per-lane ``int64_t var = clip(expr, 0, _mx)`` as branchless
+        selects.  ``_mx`` is the axis' last index: declared here from the C
+        expression ``size`` unless the caller already has it in scope."""
+        self.emit(f"int64_t {var} = {expr};")
+        self.emit(f"{var} = ({var} < 0) ? 0 : {var};")
+        if size is not None:
+            self.emit(f"int64_t _mx = {size} - 1;")
+        self.emit(f"{var} = ({var} > _mx) ? _mx : {var};")
 
     # -- plan construction --------------------------------------------------
+
+    def _slot(self, table: str, key: tuple, count: int = 1) -> None:
+        """Append ``count`` entries ``key`` to plan table ``table``."""
+        entries = self.plan[table]
+        self.index[key] = len(entries)
+        entries.extend([key] * count)
 
     def _build_plan(self) -> None:
         high = self.high
         func = self.func
-        used_images = sorted(
-            {
-                ins.attrs["image"]
-                for ins in func.body.instructions()
-                if isinstance(ins, Instr) and "image" in ins.attrs
-            }
-        )
+        instrs = [ins for ins in func.body.instructions() if isinstance(ins, Instr)]
+        used_images = sorted({ins.attrs["image"] for ins in instrs if "image" in ins.attrs})
         for name in used_images:
             if name not in self.images:
                 self.fail(f"instruction references unknown image {name!r}")
 
         n_globals = len(high.concrete_globals)
-        state_names = list(high.state_order) + list(high.extra_state)
-        n_state = len(state_names)
+        n_state = len(high.state_order) + len(high.extra_state)
         if len(func.params) != n_globals + n_state:
             self.fail(
                 "update function arity mismatch: "
@@ -692,88 +880,47 @@ class _Emitter:
                 f"vs {n_state} state + status"
             )
 
-        real_ptrs: list[tuple] = []
-        int_ptrs: list[tuple] = []
-        bool_ptrs: list[tuple] = []
-        sc: list[tuple] = []
-        ic: list[tuple] = []
-
         for name in used_images:
-            self.real_ptr_index[("image", name)] = len(real_ptrs)
-            real_ptrs.append(("image", name))
-
+            self._slot("real_ptrs", ("image", name))
         for gi in range(n_globals):
-            ty = func.params[gi].ty
-            if isinstance(ty, TensorTy) and ty.shape != ():
-                self.real_ptr_index[("global", gi)] = len(real_ptrs)
-                real_ptrs.append(("global", gi))
-            elif isinstance(ty, TensorTy):
-                self.sc_index[("global", gi)] = len(sc)
-                sc.append(("global", gi))
-            elif ty == INT or ty == BOOL:
-                self.ic_index[("global", gi)] = len(ic)
-                ic.append(("global", gi))
-            else:
-                self.fail(f"unsupported global type {ty!r}")
-
+            rep = self.rep(func.params[gi].ty, "global")
+            table = _TABLES[rep.table]
+            self._slot(table.ptrs if rep.kind == "array" else table.consts, ("global", gi))
         for si in range(n_state):
-            ty = func.params[n_globals + si].ty
-            if isinstance(ty, TensorTy):
-                self.real_ptr_index[("state", si)] = len(real_ptrs)
-                real_ptrs.append(("state", si))
-            elif ty == INT:
-                self.int_ptr_index[("state", si)] = len(int_ptrs)
-                int_ptrs.append(("state", si))
-            elif ty == BOOL:
-                self.bool_ptr_index[("state", si)] = len(bool_ptrs)
-                bool_ptrs.append(("state", si))
-            else:
-                self.fail(f"unsupported state type {ty!r}")
-
+            rep = self.rep(func.params[n_globals + si].ty, "state")
+            self._slot(_TABLES[rep.table].ptrs, ("state", si))
         # strand status lives in the int pointer table, after the state
-        self.int_ptr_index[("status",)] = len(int_ptrs)
-        int_ptrs.append(("status",))
-
+        self._slot("int_ptrs", ("status",))
         # footprint outputs (incremental re-execution): per gathered
         # image, (strands, dim) lo/hi index boxes.  The binder passes NULL
         # when the run does not record.
-        gathered = sorted(
-            {
-                ins.attrs["image"]
-                for ins in func.body.instructions()
-                if isinstance(ins, Instr) and ins.op == "gather"
-            }
-        )
-        for name in gathered:
+        for name in sorted({ins.attrs["image"] for ins in instrs if ins.op == "gather"}):
             for kind in ("fp_lo", "fp_hi"):
-                self.int_ptr_index[(kind, name)] = len(int_ptrs)
-                int_ptrs.append((kind, name))
-
+                self._slot("int_ptrs", (kind, name))
         for name in used_images:
-            slot = self.images[name]
-            d = slot.dim
-            self.sc_index[("origin", name)] = len(sc)
-            sc.extend(("origin", name) for _ in range(d))
-            self.sc_index[("minv", name)] = len(sc)
-            sc.extend(("minv", name) for _ in range(d * d))
-            self.sc_index[("gxf", name)] = len(sc)
-            sc.extend(("gxf", name) for _ in range(d * d))
-            self.ic_index[("sizes", name)] = len(ic)
-            ic.extend(("sizes", name) for _ in range(d))
+            d = self.images[name].dim
+            self._slot("sc", ("origin", name), d)
+            self._slot("sc", ("minv", name), d * d)
+            self._slot("sc", ("gxf", name), d * d)
+            self._slot("ic", ("sizes", name), d)
 
-        self.plan = {
-            "real_ptrs": real_ptrs,
-            "int_ptrs": int_ptrs,
-            "bool_ptrs": bool_ptrs,
-            "sc": sc,
-            "ic": ic,
-            "images": used_images,
-            "n_globals": n_globals,
-            "n_state": n_state,
-            "n_ret": n_ret,
-            "real_dtype": "float32" if self.single else "float64",
-            "vb": self.vb,
-        }
+        self.plan.update(
+            images=used_images,
+            n_globals=n_globals,
+            n_state=n_state,
+            n_ret=n_ret,
+            real_dtype="float32" if self.single else "float64",
+            vb=self.vb,
+        )
+
+    def _state_ref(self, si: int, e: str | int) -> str:
+        """Lane ``_l``'s element ``e`` of state slot ``si`` in the caller's
+        strand-major buffer (the row of strand ``_lane[_l]``)."""
+        rep = self.rep(self.func.params[self.plan["n_globals"] + si].ty)
+        ptr = f"{_TABLES[rep.table].alias}{self.index['state', si]}"
+        if rep.kind == "scalar":
+            return f"{ptr}[_lane[_l]]"
+        return f"{ptr}[_lane[_l] * {rep.size} + {e}]"
 
     # -- declarations -------------------------------------------------------
 
@@ -793,82 +940,40 @@ class _Emitter:
         """Hoist C declarations for every Instr/Phi result in the body tree.
 
         Constant instructions become initialized lane-invariant declarations
-        here (their op handler is then a no-op); everything else is a varying
-        SoA block sized ``size * DD_VB``."""
+        elsewhere (their op handler is then a no-op); everything else is a
+        varying SoA block sized ``size * DD_VB``."""
         for item in body.items:
             if isinstance(item, Instr):
                 if item.op == "const":
                     continue  # hoisted to function scope by _declare_consts
                 for r in item.results:
-                    self._declare_value(r)
+                    self.declare(r, zero=r.id in self.zero_init)
             elif isinstance(item, IfRegion):
                 self._declare_results(item.then_body)
                 self._declare_results(item.else_body)
                 for phi in item.phis:
-                    self._declare_value(phi.result)
+                    r = phi.result
+                    self.declare(r, zero=r.id in self.zero_init)
 
     def _declare_const(self, ins: Instr) -> None:
         res = ins.result
         v = ins.attrs["value"]
         name = self.names.val(res)
-        self.uniform.add(res.id)
-        if res.ty == BOOL:
-            self.kinds[res.id] = "scalar"
-            self.sizes[res.id] = 1
+        rep = self.bind(res, self.rep(res.ty, "const"), uniform=True)
+        if rep.table == "bool":
             self.emit(f"const int {name} = {1 if v else 0};")
-        elif res.ty == INT:
-            self.kinds[res.id] = "scalar"
-            self.sizes[res.id] = 1
+        elif rep.table == "int":
             self.emit(f"const int64_t {name} = {_c_int(v)};")
-        elif isinstance(res.ty, TensorTy):
+        else:
             try:
                 arr = np.asarray(v, dtype=np.float64).reshape(-1)
             except (TypeError, ValueError) as exc:
                 self.fail(f"const has non-numeric payload {v!r}: {exc}")
-            sz = _tensor_size(res.ty)
-            self.sizes[res.id] = sz
-            if res.ty.shape == ():
-                self.kinds[res.id] = "scalar"
+            if rep.kind == "scalar":
                 self.emit(f"const dd_real {name} = {self.flit(arr[0])};")
             else:
-                self.kinds[res.id] = "array"
                 lits = ", ".join(self.flit(x) for x in arr)
-                self.emit(f"const dd_real {name}[{sz}] = {{{lits}}};")
-        else:
-            self.fail(f"const of unsupported type {res.ty!r}")
-
-    def _declare_value(self, v: Value) -> None:
-        ty = v.ty
-        name = self.names.val(v)
-        init = " = {0}" if v.id in self.zero_init else ""
-        if ty == INT:
-            self.kinds[v.id] = "scalar"
-            self.sizes[v.id] = 1
-            self.emit(f"int64_t {name}[DD_VB]{init};")
-        elif ty == BOOL:
-            self.kinds[v.id] = "scalar"
-            self.sizes[v.id] = 1
-            self.emit(f"int {name}[DD_VB]{init};")
-        elif isinstance(ty, TensorTy):
-            sz = _tensor_size(ty)
-            self.sizes[v.id] = sz
-            if ty.shape == ():
-                self.kinds[v.id] = "scalar"
-                self.emit(f"dd_real {name}[DD_VB]{init};")
-            else:
-                self.kinds[v.id] = "array"
-                self.emit(f"dd_real {name}[{sz} * DD_VB]{init};")
-        elif isinstance(ty, tuple) and ty[0] == "ivec":
-            self.kinds[v.id] = "array"
-            self.sizes[v.id] = int(ty[1])
-            self.emit(f"int64_t {name}[{int(ty[1])} * DD_VB]{init};")
-        elif isinstance(ty, tuple) and ty[0] in ("weights", "vox", "part"):
-            sz = self.compute_size(ty)
-            self.kinds[v.id] = "array"
-            self.sizes[v.id] = sz
-            self.emit(f"dd_real {name}[{sz} * DD_VB]{init};")
-        else:
-            self.fail(f"cannot declare value of type {ty!r}")
+                self.emit(f"const dd_real {name}[{rep.size}] = {{{lits}}};")
 
     # -- elementwise helpers ------------------------------------------------
 
@@ -895,17 +1000,8 @@ class _Emitter:
         """Element loop outer, SIMD lane loop inner, assigning each element.
 
         ``body_fn(idx_expr) -> rhs C expression`` (may reference lane _l)."""
-        name = self.names.val(res)
-        if self.is_scalar_val(res):
-            self.lane_stmt(f"{name}[_l] = {body_fn(0)};")
-            return
-        sz = self.size_of(res)
-        e = self.names.fresh("e")
-        self.emit(f"for (int {e} = 0; {e} < {sz}; {e}++) {{")
-        self.indent += 1
-        self.lane_stmt(f"{name}[({e}) * DD_VB + _l] = {body_fn(e)};")
-        self.indent -= 1
-        self.emit("}")
+        with self.elements(res, "e") as e:
+            self.store(res, e, body_fn(e))
 
     # -- instruction dispatch -----------------------------------------------
 
@@ -952,21 +1048,20 @@ class _Emitter:
         """Integer / and % with the runtime's zero-divisor contract: a zero
         divisor on a *live* lane (under the current predication mask) is the
         "integer division by zero" fault; dead lanes compute a sanitized 0
-        through a safe divisor so no lane ever traps."""
+        through a safe divisor so no lane ever traps.  No loop here is simd:
+        the fault check returns from inside its lane loop."""
         a, b = ins.args
         res = ins.result
-        name = self.names.val(res)
         bn = self.ref(b)
-        mask = self.mask_stack[-1] if self.mask_stack else None
-        if mask is None:
-            self.lane_stmt(f"if ({bn} == 0) return 1;", simd=False)
-            self.lane_stmt(f"{name}[_l] = {self.ref(a)} {cop} {bn};", simd=False)
+        if not self.mask_stack:
+            self.lane(f"if ({bn} == 0) return 1;", simd=False)
+            self.store(res, 0, f"{self.ref(a)} {cop} {bn}", simd=False)
         else:
-            self.lane_stmt(f"if ({mask}[_l] && {bn} == 0) return 1;", simd=False)
-            self.lane_open(simd=False)
-            self.emit(f"int64_t _d = ({bn} == 0) ? 1 : {bn};")
-            self.emit(f"{name}[_l] = ({bn} == 0) ? 0 : {self.ref(a)} {cop} _d;")
-            self.lane_close()
+            live = self.ref(self.mask_stack[-1])
+            self.lane(f"if ({live} && {bn} == 0) return 1;", simd=False)
+            with self.lanes(simd=False):
+                self.emit(f"int64_t _d = ({bn} == 0) ? 1 : {bn};")
+                self.emit(f"{self.ref(res)} = ({bn} == 0) ? 0 : {self.ref(a)} {cop} _d;")
 
     def _op_div(self, ins: Instr) -> None:
         # C truncation-toward-zero matches the NumPy backend's idiv.
@@ -983,131 +1078,83 @@ class _Emitter:
         res = ins.result
         oa = a.ty.order if isinstance(a.ty, TensorTy) else 0
         ob = b.ty.order if isinstance(b.ty, TensorTy) else 0
-        name = self.names.val(res)
-        # the k reduction is unrolled (left-associated) so the lane loop
-        # stays straight-line code the compiler will vectorize
+        # the k reduction is a chain, so the lane loop stays straight-line
+        # code the compiler will vectorize
         if oa == 1 and ob == 1:
             n = self.size_of(a)
-            chain = " + ".join(
-                f"{self.ref(a, k)} * {self.ref(b, k)}" for k in range(n)
-            )
-            self.lane_stmt(f"{name}[_l] = {chain};")
+            self.store(res, 0, self.chain(
+                f"{self.ref(a, k)} * {self.ref(b, k)}" for k in range(n)))
         elif oa == 2 and ob == 1:
             rows, n = a.ty.shape
-            i = self.names.fresh("i")
-            self.emit(f"for (int {i} = 0; {i} < {rows}; {i}++) {{")
-            self.indent += 1
-            chain = " + ".join(
-                f"{self.ref(a, f'{i} * {n} + {k}')} * {self.ref(b, k)}"
-                for k in range(n)
-            )
-            self.lane_stmt(f"{name}[({i}) * DD_VB + _l] = {chain};")
-            self.indent -= 1
-            self.emit("}")
+            with self.loop(rows) as i:
+                self.store(res, i, self.chain(
+                    f"{self.ref(a, f'{i} * {n} + {k}')} * {self.ref(b, k)}"
+                    for k in range(n)))
         elif oa == 1 and ob == 2:
             n, cols = b.ty.shape
-            j = self.names.fresh("j")
-            self.emit(f"for (int {j} = 0; {j} < {cols}; {j}++) {{")
-            self.indent += 1
-            chain = " + ".join(
-                f"{self.ref(a, k)} * {self.ref(b, f'{k} * {cols} + {j}')}"
-                for k in range(n)
-            )
-            self.lane_stmt(f"{name}[({j}) * DD_VB + _l] = {chain};")
-            self.indent -= 1
-            self.emit("}")
+            with self.loop(cols, "j") as j:
+                self.store(res, j, self.chain(
+                    f"{self.ref(a, k)} * {self.ref(b, f'{k} * {cols} + {j}')}"
+                    for k in range(n)))
         elif oa == 2 and ob == 2:
             rows, n = a.ty.shape
             cols = b.ty.shape[1]
-            i = self.names.fresh("i")
-            j = self.names.fresh("j")
-            self.emit(f"for (int {i} = 0; {i} < {rows}; {i}++)")
-            self.emit(f"for (int {j} = 0; {j} < {cols}; {j}++) {{")
-            self.indent += 1
-            chain = " + ".join(
-                f"{self.ref(a, f'{i} * {n} + {k}')} * "
-                f"{self.ref(b, f'{k} * {cols} + {j}')}"
-                for k in range(n)
-            )
-            self.lane_stmt(f"{name}[({i} * {cols} + {j}) * DD_VB + _l] = {chain};")
-            self.indent -= 1
-            self.emit("}")
+            with self.loop(rows, collapse=True) as i, self.loop(cols, "j") as j:
+                self.store(res, f"{i} * {cols} + {j}", self.chain(
+                    f"{self.ref(a, f'{i} * {n} + {k}')} * "
+                    f"{self.ref(b, f'{k} * {cols} + {j}')}"
+                    for k in range(n)))
         else:
             self.fail(f"dot of orders ({oa}, {ob}) is not supported")
 
     def _op_cross(self, ins: Instr) -> None:
         a, b = ins.args
         res = ins.result
-        name = self.names.val(res)
         if self.size_of(a) == 2:
-            self.lane_stmt(
-                f"{name}[_l] = {self.ref(a, 0)} * {self.ref(b, 1)} - "
-                f"{self.ref(a, 1)} * {self.ref(b, 0)};"
-            )
+            self.store(res, 0, f"{self.ref(a, 0)} * {self.ref(b, 1)} - "
+                               f"{self.ref(a, 1)} * {self.ref(b, 0)}")
             return
         # inline dd_cross3 component by component (same parenthesization)
         for r, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-            self.lane_stmt(
-                f"{name}[{r * self.vb} + _l] = "
-                f"{self.ref(a, i)} * {self.ref(b, j)} - "
-                f"{self.ref(a, j)} * {self.ref(b, i)};"
-            )
+            self.store(res, r, f"{self.ref(a, i)} * {self.ref(b, j)} - "
+                               f"{self.ref(a, j)} * {self.ref(b, i)}")
 
     def _op_outer(self, ins: Instr) -> None:
         a, b = ins.args
-        res = ins.result
-        n = self.size_of(a)
         m = self.size_of(b)
-        name = self.names.val(res)
-        i = self.names.fresh("i")
-        j = self.names.fresh("j")
-        self.emit(f"for (int {i} = 0; {i} < {n}; {i}++)")
-        self.emit(f"for (int {j} = 0; {j} < {m}; {j}++) {{")
-        self.indent += 1
-        self.lane_stmt(
-            f"{name}[({i} * {m} + {j}) * DD_VB + _l] = "
-            f"{self.ref(a, i)} * {self.ref(b, j)};"
-        )
-        self.indent -= 1
-        self.emit("}")
+        with self.loop(self.size_of(a), collapse=True) as i, self.loop(m, "j") as j:
+            self.store(ins.result, f"{i} * {m} + {j}",
+                       f"{self.ref(a, i)} * {self.ref(b, j)}")
 
     def _op_trace(self, ins: Instr) -> None:
         (a,) = ins.args
-        res = ins.result
         n = a.ty.shape[0]
-        terms = " + ".join(self.ref(a, i * n + i) for i in range(n))
-        self.lane_stmt(f"{self.names.val(res)}[_l] = {terms};")
+        self.store(ins.result, 0, self.chain(self.ref(a, i * n + i) for i in range(n)))
 
     def _op_transpose(self, ins: Instr) -> None:
         (a,) = ins.args
-        res = ins.result
         r, c = a.ty.shape
-        name = self.names.val(res)
         for i in range(r):
             for j in range(c):
-                self.lane_stmt(
-                    f"{name}[{(j * r + i) * self.vb} + _l] = {self.ref(a, i * c + j)};"
-                )
+                self.store(ins.result, j * r + i, self.ref(a, i * c + j))
 
     def _op_det(self, ins: Instr) -> None:
         (a,) = ins.args
         res = ins.result
         n = a.ty.shape[0]
-        name = self.names.val(res)
         if n == 1:
-            self.lane_stmt(f"{name}[_l] = {self.ref(a, 0)};")
+            self.store(res, 0, self.ref(a, 0))
         elif n == 2:
-            self.lane_stmt(
-                f"{name}[_l] = {self.ref(a, 0)} * {self.ref(a, 3)} - "
-                f"{self.ref(a, 1)} * {self.ref(a, 2)};"
-            )
+            self.store(res, 0, f"{self.ref(a, 0)} * {self.ref(a, 3)} - "
+                               f"{self.ref(a, 1)} * {self.ref(a, 2)}")
         elif n == 3:
             # inline dd_det3 with identical parenthesization
             m = [self.ref(a, i) for i in range(9)]
-            self.lane_stmt(
-                f"{name}[_l] = {m[0]} * ({m[4]} * {m[8]} - {m[5]} * {m[7]}) - "
+            self.store(
+                res, 0,
+                f"{m[0]} * ({m[4]} * {m[8]} - {m[5]} * {m[7]}) - "
                 f"{m[1]} * ({m[3]} * {m[8]} - {m[5]} * {m[6]}) + "
-                f"{m[2]} * ({m[3]} * {m[7]} - {m[4]} * {m[6]});"
+                f"{m[2]} * ({m[3]} * {m[7]} - {m[4]} * {m[6]})",
             )
         else:
             self.fail(f"det of {n}x{n} matrix is not supported")
@@ -1116,76 +1163,54 @@ class _Emitter:
         (a,) = ins.args
         res = ins.result
         order = ins.attrs.get("order", a.ty.order if isinstance(a.ty, TensorTy) else 0)
-        name = self.names.val(res)
         if order == 0:
-            self.lane_stmt(f"{name}[_l] = dd_fabs({self.ref(a)});")
+            self.store(res, 0, f"dd_fabs({self.ref(a)})")
             return
-        n = self.size_of(a)
-        chain = " + ".join(f"{self.ref(a, k)} * {self.ref(a, k)}" for k in range(n))
-        self.lane_stmt(f"{name}[_l] = dd_sqrt({chain});")
+        squares = self.chain(
+            f"{self.ref(a, k)} * {self.ref(a, k)}" for k in range(self.size_of(a)))
+        self.store(res, 0, f"dd_sqrt({squares})")
 
-    def _lanewise_helper(self, ins: Instr, call_fn) -> None:
+    @contextmanager
+    def _lanewise(self, ins: Instr, buf: str, n_in: int) -> Iterator[str]:
         """Per-lane AoS extract -> helper call -> SoA insert, for the eigen/
-        normalize helpers that are intrinsically scalar per strand.
+        normalize helpers that are intrinsically scalar per strand (an
+        out-of-line call per lane, so the lane loop is not simd).
 
-        ``call_fn(in_name, out_name)`` returns the C call statement."""
-        (a,) = ins.args
+        Declares the helper's input ``buf`` and its output ``_out``; the
+        caller fills ``buf`` and emits the call inside, then ``_out`` is
+        scattered into the result.  Yields a spare element index."""
         res = ins.result
-        in_sz = self.size_of(a)
-        out_sz = self.size_of(res)
         e = self.names.fresh("e")
-        self.lane_open(simd=False)
-        self.emit(f"dd_real _in[{in_sz}];")
-        self.emit(f"dd_real _out[{out_sz}];")
-        self.emit(
-            f"for (int {e} = 0; {e} < {in_sz}; {e}++) _in[{e}] = {self.ref(a, e)};"
-        )
-        self.emit(call_fn("_in", "_out"))
-        name = self.names.val(res)
-        if self.is_scalar_val(res):
-            self.emit(f"{name}[_l] = _out[0];")
-        else:
-            self.emit(
-                f"for (int {e} = 0; {e} < {out_sz}; {e}++) "
-                f"{name}[({e}) * DD_VB + _l] = _out[{e}];"
-            )
-        self.lane_close()
+        with self.lanes(simd=False):
+            self.emit(f"dd_real {buf}[{n_in}];")
+            self.emit(f"dd_real _out[{self.size_of(res)}];")
+            yield e
+            self.emit(f"{_for(e, self.size_of(res))} {self.ref(res, e)} = _out[{e}];")
 
     def _op_normalize_v(self, ins: Instr) -> None:
-        n = self.size_of(ins.args[0])
-        self._lanewise_helper(ins, lambda i, o: f"dd_normalize({i}, {n}, {o});")
+        (a,) = ins.args
+        n = self.size_of(a)
+        with self._lanewise(ins, "_in", n) as e:
+            self.emit(f"{_for(e, n)} _in[{e}] = {self.ref(a, e)};")
+            self.emit(f"dd_normalize(_in, {n}, _out);")
 
     def _sym_helper(self, ins: Instr, stem: str) -> None:
         (a,) = ins.args
         n = a.ty.shape[0]
         if n not in (2, 3):
             self.fail(f"{stem} of {n}x{n} matrix is not supported")
-
-        def call(i, o):
-            return f"dd_{stem}{n}(_s, {o});"
-
         # symmetrize into _s inside the per-lane block, then call the helper
-        res = ins.result
-        out_sz = self.size_of(res)
-        e = self.names.fresh("e")
-        i = self.names.fresh("i")
-        j = self.names.fresh("j")
-        self.lane_open(simd=False)
-        self.emit(f"dd_real _s[{n * n}];")
-        self.emit(f"dd_real _out[{out_sz}];")
-        self.emit(f"for (int {i} = 0; {i} < {n}; {i}++)")
-        self.emit(
-            f"    for (int {j} = 0; {j} < {n}; {j}++) "
-            f"_s[{i} * {n} + {j}] = 0.5 * ({self.ref(a, f'{i} * {n} + {j}')} + "
-            f"{self.ref(a, f'{j} * {n} + {i}')});"
-        )
-        self.emit(call("_s", "_out"))
-        name = self.names.val(res)
-        self.emit(
-            f"for (int {e} = 0; {e} < {out_sz}; {e}++) "
-            f"{name}[({e}) * DD_VB + _l] = _out[{e}];"
-        )
-        self.lane_close()
+        with self._lanewise(ins, "_s", n * n):
+            i = self.names.fresh("i")
+            j = self.names.fresh("j")
+            self.emit(_for(i, n))
+            with self.indented():
+                self.emit(
+                    f"{_for(j, n)} _s[{i} * {n} + {j}] = 0.5 * "
+                    f"({self.ref(a, f'{i} * {n} + {j}')} + "
+                    f"{self.ref(a, f'{j} * {n} + {i}')});"
+                )
+            self.emit(f"dd_{stem}{n}(_s, _out);")
 
     def _op_evals(self, ins: Instr) -> None:
         self._sym_helper(ins, "evals")
@@ -1197,31 +1222,16 @@ class _Emitter:
 
     def _op_tensor_cons(self, ins: Instr) -> None:
         res = ins.result
-        name = self.names.val(res)
         elem_size = self.size_of(res) // len(ins.args)
         for e, arg in enumerate(ins.args):
-            if self.is_scalar_val(arg):
-                self.lane_stmt(f"{name}[{e * elem_size * self.vb} + _l] = {self.ref(arg)};")
-            else:
-                i = self.names.fresh("i")
-                self.emit(f"for (int {i} = 0; {i} < {elem_size}; {i}++) {{")
-                self.indent += 1
-                self.lane_stmt(
-                    f"{name}[({e * elem_size} + {i}) * DD_VB + _l] = "
-                    f"{self.ref(arg, i)};"
-                )
-                self.indent -= 1
-                self.emit("}")
+            self.copy(res, arg, dst_at=e * elem_size)
 
     def _op_vec_cons(self, ins: Instr) -> None:
-        res = ins.result
-        name = self.names.val(res)
         for i, arg in enumerate(ins.args):
-            self.lane_stmt(f"{name}[{i * self.vb} + _l] = {self.ref(arg)};")
+            self.store(ins.result, i, self.ref(arg))
 
     def _op_tensor_index(self, ins: Instr) -> None:
         (a,) = ins.args
-        res = ins.result
         indices = tuple(ins.attrs["indices"])
         shape = a.ty.shape
         if len(indices) > len(shape):
@@ -1230,86 +1240,40 @@ class _Emitter:
         off = 0
         for pos, ind in enumerate(indices):
             off = off * shape[pos] + int(ind)
-        rest = 1
-        for s in shape[len(indices):]:
-            rest *= s
-        off *= rest
-        name = self.names.val(res)
-        if self.is_scalar_val(res):
-            self.lane_stmt(f"{name}[_l] = {self.ref(a, off)};")
-        else:
-            i = self.names.fresh("i")
-            self.emit(f"for (int {i} = 0; {i} < {rest}; {i}++) {{")
-            self.indent += 1
-            self.lane_stmt(
-                f"{name}[({i}) * DD_VB + _l] = {self.ref(a, f'{off} + {i}')};"
-            )
-            self.indent -= 1
-            self.emit("}")
+        off *= math.prod(shape[len(indices):])
+        self.copy(ins.result, a, src_at=off)
 
     def _op_identity(self, ins: Instr) -> None:
-        res = ins.result
         n = int(ins.attrs["n"])
-        name = self.names.val(res)
         for i in range(n):
             for j in range(n):
-                lit = self.flit(1.0 if i == j else 0.0)
-                self.lane_stmt(f"{name}[{(i * n + j) * self.vb} + _l] = {lit};")
+                self.store(ins.result, i * n + j, self.flit(1.0 if i == j else 0.0))
 
     # .. probing pipeline ....................................................
 
     def _op_to_index(self, ins: Instr) -> None:
         (pos,) = ins.args
-        res = ins.result
         img = ins.attrs["image"]
         d, _ = self._image_info(img)
-        name = self.names.val(res)
-        porg = f"_org_{img}"
-        pminv = f"_minv_{img}"
         for j in range(d):
-            terms = " + ".join(
-                f"({self.ref(pos, k)} - {porg}[{k}]) * {pminv}[{j * d + k}]"
-                for k in range(d)
-            )
-            self.lane_stmt(f"{name}[{j * self.vb} + _l] = {terms};")
+            self.store(ins.result, j, self.chain(
+                f"({self.ref(pos, k)} - _org_{img}[{k}]) * _minv_{img}[{j * d + k}]"
+                for k in range(d)))
+
+    def _split_position(self, ins: Instr, part: str) -> None:
+        """One half of fields.probe.split_position, per axis: ``part`` of the
+        cleaned index-space coordinate ``_c``."""
+        (a,) = ins.args
+        res = ins.result
+        with self.loop(self.size_of(res)) as i, self.lanes():
+            self.clean_coord(self.ref(a, i))
+            self.emit(f"{self.ref(res, i)} = {part};")
 
     def _op_floor_i(self, ins: Instr) -> None:
-        (a,) = ins.args
-        res = ins.result
-        d = self.size_of(res)
-        name = self.names.val(res)
-        big = self.flit(1099511627776.0)
-        i = self.names.fresh("i")
-        self.emit(f"for (int {i} = 0; {i} < {d}; {i}++) {{")
-        self.indent += 1
-        self.lane_open()
-        src = self.ref(a, i)
-        self.emit(f"dd_real _c = isfinite({src}) ? {src} : 0.0;")
-        self.emit(f"_c = dd_clamp(_c, -{big}, {big});")
-        self.emit(f"{name}[({i}) * DD_VB + _l] = (int64_t)dd_floor(_c);")
-        self.lane_close()
-        self.indent -= 1
-        self.emit("}")
+        self._split_position(ins, "(int64_t)dd_floor(_c)")
 
     def _op_fract(self, ins: Instr) -> None:
-        # Fractional part of the cleaned index-space position, matching
-        # fields.probe.split_position (non-finite -> 0, clamp to +/-2^40).
-        (a,) = ins.args
-        res = ins.result
-        d = self.size_of(res)
-        name = self.names.val(res)
-        big = self.flit(1099511627776.0)
-        i = self.names.fresh("i")
-        self.emit(f"for (int {i} = 0; {i} < {d}; {i}++) {{")
-        self.indent += 1
-        self.lane_open()
-        src = self.ref(a, i)
-        self.emit(f"dd_real _c = isfinite({src}) ? {src} : 0.0;")
-        self.emit(f"_c = dd_clamp(_c, -{big}, {big});")
-        self.emit(f"{name}[({i}) * DD_VB + _l] = _c - dd_floor(_c);")
-        self.lane_close()
-        self.indent -= 1
-        self.emit("}")
+        self._split_position(ins, "_c - dd_floor(_c)")
 
     def _op_gather(self, ins: Instr) -> None:
         (n,) = ins.args
@@ -1318,7 +1282,6 @@ class _Emitter:
         s = int(ins.attrs["support"])
         d, tsize = self._image_info(img)
         w = 2 * s
-        name = self.names.val(res)
         vox = f"_vox_{img}"
         szs = f"_sz_{img}"
         # Per-axis flat strides (innermost = tsize), then branchless-clamped
@@ -1334,21 +1297,12 @@ class _Emitter:
             )
         tables = []
         for ax in range(d):
-            t = self.names.fresh("ix")
+            t = self.scratch("ix", "int64_t", w)
             tables.append(t)
-            i = self.names.fresh("i")
-            self.emit(f"int64_t {t}[{w} * DD_VB];")
-            self.emit(f"for (int {i} = 0; {i} < {w}; {i}++) {{")
-            self.indent += 1
-            self.lane_open()
-            self.emit(f"int64_t _x = {self.ref(n, ax)} + ({i} + {1 - s});")
-            self.emit("_x = (_x < 0) ? 0 : _x;")
-            self.emit(f"int64_t _mx = {szs}[{ax}] - 1;")
-            self.emit("_x = (_x > _mx) ? _mx : _x;")
-            self.emit(f"{t}[({i}) * DD_VB + _l] = _x * {st_names[ax]};")
-            self.lane_close()
-            self.indent -= 1
-            self.emit("}")
+            with self.loop(w) as i, self.lanes():
+                self.clamp_to_image(
+                    "_x", f"{self.ref(n, ax)} + ({i} + {1 - s})", size=f"{szs}[{ax}]")
+                self.emit(f"{self.ref(t, i)} = _x * {st_names[ax]};")
         self._record_footprint(n, img, s, d)
         # Row-major tap loops; per tap, a lane-inner SIMD offset+copy.
         # Partial offset sums are hoisted per loop level so the innermost
@@ -1357,41 +1311,24 @@ class _Emitter:
         q = self.names.fresh("q")
         self.emit(f"int64_t {q} = 0;")
         ivars = [self.names.fresh("i") for _ in range(d)]
-
-        def table_ref(ax: int) -> str:
-            return f"{tables[ax]}[({ivars[ax]}) * DD_VB + _l]"
-
-        partial = None  # lane-_l ref of the hoisted offset prefix sum
-        for ax in range(d):
-            self.emit(f"for (int {ivars[ax]} = 0; {ivars[ax]} < {w}; {ivars[ax]}++) {{")
-            self.indent += 1
-            if 1 <= ax <= d - 2:
-                po = self.names.fresh("po")
-                self.emit(f"int64_t {po}[DD_VB];")
-                self.lane_stmt(
-                    f"{po}[_l] = {partial or table_ref(0)} + {table_ref(ax)};"
-                )
-                partial = f"{po}[_l]"
-        if d == 1:
-            off = table_ref(0)
-        else:
-            off = f"{partial or table_ref(0)} + {table_ref(d - 1)}"
-        if tsize == 1:
-            self.lane_stmt(f"{name}[({q}) * DD_VB + _l] = {vox}[{off}];")
-            self.emit(f"{q}++;")
-        else:
-            t = self.names.fresh("t")
-            self.emit(f"for (int {t} = 0; {t} < {tsize}; {t}++) {{")
-            self.indent += 1
-            self.lane_stmt(
-                f"{name}[({q}) * DD_VB + _l] = {vox}[({off}) + {t}];"
-            )
-            self.emit(f"{q}++;")
-            self.indent -= 1
-            self.emit("}")
-        for _ in range(d):
-            self.indent -= 1
-            self.emit("}")
+        taps = [self.ref(tables[ax], ivars[ax]) for ax in range(d)]
+        off = taps[0]  # lane-_l ref of the hoisted offset prefix sum
+        with ExitStack() as nest:
+            for ax in range(d):
+                nest.enter_context(self.loop(w, var=ivars[ax]))
+                if 1 <= ax <= d - 2:
+                    po = self.scratch("po", "int64_t")
+                    self.store(po, 0, f"{off} + {taps[ax]}")
+                    off = self.ref(po)
+            if d > 1:
+                off = f"{off} + {taps[d - 1]}"
+            if tsize == 1:
+                self.store(res, q, f"{vox}[{off}]")
+                self.emit(f"{q}++;")
+            else:
+                with self.loop(tsize, "t") as t:
+                    self.store(res, q, f"{vox}[({off}) + {t}]")
+                    self.emit(f"{q}++;")
 
     def _record_footprint(self, n: Value, img: str, s: int, d: int) -> None:
         """Fold this gather's sample box into each live lane's footprint.
@@ -1403,29 +1340,19 @@ class _Emitter:
         blend discards whatever they gathered.  One NULL test outside the
         lane loop keeps an unrecorded run on the tap code alone.
         """
-        lo = f"_ip{self.int_ptr_index[('fp_lo', img)]}"
-        hi = f"_ip{self.int_ptr_index[('fp_hi', img)]}"
-        self.emit(f"if ({lo}) {{")
-        self.indent += 1
-        self.lane_open(simd=False)
-        if self.mask_stack:
-            self.emit(f"if (!{self.mask_stack[-1]}[_l]) continue;")
-        self.emit(f"const int64_t _r = _lane[_l] * {d};")
-        for ax in range(d):
-            self.emit("{")
-            self.indent += 1
-            self.emit(f"const int64_t _mx = _sz_{img}[{ax}] - 1;")
-            for var, off in (("_a", 1 - s), ("_b", s)):
-                self.emit(f"int64_t {var} = {self.ref(n, ax)} + ({off});")
-                self.emit(f"{var} = ({var} < 0) ? 0 : {var};")
-                self.emit(f"{var} = ({var} > _mx) ? _mx : {var};")
-            self.emit(f"if (_a < {lo}[_r + {ax}]) {lo}[_r + {ax}] = _a;")
-            self.emit(f"if (_b > {hi}[_r + {ax}]) {hi}[_r + {ax}] = _b;")
-            self.indent -= 1
-            self.emit("}")
-        self.lane_close()
-        self.indent -= 1
-        self.emit("}")
+        lo = f"_ip{self.index['fp_lo', img]}"
+        hi = f"_ip{self.index['fp_hi', img]}"
+        with self.block(f"if ({lo})"), self.lanes(simd=False):
+            if self.mask_stack:
+                self.emit(f"if (!{self.ref(self.mask_stack[-1])}) continue;")
+            self.emit(f"const int64_t _r = _lane[_l] * {d};")
+            for ax in range(d):
+                with self.block():
+                    self.emit(f"const int64_t _mx = _sz_{img}[{ax}] - 1;")
+                    for var, off in (("_a", 1 - s), ("_b", s)):
+                        self.clamp_to_image(var, f"{self.ref(n, ax)} + ({off})")
+                    self.emit(f"if (_a < {lo}[_r + {ax}]) {lo}[_r + {ax}] = _a;")
+                    self.emit(f"if (_b > {hi}[_r + {ax}]) {hi}[_r + {ax}] = _b;")
 
     def _op_index_inside(self, ins: Instr) -> None:
         # Mirrors runtime.ops.index_inside: the argument is the *real*
@@ -1434,231 +1361,126 @@ class _Emitter:
         # Branchless form (sticky _ok over unrolled axes) so the lane loop
         # vectorizes; identical results to the early-break original.
         (pos,) = ins.args
-        res = ins.result
         img = ins.attrs["image"]
         s = int(ins.attrs["support"])
         d, _ = self._image_info(img)
-        szs = f"_sz_{img}"
-        name = self.names.val(res)
-        big = self.flit(1099511627776.0)
-        self.lane_open()
-        self.emit("int _ok = 1;")
-        for ax in range(d):
-            p = self.ref(pos, ax)
-            self.emit("{")
-            self.indent += 1
-            self.emit(f"dd_real _c = isfinite({p}) ? {p} : 0.0;")
-            self.emit(f"_c = dd_clamp(_c, -{big}, {big});")
-            self.emit("int64_t _nv = (int64_t)dd_floor(_c);")
-            self.emit(
-                f"_ok = _ok & (isfinite({p}) != 0) & (_nv >= {s - 1}) & "
-                f"(_nv <= {szs}[{ax}] - 1 - {s});"
-            )
-            self.indent -= 1
-            self.emit("}")
-        self.emit(f"{name}[_l] = _ok;")
-        self.lane_close()
+        with self.lanes():
+            self.emit("int _ok = 1;")
+            for ax in range(d):
+                p = self.ref(pos, ax)
+                with self.block():
+                    self.clean_coord(p)
+                    self.emit("int64_t _nv = (int64_t)dd_floor(_c);")
+                    self.emit(
+                        f"_ok = _ok & (isfinite({p}) != 0) & (_nv >= {s - 1}) & "
+                        f"(_nv <= _sz_{img}[{ax}] - 1 - {s});"
+                    )
+            self.emit(f"{self.ref(ins.result)} = _ok;")
 
     def _op_horner(self, ins: Instr) -> None:
         (f,) = ins.args
         res = ins.result
         coeffs = list(ins.attrs["coeffs"])
-        name = self.names.val(res)
         if len(coeffs) == 1:
-            self.lane_stmt(f"{name}[_l] = {self.flit(coeffs[0])};")
+            self.store(res, 0, self.flit(coeffs[0]))
             return
         # One SIMD lane loop with a scalar register chain per lane.
-        self.lane_open()
-        self.emit(f"dd_real _f = {self.ref(f)};")
-        self.emit(f"dd_real _h = {self.flit(coeffs[-1])};")
-        for c in reversed(coeffs[:-1]):
-            self.emit(f"_h = _h * _f + {self.flit(c)};")
-        self.emit(f"{name}[_l] = _h;")
-        self.lane_close()
+        with self.lanes():
+            self.emit(f"dd_real _f = {self.ref(f)};")
+            self.emit(f"dd_real _h = {self.flit(coeffs[-1])};")
+            for c in reversed(coeffs[:-1]):
+                self.emit(f"_h = _h * _f + {self.flit(c)};")
+            self.emit(f"{self.ref(res)} = _h;")
 
     def _op_conv_contract(self, ins: Instr) -> None:
         vox = ins.args[0]
         weights = ins.args[1:]
         res = ins.result
-        img = ins.attrs["image"]
-        d, tsize = self._image_info(img)
+        d, tsize = self._image_info(ins.attrs["image"])
         if len(weights) != d:
             self.fail("conv_contract weight count does not match image dim")
         w = self.size_of(weights[0])
-        name = self.names.val(res)
-        out_sz = self.size_of(res) if not self.is_scalar_val(res) else 1
-        scalar = self.is_scalar_val(res)
         # zero-init, then accumulate tap by tap (same serial order per lane
         # as the scalar emitter)
-        if scalar:
-            self.lane_stmt(f"{name}[_l] = 0.0;")
-        else:
-            z = self.names.fresh("z")
-            self.emit(f"for (int {z} = 0; {z} < {out_sz}; {z}++) {{")
-            self.indent += 1
-            self.lane_stmt(f"{name}[({z}) * DD_VB + _l] = 0.0;")
-            self.indent -= 1
-            self.emit("}")
-        ivars = [self.names.fresh("i") for _ in range(d)]
-        for ax in range(d):
-            self.emit(f"for (int {ivars[ax]} = 0; {ivars[ax]} < {w}; {ivars[ax]}++) {{")
-            self.indent += 1
-        off = self.names.fresh("o")
-        expr = ivars[0]
-        for ax in range(1, d):
-            expr = f"({expr} * {w} + {ivars[ax]})"
-        self.emit(f"int64_t {off} = (int64_t)({expr}) * {tsize};")
-        wprod = " * ".join(self.ref(weights[ax], ivars[ax]) for ax in range(d))
-        if scalar:
-            self.lane_stmt(f"{name}[_l] += {self.ref(vox, off)} * {wprod};")
-        else:
-            t = self.names.fresh("t")
-            self.emit(f"for (int {t} = 0; {t} < {out_sz}; {t}++) {{")
-            self.indent += 1
-            self.lane_stmt(
-                f"{name}[({t}) * DD_VB + _l] += "
-                f"{self.ref(vox, f'{off} + {t}')} * {wprod};"
-            )
-            self.indent -= 1
-            self.emit("}")
-        for _ in range(d):
-            self.indent -= 1
-            self.emit("}")
+        with self.elements(res, "z") as z:
+            self.store(res, z, "0.0")
+        with ExitStack() as nest:
+            ivars = [nest.enter_context(self.loop(w)) for _ in range(d)]
+            off = self.names.fresh("o")
+            expr = ivars[0]
+            for ax in range(1, d):
+                expr = f"({expr} * {w} + {ivars[ax]})"
+            self.emit(f"int64_t {off} = (int64_t)({expr}) * {tsize};")
+            wprod = " * ".join(self.ref(weights[ax], ivars[ax]) for ax in range(d))
+            with self.elements(res, "t") as t:
+                self.store(res, t, f"{self.ref(vox, _off(off, t))} * {wprod}", op="+=")
 
-    def _contract_step(self, out_name: str, out_scalar: bool, out_size: int,
-                       in_ref, w_ref, w: int) -> None:
+    def _contract_step(self, out: Value | str, src: Value | str, wv: Value) -> None:
         """One axis contraction with a per-lane register accumulator:
-        out[m] = sum_a in[a * out_size + m] * wv[a], ``a`` ascending (same
-        serial order as the scalar emitter's += loop).
-
-        ``in_ref(elem_expr)`` / ``w_ref(elem_expr)`` produce lane-_l refs.
-
-        The ``a`` reduction is unrolled into a left-associated chain: gcc
-        refuses to outer-vectorize a lane loop containing an inner serial
-        reduction ("complicated access pattern"), but vectorizes the same
-        straight-line chain trivially — and the association order matches
-        the scalar += loop, preserving the 1e-12 oracle agreement."""
-        if out_scalar:
-            chain = " + ".join(f"{in_ref(a)} * {w_ref(a)}" for a in range(w))
-            self.lane_stmt(f"{out_name}[_l] = {chain};")
-            return
-        m = self.names.fresh("m")
-        self.emit(f"for (int {m} = 0; {m} < {out_size}; {m}++) {{")
-        self.indent += 1
-        chain = " + ".join(
-            f"{in_ref(f'{a * out_size} + {m}')} * {w_ref(a)}" for a in range(w)
-        )
-        self.lane_stmt(f"{out_name}[({m}) * DD_VB + _l] = {chain};")
-        self.indent -= 1
-        self.emit("}")
+        out[m] = sum_a src[a * size(out) + m] * wv[a], ``a`` ascending — a
+        chain, in the serial order of the scalar emitter's += loop."""
+        n = self.size_of(out)
+        with self.elements(out, "m") as m:
+            self.store(out, m, self.chain(
+                f"{self.ref(src, _off(a * n, m))} * {self.ref(wv, a)}"
+                for a in range(self.size_of(wv))))
 
     def _op_contract_axis(self, ins: Instr) -> None:
         x, wv = ins.args
         res = ins.result
-        w = self.size_of(wv)
-        in_sz = self.size_of(x)
-        out_sz = 1 if self.is_scalar_val(res) else self.size_of(res)
-        if in_sz != w * out_sz:
+        if self.size_of(x) != self.size_of(wv) * self.size_of(res):
             self.fail("contract_axis size mismatch")
-        self._contract_step(
-            self.names.val(res), self.is_scalar_val(res), out_sz,
-            lambda e: self.ref(x, e), lambda e: self.ref(wv, e), w,
-        )
+        self._contract_step(res, x, wv)
 
     def _op_probe_parts(self, ins: Instr) -> None:
         vox = ins.args[0]
         weights = ins.args[1:]
-        specs = ins.attrs["specs"]
-        img = ins.attrs["image"]
-        d, tsize = self._image_info(img)
+        d, tsize = self._image_info(ins.attrs["image"])
         w = self.size_of(weights[0]) if weights else 0
         # Prefix-memoized axis-at-a-time contraction, matching
         # runtime.ops.probe_parts: axes contract left to right and partial
         # sums are shared across results on their weight-index prefix.
-        # cache: weight-index prefix -> (C name, size) of the partial sum
+        # cache: weight-index prefix -> scratch block of the partial sum
         cache: dict[tuple, str] = {}
-        for ri, spec in enumerate(specs):
+        for res, spec in zip(ins.results, ins.attrs["specs"]):
             spec = tuple(spec)
             if len(spec) != d:
                 self.fail("probe_parts spec length does not match image dim")
-            res = ins.results[ri]
-            cur_name = self.names.val(vox)
-            cur_val: Value | None = vox
-            prefix: tuple = ()
+            cur: Value | str = vox
             for step, wi in enumerate(spec):
-                prefix = prefix + (wi,)
-                is_last = step == d - 1
-                out_size = (w ** (d - step - 1)) * tsize
-                if is_last:
-                    out_name = self.names.val(res)
-                    out_is_scalar = self.is_scalar_val(res)
+                prefix = spec[: step + 1]
+                if step == d - 1:
+                    out: Value | str = res
+                elif prefix in cache:
+                    cur = cache[prefix]
+                    continue
                 else:
-                    hit = cache.get(prefix)
-                    if hit is not None:
-                        cur_name = hit
-                        cur_val = None
-                        continue
-                    out_name = self.names.fresh("pp")
-                    self.emit(f"dd_real {out_name}[{out_size} * DD_VB];")
-                    out_is_scalar = False
-                wv = weights[wi]
-                in_name = cur_name
-                in_val = cur_val
-
-                def in_ref(e, _n=in_name, _v=in_val):
-                    if _v is not None:
-                        return self.ref(_v, e)
-                    return f"{_n}[({e}) * DD_VB + _l]"
-
-                self._contract_step(
-                    out_name, out_is_scalar, out_size,
-                    in_ref, lambda e, _w=wv: self.ref(_w, e), w,
-                )
-                if not is_last:
-                    cache[prefix] = out_name
-                cur_name = out_name
-                cur_val = res if is_last else None
+                    out = cache[prefix] = self.scratch(
+                        "pp", "dd_real", (w ** (d - step - 1)) * tsize)
+                self._contract_step(out, cur, weights[wi])
+                cur = out
 
     def _op_deriv_assemble(self, ins: Instr) -> None:
         parts = ins.args
         res = ins.result
         dim = int(ins.attrs["dim"])
         deriv = int(ins.attrs["deriv"])
-        tshape = tuple(ins.attrs.get("tshape", ()))
-        tlen = 1
-        for s in tshape:
-            tlen *= s
-        name = self.names.val(res)
+        tlen = math.prod(tuple(ins.attrs.get("tshape", ())))
         ncomb = dim**deriv
         if len(parts) != ncomb:
             self.fail("deriv_assemble part count mismatch")
         if deriv == 0:
-            (p,) = parts
-            if self.is_scalar_val(res):
-                self.lane_stmt(f"{name}[_l] = {self.ref(p)};")
-            else:
-                i = self.names.fresh("i")
-                self.emit(f"for (int {i} = 0; {i} < {tlen}; {i}++) {{")
-                self.indent += 1
-                self.lane_stmt(f"{name}[({i}) * DD_VB + _l] = {self.ref(p, i)};")
-                self.indent -= 1
-                self.emit("}")
+            self.copy(res, parts[0])
             return
         # result layout: tshape axes first, then deriv axes (runtime stacks
         # parts leading, reshapes to head+(dim,)*deriv+tshape, then moves the
         # deriv axes after tshape): out[t * ncomb + c] = parts[c][t]
         for c, p in enumerate(parts):
             if tlen == 1:
-                self.lane_stmt(f"{name}[{c * self.vb} + _l] = {self.ref(p)};")
+                self.store(res, c, self.ref(p))
             else:
-                t = self.names.fresh("t")
-                self.emit(f"for (int {t} = 0; {t} < {tlen}; {t}++) {{")
-                self.indent += 1
-                self.lane_stmt(
-                    f"{name}[({t} * {ncomb} + {c}) * DD_VB + _l] = {self.ref(p, t)};"
-                )
-                self.indent -= 1
-                self.emit("}")
+                with self.loop(tlen, "t") as t:
+                    self.store(res, f"{t} * {ncomb} + {c}", self.ref(p, t))
 
     def _op_grad_xform(self, ins: Instr) -> None:
         (a,) = ins.args
@@ -1666,59 +1488,26 @@ class _Emitter:
         img = ins.attrs["image"]
         deriv = int(ins.attrs["deriv"])
         d, _ = self._image_info(img)
-        gxf = f"_gxf_{img}"
-        name = self.names.val(res)
         if deriv == 0:
-            if self.is_scalar_val(res):
-                self.lane_stmt(f"{name}[_l] = {self.ref(a)};")
-            else:
-                sz = self.size_of(res)
-                i = self.names.fresh("i")
-                self.emit(f"for (int {i} = 0; {i} < {sz}; {i}++) {{")
-                self.indent += 1
-                self.lane_stmt(f"{name}[({i}) * DD_VB + _l] = {self.ref(a, i)};")
-                self.indent -= 1
-                self.emit("}")
+            self.copy(res, a)
             return
         total = self.size_of(res)
         # shape = tshape + (d,)*deriv; transform each deriv axis in turn:
         # dst[(o*d + j)*inner + m] = sum_k src[(o*d + k)*inner + m] * gxf[j*d+k]
-        src_val: Value | None = a
-        src_name = self.names.val(a)
+        src: Value | str = a
         for pos in range(deriv):
             # deriv axes sit after the tensor axes; axis index from the right:
             inner = d ** (deriv - 1 - pos)
             blocks = total // (d * inner)
-            if pos == deriv - 1:
-                dst = name
-            else:
-                dst = self.names.fresh("gx")
-                self.emit(f"dd_real {dst}[{total} * DD_VB];")
-            o = self.names.fresh("o")
-            j = self.names.fresh("j")
-            m = self.names.fresh("m")
-            self.emit(f"for (int {o} = 0; {o} < {blocks}; {o}++)")
-            self.emit(f"for (int {j} = 0; {j} < {d}; {j}++)")
-            self.emit(f"for (int {m} = 0; {m} < {inner}; {m}++) {{")
-            self.indent += 1
-
-            def src_ref(e, _v=src_val, _n=src_name):
-                if _v is not None:
-                    return self.ref(_v, e)
-                return f"{_n}[({e}) * DD_VB + _l]"
-
-            chain = " + ".join(
-                f"{src_ref(f'(({o} * {d}) + {k}) * {inner} + {m}')} * "
-                f"{gxf}[{j} * {d} + {k}]"
-                for k in range(d)
-            )
-            self.lane_stmt(
-                f"{dst}[((({o} * {d}) + {j}) * {inner} + {m}) * DD_VB + _l] = {chain};"
-            )
-            self.indent -= 1
-            self.emit("}")
-            src_name = dst
-            src_val = None
+            dst = res if pos == deriv - 1 else self.scratch("gx", "dd_real", total)
+            with (self.loop(blocks, "o", collapse=True) as o,
+                  self.loop(d, "j", collapse=True) as j,
+                  self.loop(inner, "m") as m):
+                self.store(dst, f"(({o} * {d}) + {j}) * {inner} + {m}", self.chain(
+                    f"{self.ref(src, f'(({o} * {d}) + {k}) * {inner} + {m}')} * "
+                    f"_gxf_{img}[{j} * {d} + {k}]"
+                    for k in range(d)))
+            src = dst
 
     # -- control flow --------------------------------------------------------
 
@@ -1743,35 +1532,30 @@ class _Emitter:
         enclosing mask), both arms executed on all lanes — except that heavy
         arms keep a real `if (any lane)` branch — and branchless phi blends.
         """
-        mt = self.names.fresh("mt")
-        me = self.names.fresh("me")
-        enc = self.mask_stack[-1] if self.mask_stack else None
+        mt = self.scratch("mt", "int")
+        me = self.scratch("me", "int")
         cexpr = self.ref(region.cond)
-        self.emit(f"int {mt}[DD_VB];")
-        self.emit(f"int {me}[DD_VB];")
-        if enc is None:
-            self.lane_stmt(f"{{ {mt}[_l] = ({cexpr}) != 0; {me}[_l] = !({cexpr}); }}")
+        if not self.mask_stack:
+            self.lane(f"{{ {self.ref(mt)} = ({cexpr}) != 0; {self.ref(me)} = !({cexpr}); }}")
         else:
-            self.lane_stmt(
-                f"{{ {mt}[_l] = {enc}[_l] && ({cexpr}); "
-                f"{me}[_l] = {enc}[_l] && !({cexpr}); }}"
+            enc = self.ref(self.mask_stack[-1])
+            self.lane(
+                f"{{ {self.ref(mt)} = {enc} && ({cexpr}); "
+                f"{self.ref(me)} = {enc} && !({cexpr}); }}"
             )
         for mask, arm in ((mt, region.then_body), (me, region.else_body)):
             if not arm.items:
                 continue
-            guarded = self._body_cost(arm) >= _GUARD_MIN_COST
-            if guarded:
-                anyv = self.names.fresh("any")
-                self.emit(f"int {anyv} = 0;")
-                self.lane_stmt(f"{anyv} |= {mask}[_l];", simd=False)
-                self.emit(f"if ({anyv}) {{")
-                self.indent += 1
-            self.mask_stack.append(mask)
-            self._emit_body(arm)
-            self.mask_stack.pop()
-            if guarded:
-                self.indent -= 1
-                self.emit("}")
+            with ExitStack() as guard:
+                if self._body_cost(arm) >= _GUARD_MIN_COST:
+                    anyv = self.names.fresh("any")
+                    self.emit(f"int {anyv} = 0;")
+                    # an or-reduction across lanes, not a per-lane statement
+                    self.lane(f"{anyv} |= {self.ref(mask)};", simd=False)
+                    guard.enter_context(self.block(f"if ({anyv})"))
+                self.mask_stack.append(mask)
+                self._emit_body(arm)
+                self.mask_stack.pop()
         for phi in region.phis:
             res = phi.result
             sz = self.size_of(res)
@@ -1779,7 +1563,7 @@ class _Emitter:
             self._ew_loop(
                 res,
                 lambda i, _t=tv, _e=ev: (
-                    f"{mt}[_l] ? {self._bcast_ref(_t, i, sz)} : "
+                    f"{self.ref(mt)} ? {self._bcast_ref(_t, i, sz)} : "
                     f"{self._bcast_ref(_e, i, sz)}"
                 ),
             )
@@ -1789,11 +1573,8 @@ class _Emitter:
             if isinstance(item, Instr):
                 if item.op == "const":
                     continue  # hoisted
-                self.emit("{")
-                self.indent += 1
-                self._emit_instr(item)
-                self.indent -= 1
-                self.emit("}")
+                with self.block():
+                    self._emit_instr(item)
             elif isinstance(item, IfRegion):
                 self._emit_region(item)
             elif isinstance(item, Phi):
@@ -1820,59 +1601,22 @@ class _Emitter:
         (where ``_n`` is the constant ``DD_VB``, so every lane loop has a
         compile-time trip count) and into the tail-batch block."""
         func = self.func
-        n_globals = self.plan["n_globals"]
-        n_state = self.plan["n_state"]
+        states = func.params[self.plan["n_globals"]:]
 
         self.emit("int64_t _lane[DD_VB];")
         self.emit("if (idx) {")
-        self.indent += 1
-        self.lane_stmt("_lane[_l] = idx[_k0 + _l];", simd=False)
-        self.indent -= 1
+        with self.indented():
+            self.lane("_lane[_l] = idx[_k0 + _l];", simd=False)
         self.emit("} else {")
-        self.indent += 1
-        self.lane_stmt("_lane[_l] = _k0 + _l;", simd=False)
-        self.indent -= 1
+        with self.indented():
+            self.lane("_lane[_l] = _k0 + _l;", simd=False)
         self.emit("}")
 
         # state parameter loads (SoA gather by lane)
-        for si in range(n_state):
-            p = func.params[n_globals + si]
-            ty = p.ty
-            name = self.names.val(p)
-            if isinstance(ty, TensorTy):
-                rp = self.real_ptr_index[("state", si)]
-                sz = _tensor_size(ty)
-                self.sizes[p.id] = sz
-                if ty.shape == ():
-                    self.kinds[p.id] = "scalar"
-                    self.emit(f"dd_real {name}[DD_VB];")
-                    self.lane_stmt(f"{name}[_l] = _rp{rp}[_lane[_l]];")
-                else:
-                    self.kinds[p.id] = "array"
-                    self.emit(f"dd_real {name}[{sz} * DD_VB];")
-                    e = self.names.fresh("e")
-                    self.emit(f"for (int {e} = 0; {e} < {sz}; {e}++) {{")
-                    self.indent += 1
-                    self.lane_stmt(
-                        f"{name}[({e}) * DD_VB + _l] = "
-                        f"_rp{rp}[_lane[_l] * {sz} + {e}];"
-                    )
-                    self.indent -= 1
-                    self.emit("}")
-            elif ty == INT:
-                ip = self.int_ptr_index[("state", si)]
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(f"int64_t {name}[DD_VB];")
-                self.lane_stmt(f"{name}[_l] = _ip{ip}[_lane[_l]];")
-            elif ty == BOOL:
-                bp = self.bool_ptr_index[("state", si)]
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(f"int {name}[DD_VB];")
-                self.lane_stmt(f"{name}[_l] = _bp{bp}[_lane[_l]] != 0;")
-            else:
-                self.fail(f"unsupported state type {ty!r}")
+        for si, p in enumerate(states):
+            load = _TABLES[self.declare(p).table].load
+            with self.elements(p, "e") as e:
+                self.store(p, e, load.format(self._state_ref(si, e)))
 
         # hoisted declarations for all instruction results, then the body
         self._declare_results(func.body)
@@ -1881,35 +1625,11 @@ class _Emitter:
         # writebacks: results[:-1] are the *written* state slots in order
         # (a prefix of the slots — immutable extras at the tail are never
         # returned), results[-1] is the strand status.
-        results = func.results
-        n_ret = self.plan["n_ret"]
-        for si in range(n_ret):
-            r = results[si]
-            p_ty = func.params[n_globals + si].ty
-            if isinstance(p_ty, TensorTy):
-                rp = self.real_ptr_index[("state", si)]
-                sz = _tensor_size(p_ty)
-                if p_ty.shape == ():
-                    self.lane_stmt(f"_rp{rp}[_lane[_l]] = {self.ref(r)};")
-                else:
-                    e = self.names.fresh("e")
-                    self.emit(f"for (int {e} = 0; {e} < {sz}; {e}++) {{")
-                    self.indent += 1
-                    self.lane_stmt(
-                        f"_rp{rp}[_lane[_l] * {sz} + {e}] = {self.ref(r, e)};"
-                    )
-                    self.indent -= 1
-                    self.emit("}")
-            elif p_ty == INT:
-                ip = self.int_ptr_index[("state", si)]
-                self.lane_stmt(f"_ip{ip}[_lane[_l]] = {self.ref(r)};")
-            elif p_ty == BOOL:
-                bp = self.bool_ptr_index[("state", si)]
-                self.lane_stmt(
-                    f"_bp{bp}[_lane[_l]] = (unsigned char)({self.ref(r)} != 0);"
-                )
-        status_ip = self.int_ptr_index[("status",)]
-        self.lane_stmt(f"_ip{status_ip}[_lane[_l]] = {self.ref(results[-1])};")
+        for si, r in enumerate(func.results[:-1]):
+            store = _TABLES[self.rep(states[si].ty).table].store
+            with self.elements(states[si], "e") as e:
+                self.lane(f"{self._state_ref(si, e)} = {store.format(self.ref(r, e))};")
+        self.lane(f"_ip{self.index['status',]}[_lane[_l]] = {self.ref(func.results[-1])};")
 
     # -- top-level -----------------------------------------------------------
 
@@ -1917,7 +1637,6 @@ class _Emitter:
         self._build_plan()
         func = self.func
         plan = self.plan
-        n_globals = plan["n_globals"]
 
         out: list[str] = [_prelude(self.single, self.vb)]
         out.append(
@@ -1942,64 +1661,35 @@ class _Emitter:
         # image metadata: SC stays double for both precisions; cast once into
         # dd_real locals so the hot loops never widen
         for img in plan["images"]:
-            slot = self.images[img]
-            d = slot.dim
-            org_off = self.sc_index[("origin", img)]
-            minv_off = self.sc_index[("minv", img)]
-            gxf_off = self.sc_index[("gxf", img)]
+            d = self.images[img].dim
             self.emit(f"dd_real _org_{img}[{d}];")
             self.emit(f"dd_real _minv_{img}[{d * d}];")
             self.emit(f"dd_real _gxf_{img}[{d * d}];")
             k = self.names.fresh("k")
             self.emit(
-                f"for (int {k} = 0; {k} < {d}; {k}++) "
-                f"_org_{img}[{k}] = (dd_real)SC[{org_off} + {k}];"
+                f"{_for(k, d)} "
+                f"_org_{img}[{k}] = (dd_real)SC[{self.index['origin', img]} + {k}];"
             )
-            k = self.names.fresh("k")
-            self.emit(f"for (int {k} = 0; {k} < {d * d}; {k}++) {{")
-            self.emit(f"    _minv_{img}[{k}] = (dd_real)SC[{minv_off} + {k}];")
-            self.emit(f"    _gxf_{img}[{k}] = (dd_real)SC[{gxf_off} + {k}];")
-            self.emit("}")
-            self.emit(
-                f"const int64_t *const _sz_{img} = "
-                f"IC + {self.ic_index[('sizes', img)]};"
-            )
-            rp = self.real_ptr_index[("image", img)]
-            self.emit(f"const dd_real *const _vox_{img} = _rp{rp};")
+            with self.loop(d * d, "k") as k:
+                self.emit(f"_minv_{img}[{k}] = (dd_real)SC[{self.index['minv', img]} + {k}];")
+                self.emit(f"_gxf_{img}[{k}] = (dd_real)SC[{self.index['gxf', img]} + {k}];")
+            self.emit(f"const int64_t *const _sz_{img} = IC + {self.index['sizes', img]};")
+            self.emit(f"const dd_real *const _vox_{img} = _rp{self.index['image', img]};")
 
-        # globals are lane-invariant
-        for gi in range(n_globals):
+        # globals are lane-invariant: an array is its caller-owned buffer, a
+        # scalar one slot of the constant table its type selects
+        for gi in range(plan["n_globals"]):
             p = func.params[gi]
-            ty = p.ty
             name = self.names.val(p)
-            self.uniform.add(p.id)
-            if isinstance(ty, TensorTy) and ty.shape != ():
-                rp = self.real_ptr_index[("global", gi)]
-                sz = _tensor_size(ty)
-                self.kinds[p.id] = "array"
-                self.sizes[p.id] = sz
-                self.emit(f"const dd_real *const {name} = _rp{rp};")
-            elif isinstance(ty, TensorTy):
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(
-                    f"const dd_real {name} = "
-                    f"(dd_real)SC[{self.sc_index[('global', gi)]}];"
-                )
-            elif ty == INT:
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(
-                    f"const int64_t {name} = IC[{self.ic_index[('global', gi)]}];"
-                )
-            elif ty == BOOL:
-                self.kinds[p.id] = "scalar"
-                self.sizes[p.id] = 1
-                self.emit(
-                    f"const int {name} = (int)IC[{self.ic_index[('global', gi)]}];"
-                )
+            rep = self.bind(p, uniform=True)
+            k = self.index["global", gi]
+            if rep.kind == "array":
+                self.emit(f"const dd_real *const {name} = _rp{k};")
             else:
-                self.fail(f"unsupported global type {ty!r}")
+                consts = _TABLES[rep.table].consts.upper()
+                # SC is double and IC int64_t whatever the kernel's types
+                cast = "" if rep.ctype == "int64_t" else f"({rep.ctype})"
+                self.emit(f"const {rep.ctype} {name} = {cast}{consts}[{k}];")
 
         # hoisted constants + zero-init marking, then capture the batch body
         # once and splice it into the main loop and the tail block
@@ -2027,16 +1717,15 @@ class _Emitter:
 
         out.extend(self.lines)
         out.append("}")
-        out.append(_DRIVER % self.int_ptr_index[("status",)])
+        out.append(_DRIVER % self.index["status",])
         c_source = "\n".join(out)
 
         # per-image metadata the binder needs (dim, tshape) — picklable
-        plan_images = {}
-        for img in plan["images"]:
-            slot = self.images[img]
-            plan_images[img] = {"dim": slot.dim, "tshape": tuple(slot.shape)}
         plan = dict(plan)
-        plan["image_meta"] = plan_images
+        plan["image_meta"] = {
+            img: {"dim": self.images[img].dim, "tshape": tuple(self.images[img].shape)}
+            for img in plan["images"]
+        }
         return c_source, plan
 
 

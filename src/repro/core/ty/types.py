@@ -145,23 +145,6 @@ class ContVar:
         return self.name
 
 
-def is_ground(ty: Ty) -> bool:
-    """True when ``ty`` contains no pattern variables."""
-    if isinstance(ty, TensorTy):
-        return all(isinstance(s, int) for s in ty.shape)
-    if isinstance(ty, ImageTy):
-        return isinstance(ty.dim, int) and all(isinstance(s, int) for s in ty.shape)
-    if isinstance(ty, KernelTy):
-        return isinstance(ty.continuity, int)
-    if isinstance(ty, FieldTy):
-        return (
-            isinstance(ty.continuity, int)
-            and isinstance(ty.dim, int)
-            and all(isinstance(s, int) for s in ty.shape)
-        )
-    return True
-
-
 def _bind(env: dict, var, value) -> bool:
     if var.name in env:
         return env[var.name] == value

@@ -7,8 +7,9 @@
     python -m repro.core.verify check prog.diderot [more.diderot ...]
 
 ``fuzz`` differentially executes seeded random programs (compiled under
-every scheduler vs the HighIR interpreter) and prints shrunk
-counterexamples; ``props`` runs the Figure-10 identity harness; ``check``
+every scheduler vs the HighIR interpreter), prints shrunk counterexamples
+and ends with its own coverage — which LowIR ops the programs never
+contained; ``props`` runs the Figure-10 identity harness; ``check``
 compiles source files with the IR validator enabled between every pass
 and prints the SHA-256 of the generated Python and C — unchanged digests
 across a compiler refactoring mean byte-identical generated code.
@@ -29,6 +30,7 @@ from repro.obs import Obs, write_metrics_json
 
 
 def _cmd_fuzz(ns) -> int:
+    from repro.core.ir.ops import LOW
     from repro.core.verify.fuzz import ALL_SCHEDULERS, fuzz
 
     schedulers = tuple(ns.schedulers.split(",")) if ns.schedulers else ALL_SCHEDULERS
@@ -54,6 +56,9 @@ def _cmd_fuzz(ns) -> int:
     for f in report.failures:
         print(f"\nseed {f.seed}: {f.message}\nminimized reproducer:")
         print(f.minimized)
+    never = sorted(set(LOW) - report.ops)
+    print(f"LowIR ops {len(LOW) - len(never)}/{len(LOW)} emitted; "
+          f"never: {' '.join(never) or 'none'}")
     return 0 if report.ok else 1
 
 

@@ -507,6 +507,9 @@ class FuzzReport:
     n_programs: int
     schedulers: tuple[str, ...]
     failures: list[FuzzFailure] = field(default_factory=list)
+    #: LowIR ops the generated programs' update methods contained — what
+    #: the run asked the backends to emit, so it can say what it never did
+    ops: set[str] = field(default_factory=set)
 
     @property
     def ok(self) -> bool:
@@ -539,6 +542,8 @@ def fuzz(
     dirty-region update path against fresh-compile cold oracles, under
     each of ``schedulers`` in turn and ``backend``.
     """
+    from repro.core.driver import OptOptions, compile_program
+
     image = _phantom()
     report = FuzzReport(n_programs=n, schedulers=tuple(schedulers))
 
@@ -559,6 +564,10 @@ def fuzz(
             progress(k, s)
         tree = ProgramGen(s).program_tree()
         src = render_program(tree)
+        lowered = compile_program(src, precision=precision,
+                                  optimize=OptOptions(probe_fusion=fuse))
+        report.ops.update(
+            ins.op for ins in lowered.high.update_func.body.instructions())
         msg = check(src, s)
         if msg is None:
             continue

@@ -227,17 +227,3 @@ def curl(f: SymField) -> SymField:
     if isinstance(f, SymScale):
         return SymScale(f.scale, curl(f.field))
     raise CompileError(f"cannot take curl of {type(f).__name__}")
-
-
-def is_normal(f: SymField) -> bool:
-    """True if ``f`` is in the normal form of Figure 9b (it always is when
-    built via this module's constructors; used as a sanity check)."""
-    if isinstance(f, SymConv):
-        return True
-    if isinstance(f, SymSum):
-        return is_normal(f.left) and is_normal(f.right)
-    if isinstance(f, SymScale):
-        return is_normal(f.field)
-    if isinstance(f, SymContract):
-        return True
-    return False

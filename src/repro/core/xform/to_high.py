@@ -203,9 +203,6 @@ class HighBuilder:
 
     # -- function builders ------------------------------------------------------
 
-    def _is_concrete_ty(self, ty: Ty) -> bool:
-        return isinstance(ty, (TensorTy, type(BOOL), type(INT)))
-
     def build_globals(self, prog: ast.Program) -> Func:
         """Inputs → derived concrete globals; also record images/fields."""
         body = Body()

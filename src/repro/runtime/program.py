@@ -33,24 +33,6 @@ from repro.runtime.plan import resolve
 from repro.runtime.scheduler import DEFAULT_BLOCK_SIZE
 
 
-def _batch_override() -> int | None:
-    """The lane-batch width ``REPRO_CGEN_BATCH`` asks for, or ``None``.
-
-    The knob exists for one test contract: ``tests/test_cgen.py`` pins the
-    scalar kernel (width 1) bit-identical to the default batched one, so
-    the vectorized emission always has an unvectorized reference.
-    """
-    from repro.core.codegen.cgen import MAX_VB
-
-    raw = os.environ.get("REPRO_CGEN_BATCH")
-    if not raw:
-        return None
-    if not (raw.isdecimal() and 1 <= int(raw) <= MAX_VB):
-        raise InputError(
-            f"REPRO_CGEN_BATCH must be an integer in [1, {MAX_VB}], got {raw!r}")
-    return int(raw)
-
-
 @dataclass
 class RunResult:
     """Outputs and execution statistics for one program run."""
@@ -272,8 +254,7 @@ class Program:
             from repro.core.codegen.cgen import generate_c_module
 
             flags = cbuild.flags_for(single)
-            c_source, plan = generate_c_module(self.high, single=single,
-                                               batch=_batch_override())
+            c_source, plan = generate_c_module(self.high, single=single)
             lib, ffi = cbuild.build(c_source, flags=flags)
         except CodegenError as exc:
             self._native_art = "failed"

@@ -8,12 +8,14 @@ FMA contraction from re-rounding).  The kernel is strand-batched
 (``DD_VB`` SoA lanes per iteration), so equivalence is additionally
 pinned at scheduler block sizes 1/64/4096 — full blocks, lane tails, and
 single-lane degenerate batches all hit the same double-precision oracle —
-and with the batch width forced to 1 (``REPRO_CGEN_BATCH=1``), the scalar
-kernel that is the vectorized emission's reference.  Single precision (``precision="single"``) runs
-natively too, checked against the float64 NumPy run at the relaxed
-tolerance DESIGN.md documents (1e-5 relative).  Corrupted LowIR must
-surface as a clean :class:`~repro.errors.CodegenError`, and a missing C
-compiler must degrade to NumPy with a warning, never a crash.
+and with the batch width forced to 1, the scalar kernel that is the
+vectorized emission's reference, and with probe fusion off (the
+``conv_contract`` form of a probe, which no fused program emits).  Single
+precision (``precision="single"``) runs natively too, checked against the
+float64 NumPy run at the relaxed tolerance DESIGN.md documents (1e-5
+relative).  Corrupted LowIR must surface as a clean
+:class:`~repro.errors.CodegenError`, and a missing C compiler must degrade
+to NumPy with a warning, never a crash.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.codegen import cbuild
+from repro.core import driver
+from repro.core.codegen import cbuild, cgen
 from repro.core.codegen.cgen import generate_c_module
-from repro.core.driver import compile_program
+from repro.core.driver import OptOptions, compile_program
 from repro.errors import CodegenError, InputError
 from repro.programs import ALL
 
@@ -62,12 +65,34 @@ def assert_outputs_equal(a, b):
     assert a.num_died == b.num_died
 
 
+#: the C emission variants every golden seq test also runs: the scalar
+#: kernel (batch width 1), and the paper programs compiled without probe
+#: fusion
+PAPER = [n for n in ALL if n != "isocontour"]
+SEQ_VARIANTS = (
+    [pytest.param(n, None, id=n) for n in ALL]
+    + [pytest.param(n, "vb1", id=f"{n}-vb1") for n in ALL]
+    + [pytest.param(n, "unfused", id=f"{n}-unfused") for n in PAPER]
+)
+
+
 @requires_cc
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("name", list(ALL))
-    def test_seq(self, name):
+    @pytest.mark.parametrize("name,variant", SEQ_VARIANTS)
+    def test_seq(self, name, variant, monkeypatch):
         a = run_outputs(name, "numpy")
-        b = run_outputs(name, "c")
+        if variant == "vb1":
+            monkeypatch.setattr(cgen, "DEFAULT_VB_DOUBLE", 1)
+        elif variant == "unfused":
+            # make_program imports the driver's compile_program when called
+            unfused = OptOptions(probe_fusion=False)
+            monkeypatch.setattr(
+                driver, "compile_program",
+                lambda src, **kw: compile_program(src, optimize=unfused, **kw))
+        prog = ALL[name].make_program(**PROGRAM_KW[name])
+        emitted = {ins.op for ins in prog.high.update_func.body.instructions()}
+        assert ("conv_contract" in emitted) == (variant == "unfused")
+        b = prog.run(max_steps=MAX_STEPS, backend="c")
         assert_outputs_equal(a, b)
 
     @pytest.mark.parametrize("name", list(ALL))
@@ -98,18 +123,20 @@ class TestGoldenEquivalence:
         assert_outputs_equal(a, b)
 
     def test_forced_scalar_batch_matches_default(self, monkeypatch):
-        # REPRO_CGEN_BATCH=1 is the scalar kernel: the knob's one contract
-        # is that it produces bit-identical results to the batched default.
+        # batch width 1 is the scalar kernel: its one contract is that it
+        # produces bit-identical results to the batched default.
         a = run_outputs("ridge3d", "c")
-        monkeypatch.setenv("REPRO_CGEN_BATCH", "1")
+        monkeypatch.setattr(cgen, "DEFAULT_VB_DOUBLE", 1)
         b = run_outputs("ridge3d", "c")
+        for k in a.outputs:
+            assert a.outputs[k].tobytes() == b.outputs[k].tobytes(), k
         assert_outputs_equal(a, b)
 
-    @pytest.mark.parametrize("value", ["abc", "0", "65", "4.0"])
-    def test_malformed_batch_is_a_clean_input_error(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_CGEN_BATCH", value)
-        with pytest.raises(InputError, match="REPRO_CGEN_BATCH"):
-            run_outputs("ridge3d", "c")
+    @pytest.mark.parametrize("batch", [0, cgen.MAX_VB + 1])
+    def test_out_of_range_batch_is_a_codegen_error(self, batch):
+        high = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"]).high
+        with pytest.raises(CodegenError, match="batch width"):
+            generate_c_module(high, batch=batch)
 
 
 @requires_cc
@@ -334,11 +361,11 @@ class TestFootprintRecording:
             assert (nlo[recorded] >= 0).all(), img
             assert (nhi[recorded] <= sizes[img] - 1).all(), img
 
-    @pytest.mark.parametrize("batch", ["1", None])
+    @pytest.mark.parametrize("batch", [1, None])
     def test_unrecorded_run_binds_null_and_matches(self, batch, monkeypatch,
                                                    bound_kernels):
         if batch is not None:
-            monkeypatch.setenv("REPRO_CGEN_BATCH", batch)
+            monkeypatch.setattr(cgen, "DEFAULT_VB_DOUBLE", batch)
         plain = run_outputs("ridge3d", "c")
         recorded = run_outputs("ridge3d", "c", checkpoint=True)
         (unbound, no_recorder), (bound, recorder) = bound_kernels

@@ -9,7 +9,8 @@ Three table-driven suites, so a new row is covered the day it is added:
   of each of its signatures, an unflagged one is left alone;
 * op coverage — one single-update strand program per op and per ``Sig``
   instance (dimensions 2 and 3, rectangular matrices included), compiled
-  with the validators on and run on NumPy, the native backend and the
+  with the validators on and run on NumPy, the native backend (at the
+  default batch width and, bit-identically, as the scalar kernel) and the
   HighIR interpreter, which must agree to 1e-12.  The example programs
   and the fuzzer never emit a third of the LowIR ops, so the
   generated-code digests cannot see a wrong row there; this does.
@@ -17,13 +18,15 @@ Three table-driven suites, so a new row is covered the day it is added:
 
 from __future__ import annotations
 
+import ast
 import functools
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.core.codegen import cbuild
+from repro.core.codegen import cbuild, cgen
 from repro.core.codegen.cgen import _Emitter
 from repro.core.driver import OptOptions, compile_program
 from repro.core.ir import ops as irops
@@ -111,6 +114,34 @@ class TestTable:
             for params, result in instances(info.sigs)
         )
         assert hasattr(_Emitter, f"_op_{name}") == untemplated
+
+    def test_op_emitters_go_through_the_printer(self):
+        """No ``_op_<name>`` spells a loop header, the batch width, an
+        indent or a reduction chain itself: ``loop``/``store``/``chain``
+        and the rest of ``_Emitter``'s printer section own those."""
+        banned = ("for (int", "DD_VB", "self.indent", '" + ".join')
+        emitters = {n: f for n, f in vars(_Emitter).items()
+                    if n.startswith("_op_")}
+        assert len(emitters) >= 28
+        for name, fn in emitters.items():
+            source = inspect.getsource(fn)
+            assert [b for b in banned if b in source] == [], name
+
+    def test_one_function_records_representations(self):
+        """``kinds[...]`` / ``sizes[...]`` have a single writer, fed by the
+        one IR type -> C representation function."""
+        writers = set()
+        for fn in ast.walk(ast.parse(inspect.getsource(cgen))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    writers |= {
+                        (fn.name, t.value.attr) for t in node.targets
+                        if isinstance(t, ast.Subscript)
+                        and isinstance(t.value, ast.Attribute)
+                        and t.value.attr in ("kinds", "sizes")}
+        assert writers == {("bind", "kinds"), ("bind", "sizes")}
 
     def test_typechecker_tables_hold_the_tables_sigs(self):
         for functions, table in ((False, builtins.OPERATORS),
@@ -327,9 +358,17 @@ def test_numpy_agrees_with_interpreter(op):
 @pytest.mark.skipif(not cbuild.compiler_available(),
                     reason="native backend needs cffi plus a C compiler on PATH")
 @pytest.mark.parametrize("op", sorted(COVERAGE))
-def test_native_agrees_with_numpy(op):
+def test_native_agrees_with_numpy(op, monkeypatch):
     for label in COVERAGE[op]:
         prog = _compiled(op, label)
         want = prog.run(max_steps=2, backend="numpy").outputs["out"]
         got = prog.run(max_steps=2, backend="c").outputs["out"]
         assert _agree(got, want), f"{op}({label}): {got} vs {want}"
+        # the scalar kernel is the same emission at DD_VB = 1, so both of
+        # ``ref``'s address spellings (a folded ``k * vb``, a symbolic
+        # ``(e) * DD_VB``) are exercised at the other width: same bits
+        with monkeypatch.context() as width:
+            width.setattr(cgen, "DEFAULT_VB_DOUBLE", 1)
+            scalar = _compiled.__wrapped__(op, label)  # its own kernel
+            vb1 = scalar.run(max_steps=2, backend="c").outputs["out"]
+        assert vb1.tobytes() == got.tobytes(), f"{op}({label}) at batch 1"

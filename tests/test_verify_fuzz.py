@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,14 @@ def test_cli_fuzz_exit_status(capsys):
 
     assert main(["fuzz", "--n", "3", "--seed", "0",
                  "--schedulers", "seq,thread"]) == 0
-    assert "all agree" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all agree" in out
+    # ... and says which LowIR ops its programs never contained: these
+    # three seeds probe (gather) and compute no eigensystem (evecs)
+    coverage = out.splitlines()[-1]
+    emitted, never = coverage.split("; never: ")
+    assert re.fullmatch(r"LowIR ops \d+/\d+ emitted", emitted)
+    assert "evecs" in never.split() and "gather" not in never.split()
 
 
 def test_outputs_are_real_arrays():
