@@ -11,10 +11,9 @@ state.  This module supplies the machinery ``Program.update_input`` /
 ``FootprintRecorder``
     Per strand and per image, the axis-aligned bounding box of sample
     indices read.  Two writers fold gathers into the same arrays: the
-    :mod:`repro.runtime.ops` ``gather`` hook (the runtime names the
-    strand rows of the current lanes through ``lane_map``) and the
-    native kernel, which :class:`~repro.runtime.native.NativeUpdate`
-    hands the arrays themselves.
+    :mod:`repro.runtime.ops` ``gather`` hook (each thread's hook names the
+    strand rows of its running lanes) and the native kernel, which
+    :class:`~repro.runtime.native.NativeUpdate` hands the arrays themselves.
 
 ``Footprints``
     The queryable product: which strands' boxes, dilated by one extra
@@ -33,6 +32,7 @@ state.  This module supplies the machinery ``Program.update_input`` /
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +53,9 @@ _BIG = np.int64(1) << 40
 class FootprintRecorder:
     """Accumulates per-strand, per-image gather AABBs during a run.
 
-    The ``on_gather`` hook is not thread-safe (``lane_map`` is shared);
-    native blocks may record concurrently because they own disjoint rows.
+    Blocks on several threads (NumPy or native) record concurrently: each
+    owns disjoint rows, and box creation and the global-box fold hold
+    one lock.
     """
 
     def __init__(self, image_names: dict[int, str], total: int = 0):
@@ -66,16 +67,13 @@ class FootprintRecorder:
         # name -> (lo, hi) global fallback box for gathers outside lane
         # tracking (constant-position probes, unmapped lanes)
         self.global_boxes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: strand rows the currently-running lanes map to (set by the
-        #: runtime around seed/init, per block, and around stabilize)
-        self.lane_map: np.ndarray | None = None
+        self._lock = threading.Lock()
 
     # -- wiring ------------------------------------------------------------
 
     def watch(self, images: dict) -> None:
         """Name the image objects a run is about to gather from."""
         self._names.update({id(img): nm for nm, img in images.items()})
-        self.lane_map = None
 
     def resize(self, total: int) -> None:
         """Late-size the per-strand tables (grid dims resolve mid-run)."""
@@ -89,11 +87,12 @@ class FootprintRecorder:
     def box_arrays(self, name: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``(lo, hi)`` arrays of image ``name``, created empty on
         first use; writers update them in place."""
-        got = self.boxes.get(name)
-        if got is None:
-            lo = np.full((self.total, dim), _BIG, dtype=np.int64)
-            hi = np.full((self.total, dim), -_BIG, dtype=np.int64)
-            got = self.boxes[name] = (lo, hi)
+        with self._lock:
+            got = self.boxes.get(name)
+            if got is None:
+                lo = np.full((self.total, dim), _BIG, dtype=np.int64)
+                hi = np.full((self.total, dim), -_BIG, dtype=np.int64)
+                got = self.boxes[name] = (lo, hi)
         return got
 
     def reset_rows(self, ids: np.ndarray) -> None:
@@ -104,7 +103,10 @@ class FootprintRecorder:
 
     # -- the ops.gather hook ----------------------------------------------
 
-    def on_gather(self, image, n: np.ndarray, support: int) -> None:
+    def on_gather(self, image, n: np.ndarray, support: int,
+                  lanes: np.ndarray | None) -> None:
+        """Fold one gather into the rows ``lanes`` (the strand rows of the
+        running lanes) or, when no strand owns it, the global box."""
         name = self._names.get(id(image))
         if name is None:
             return
@@ -116,7 +118,6 @@ class FootprintRecorder:
         sizes = np.asarray(image.sizes, dtype=np.int64)
         lo = np.clip(n + (1 - support), 0, sizes - 1)
         hi = np.clip(n + support, 0, sizes - 1)
-        lanes = self.lane_map
         if (
             lanes is not None
             and n.ndim == 2
@@ -133,13 +134,11 @@ class FootprintRecorder:
             hi = hi[None, :]
         glo = lo.min(axis=0)
         ghi = hi.max(axis=0)
-        got = self.global_boxes.get(name)
-        if got is None:
+        with self._lock:
+            got = self.global_boxes.get(name)
+            if got is not None:
+                glo, ghi = np.minimum(got[0], glo), np.maximum(got[1], ghi)
             self.global_boxes[name] = (glo, ghi)
-        else:
-            self.global_boxes[name] = (
-                np.minimum(got[0], glo), np.maximum(got[1], ghi)
-            )
 
 
 class Footprints:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import clock
+from repro.runtime.ops import recording
 
 #: status codes returned by compiled update functions
 RUNNING, STABILIZE, DIE = 0, 1, 2
@@ -48,8 +49,8 @@ class NumpyKernel:
                  recorder=None):
         self._update, self._ctx, self._g = update, ctx, tuple(global_values)
         self._state, self._status = state, status
-        #: told which strand rows the running lanes are, so the
-        #: ``runtime.ops`` gather hook can attribute what they read
+        #: receives, through the ``runtime.ops`` gather hook of the thread
+        #: running a block, what the block's strand rows read
         self._recorder = recorder
         self._bound = {id(arr) for arr in (*state, status)}
 
@@ -65,10 +66,14 @@ class NumpyKernel:
         """One super-step over ``idx``: a NumPy block comes back after
         every step (``per_step.numpy`` in the run plan), so more than one
         is never asked for."""
+        if self._recorder is None:
+            return self._step(idx)
+        with recording(self._recorder, idx):
+            return self._step(idx)
+
+    def _step(self, idx: np.ndarray):
         t0 = clock()
         state, status = self._state, self._status
-        if self._recorder is not None:
-            self._recorder.lane_map = idx
         n = idx.shape[0]
         if n == status.shape[0]:
             # one block covers every strand, so idx is the identity: hand

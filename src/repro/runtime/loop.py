@@ -22,6 +22,7 @@ from repro.obs import clock
 from repro.obs.metrics import IMBALANCE_BUCKETS
 from repro.runtime.incremental import StepEvent
 from repro.runtime.kernel import RUNNING, STABILIZE, NumpyKernel
+from repro.runtime.ops import recording
 from repro.runtime.scheduler import (
     SequentialScheduler,
     ThreadScheduler,
@@ -64,12 +65,9 @@ def make_strands(program, ctx, g, grid: Grid, ids: np.ndarray,
     for size, lo in zip(reversed(grid.sizes), reversed(grid.los)):
         iter_vals.insert(0, rem % size + lo)
         rem = rem // size
-    if rec is not None:
-        rec.lane_map = ids
-    params = program.namespace["seed"](ctx, *g, *iter_vals)
-    state = list(program.namespace["init"](ctx, *g, *params))
-    if rec is not None:
-        rec.lane_map = None
+    with recording(rec, ids):
+        params = program.namespace["seed"](ctx, *g, *iter_vals)
+        state = list(program.namespace["init"](ctx, *g, *params))
     # Initializers that fold to constants come back unbatched, and two
     # state variables initialized from the same SSA value come back as
     # the same array object — each needs its own storage, since state is
@@ -203,11 +201,8 @@ def step_hooks(program, ctx, g, state, rec, on_step, obs, tallies) -> list:
             # mutates state only, never status
             ids = active[active_status == STABILIZE]
             if ids.size:
-                if rec is not None:
-                    rec.lane_map = ids
-                new_state = stabilize(ctx, *g, *[s[ids] for s in state])
-                if rec is not None:
-                    rec.lane_map = None
+                with recording(rec, ids):
+                    new_state = stabilize(ctx, *g, *[s[ids] for s in state])
                 for s_arr, new in zip(state, new_state):
                     s_arr[ids] = new
 

@@ -141,8 +141,6 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
     footprint = None
     if recording and scheduler == "process":  # updates run out of process
         footprint = "shadow.process"
-    elif recording and scheduler == "thread" and backend != "c":
-        footprint = "shadow.thread_numpy"  # the gather hook is per-thread
     elif recording:
         footprint = f"inline.{backend}"
     return RunPlan(scheduler, why, borrowed, workers, block_size, max_steps,

@@ -363,8 +363,7 @@ class Program:
                 ctx = self._context()
                 if rec is not None:
                     rec.watch(ctx.images)  # global gathers until strands exist
-                    _ops.set_footprint_recorder(rec)
-                    held.callback(_ops.set_footprint_recorder, None)
+                    held.enter_context(_ops.recording(rec))
                 g = self._globals_tuple(ctx)
                 grid = _loop.comprehension_grid(self, ctx, g)
                 want = dict(scheduler=scheduler, workers=workers,
@@ -401,7 +400,7 @@ class Program:
                         plan = resolve(self, **want, bind_error=str(exc))
                 if rec is not None and not plan.records:
                     # footprints come from a sequential shadow run instead
-                    _ops.set_footprint_recorder(None)
+                    held.enter_context(_ops.recording(None))
                     rec = None
                 state, status, dispatch = _loop.open_dispatch(
                     plan, self, ctx, g, state, status, native, rec, obs, held)
@@ -498,7 +497,7 @@ class Program:
         checkpointed run, so the recorded per-strand image AABBs
         describe exactly the trajectories the snapshot holds.  Only
         checkpoints whose strand updates could not record as they ran
-        (process pools, NumPy blocks on threads) need it; it is called
+        (process pools) need it; it is called
         lazily by :meth:`update_input` and after each such update run —
         callers never need to invoke it directly.  ``obs`` (default: the
         current one) gets the ``footprint-build`` span and counters; the

@@ -14,53 +14,34 @@ honest*: anything that could change the generated code (kernel
 coefficients, image dims/shapes/paths, optimization toggles, precision)
 is structurally folded into the hash, and nothing else is.
 
-Entries are pickles of :class:`CompileCacheEntry` — the generated Python
-source, the (lowered) :class:`HighProgram`, and the
-:class:`CompileStats` from the original compile — written atomically
-(temp file + ``os.replace``) so concurrent writers are safe, and read
-defensively (a corrupt or version-skewed entry is deleted and treated as
-a miss).  The on-disk format is versioned via ``FORMAT``, which is mixed
-into the key, so format bumps invalidate old entries instead of
-mis-reading them.
-
-Environment knobs:
-
-* ``REPRO_COMPILE_CACHE`` — enable for plain ``compile_program`` calls
-  (the serving layer passes ``cache=True`` explicitly).
-* ``REPRO_COMPILE_CACHE_DIR`` — cache directory (default
-  ``~/.cache/repro-compile``).
-* ``REPRO_COMPILE_CACHE_MAX`` — max number of entries; least-recently
-  used (by mtime, refreshed on hit) are evicted on store.  Default
-  unbounded.
-
-Metrics: ``compile_cache.hits`` / ``compile_cache.misses`` /
-``compile_cache.evicted`` counters on the current ``Obs``, plus one
-``cat="cache"`` event per lookup.
+Entries are ``<key>.pkl`` pickles of :class:`CompileCacheEntry` (generated
+source, lowered :class:`HighProgram`, :class:`CompileStats`) in a
+:class:`repro.diskcache.DiskCache` in ``$REPRO_COMPILE_CACHE_DIR``
+(default ``~/.cache/repro-compile``), bounded by
+``$REPRO_COMPILE_CACHE_MAX``; one that will not load or names another key
+is purged and is a miss.  ``FORMAT`` is mixed into the key, so a format
+bump invalidates old entries instead of mis-reading them.
+``REPRO_COMPILE_CACHE`` enables the cache for plain ``compile_program``
+calls (the serving layer passes ``cache=True``).  Each lookup and store
+is also one ``cat="cache"`` event.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, fields as _dc_fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.diskcache import DiskCache
 from repro.obs import current
 
-__all__ = [
-    "CompileCacheEntry",
-    "FORMAT",
-    "cache_dir",
-    "clear",
-    "fingerprint",
-    "load",
-    "store",
-]
+__all__ = ["CompileCacheEntry", "FORMAT", "cache_dir", "fingerprint", "load",
+           "store"]
 
 #: on-disk format version; bump when CompileCacheEntry or the pickled IR
 #: classes change shape (mixed into the fingerprint, so old entries are
@@ -78,11 +59,13 @@ class CompileCacheEntry:
     stats: object  # CompileStats
 
 
+_STORE = DiskCache("compile_cache", "REPRO_COMPILE_CACHE_DIR",
+                   str(Path.home() / ".cache" / "repro-compile"),
+                   "REPRO_COMPILE_CACHE_MAX", (".pkl",))
+
+
 def cache_dir() -> Path:
-    env = os.environ.get("REPRO_COMPILE_CACHE_DIR")
-    d = Path(env) if env else Path.home() / ".cache" / "repro-compile"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return Path(_STORE.dir())
 
 
 # --------------------------------------------------------------------------
@@ -194,119 +177,35 @@ def fingerprint(hp, opts, extra: tuple = ()) -> str:
 
 
 # --------------------------------------------------------------------------
-# load / store / evict
+# load / store
 
 
-def _entry_path(key: str) -> Path:
-    return cache_dir() / f"{key}.pkl"
+def _read_entry(key: str, path: str) -> CompileCacheEntry:
+    with open(path, "rb") as fp:
+        entry = pickle.load(fp)
+    if not (isinstance(entry, CompileCacheEntry) and entry.key == key):
+        # a renamed/foreign entry must never satisfy another key
+        raise ValueError(f"{path} holds no entry for this key")
+    return entry
 
 
 def load(key: str, obs=None):
-    """Look up a compile by key; returns a CompileCacheEntry or None.
-
-    A hit refreshes the entry's mtime (LRU recency) and increments
-    ``compile_cache.hits``; a miss (including a corrupt entry, which is
-    deleted) increments ``compile_cache.misses``; either is an event on
-    ``obs`` (default: the current one), with the key.
-    """
+    """The CompileCacheEntry for ``key``, or None: counted by the store
+    and an event on ``obs`` (default: the current one)."""
     obs = obs or current()
-    path = _entry_path(key)
-    entry = None
-    try:
-        with open(path, "rb") as fp:
-            obj = pickle.load(fp)
-        if isinstance(obj, CompileCacheEntry) and obj.key == key:
-            entry = obj
-        else:
-            # a renamed/foreign entry must never satisfy another key
-            os.unlink(path)
-    except FileNotFoundError:
-        pass
-    except Exception:
-        # corrupt / truncated / version-skewed pickle: purge and recompile
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    if entry is not None:
-        obs.inc("compile_cache.hits")
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        obs.event("compile-cache-hit", cat="cache", key=key)
-    else:
-        obs.inc("compile_cache.misses")
-        obs.event("compile-cache-miss", cat="cache", key=key)
+    entry = _STORE.get(key, partial(_read_entry, key), obs)
+    obs.event(f"compile-cache-{'miss' if entry is None else 'hit'}",
+              cat="cache", key=key)
     return entry
 
 
 def store(key: str, gen_source: str, high, stats, obs=None) -> None:
     """Persist a compile atomically; best-effort (I/O errors are not
     compile errors — a read-only cache dir just means no caching)."""
-    d = cache_dir()
-    entry = CompileCacheEntry(key=key, gen_source=gen_source, high=high,
-                              stats=stats)
+    entry = CompileCacheEntry(key, gen_source, high, stats)
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=f"{key}.", suffix=".pkl.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fp:
-                pickle.dump(entry, fp, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, _entry_path(key))
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        _STORE.put(key, ".pkl", pickle.dumps(entry, pickle.HIGHEST_PROTOCOL),
+                   obs)
     except (OSError, pickle.PicklingError):
         return
     (obs or current()).event("compile-cache-store", cat="cache", key=key)
-    _evict_lru(d, keep_key=key)
-
-
-def _max_entries() -> int | None:
-    raw = os.environ.get("REPRO_COMPILE_CACHE_MAX", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n > 0 else None
-
-
-def _evict_lru(d: Path, keep_key: str | None = None) -> None:
-    limit = _max_entries()
-    if limit is None:
-        return
-    entries = []
-    for p in d.glob("*.pkl"):
-        try:
-            entries.append((p.stat().st_mtime, p))
-        except OSError:
-            continue
-    if len(entries) <= limit:
-        return
-    entries.sort()
-    excess = len(entries) - limit
-    for _, p in entries:
-        if excess <= 0:
-            break
-        if keep_key is not None and p.stem == keep_key:
-            continue
-        try:
-            os.unlink(p)
-            current().inc("compile_cache.evicted")
-            excess -= 1
-        except OSError:
-            pass
-
-
-def clear() -> int:
-    """Delete every entry; returns the number removed (CLI hook)."""
-    n = 0
-    for p in cache_dir().glob("*.pkl"):
-        try:
-            os.unlink(p)
-            n += 1
-        except OSError:
-            pass
-    return n

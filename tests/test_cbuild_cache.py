@@ -3,21 +3,25 @@
 Covers the serving-layer hardening of :mod:`repro.core.codegen.cbuild`:
 the memoized version probe with per-path failure sentinels, the per-key
 inter-process build lock (cold-cache stampede → exactly one compiler
-invocation), stale-lock recovery, failed-build cleanup, and the
+invocation), recovery from stale and dead-owner locks, the rebuild of a
+truncated artifact, failed-build cleanup, and the
 ``REPRO_CGEN_CACHE_MAX`` LRU bound.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 import stat
 import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+from repro import diskcache
 from repro.core.codegen import cbuild
 from repro.errors import CodegenError
 from repro.obs import ROOT
@@ -167,47 +171,86 @@ class TestStampede:
         assert _counter("cgen.cache.hits") == before_hit + 1
 
 
+def _lock_for(cache, src: str, owner):
+    """Plant ``src``'s build lock in ``cache``, naming ``owner``."""
+    key = cbuild._cache_key(src, cbuild.find_compiler(), cbuild.CFLAGS)
+    lock = cache / f"{key}.lock"
+    lock.write_text(f"{owner}\n")
+    return lock
+
+
 @requires_cc
 class TestLockRecovery:
     def test_stale_lock_is_broken(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_CGEN_LOCK_TIMEOUT", "1")
         src = OK_SOURCE % 41
-        cc = cbuild.find_compiler()
-        key = cbuild._cache_key(src, cc, cbuild.CFLAGS)
-        lock = tmp_path / f"{key}.lock"
-        lock.write_text("99999999\n")
-        old = time.time() - 3600
+        # a live owner, but older than any build takes
+        lock = _lock_for(tmp_path, src, os.getpid())
+        old = time.time() - diskcache.LOCK_STALE_S - 60
         os.utime(lock, (old, old))
         lib, _ = cbuild.build(src)  # must not time out on the dead lock
         assert not lock.exists()
 
+    def test_dead_pid_lock_is_broken_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path))
+        src = OK_SOURCE % 42
+        gone = subprocess.Popen(["true"])
+        gone.wait()
+        lock = _lock_for(tmp_path, src, gone.pid)  # fresh, owner dead
+        built = []
+        t = threading.Thread(target=lambda: built.append(cbuild.build(src)),
+                             daemon=True)
+        t.start()
+        t.join(timeout=5)  # a waiter honouring the lock would still be here
+        assert built, "a lock naming a dead pid must be broken at once"
+        assert not lock.exists()
+
     def test_fresh_foreign_lock_times_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_CGEN_LOCK_TIMEOUT", "0.2")
+        monkeypatch.setattr(diskcache, "LOCK_WAIT_S", 0.2)
         src = OK_SOURCE % 43
-        cc = cbuild.find_compiler()
-        key = cbuild._cache_key(src, cc, cbuild.CFLAGS)
-        lock = tmp_path / f"{key}.lock"
-        lock.write_text("99999999\n")
+        lock = _lock_for(tmp_path, src, os.getpid())  # a live owner
+        with pytest.raises(CodegenError, match="timed out"):
+            cbuild.build(src)
+        assert lock.exists(), "a live owner's fresh lock is never broken"
 
-        def keep_fresh(stop):
-            while not stop.is_set():
-                try:
-                    os.utime(lock)
-                except OSError:
-                    pass
-                time.sleep(0.02)
 
-        stop = threading.Event()
-        t = threading.Thread(target=keep_fresh, args=(stop,))
-        t.start()
-        try:
-            with pytest.raises(CodegenError, match="timed out"):
-                cbuild.build(src)
-        finally:
-            stop.set()
-            t.join()
+#: compiles and runs a tiny program on the native backend in a fresh
+#: process (a process that has dlopened an artifact keeps its mapping, so
+#: only a new one sees the file on disk); prints its outputs and counters
+FRESH_RUN = """
+import json
+from repro.core.driver import compile_program
+from repro.obs import ROOT
+res = compile_program(
+    "strand S (int i) { output real x = 0.0; update { x += 3.0; stabilize; } }"
+    " initially [ S(i) | i in 0 .. 5 ];").run(backend="c")
+c = ROOT.snapshot()["counters"]
+print(json.dumps(dict(x=res.outputs["x"].tolist(), **{
+    k: v for k, v in c.items() if k.startswith(("cgen.cache", "runtime.backend"))})))
+"""
+
+
+@requires_cc
+def test_truncated_artifact_is_rebuilt_in_a_fresh_process(tmp_path):
+    env = dict(os.environ, REPRO_CGEN_CACHE=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
+
+    def fresh_run() -> dict:
+        out = subprocess.run([sys.executable, "-c", FRESH_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    cold = fresh_run()
+    assert cold["cgen.cache.misses"] == 1
+    (so,) = tmp_path.glob("*.so")
+    so.write_bytes(so.read_bytes()[:512])  # a builder killed mid-write
+    again = fresh_run()
+    assert again["cgen.cache.corrupt"] == 1
+    assert again["cgen.cache.misses"] == 1 and "cgen.cache.hits" not in again
+    assert not [k for k in again if k.startswith("runtime.backend.fallback")]
+    assert again["x"] == cold["x"] == [3.0] * 6
+    assert so.stat().st_size > 512  # rebuilt under the same key
 
 
 @requires_cc

@@ -470,7 +470,7 @@ class TestFallback:
 
     @requires_cc
     @pytest.mark.parametrize("scheduler,workers,footprint", [
-        ("seq", 1, "inline.numpy"), ("thread", 2, "shadow.thread_numpy")])
+        ("seq", 1, "inline.numpy"), ("thread", 2, "inline.numpy")])
     def test_refused_binding_falls_back(self, monkeypatch, capsys, scheduler,
                                         workers, footprint):
         """The kernel builds but rejects this run's arrays: the same one

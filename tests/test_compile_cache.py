@@ -139,11 +139,15 @@ class TestRobustness:
         entry.write_bytes(b"not a pickle")
         tr = Obs()
         p2 = compile_program(SRC, obs=tr, cache=True)
-        # the corrupt entry was purged, the compile re-ran and re-stored
-        # (fresh SSA ids make the regenerated text differ; behavior and
-        # the re-published cache entry are what matter)
+        # the corrupt entry was purged (counted, with the reason), the
+        # compile re-ran and re-stored the same code
+        assert tr.counters["compile_cache.corrupt"] == 1
+        assert tr.counters["compile_cache.misses"] == 1
+        assert [e.args["error"] for e in tr.events
+                if e.name == "cache-corrupt"] == ["UnpicklingError"]
         assert BACKEND <= {e.name for e in tr.spans("pass")}
         assert len(list(cache_dir.glob("*.pkl"))) == 1
+        assert p2.generated_source == p1.generated_source
         r1, r2 = p1.run(), p2.run()
         assert np.array_equal(r1.outputs["y"], r2.outputs["y"])
 
@@ -164,8 +168,3 @@ class TestRobustness:
             compile_program(SRC.replace("+ 1.0", f"+ {k}.0"), cache=True)
             time.sleep(0.02)
         assert len(list(cache_dir.glob("*.pkl"))) == 2
-
-    def test_clear(self, cache_dir):
-        compile_program(SRC, cache=True)
-        assert cc.clear() == 1
-        assert list(cache_dir.glob("*.pkl")) == []

@@ -178,13 +178,12 @@ def test_update_bit_identical_to_cold_run(scheduler, workers, backend,
 
     # how the footprints were obtained (DESIGN.md's configuration table):
     # recorded by the runs themselves wherever the strand updates execute
-    # in this process one block at a time or natively; otherwise one
-    # shadow build, then a refresh of the re-run rows — on the
-    # checkpoint's backend either way
-    if scheduler == "process" or (scheduler, backend) == ("thread", "numpy"):
-        why = "process" if scheduler == "process" else "thread_numpy"
+    # in this process, on any thread; in a process pool one shadow build,
+    # then a refresh of the re-run rows — on the checkpoint's backend
+    # either way
+    if scheduler == "process":
         assert _counted_since(before) == {
-            f"runtime.footprint.shadow.{why}": 2,
+            "runtime.footprint.shadow.process": 2,
             "runtime.footprint.builds": 1,
             "runtime.footprint.refreshes": 1,
         }
@@ -301,22 +300,70 @@ def test_gather_hook_hears_only_its_own_thread():
         def __init__(self):
             self.calls = 0
 
-        def on_gather(self, image, n, support):
+        def on_gather(self, image, n, support, lanes):
             self.calls += 1
 
     img = Image(_base(), dim=2)
     n = np.array([[5, 5]], dtype=np.int64)
     heard = Heard()
-    ops.set_footprint_recorder(heard)
-    try:
+    with ops.recording(heard):
         other = threading.Thread(target=ops.gather, args=(img, n, 2))
         other.start()
         other.join(timeout=30)
         assert not other.is_alive() and heard.calls == 0
         ops.gather(img, n, 2)
         assert heard.calls == 1
+    ops.gather(img, n, 2)  # the hook is gone with its block
+    assert heard.calls == 1
+
+
+def test_thread_numpy_blocks_record_like_seq():
+    def boxes(scheduler, workers):
+        prog = _prog(_base())
+        prog.run(checkpoint=True, scheduler=scheduler, workers=workers,
+                 block_size=7)
+        assert prog._inc.recorder is not None  # recorded inline
+        return prog._inc.recorder.boxes["img"]
+
+    (lo, hi), (want_lo, want_hi) = boxes("thread", 8), boxes("seq", 1)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def test_recorder_folds_concurrent_first_gathers():
+    """Eight threads' first gathers into one fresh recorder, released at
+    once with a tiny switch interval: a box created twice would drop a
+    thread's rows, a global fold interleaved with another its extent.
+    (Large tables keep each creation slow enough for the race to show.)"""
+    import sys
+    import threading
+
+    img = Image(_base(), dim=2)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rec = inc.FootprintRecorder({id(img): "img"}, total=200_000)
+            go = threading.Barrier(8)
+
+            def work(t):
+                go.wait()
+                rec.on_gather(img, np.full((4, 2), t + 2), 2,
+                              np.arange(4 * t, 4 * t + 4))
+                rec.on_gather(img, np.array([t + 2, t + 2]), 2, None)
+
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            lo, hi = rec.boxes["img"]
+            assert (lo[:32, 0] == np.repeat(np.arange(1, 9), 4)).all()
+            glo, ghi = rec.global_boxes["img"]
+            assert glo.tolist() == [1, 1] and ghi.tolist() == [11, 11]
     finally:
-        ops.set_footprint_recorder(None)
+        sys.setswitchinterval(old)
 
 
 def test_overlapping_multi_region_update():

@@ -294,7 +294,7 @@ SRC_ROOT = pathlib.Path(repro.__file__).parent
 #: wall-clock reads that may appear outside ``repro/obs/``: only file-age
 #: deadlines, which compare against ``st_mtime`` and so need epoch seconds
 #: (``time.monotonic`` / ``time.sleep`` — deadlines too — are never banned)
-CLOCK_ALLOWED = {("core/codegen/cbuild.py", "time")}
+CLOCK_ALLOWED = {("diskcache.py", "time")}
 
 DELETED = ("Tracer", "NullTracer", "NULL_TRACER", "MetricsRegistry",
            "NullRegistry", "NULL_METRICS", "ACTIVE", "set_active", "GLOBAL",

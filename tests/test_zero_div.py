@@ -100,9 +100,9 @@ class TestOps:
 
 class TestCompiled:
     def _interp(self, src):
-        from tests.test_fuzz import interp_run
+        from repro.core.verify.fuzz import interpret_program
 
-        return interp_run(src.replace("0 .. 8", "0 .. 11"))
+        return interpret_program(src.replace("0 .. 8", "0 .. 11"), image=None)
 
     def test_guarded_zero_divisor_runs(self):
         prog = compile_program(GUARDED)
@@ -121,7 +121,7 @@ class TestCompiled:
             prog.run(max_steps=2)
 
     def test_interpreter_agrees_on_guarded(self):
-        # same source, 12 strands (interp_run's BSP loop is fixed at 12)
+        # same source, 12 strands (interpret_program's BSP loop is fixed at 12)
         src = GUARDED.replace("0 .. 8", "0 .. 11")
         prog = compile_program(src)
         compiled = prog.run(max_steps=2).outputs["q"]
