@@ -41,32 +41,32 @@ Packages
     synthetic stand-ins for the paper's datasets.
 """
 
-from repro.core.driver import OptOptions, compile_file, compile_program, compile_to_source
-from repro.fields import Field, convolve
-from repro.image import Image, Orientation
-from repro.kernels import KERNELS, Kernel, bspln3, bspln5, ctmr, tent
-from repro.nrrd import read_nrrd, write_nrrd
-from repro.runtime.program import Program, RunResult
+from repro.lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "KERNELS",
-    "Field",
-    "Image",
-    "Kernel",
-    "OptOptions",
-    "Orientation",
-    "Program",
-    "RunResult",
-    "bspln3",
-    "bspln5",
-    "compile_file",
-    "compile_program",
-    "compile_to_source",
-    "convolve",
-    "ctmr",
-    "read_nrrd",
-    "tent",
-    "write_nrrd",
-]
+#: public name -> defining module, imported on first access: ``python -m
+#: repro --help`` loads neither NumPy nor the compiler
+_EXPORTS = {
+    "KERNELS": "repro.kernels",
+    "Field": "repro.fields",
+    "Image": "repro.image",
+    "Kernel": "repro.kernels",
+    "OptOptions": "repro.core.records",
+    "Orientation": "repro.image",
+    "Program": "repro.runtime.program",
+    "RunResult": "repro.runtime.program",
+    "bspln3": "repro.kernels",
+    "bspln5": "repro.kernels",
+    "compile_file": "repro.core.api",
+    "compile_program": "repro.core.api",
+    "compile_to_source": "repro.core.driver",
+    "convolve": "repro.fields",
+    "ctmr": "repro.kernels",
+    "read_nrrd": "repro.nrrd",
+    "tent": "repro.kernels",
+    "write_nrrd": "repro.nrrd",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -33,16 +33,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from repro.core.driver import OptOptions, compile_file
-from repro.errors import DiderotError
-from repro.inputs import add_run_arguments, parse_value
-from repro.obs import Obs, format_summary, write_chrome_trace, write_metrics_json
-from repro.runtime.scheduler import resolve_workers
+# only what declaring the flags needs: everything else is imported once
+# the command line has parsed, and only if the run uses it
+from repro.inputs import add_run_arguments
 
 
-def _write_text(prefix: str, name: str, arr: np.ndarray) -> str:
+def _write_text(prefix: str, name: str, arr) -> str:
+    import numpy as np
+
     path = f"{prefix}-{name}.txt"
     flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr
     np.savetxt(path, flat)
@@ -75,9 +73,12 @@ def main(argv: list[str] | None = None) -> int:
                     default=None,
                     help="use the persistent compile cache (default: the "
                          "REPRO_COMPILE_CACHE environment variable); a hit "
-                         "skips the optimizer/lowering/codegen passes "
-                         "entirely")
+                         "skips the compiler entirely")
     args = ap.parse_args(argv)
+
+    from repro.errors import DiderotError
+    from repro.obs import Obs
+    from repro.runtime.scheduler import resolve_workers
 
     raw_workers = args.workers
     if raw_workers is None:
@@ -94,6 +95,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _compile_and_run(args, workers, obs) -> int:
+    from repro.core.api import compile_file
+    from repro.core.records import OptOptions
+    from repro.errors import DiderotError
+    from repro.inputs import parse_value
+    from repro.obs import format_summary, write_chrome_trace, write_metrics_json
+
     try:
         prog = compile_file(args.program, precision=args.precision, obs=obs,
                             check=True if args.check else None,

@@ -12,11 +12,13 @@ The pipeline mirrors the three-phase structure of paper §5.1:
 * **code generation** — :mod:`repro.core.codegen` (a NumPy backend
   vectorized across strands, plus a reference interpreter).
 
-Use :func:`repro.core.driver.compile_program` (re-exported as
+Use :func:`repro.core.api.compile_program` (re-exported as
 :func:`repro.compile_program`) to go from source text to a runnable
 :class:`~repro.runtime.program.Program`.
 """
 
-from repro.core.driver import compile_program, compile_to_source
+from repro.lazy import exports
 
 __all__ = ["compile_program", "compile_to_source"]
+__getattr__ = exports(__name__, {"compile_program": "repro.core.api",
+                                 "compile_to_source": "repro.core.driver"})

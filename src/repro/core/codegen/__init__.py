@@ -15,6 +15,7 @@
   lowering pipeline.
 """
 
-from repro.core.codegen.pygen import generate_module
+from repro.lazy import exports
 
 __all__ = ["generate_module"]
+__getattr__ = exports(__name__, {"generate_module": "repro.core.codegen.pygen"})

@@ -549,20 +549,18 @@ _LANE_FOR = _for("_l", "_n")
 class _Namer:
     """Stable C identifiers for SSA values and a counter for scratch names.
 
-    Values are numbered densely in first-use order: ``Value.id`` comes
-    from a process-wide counter, so printing it would make the n-th
-    compile of a source emit a different translation unit (and key a
-    different artifact) than the first.
+    Values are numbered densely in first-use order, so the translation
+    unit (and the artifact it keys) depends only on the program.
     """
 
     def __init__(self) -> None:
         self._uid = 0
-        self._vals: dict[int, str] = {}
+        self._vals: dict[Value, str] = {}
 
     def val(self, v: Value) -> str:
-        name = self._vals.get(v.id)
+        name = self._vals.get(v)
         if name is None:
-            name = self._vals[v.id] = f"v{len(self._vals)}"
+            name = self._vals[v] = f"v{len(self._vals)}"
         return name
 
     def fresh(self, stem: str) -> str:
@@ -624,16 +622,16 @@ class _Emitter:
         self.lines: list[str] = []
         self.indent = 1
         # A *block* is an SSA value or a named scratch array; these three are
-        # keyed by Value.id or by the scratch name.
+        # keyed by the Value or by the scratch name.
         # block -> flat element count of the logical value
-        self.sizes: dict[int | str, int] = {}
+        self.sizes: dict[Value | str, int] = {}
         # block -> "array" | "scalar" (see _Rep.kind)
-        self.kinds: dict[int | str, str] = {}
+        self.kinds: dict[Value | str, str] = {}
         # lane-invariant blocks (globals + hoisted constants)
-        self.uniform: set[int | str] = set()
-        # ids of values that must be zero-initialized (phi operands: their
+        self.uniform: set[Value | str] = set()
+        # values that must be zero-initialized (phi operands: their
         # defining arm may be skipped by an any-lane guard)
-        self.zero_init: set[int] = set()
+        self.zero_init: set[Value] = set()
         # IfRegion predication masks, innermost last (scratch int blocks)
         self.mask_stack: list[str] = []
         # the buffer tables of the plan, filled by _build_plan, and the
@@ -701,21 +699,20 @@ class _Emitter:
         block says).  The only writer of ``kinds`` / ``sizes``."""
         if rep is None:
             rep = self.rep(v.ty)
-        key = v if isinstance(v, str) else v.id
-        self.kinds[key] = rep.kind
-        self.sizes[key] = rep.size
+        self.kinds[v] = rep.kind
+        self.sizes[v] = rep.size
         if uniform:
-            self.uniform.add(key)
+            self.uniform.add(v)
         return rep
 
     def size_of(self, v: Value | str) -> int:
-        sz = self.sizes.get(v if isinstance(v, str) else v.id)
+        sz = self.sizes.get(v)
         if sz is None:
             self.fail(f"block {v!r} has no recorded size")
         return sz
 
     def is_scalar_val(self, v: Value | str) -> bool:
-        return self.kinds.get(v if isinstance(v, str) else v.id) == "scalar"
+        return self.kinds.get(v) == "scalar"
 
     def ref(self, v: Value | str, e: str | int = 0) -> str:
         """C expression for element ``e`` of block ``v`` on lane ``_l`` —
@@ -723,14 +720,10 @@ class _Emitter:
         lane index innermost, so a lane loop over one element is a
         contiguous stride-1 access."""
         scratch = isinstance(v, str)
-        if scratch:
-            key = name = v
-        else:
-            key = v.id
-            name = self.names.val(v)
-        if self.kinds.get(key) == "scalar":
-            return name if key in self.uniform else f"{name}[_l]"
-        if key in self.uniform:
+        name = v if scratch else self.names.val(v)
+        if self.kinds.get(v) == "scalar":
+            return name if v in self.uniform else f"{name}[_l]"
+        if v in self.uniform:
             return f"{name}[{e}]"
         if not scratch and isinstance(e, int):
             return f"{name}[{e * self.vb} + _l]"
@@ -931,8 +924,8 @@ class _Emitter:
         for item in body.items:
             if isinstance(item, IfRegion):
                 for phi in item.phis:
-                    self.zero_init.add(phi.then_val.id)
-                    self.zero_init.add(phi.else_val.id)
+                    self.zero_init.add(phi.then_val)
+                    self.zero_init.add(phi.else_val)
                 self._collect_phi_operands(item.then_body)
                 self._collect_phi_operands(item.else_body)
 
@@ -947,13 +940,13 @@ class _Emitter:
                 if item.op == "const":
                     continue  # hoisted to function scope by _declare_consts
                 for r in item.results:
-                    self.declare(r, zero=r.id in self.zero_init)
+                    self.declare(r, zero=r in self.zero_init)
             elif isinstance(item, IfRegion):
                 self._declare_results(item.then_body)
                 self._declare_results(item.else_body)
                 for phi in item.phis:
                     r = phi.result
-                    self.declare(r, zero=r.id in self.zero_init)
+                    self.declare(r, zero=r in self.zero_init)
 
     def _declare_const(self, ins: Instr) -> None:
         res = ins.result

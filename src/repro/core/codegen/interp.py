@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ir.base import Body, Func, Instr
+from repro.core.ir.base import Body, Func, Instr, Value
 from repro.core.ty.types import INT, TensorTy
-from repro.core.xform.to_high import HighProgram
+from repro.core.records import HighProgram
 from repro.errors import CompileError
 from repro.fields.probe import probe_convolution, probe_inside
 from repro.runtime import ops as rt
@@ -63,35 +63,35 @@ class HighInterpreter:
             raise CompileError(
                 f"{func.name} expects {len(func.params)} arguments, got {len(args)}"
             )
-        env: dict[int, object] = {p.id: a for p, a in zip(func.params, args)}
+        env: dict[Value, object] = dict(zip(func.params, args))
         # mirror generated code: both if-arms run predicated, so dead lanes
         # may raise IEEE flags whose results the φ selects drop
         with np.errstate(all="ignore"):
             self._run_body(func.body, env)
-        return tuple(env[r.id] for r in func.results)
+        return tuple(env[r] for r in func.results)
 
     def _run_body(self, body: Body, env: dict, live=None) -> None:
         for item in body.items:
             if isinstance(item, Instr):
-                env[item.results[0].id] = self._eval(item, env, live)
+                env[item.results[0]] = self._eval(item, env, live)
             else:
-                cond = env[item.cond.id]
+                cond = env[item.cond]
                 live_t = cond if live is None else np.logical_and(live, cond)
                 live_f = (np.logical_not(cond) if live is None
                           else np.logical_and(live, np.logical_not(cond)))
                 self._run_body(item.then_body, env, live_t)
                 self._run_body(item.else_body, env, live_f)
                 for phi in item.phis:
-                    env[phi.result.id] = rt.select(
+                    env[phi.result] = rt.select(
                         cond,
-                        env[phi.then_val.id],
-                        env[phi.else_val.id],
+                        env[phi.then_val],
+                        env[phi.else_val],
                         _order(phi.result.ty),
                     )
 
     def _eval(self, instr: Instr, env: dict, live=None):
         op = instr.op
-        a = [env[x.id] for x in instr.args]
+        a = [env[x] for x in instr.args]
         tys = [x.ty for x in instr.args]
         if op == "const":
             v = instr.attrs["value"]
@@ -198,6 +198,6 @@ def compile_high(source: str, optimize=None) -> HighProgram:
     from repro.core.ir import ops as irops
     from repro.obs import current
 
-    for fn in HighBuilder.all_funcs(hp):
+    for fn in hp.funcs():
         _optimize(fn, irops.HIGH, opts, current(), "high")
     return hp

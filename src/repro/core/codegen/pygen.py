@@ -71,18 +71,16 @@ class _FuncGen:
         self._guards = 0
         #: name of the current lane-liveness mask (None = all lanes live)
         self._mask: str | None = None
-        #: value id -> emitted name, numbered densely in first-use order
-        #: (``Value.id`` is process-wide: printing it would make the n-th
-        #: compile of a source differ from the first)
-        self._names: dict[int, str] = {}
+        #: value -> emitted name, numbered densely in first-use order
+        self._names: dict[Value, str] = {}
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
 
     def name(self, v: Value) -> str:
-        name = self._names.get(v.id)
+        name = self._names.get(v)
         if name is None:
-            name = self._names[v.id] = f"v{len(self._names)}"
+            name = self._names[v] = f"v{len(self._names)}"
         return name
 
     def _const_text(self, value) -> str:
@@ -227,10 +225,3 @@ def generate_module(funcs: list[Func]) -> str:
     parts = [_HEADER]
     parts.extend(generate_func(f) for f in funcs)
     return "\n\n".join(parts) + "\n"
-
-
-def load_module(source: str) -> dict:
-    """Execute generated source, returning its namespace."""
-    namespace: dict = {}
-    exec(compile(source, "<diderot-generated>", "exec"), namespace)
-    return namespace

@@ -1,4 +1,4 @@
-"""The compiler driver: source text → runnable program.
+"""The compiler driver: source text → generated code and lowered IR.
 
 Mirrors the paper's pipeline (§5.1): parse → type check → simplify →
 HighIR → field normalization (inside HighIR construction) → contraction +
@@ -12,84 +12,34 @@ instruction counts and value-numbering removal counts), so
 :class:`repro.obs.Obs` you run with to see them alongside the runtime's.
 
 Optimizations can be disabled individually (``optimize=...``) to support
-the ablation benchmarks.
+the ablation benchmarks.  The entry points that make a runnable program,
+:func:`compile_program` and :func:`compile_file`, live in
+:mod:`repro.core.api` (re-exported here): a compile-cache hit never
+imports this module.
 """
 
 from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.codegen.pygen import generate_module, load_module
+from repro.core.api import cache_requested, compile_file, compile_program
+from repro.core.codegen.pygen import generate_module
 from repro.core.ir import ops as irops
+from repro.core.records import CompileStats, HighProgram, OptOptions
 from repro.core.syntax import parse_program
 from repro.core.ty import check_program
 from repro.core.xform.contract import contract
 from repro.core.xform.probe_fuse import probe_fuse
-from repro.core.xform.to_high import HighBuilder, HighProgram
+from repro.core.xform.to_high import HighBuilder
 from repro.core.xform.to_low import to_low
 from repro.core.xform.to_mid import to_mid
 from repro.core.xform.value_numbering import value_number
-from repro.errors import CompileError, InputError
+from repro.errors import CompileError
 from repro.obs import scope
 
-
-@dataclass
-class OptOptions:
-    """Optimization toggles (all on by default).
-
-    ``contraction`` and ``value_numbering`` are the paper's §5.4 passes;
-    ``probe_fusion`` is the shared-partial-contraction rewrite
-    (:mod:`repro.core.xform.probe_fuse`), exposed separately so the fused
-    and unfused pipelines can be A/B-compared (``--no-fuse``).
-    """
-
-    contraction: bool = True
-    value_numbering: bool = True
-    probe_fusion: bool = True
-
-
-@dataclass
-class CompileStats:
-    """Per-function instruction counts across the pipeline, for the
-    §5.4 optimization ablations.
-
-    Built from the compile trace (:meth:`from_trace`); the driver emits
-    an ``instr-count`` event after each IR stage and a ``removed`` count
-    on every value-numbering pass span.
-    """
-
-    high_instrs: dict[str, int] = field(default_factory=dict)
-    mid_instrs: dict[str, int] = field(default_factory=dict)
-    mid_instrs_unopt: dict[str, int] = field(default_factory=dict)
-    low_instrs: dict[str, int] = field(default_factory=dict)
-    vn_removed: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_trace(cls, events) -> "CompileStats":
-        """Aggregate a trace's compile events into the stats tables."""
-        stats = cls()
-        tables = {
-            "high": stats.high_instrs,
-            "mid": stats.mid_instrs,
-            "mid-unopt": stats.mid_instrs_unopt,
-            "low": stats.low_instrs,
-        }
-        for ev in events:
-            if ev.cat == "count" and ev.name == "instr-count":
-                table = tables.get(ev.args["ir"])
-                if table is not None:
-                    table[ev.args["func"]] = ev.args["value"]
-            elif ev.cat == "pass" and ev.name == "value-numbering":
-                fn = ev.args.get("func")
-                if fn is not None:
-                    stats.vn_removed[fn] = (
-                        stats.vn_removed.get(fn, 0) + ev.args.get("removed", 0)
-                    )
-        return stats
+__all__ = ["CompileStats", "OptOptions", "code_digests", "compile_file",
+           "compile_program", "compile_to_source", "source_digest"]
 
 
 def _count(func) -> int:
@@ -129,28 +79,12 @@ def _optimize(func, vocab, opts: OptOptions, obs, ir: str, verify=None) -> None:
         contraction()
 
 
-def _resolve_cache(cache) -> bool:
-    """Map a ``cache=`` argument to a concrete on/off decision.
-
-    ``True``/``False`` are explicit; ``None`` defers to the
-    ``REPRO_COMPILE_CACHE`` environment variable (off by default — the
-    serving layer opts in explicitly, CLI users via the env var or
-    ``--compile-cache``).
-    """
-    if cache is not None:
-        return bool(cache)
-    import os
-
-    return os.environ.get("REPRO_COMPILE_CACHE", "").strip() not in ("", "0")
-
-
 def compile_to_source(
     source: str,
     optimize: OptOptions | None = None,
     obs=None,
     check: bool | None = None,
     cache: bool | None = None,
-    cache_extra: tuple = (),
 ) -> tuple[str, HighProgram, CompileStats]:
     """Compile Diderot source to generated Python source + metadata.
 
@@ -166,22 +100,19 @@ def compile_to_source(
     the pass that broke the invariant.  Defaults to the ``REPRO_CHECK``
     environment variable.  Each check emits one ``cat="check"`` span.
 
-    ``cache`` enables the persistent compile cache
-    (:mod:`repro.serve.cache`): after the front end (parse → typecheck →
-    HighIR normalization) the normalized HighIR is fingerprinted together
-    with ``optimize`` and ``cache_extra`` (precision/backend tags from
-    :func:`compile_program`), and on a hit the optimizer passes, lowering,
-    and codegen are all skipped — the pickled entry supplies the lowered
-    program, generated source, and stats.  A hit emits one
-    ``cat="cache"`` event (and *no* optimizer-pass spans, which is how the
-    tests verify nothing re-ran).  Defaults to ``REPRO_COMPILE_CACHE``.
+    ``cache`` (default: ``REPRO_COMPILE_CACHE``) answers from the
+    persistent compile cache, which holds whole programs: the triple is
+    that of the double-precision entry :func:`compile_program` keeps.
     """
+    if cache_requested(cache):
+        prog = compile_program(source, optimize=optimize, obs=obs,
+                               check=check, cache=True)
+        return prog.generated_source, prog.high, prog.stats
     with scope(obs, "compile") as obs:
-        return _compile(source, optimize or OptOptions(), obs, check, cache,
-                        cache_extra)
+        return _compile(source, optimize or OptOptions(), obs, check)
 
 
-def _compile(source, opts, obs, check, cache, cache_extra):
+def _compile(source, opts, obs, check):
     """The pipeline of :func:`compile_to_source`, recording into ``obs``."""
     from repro.core.verify import check_enabled, verify_func
 
@@ -205,16 +136,7 @@ def _compile(source, opts, obs, check, cache, cache_extra):
     with obs.span("highir", cat="pass"):
         hp = HighBuilder(typed, obs=obs).build()
 
-    cache_key = None
-    if _resolve_cache(cache):
-        from repro.serve import cache as _cc
-
-        cache_key = _cc.fingerprint(hp, opts, cache_extra)
-        entry = _cc.load(cache_key, obs=obs)
-        if entry is not None:
-            return entry.gen_source, entry.high, entry.stats
-
-    funcs = HighBuilder.all_funcs(hp)
+    funcs = hp.funcs()
     for fn in funcs:
         obs.event("instr-count", cat="count", func=fn.name, ir="high", value=_count(fn))
         _verify(fn, "high", "highir")
@@ -244,82 +166,7 @@ def _compile(source, opts, obs, check, cache, cache_extra):
         obs.event("instr-count", cat="count", func=fn.name, ir="low", value=_count(fn))
     with obs.span("codegen", cat="pass"):
         source_out = generate_module(funcs)
-    stats = CompileStats.from_trace(obs.events[first:])
-    if cache_key is not None:
-        from repro.serve import cache as _cc
-
-        _cc.store(cache_key, source_out, hp, stats, obs=obs)
-    return source_out, hp, stats
-
-
-def compile_program(
-    source: str,
-    precision: str = "double",
-    optimize: OptOptions | None = None,
-    search_path: str = ".",
-    obs=None,
-    check: bool | None = None,
-    cache: bool | None = None,
-):
-    """Compile Diderot source text into a runnable Program.
-
-    Parameters
-    ----------
-    source:
-        Diderot program text.
-    precision:
-        ``"single"`` or ``"double"`` — the representation of ``real``
-        (paper §6.3: "the user must decide if reals are represented as
-        single or double-precision floats").
-    optimize:
-        Optimization toggles; defaults to everything on.
-    search_path:
-        Directory against which ``load(...)`` paths resolve.
-    obs:
-        Optional :class:`repro.obs.Obs` that receives the compiler-pass
-        spans (pass the same one to :meth:`Program.run
-        <repro.runtime.program.Program.run>` for one unified timeline).
-    check:
-        Run the IR validators at every pass boundary (``--check``);
-        defaults to the ``REPRO_CHECK`` environment variable.
-    cache:
-        Use the persistent compile cache (``--compile-cache``); defaults
-        to the ``REPRO_COMPILE_CACHE`` environment variable.  Precision
-        participates in the key (the generated NumPy source is
-        precision-independent, but the lowered IR cached for the native
-        backend is specialized downstream, and a conservative key is
-        cheap).
-    """
-    from repro.runtime.program import Program
-
-    if precision not in ("single", "double"):
-        raise CompileError(f"precision must be 'single' or 'double', got {precision!r}")
-    dtype = np.float32 if precision == "single" else np.float64
-    gen_source, hp, stats = compile_to_source(source, optimize, obs=obs,
-                                              check=check, cache=cache,
-                                              cache_extra=("precision", precision))
-    namespace = load_module(gen_source)
-    return Program(
-        high=hp,
-        namespace=namespace,
-        generated_source=gen_source,
-        dtype=dtype,
-        search_path=search_path,
-        stats=stats,
-    )
-
-
-def compile_file(path: str, **kwargs):
-    """Compile a ``.diderot`` file (load paths resolve next to it)."""
-    import os
-
-    try:
-        with open(path, encoding="utf-8") as fp:
-            src = fp.read()
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: not a UTF-8 Diderot source") from None
-    kwargs.setdefault("search_path", os.path.dirname(os.path.abspath(path)))
-    return compile_program(src, **kwargs)
+    return source_out, hp, CompileStats.from_trace(obs.events[first:])
 
 
 def source_digest(text: str) -> str:

@@ -14,13 +14,10 @@ shapes, kernels, image slots, constants).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import CompileError
-
-_counter = itertools.count()
 
 
 class Value:
@@ -28,18 +25,20 @@ class Value:
 
     ``ty`` is the semantic type at HighIR level and a lowered type tag at
     Mid/Low level; the passes only require it to be propagated, not
-    interpreted, so one class serves all three IRs.
+    interpreted, so one class serves all three IRs.  A value has no number:
+    it hashes by identity, so passes key their tables by the value itself,
+    and printers number a function's values themselves (:func:`value_names`)
+    — nothing a compile emits depends on what the process compiled before.
     """
 
-    __slots__ = ("id", "ty", "producer")
+    __slots__ = ("ty", "producer")
 
     def __init__(self, ty, producer=None):
-        self.id = next(_counter)
         self.ty = ty
         self.producer = producer  # Instr | Phi | ("param", Func) | None
 
     def __repr__(self) -> str:
-        return f"%{self.id}"
+        return f"%<{self.ty}>"
 
 
 @dataclass
@@ -62,11 +61,14 @@ class Instr:
             raise CompileError(f"{self.op} has {len(self.results)} results")
         return self.results[0]
 
-    def __repr__(self) -> str:
-        res = ", ".join(map(repr, self.results))
-        args = ", ".join(map(repr, self.args))
+    def format(self, name: Callable[[Value], str] = repr) -> str:
+        res = ", ".join(map(name, self.results))
+        args = ", ".join(map(name, self.args))
         at = f" {self.attrs}" if self.attrs else ""
         return f"{res} = {self.op}({args}){at}"
+
+    def __repr__(self) -> str:
+        return self.format()
 
 
 @dataclass
@@ -77,8 +79,11 @@ class Phi:
     then_val: Value
     else_val: Value
 
+    def format(self, name: Callable[[Value], str] = repr) -> str:
+        return f"{name(self.result)} = φ({name(self.then_val)}, {name(self.else_val)})"
+
     def __repr__(self) -> str:
-        return f"{self.result!r} = φ({self.then_val!r}, {self.else_val!r})"
+        return self.format()
 
 
 @dataclass
@@ -130,26 +135,56 @@ class Func:
         return f"Func({self.name}, {len(self.params)} params)"
 
 
+def value_names(func: Func) -> Callable[[Value], str]:
+    """``%0, %1, ...`` for ``func``'s values in definition order (parameters,
+    then depth-first through the body); a value it does not define is
+    numbered on first use."""
+    names: dict[Value, str] = {}
+
+    def name(v: Value) -> str:
+        n = names.get(v)
+        if n is None:
+            n = names[v] = f"%{len(names)}"
+        return n
+
+    def walk(body: Body) -> None:
+        for item in body.items:
+            if isinstance(item, Instr):
+                for r in item.results:
+                    name(r)
+            else:
+                walk(item.then_body)
+                walk(item.else_body)
+                for phi in item.phis:
+                    name(phi.result)
+
+    for p in func.params:
+        name(p)
+    walk(func.body)
+    return name
+
+
 def format_func(func: Func) -> str:
     """Human-readable dump, used in tests and debugging."""
-    lines = [f"func {func.name}({', '.join(f'{n}={v!r}' for n, v in zip(func.param_names, func.params))})"]
+    name = value_names(func)
+    lines = [f"func {func.name}({', '.join(f'{n}={name(v)}' for n, v in zip(func.param_names, func.params))})"]
 
     def walk(body: Body, indent: int) -> None:
         pad = "  " * indent
         for item in body.items:
             if isinstance(item, Instr):
-                lines.append(pad + repr(item))
+                lines.append(pad + item.format(name))
             else:
-                lines.append(pad + f"if {item.cond!r}:")
+                lines.append(pad + f"if {name(item.cond)}:")
                 walk(item.then_body, indent + 1)
                 lines.append(pad + "else:")
                 walk(item.else_body, indent + 1)
                 for phi in item.phis:
-                    lines.append(pad + repr(phi))
+                    lines.append(pad + phi.format(name))
 
     walk(func.body, 1)
     lines.append(
-        "  return " + ", ".join(f"{n}={v!r}" for n, v in zip(func.result_names, func.results))
+        "  return " + ", ".join(f"{n}={name(v)}" for n, v in zip(func.result_names, func.results))
     )
     return "\n".join(lines)
 
@@ -162,21 +197,22 @@ def validate(func: Func, vocabulary: dict[str, object], level: str) -> None:
       the structured dominance order);
     * every value is defined exactly once.
     """
-    defined: set[int] = {p.id for p in func.params}
-    seen_defs: set[int] = set(defined)
+    defined: set[Value] = set(func.params)
+    seen_defs: set[Value] = set(defined)
 
     def define(v: Value, where: str) -> None:
-        if v.id in seen_defs:
-            raise CompileError(f"{level}:{func.name}: {v!r} defined twice ({where})")
-        seen_defs.add(v.id)
-
-    def check_use(v: Value, scope: set[int], where: str) -> None:
-        if v.id not in scope:
+        if v in seen_defs:
             raise CompileError(
-                f"{level}:{func.name}: use of undefined {v!r} in {where}"
+                f"{level}:{func.name}: {value_names(func)(v)} defined twice ({where})")
+        seen_defs.add(v)
+
+    def check_use(v: Value, scope: set[Value], where: str) -> None:
+        if v not in scope:
+            raise CompileError(
+                f"{level}:{func.name}: use of undefined {value_names(func)(v)} in {where}"
             )
 
-    def walk(body: Body, scope: set[int]) -> set[int]:
+    def walk(body: Body, scope: set[Value]) -> set[Value]:
         for item in body.items:
             if isinstance(item, Instr):
                 if item.op not in vocabulary:
@@ -188,7 +224,7 @@ def validate(func: Func, vocabulary: dict[str, object], level: str) -> None:
                     check_use(a, scope, item.op)
                 for r in item.results:
                     define(r, item.op)
-                    scope.add(r.id)
+                    scope.add(r)
             else:
                 check_use(item.cond, scope, "if-condition")
                 then_scope = walk(item.then_body, set(scope))
@@ -197,7 +233,7 @@ def validate(func: Func, vocabulary: dict[str, object], level: str) -> None:
                     check_use(phi.then_val, then_scope, "phi")
                     check_use(phi.else_val, else_scope, "phi")
                     define(phi.result, "phi")
-                    scope.add(phi.result.id)
+                    scope.add(phi.result)
         return scope
 
     final_scope = walk(func.body, set(defined))

@@ -22,6 +22,7 @@ from repro.core.ty.types import (
     Ty,
     vec,
 )
+from repro.lazy import exports
 
 __all__ = [
     "BOOL",
@@ -38,14 +39,9 @@ __all__ = [
     "vec",
 ]
 
-
-def __getattr__(name: str):
-    # The checker is imported on first use, not with the package: it pulls
-    # in the overload tables, which derive from repro.core.ir.ops, which
-    # imports this package's types — importing it here would close that
-    # cycle whenever the op table happens to be imported first.
-    if name in ("check_program", "TypedProgram"):
-        from repro.core.ty import check
-
-        return getattr(check, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The checker is imported on first use, not with the package: it pulls in
+# the overload tables, which derive from repro.core.ir.ops, which imports
+# this package's types — importing it here would close that cycle whenever
+# the op table happens to be imported first.
+__getattr__ = exports(__name__, {"check_program": "repro.core.ty.check",
+                                 "TypedProgram": "repro.core.records"})

@@ -12,9 +12,9 @@ section, state variables mutable only within methods, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.records import TypedProgram, VarInfo
 from repro.core.syntax import ast
 from repro.core.ty import builtins as bi
 from repro.core.ty.types import (
@@ -38,33 +38,6 @@ STATE = "state"
 LOCAL = "local"
 ITER = "iter"
 KERNEL_CONST = "kernel"
-
-
-@dataclass
-class VarInfo:
-    name: str
-    ty: Ty
-    kind: str
-    mutable: bool
-    is_output: bool = False
-    is_input: bool = False
-
-
-@dataclass
-class TypedProgram:
-    """The result of type checking: the AST plus symbol information."""
-
-    program: ast.Program
-    globals: dict[str, VarInfo]
-    global_order: list[str]
-    params: dict[str, VarInfo]
-    state: dict[str, VarInfo]
-    state_order: list[str]
-    outputs: list[str]
-
-    @property
-    def inputs(self) -> list[str]:
-        return [n for n in self.global_order if self.globals[n].is_input]
 
 
 def resolve_ty_expr(t: ast.TyExpr) -> Ty:

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import os
 
-from repro.core.verify.validate import verify_func  # noqa: F401
+from repro.lazy import exports
+
+# the validators load on first use (``python -m repro.core.verify --help``
+# and the driver's unchecked compiles never need them)
+__getattr__ = exports(__name__, {"verify_func": "repro.core.verify.validate"})
 
 
 def check_enabled(env: str = "REPRO_CHECK") -> bool:

@@ -25,8 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import CodegenError, DiderotError
-from repro.obs import Obs, write_metrics_json
+from repro.runtime.choices import BACKEND_NAMES
 
 
 def _cmd_fuzz(ns) -> int:
@@ -73,6 +72,7 @@ def _cmd_props(ns) -> int:
 
 def _cmd_check(ns) -> int:
     from repro.core.driver import code_digests, compile_file, source_digest
+    from repro.errors import CodegenError, DiderotError
 
     status = 0
     for path in ns.files:
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
                    help="report failures without minimizing them")
     p.add_argument("--no-fuse", action="store_true",
                    help="compile without probe fusion (A/B the optimizer)")
-    p.add_argument("--backend", choices=("numpy", "c"), default="numpy",
+    p.add_argument("--backend", choices=BACKEND_NAMES, default="numpy",
                    help="strand-update backend for the compiled legs "
                         "(c additionally diffs against the NumPy oracle "
                         "and runs each program under both step-loop "
@@ -139,6 +139,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_check)
 
     ns = parser.parse_args(argv)
+    from repro.errors import DiderotError
+    from repro.obs import Obs, write_metrics_json
+
     try:
         with Obs("verify") as session:
             status = ns.fn(ns)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ir import ops as irops
-from repro.core.ir.base import Body, Func, Instr, validate
+from repro.core.ir.base import Body, Func, Instr, validate, value_names
 from repro.core.ty.types import BOOL, INT, REAL, STRING, TensorTy, resolve
 from repro.errors import CompileError
 from repro.kernels import Kernel
@@ -54,7 +54,8 @@ class _TypeChecker:
 
     def fail(self, instr: Instr, msg: str) -> None:
         raise CompileError(
-            f"{self.display}:{self.func.name}: {msg} in `{instr!r}`"
+            f"{self.display}:{self.func.name}: {msg} in "
+            f"`{instr.format(value_names(self.func))}`"
         )
 
     def slot(self, instr: Instr, name: str):
@@ -90,7 +91,7 @@ class _TypeChecker:
                         raise CompileError(
                             f"{self.display}:{self.func.name}: phi operand/"
                             f"result types disagree ({', '.join(sorted(tys))}) "
-                            f"in `{phi!r}`"
+                            f"in `{phi.format(value_names(self.func))}`"
                         )
 
     def _check(self, instr: Instr) -> None:

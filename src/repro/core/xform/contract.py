@@ -148,18 +148,18 @@ class _Contract:
     def __init__(self, func: Func, vocabulary: dict):
         self.func = func
         self.vocab = vocabulary
-        self.consts: dict[int, object] = {}
-        self.repl: dict[int, Value] = {}
+        self.consts: dict[Value, object] = {}
+        self.repl: dict[Value, Value] = {}
         self.changed = False
 
     def resolve(self, v: Value) -> Value:
-        while v.id in self.repl:
-            v = self.repl[v.id]
+        while v in self.repl:
+            v = self.repl[v]
         return v
 
     def const_of(self, v: Value):
         v = self.resolve(v)
-        return self.consts.get(v.id, _NoFold)
+        return self.consts.get(v, _NoFold)
 
     # forward pass: folding, copy propagation, branch splicing
     def forward(self, body: Body) -> None:
@@ -168,7 +168,7 @@ class _Contract:
             if isinstance(item, Instr):
                 item.args = [self.resolve(a) for a in item.args]
                 if item.op == "const":
-                    self.consts[item.results[0].id] = item.attrs["value"]
+                    self.consts[item.results[0]] = item.attrs["value"]
                     new_items.append(item)
                     continue
                 info = self.vocab.get(item.op)
@@ -188,7 +188,7 @@ class _Contract:
                         item.op = "const"
                         item.args = []
                         item.attrs = {"value": value}
-                        self.consts[item.results[0].id] = value
+                        self.consts[item.results[0]] = value
                         self.changed = True
                         new_items.append(item)
                         continue
@@ -204,7 +204,7 @@ class _Contract:
                     new_items.extend(taken.items)
                     for phi in item.phis:
                         src = phi.then_val if bool(cond_const) else phi.else_val
-                        self.repl[phi.result.id] = self.resolve(src)
+                        self.repl[phi.result] = self.resolve(src)
                     self.changed = True
                     continue
                 self.forward(item.then_body)
@@ -214,7 +214,7 @@ class _Contract:
                     phi.then_val = self.resolve(phi.then_val)
                     phi.else_val = self.resolve(phi.else_val)
                     if phi.then_val is phi.else_val:
-                        self.repl[phi.result.id] = phi.then_val
+                        self.repl[phi.result] = phi.then_val
                         self.changed = True
                     else:
                         live_phis.append(phi)
@@ -226,19 +226,19 @@ class _Contract:
         """Safe strength reductions (no IEEE-semantics changes)."""
         op = item.op
         if op == "select" and len(item.args) == 3 and item.args[1] is item.args[2]:
-            self.repl[item.results[0].id] = item.args[1]
+            self.repl[item.results[0]] = item.args[1]
             self.changed = True
         elif op == "and":
             for i, c in enumerate(arg_consts):
                 if c is not _NoFold:
                     other = item.args[1 - i]
                     if bool(c):
-                        self.repl[item.results[0].id] = other
+                        self.repl[item.results[0]] = other
                     else:
                         item.op = "const"
                         item.args = []
                         item.attrs = {"value": False}
-                        self.consts[item.results[0].id] = False
+                        self.consts[item.results[0]] = False
                     self.changed = True
                     return
         elif op == "or":
@@ -246,42 +246,42 @@ class _Contract:
                 if c is not _NoFold:
                     other = item.args[1 - i]
                     if not bool(c):
-                        self.repl[item.results[0].id] = other
+                        self.repl[item.results[0]] = other
                     else:
                         item.op = "const"
                         item.args = []
                         item.attrs = {"value": True}
-                        self.consts[item.results[0].id] = True
+                        self.consts[item.results[0]] = True
                     self.changed = True
                     return
 
     # backward pass: dead-code elimination
     def dce(self) -> None:
-        needed: set[int] = set()
+        needed: set[Value] = set()
         self.func.results = [self.resolve(r) for r in self.func.results]
         for r in self.func.results:
-            needed.add(r.id)
+            needed.add(r)
 
         def walk(body: Body) -> None:
             kept = []
             for item in reversed(body.items):
                 if isinstance(item, Instr):
-                    if any(r.id in needed for r in item.results):
+                    if any(r in needed for r in item.results):
                         for a in item.args:
-                            needed.add(a.id)
+                            needed.add(a)
                         kept.append(item)
                     else:
                         self.changed = True
                 else:
-                    item.phis = [p for p in item.phis if p.result.id in needed]
+                    item.phis = [p for p in item.phis if p.result in needed]
                     for p in item.phis:
-                        needed.add(p.then_val.id)
-                        needed.add(p.else_val.id)
+                        needed.add(p.then_val)
+                        needed.add(p.else_val)
                     # prune inner bodies against the updated needed set
                     walk(item.then_body)
                     walk(item.else_body)
                     if item.phis or item.then_body.items or item.else_body.items:
-                        needed.add(item.cond.id)
+                        needed.add(item.cond)
                         kept.append(item)
                     else:
                         self.changed = True

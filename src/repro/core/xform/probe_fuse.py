@@ -92,10 +92,10 @@ def _placeable(v: Value, anchor: int, pos: dict, hoist_pos: dict) -> bool:
     as defined at -1; hoisted weights land immediately before their own
     anchor, i.e. at ``anchor - 0.5``.
     """
-    p = hoist_pos.get(v.id)
+    p = hoist_pos.get(v)
     if p is not None:
         return p - 0.5 < anchor
-    return pos.get(v.id, -1) < anchor
+    return pos.get(v, -1) < anchor
 
 
 def _fuse_body(body: Body, stats: dict) -> None:
@@ -105,17 +105,17 @@ def _fuse_body(body: Body, stats: dict) -> None:
             _fuse_body(item.else_body, stats)
 
     # Item index of every value defined at this body's top level.
-    pos: dict[int, int] = {}
+    pos: dict[Value, int] = {}
     for i, item in enumerate(body.items):
         if isinstance(item, Instr):
             for r in item.results:
-                pos[r.id] = i
+                pos[r] = i
         else:
             for phi in item.phis:
-                pos[phi.result.id] = i
+                pos[phi.result] = i
 
     # Group full contractions by the gathered neighborhood they consume.
-    groups: dict[int, list[tuple[int, Instr]]] = {}
+    groups: dict[Value, list[tuple[int, Instr]]] = {}
     for i, item in enumerate(body.items):
         if (
             isinstance(item, Instr)
@@ -125,18 +125,18 @@ def _fuse_body(body: Body, stats: dict) -> None:
             and item.args[0].ty
             and item.args[0].ty[0] == "vox"
         ):
-            groups.setdefault(item.args[0].id, []).append((i, item))
+            groups.setdefault(item.args[0], []).append((i, item))
     if not groups:
         return
 
-    hoist_pos: dict[int, int] = {}  # weight value id -> anchor it moves to
+    hoist_pos: dict[Value, int] = {}  # weight value -> anchor it moves to
     inserts: dict[int, list[Instr]] = {}  # anchor index -> replacement items
     drop: set[int] = set()  # original indices vacated by fusion/hoisting
 
     for members in groups.values():
         vox0 = members[0][1].args[0]
         group_dim = len(members[0][1].args) - 1
-        group_specs = [tuple(w.id for w in m.args[1:]) for _, m in members]
+        group_specs = [tuple(m.args[1:]) for _, m in members]
         if not _fusion_profitable(group_dim, vox0.ty[2], group_specs):
             stats["rejected"] += 1
             continue
@@ -155,7 +155,7 @@ def _fuse_body(body: Body, stats: dict) -> None:
                     if (
                         isinstance(prod, Instr)
                         and prod.op == "weights"
-                        and w.id in pos
+                        and w in pos
                         and all(
                             _placeable(a, sg["anchor"], pos, hoist_pos)
                             for a in prod.args
@@ -167,10 +167,10 @@ def _fuse_body(body: Body, stats: dict) -> None:
                         break
                 if ok:
                     for w in need:
-                        if w.id not in hoist_pos:
-                            sg["hoists"].append(body.items[pos[w.id]])
-                            drop.add(pos[w.id])
-                            hoist_pos[w.id] = sg["anchor"]
+                        if w not in hoist_pos:
+                            sg["hoists"].append(body.items[pos[w]])
+                            drop.add(pos[w])
+                            hoist_pos[w] = sg["anchor"]
                     sg["members"].append((idx, instr))
                     placed = True
                     break
@@ -212,14 +212,14 @@ def _fuse_body(body: Body, stats: dict) -> None:
             else:
                 # One multi-result probe_parts over the whole subgroup.
                 weights: list[Value] = []
-                windex: dict[int, int] = {}
+                windex: dict[Value, int] = {}
                 specs: list[tuple[int, ...]] = []
                 for _, m in mlist:
                     spec = []
                     for w in m.args[1:]:
-                        wi = windex.get(w.id)
+                        wi = windex.get(w)
                         if wi is None:
-                            wi = windex[w.id] = len(weights)
+                            wi = windex[w] = len(weights)
                             weights.append(w)
                         spec.append(wi)
                     specs.append(tuple(spec))

@@ -24,13 +24,13 @@ from typing import Optional
 
 from repro.core.ir.base import Body, Func, IfRegion, Phi, Value
 from repro.core.ir import ops as irops
+from repro.core.records import HighProgram, ImageSlot, TypedProgram
 from repro.core.simple import (
     RUNNING,
     STATUS_VAR,
     simplify_method,
 )
 from repro.core.syntax import ast
-from repro.core.ty.check import TypedProgram
 from repro.core.ty.types import (
     BOOL,
     FieldTy,
@@ -45,44 +45,6 @@ from repro.core.ty.types import (
 from repro.core.xform import normalize as nf
 from repro.errors import CompileError
 from repro.kernels import KERNELS, Kernel
-
-
-@dataclass
-class ImageSlot:
-    """A global image: its declared type and where its data comes from."""
-
-    name: str
-    dim: int
-    shape: tuple[int, ...]
-    path: Optional[str]  # NRRD path from load(...), or None if bound in API
-
-
-@dataclass
-class HighProgram:
-    """All HighIR functions for one Diderot program, plus symbol info."""
-
-    typed: TypedProgram
-    images: dict[str, ImageSlot]
-    fields: dict[str, nf.SymField]
-    globals_func: Func
-    defaults_func: Func
-    bounds_func: Func
-    seed_func: Func
-    init_func: Func
-    update_func: Func
-    stabilize_func: Optional[Func]
-    #: inputs that have a default value (computable by defaults_func)
-    defaulted_inputs: list[str]
-    #: concrete globals in declaration order (the runtime "globals" record)
-    concrete_globals: list[str]
-    input_names: list[str]
-    iter_names: list[str]
-    grid: bool
-    state_order: list[str]
-    #: strand parameters referenced inside methods: persisted as hidden,
-    #: immutable state alongside the declared state variables
-    extra_state: list[str]
-    outputs: list[str]
 
 
 #: source spelling → op, from the op table's ``surface`` column
@@ -183,23 +145,9 @@ class HighBuilder:
         if self.check:
             from repro.core.ir.base import validate
 
-            for fn in self.all_funcs(hp):
+            for fn in hp.funcs():
                 validate(fn, irops.HIGH, "HighIR")
         return hp
-
-    @staticmethod
-    def all_funcs(hp: HighProgram) -> list[Func]:
-        fns = [
-            hp.globals_func,
-            hp.defaults_func,
-            hp.bounds_func,
-            hp.seed_func,
-            hp.init_func,
-            hp.update_func,
-        ]
-        if hp.stabilize_func is not None:
-            fns.append(hp.stabilize_func)
-        return fns
 
     # -- function builders ------------------------------------------------------
 

@@ -23,11 +23,11 @@ from repro.core.ty.types import TensorTy
 
 class _LowLowerer:
     def __init__(self):
-        self.repl: dict[int, Value] = {}
+        self.repl: dict[Value, Value] = {}
 
     def resolve(self, v: Value) -> Value:
-        while v.id in self.repl:
-            v = self.repl[v.id]
+        while v in self.repl:
+            v = self.repl[v]
         return v
 
     def lower_body(self, body: Body) -> Body:
@@ -36,7 +36,7 @@ class _LowLowerer:
             if isinstance(item, Instr):
                 item.args = [self.resolve(a) for a in item.args]
                 if item.op == "weights":
-                    self.repl[item.results[0].id] = self.lower_weights(new, item)
+                    self.repl[item.results[0]] = self.lower_weights(new, item)
                 else:
                     new.add(item)
             else:

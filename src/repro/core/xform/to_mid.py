@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from repro.core.ir.base import Body, Func, Instr, Value
 from repro.core.ir import ops as irops
+from repro.core.records import ImageSlot
 from repro.core.ty.types import BOOL, TensorTy
-from repro.core.xform.to_high import ImageSlot
 
 
 def _combos(dim: int, deriv: int) -> list[tuple[int, ...]]:
@@ -43,11 +43,11 @@ def _combos(dim: int, deriv: int) -> list[tuple[int, ...]]:
 class _MidLowerer:
     def __init__(self, images: dict[str, ImageSlot]):
         self.images = images
-        self.repl: dict[int, Value] = {}
+        self.repl: dict[Value, Value] = {}
 
     def resolve(self, v: Value) -> Value:
-        while v.id in self.repl:
-            v = self.repl[v.id]
+        while v in self.repl:
+            v = self.repl[v]
         return v
 
     def lower_body(self, body: Body) -> Body:
@@ -57,10 +57,10 @@ class _MidLowerer:
                 item.args = [self.resolve(a) for a in item.args]
                 if item.op == "probe":
                     result = self.lower_probe(new, item)
-                    self.repl[item.results[0].id] = result
+                    self.repl[item.results[0]] = result
                 elif item.op == "inside":
                     result = self.lower_inside(new, item)
-                    self.repl[item.results[0].id] = result
+                    self.repl[item.results[0]] = result
                 else:
                     new.add(item)
             else:

@@ -61,8 +61,8 @@ def _attr_key(v) -> object:
     return v
 
 
-def _instr_key(instr: Instr, number: dict[int, int]) -> tuple:
-    args = [number[a.id] for a in instr.args]
+def _instr_key(instr: Instr, number: dict[Value, int]) -> tuple:
+    args = [number[a] for a in instr.args]
     if instr.op in _COMMUTATIVE and len(args) == 2:
         args.sort()
     attrs = tuple(sorted((k, _attr_key(v)) for k, v in instr.attrs.items()))
@@ -72,17 +72,17 @@ def _instr_key(instr: Instr, number: dict[int, int]) -> tuple:
 class _Numbering:
     def __init__(self):
         self.next = 0
-        self.number: dict[int, int] = {}  # value id -> value number
-        self.repl: dict[int, Value] = {}
+        self.number: dict[Value, int] = {}  # value -> value number
+        self.repl: dict[Value, Value] = {}
         self.removed = 0
 
     def fresh(self, v: Value) -> None:
-        self.number[v.id] = self.next
+        self.number[v] = self.next
         self.next += 1
 
     def resolve(self, v: Value) -> Value:
-        while v.id in self.repl:
-            v = self.repl[v.id]
+        while v in self.repl:
+            v = self.repl[v]
         return v
 
 
@@ -101,8 +101,8 @@ def value_number(func: Func) -> int:
                     key = _instr_key(item, vn.number)
                     hit = table.get(key)
                     if hit is not None:
-                        vn.repl[item.results[0].id] = hit
-                        vn.number[item.results[0].id] = vn.number[hit.id]
+                        vn.repl[item.results[0]] = hit
+                        vn.number[item.results[0]] = vn.number[hit]
                         vn.removed += 1
                         continue  # drop the redundant instruction
                     vn.fresh(item.results[0])
@@ -119,11 +119,11 @@ def value_number(func: Func) -> int:
                     phi.then_val = vn.resolve(phi.then_val)
                     phi.else_val = vn.resolve(phi.else_val)
                     if phi.then_val is phi.else_val:
-                        vn.repl[phi.result.id] = phi.then_val
-                        vn.number[phi.result.id] = vn.number[phi.then_val.id]
+                        vn.repl[phi.result] = phi.then_val
+                        vn.number[phi.result] = vn.number[phi.then_val]
                     else:
                         vn.fresh(phi.result)
-                item.phis = [p for p in item.phis if p.result.id not in vn.repl]
+                item.phis = [p for p in item.phis if p.result not in vn.repl]
                 new_items.append(item)
         body.items = new_items
 

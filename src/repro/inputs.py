@@ -21,6 +21,7 @@ import argparse
 import os
 
 from repro.errors import InputError
+from repro.runtime.choices import BACKEND_NAMES, DEFAULT_BLOCK_SIZE, SCHEDULER_CHOICES
 
 
 def add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -31,9 +32,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     ``--trace --profile --metrics-out`` onto its ``obs`` (``--trace``'s
     default is the one place ``REPRO_TRACE`` is read).
     """
-    from repro.runtime.native import BACKEND_NAMES
-    from repro.runtime.scheduler import DEFAULT_BLOCK_SIZE, SCHEDULER_CHOICES
-
     parser.add_argument("--workers", type=str, default=None, metavar="N|auto",
                         help="worker count, or 'auto' for the CPU count "
                              "(default: 1, or 'auto' with --scheduler auto)")

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 #: histogram bucket upper bounds for wall-clock seconds: a 1-2-5 log grid
 #: from 1us to 100s (observations above the last edge land in the
 #: overflow bucket)
@@ -88,6 +86,8 @@ class Histogram:
 
     def observe_many(self, values) -> None:
         """Record an array of observations in one pass."""
+        import numpy as np  # only here: importing repro.obs must not load it
+
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if not values.size:
             return

@@ -15,6 +15,7 @@ common code, there is target-specific code for managing strands."
   sequential, thread-pool, and simulated-multicore (DESIGN.md) variants.
 """
 
-from repro.runtime.program import Program
+from repro.lazy import exports
 
 __all__ = ["Program"]
+__getattr__ = exports(__name__, {"Program": "repro.runtime.program"})

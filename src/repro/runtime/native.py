@@ -41,10 +41,7 @@ import numpy as np
 from repro.errors import CodegenError, RuntimeErrorD
 from repro.obs import current
 
-__all__ = ["BACKEND_NAMES", "NativeUpdate", "warn_numpy_fallback"]
-
-#: Valid values for ``Program.run(backend=...)`` / ``--backend``.
-BACKEND_NAMES = ("numpy", "c")
+__all__ = ["NativeUpdate", "warn_numpy_fallback"]
 
 #: super-steps one ``dd_run`` call may take: the length of the tally
 #: arrays it fills (a longer run re-enters the kernel)

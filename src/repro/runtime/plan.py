@@ -12,12 +12,8 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import InputError
-from repro.runtime.native import BACKEND_NAMES
-from repro.runtime.scheduler import (
-    SCHEDULER_CHOICES,
-    SequentialScheduler,
-    resolve_workers,
-)
+from repro.runtime.choices import BACKEND_NAMES, SCHEDULER_CHOICES
+from repro.runtime.scheduler import SequentialScheduler, resolve_workers
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.xform.to_high import HighProgram
+from repro.core.records import HighProgram
 from repro.errors import CodegenError, InputError
 from repro.image import Image
 from repro.nrrd import read_nrrd
@@ -27,10 +27,10 @@ from repro.obs import Obs, current, scope
 from repro.runtime import incremental as _increc
 from repro.runtime import loop as _loop
 from repro.runtime import ops as _ops
+from repro.runtime.choices import DEFAULT_BLOCK_SIZE
 from repro.runtime.kernel import DIE, STABILIZE, Ctx
 from repro.runtime.native import NativeUpdate, warn_numpy_fallback
 from repro.runtime.plan import resolve
-from repro.runtime.scheduler import DEFAULT_BLOCK_SIZE
 
 
 @dataclass
@@ -83,10 +83,12 @@ class RunResult:
 class Program:
     """A compiled Diderot program, ready to accept inputs and run."""
 
-    def __init__(self, high: HighProgram, namespace: dict, generated_source: str,
-                 dtype, search_path: str, stats):
+    def __init__(self, high: HighProgram, generated_source: str, dtype,
+                 search_path: str, stats):
         self.high = high
-        self.namespace = namespace
+        self.namespace: dict = {}
+        exec(compile(generated_source, "<diderot-generated>", "exec"),
+             self.namespace)
         self.generated_source = generated_source
         self.dtype = dtype
         self.search_path = search_path
@@ -94,12 +96,24 @@ class Program:
         self._inputs: dict[str, object] = {}
         self._bound_images: dict[str, Image] = {}
         self._ctx: Ctx | None = None
+        #: see c_module(): None = not emitted yet
+        self._c_module = None
         #: cached native-backend artifacts: None = not tried yet,
         #: "failed" = tried and unavailable, else (c_source, plan, lib, ffi)
         self._native_art = None
         self._native_error: str | None = None
         #: checkpoint + footprints for incremental re-execution, or None
         self._inc: _increc.Snapshot | None = None
+
+    @classmethod
+    def from_entry(cls, entry, dtype, search_path: str) -> "Program":
+        """The Program a compile-cache entry (:mod:`repro.serve.cache`)
+        holds, C translation unit included: building it runs no compiler
+        code."""
+        prog = cls(entry.high, entry.gen_source, dtype, search_path,
+                   entry.stats)
+        prog._c_module = entry.c_module
+        return prog
 
     # -- configuration ---------------------------------------------------------
 
@@ -230,13 +244,29 @@ class Program:
 
     # -- native backend ----------------------------------------------------------
 
+    def c_module(self):
+        """``(c_source, plan)`` of this program's C translation unit at its
+        precision, or the ``CodegenError`` message when it has none.
+        Emitted once per Program; one built from a compile-cache entry
+        has it already and never imports the emitter."""
+        if self._c_module is None:
+            from repro.core.codegen.cgen import generate_c_module
+
+            try:
+                self._c_module = generate_c_module(
+                    self.high, single=np.dtype(self.dtype) == np.float32)
+            except CodegenError as exc:
+                self._c_module = str(exc)
+        return self._c_module
+
     def _native_artifacts(self):
         """``(c_source, plan, lib, ffi)`` for this program, or ``None``.
 
-        The LowIR→C emission and the compile both happen once per
-        Program (memoized, including failures); an unavailable native
-        backend warns on stderr exactly once and the caller falls back
-        to NumPy.  The failure reason is kept in ``self._native_error``.
+        The LowIR→C emission (:meth:`c_module`) and the compile both
+        happen once per Program (memoized, including failures); an
+        unavailable native backend warns on stderr exactly once and the
+        caller falls back to NumPy.  The failure reason is kept in
+        ``self._native_error``.
         """
         art = self._native_art
         if art is not None:
@@ -251,11 +281,12 @@ class Program:
                     f"native backend: unsupported program dtype {np.dtype(self.dtype)}"
                 )
             from repro.core.codegen import cbuild
-            from repro.core.codegen.cgen import generate_c_module
 
-            flags = cbuild.flags_for(single)
-            c_source, plan = generate_c_module(self.high, single=single)
-            lib, ffi = cbuild.build(c_source, flags=flags)
+            c_module = self.c_module()
+            if isinstance(c_module, str):
+                raise CodegenError(c_module)
+            c_source, plan = c_module
+            lib, ffi = cbuild.build(c_source, flags=cbuild.flags_for(single))
         except CodegenError as exc:
             self._native_art = "failed"
             self._native_error = str(exc)
@@ -672,9 +703,8 @@ class Program:
         args = parser.parse_args(argv)
         if args.check:
             from repro.core.verify import verify_func
-            from repro.core.xform.to_high import HighBuilder
 
-            for fn in HighBuilder.all_funcs(self.high):
+            for fn in self.high.funcs():
                 verify_func(fn, "low", images=self.high.images)
         for name in self.high.input_names:
             raw = getattr(args, name)

@@ -50,13 +50,6 @@ import numpy as np
 from repro.errors import InputError
 from repro.obs import clock, current
 
-#: the paper's strand-block size ("currently 4096 strands per block", §5.5)
-DEFAULT_BLOCK_SIZE = 4096
-
-#: every value accepted by ``Program.run(scheduler=...)`` / ``--scheduler``
-#: (the run plan resolves ``"auto"`` to one of the other three)
-SCHEDULER_CHOICES = ("seq", "thread", "process", "auto")
-
 
 def resolve_workers(workers) -> int:
     """Resolve a worker-count setting to a positive integer.

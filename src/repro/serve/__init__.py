@@ -5,10 +5,9 @@ compiled to a kernel once, then executed over millions of strands.  This
 package extends that economy across *processes* and *requests*:
 
 * :mod:`repro.serve.cache` — a persistent compile cache keyed on the
-  normalized HighIR fingerprint, so a repeat ``compile_program`` skips
-  the optimizer/lowering/codegen pipeline entirely (the cffi artifact
-  cache in :mod:`repro.core.codegen.cbuild` sits beneath it for the
-  native backend's ``cc`` invocation).
+  source text, so a repeat ``compile_program`` skips the compiler
+  entirely (the cffi artifact cache in :mod:`repro.core.codegen.cbuild`
+  sits beneath it for the native backend's ``cc`` invocation).
 * :mod:`repro.serve.registry` — named warm :class:`Program` objects with
   pooled schedulers, so serving a request never pays compile, image
   load, or thread-pool startup cost.
@@ -17,14 +16,15 @@ package extends that economy across *processes* and *requests*:
   requests into strand batches with bounded queues and backpressure.
 """
 
-from repro.serve.cache import CompileCacheEntry, cache_dir, fingerprint
-from repro.serve.registry import ProbeSpec, ProgramEntry, ProgramRegistry
+from repro.lazy import exports
 
-__all__ = [
-    "CompileCacheEntry",
-    "cache_dir",
-    "fingerprint",
-    "ProbeSpec",
-    "ProgramEntry",
-    "ProgramRegistry",
-]
+_EXPORTS = {
+    "CompileCacheEntry": "repro.serve.cache",
+    "cache_dir": "repro.serve.cache",
+    "fingerprint": "repro.serve.cache",
+    "ProbeSpec": "repro.serve.registry",
+    "ProgramEntry": "repro.serve.registry",
+    "ProgramRegistry": "repro.serve.registry",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = exports(__name__, _EXPORTS)

@@ -26,12 +26,13 @@ import json
 import signal
 import sys
 
-from repro.serve.registry import ProbeSpec, ProgramRegistry, warm_manifest
-from repro.serve.server import ServeApp
+from repro.runtime.choices import BACKEND_NAMES
 
 
 def _parse_register(specs, probes):
     """``name=path`` pairs plus ``name=image:count[:pad]`` probe specs."""
+    from repro.serve.registry import ProbeSpec
+
     probe_by_name = {}
     for spec in probes or ():
         name, _, rest = spec.partition("=")
@@ -54,6 +55,9 @@ def _parse_register(specs, probes):
 
 
 async def _serve(args) -> int:
+    from repro.serve.registry import ProgramRegistry, warm_manifest
+    from repro.serve.server import ServeApp
+
     app = ServeApp(
         ProgramRegistry(capacity=args.capacity),
         window=args.window, max_batch=args.max_batch,
@@ -151,6 +155,8 @@ async def _smoke(args) -> int:
     import numpy as np
 
     from repro.obs import ROOT
+    from repro.serve.registry import ProgramRegistry
+    from repro.serve.server import ServeApp
 
     path = args.register[0].split("=", 1)[1] if args.register else \
         "examples/programs/probe_serve.diderot"
@@ -241,6 +247,8 @@ async def _smoke_incremental() -> dict:
 
     from repro.nrrd.writer import write_nrrd
     from repro.obs import ROOT
+    from repro.serve.registry import ProgramRegistry
+    from repro.serve.server import ServeApp
 
     with tempfile.TemporaryDirectory(prefix="serve-inc-") as tmp:
         rng = np.random.default_rng(0)
@@ -326,7 +334,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scheduler", choices=["seq", "thread", "process"],
                         default=None)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--backend", choices=["numpy", "c"], default=None)
+    parser.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     parser.add_argument("--capacity", type=int, default=None,
                         help="registry LRU capacity (default unbounded)")
     parser.add_argument("--window", type=float, default=0.002,

@@ -1,41 +1,44 @@
-"""Persistent compile cache: normalized HighIR → compiled artifacts.
+"""Persistent compile cache: source text → everything a Program is built from.
 
-The compiler front end (parse → typecheck → HighIR construction, which
-includes field normalization) is cheap and deterministic; everything
-after it — contraction, value numbering, probe fusion, lowering, codegen
-— dominates compile time and is a pure function of the normalized HighIR
-plus the optimization options.  So the cache key is a **fingerprint of
-the normalized HighIR** (not of the source text): two sources that
-differ only in formatting, comments, or variable names that normalize
-away hit the same entry.
+A compile is a pure function of the source text, the optimization
+options, the precision and the compiler itself — the compiler reads no
+file: an image's dim, shape and path come from its declaration, and
+``Program._context`` checks the NRRD against them at run time.  So the
+key is a SHA-256 of ``FORMAT``, a digest of the compiler's own sources
+(``repro.core`` and ``repro.kernels``, read once per process), the
+source text, ``OptOptions`` and the precision.  Every byte of the
+source counts: a comment or formatting change is a miss.  Keying the
+normalized HighIR instead (as this cache once did) made every lookup pay
+for the front end first; the source key is what lets a hit skip the
+compiler entirely.
 
-Keying on HighIR rather than source also makes the key *semantically
-honest*: anything that could change the generated code (kernel
-coefficients, image dims/shapes/paths, optimization toggles, precision)
-is structurally folded into the hash, and nothing else is.
+An entry (``<key>.pkl``, a :class:`CompileCacheEntry`) holds the
+generated Python, the lowered :class:`~repro.core.records.HighProgram`,
+the :class:`~repro.core.records.CompileStats` and the native backend's
+C translation unit and plan for the key's precision — or the reason the
+program has none.  Its classes live in modules that import no compiler
+pass, so a hit (:func:`repro.core.api.compile_program`) unpickles a
+runnable program, and the native backend goes straight to
+``cbuild.build``.
 
-Entries are ``<key>.pkl`` pickles of :class:`CompileCacheEntry` (generated
-source, lowered :class:`HighProgram`, :class:`CompileStats`) in a
-:class:`repro.diskcache.DiskCache` in ``$REPRO_COMPILE_CACHE_DIR``
-(default ``~/.cache/repro-compile``), bounded by
-``$REPRO_COMPILE_CACHE_MAX``; one that will not load or names another key
-is purged and is a miss.  ``FORMAT`` is mixed into the key, so a format
-bump invalidates old entries instead of mis-reading them.
-``REPRO_COMPILE_CACHE`` enables the cache for plain ``compile_program``
-calls (the serving layer passes ``cache=True``).  Each lookup and store
-is also one ``cat="cache"`` event.
+Entries live in a :class:`repro.diskcache.DiskCache` in
+``$REPRO_COMPILE_CACHE_DIR`` (default ``~/.cache/repro-compile``),
+bounded by ``$REPRO_COMPILE_CACHE_MAX``; one that will not load or names
+another key is purged and is a miss.  ``FORMAT`` and the compiler digest
+are in the key, so an entry another format or another compiler wrote is
+never looked up again.  ``REPRO_COMPILE_CACHE`` enables the cache for
+plain ``compile_program`` calls (:func:`repro.core.api.cache_requested`;
+the serving layer passes ``cache=True``).  Each lookup and store is also
+one ``cat="cache"`` event.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import math
 import pickle
-from dataclasses import dataclass, fields as _dc_fields
-from functools import partial
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from repro.diskcache import DiskCache
 from repro.obs import current
@@ -43,20 +46,23 @@ from repro.obs import current
 __all__ = ["CompileCacheEntry", "FORMAT", "cache_dir", "fingerprint", "load",
            "store"]
 
-#: on-disk format version; bump when CompileCacheEntry or the pickled IR
-#: classes change shape (mixed into the fingerprint, so old entries are
+#: on-disk format version; bump when CompileCacheEntry or the pickled
+#: record classes change shape (mixed into the key, so old entries are
 #: simply never looked up again)
-FORMAT = 1
+FORMAT = 2
 
 
 @dataclass
 class CompileCacheEntry:
-    """One cached compile: everything ``compile_to_source`` returns."""
+    """One cached compile: everything a Program is built from."""
 
     key: str
     gen_source: str
     high: object  # HighProgram, post-lowering (funcs are LowIR)
     stats: object  # CompileStats
+    #: ``generate_c_module``'s ``(c_source, plan)`` for the key's precision,
+    #: or the ``CodegenError`` message when the program has no C form
+    c_module: object
 
 
 _STORE = DiskCache("compile_cache", "REPRO_COMPILE_CACHE_DIR",
@@ -68,116 +74,27 @@ def cache_dir() -> Path:
     return Path(_STORE.dir())
 
 
-# --------------------------------------------------------------------------
-# fingerprinting
+@functools.cache
+def _compiler_digest() -> str:
+    """SHA-256 of the compiler's sources, ``repro.core`` and
+    ``repro.kernels``: an entry another compiler wrote is a miss, never
+    stale code."""
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for pkg in ("core", "kernels"):
+        for path in sorted((root / pkg).rglob("*.py")):
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
-def _stable(v) -> object:
-    """A canonical, process-independent view of an attribute value.
-
-    Mirrors value_numbering's ``_attr_key`` (ndarrays and kernels by
-    structure, scalars by type+value) but never embeds object identity:
-    NaN maps to a constant tag (same-text programs should hit), and the
-    fallback is ``repr`` — safe for the frozen type dataclasses that
-    appear as ``Value.ty``.
-    """
-    from repro.kernels import Kernel
-
-    if isinstance(v, np.ndarray):
-        return ("A", v.shape, str(v.dtype), v.tobytes().hex())
-    if isinstance(v, Kernel):
-        return ("K", v.support, tuple(_stable(p.coeffs) for p in v.pieces))
-    if isinstance(v, (list, tuple)):
-        return ("T",) + tuple(_stable(x) for x in v)
-    if isinstance(v, dict):
-        return ("D",) + tuple(
-            (str(k), _stable(x)) for k, x in sorted(v.items(), key=lambda kv: str(kv[0]))
-        )
-    if isinstance(v, float) and math.isnan(v):
-        return ("nan",)
-    if isinstance(v, (bool, int, float, str, bytes)) or v is None:
-        return (type(v).__name__, v)
-    return ("R", type(v).__name__, repr(v))
-
-
-def _func_sig(func, number: dict[int, int]) -> list:
-    """Serialize one SSA function with *locally renumbered* values.
-
-    ``Value.id`` comes from a process-global counter, so raw ids differ
-    between otherwise identical compiles; renumbering in definition
-    order (params first, then depth-first over the structured body)
-    produces identical signatures for identical programs.
-    """
-    from repro.core.ir.base import Instr
-
-    def num(v) -> int:
-        n = number.get(v.id)
-        if n is None:
-            n = number[v.id] = len(number)
-        return n
-
-    sig: list = ["func", func.name]
-    for p, name in zip(func.params, func.param_names):
-        sig.append(("param", name, num(p), _stable(p.ty)))
-
-    def walk(body) -> None:
-        for item in body.items:
-            if isinstance(item, Instr):
-                sig.append((
-                    item.op,
-                    tuple(num(a) for a in item.args),
-                    tuple(sorted((k, _stable(v)) for k, v in item.attrs.items())),
-                    tuple((num(r), _stable(r.ty)) for r in item.results),
-                ))
-            else:
-                sig.append(("if", num(item.cond)))
-                walk(item.then_body)
-                sig.append(("else",))
-                walk(item.else_body)
-                for phi in item.phis:
-                    sig.append(("phi", num(phi.then_val), num(phi.else_val),
-                                num(phi.result)))
-                sig.append(("endif",))
-
-    walk(func.body)
-    sig.append(("ret",) + tuple(
-        (name, num(v)) for name, v in zip(func.result_names, func.results)
-    ))
-    return sig
-
-
-def fingerprint(hp, opts, extra: tuple = ()) -> str:
-    """Hash (normalized HighIR, OptOptions, extra tags) → 32-hex key.
-
-    ``extra`` carries the non-IR parts of the compile configuration —
-    ``compile_program`` passes ``("precision", ...)``; the native
-    backend's separate artifacts are keyed by
-    :mod:`repro.core.codegen.cbuild` beneath this layer.
-    """
-    from repro.core.xform.to_high import HighBuilder
-
-    doc: list = ["repro-compile-cache", FORMAT, tuple(extra)]
-    doc.append(tuple(
-        (f.name, getattr(opts, f.name)) for f in _dc_fields(opts)
-    ))
-    doc.append(tuple(
-        ("image", name, s.dim, tuple(s.shape), s.path)
-        for name, s in sorted(hp.images.items())
-    ))
-    doc.append((
-        tuple(hp.defaulted_inputs), tuple(hp.concrete_globals),
-        tuple(hp.input_names), tuple(hp.iter_names), bool(hp.grid),
-        tuple(hp.state_order), tuple(hp.extra_state), tuple(hp.outputs),
-    ))
-    number: dict[int, int] = {}
-    for fn in HighBuilder.all_funcs(hp):
-        doc.append(_func_sig(fn, number))
-    blob = repr(doc).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:32]
-
-
-# --------------------------------------------------------------------------
-# load / store
+def fingerprint(source: str, opts, precision: str) -> str:
+    """Hash (format, compiler, source text, OptOptions, precision) →
+    32-hex key."""
+    doc = ("repro-compile-cache", FORMAT, _compiler_digest(), source,
+           tuple((f.name, getattr(opts, f.name)) for f in fields(opts)),
+           precision)
+    return hashlib.sha256(repr(doc).encode("utf-8")).hexdigest()[:32]
 
 
 def _read_entry(key: str, path: str) -> CompileCacheEntry:
@@ -193,16 +110,18 @@ def load(key: str, obs=None):
     """The CompileCacheEntry for ``key``, or None: counted by the store
     and an event on ``obs`` (default: the current one)."""
     obs = obs or current()
-    entry = _STORE.get(key, partial(_read_entry, key), obs)
+    entry = _STORE.get(key, functools.partial(_read_entry, key), obs)
     obs.event(f"compile-cache-{'miss' if entry is None else 'hit'}",
               cat="cache", key=key)
     return entry
 
 
-def store(key: str, gen_source: str, high, stats, obs=None) -> None:
-    """Persist a compile atomically; best-effort (I/O errors are not
-    compile errors — a read-only cache dir just means no caching)."""
-    entry = CompileCacheEntry(key, gen_source, high, stats)
+def store(key: str, prog, obs=None) -> None:
+    """Persist a freshly compiled Program, its C translation unit
+    included, atomically; best-effort (I/O errors are not compile errors
+    — a read-only cache dir just means no caching)."""
+    entry = CompileCacheEntry(key, prog.generated_source, prog.high,
+                              prog.stats, prog.c_module())
     try:
         _STORE.put(key, ".pkl", pickle.dumps(entry, pickle.HIGHEST_PROTOCOL),
                    obs)

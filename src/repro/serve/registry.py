@@ -247,7 +247,7 @@ class ProgramRegistry:
         an existing name replaces (and closes) the old entry; exceeding
         ``capacity`` evicts the least-recently-used entry.
         """
-        from repro.core.driver import compile_file, compile_program
+        from repro.core.api import compile_file, compile_program
 
         if (source is None) == (path is None):
             raise InputError("register() needs exactly one of source=/path=")

@@ -1,11 +1,11 @@
 """Emitted code does not depend on what the process compiled before.
 
-``Value.id`` comes from a process-wide counter, so an emitter that prints
-it makes the n-th compile of a source differ from the first: a different
-Python module, a different C translation unit, a different artifact key
-and a fresh ``cc`` run for a program the cache already holds.  Both
-emitters number values in first-use order instead; these tests pin that
-down on every example program, and on the artifact cache it exists for.
+An emitter that numbered values by anything process-wide would make the
+n-th compile of a source differ from the first: a different Python
+module, a different C translation unit, a different artifact key and a
+fresh ``cc`` run for a program the cache already holds.  Both emitters
+number values in first-use order; these tests pin that down on every
+example program, and on the artifact cache it exists for.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def test_second_program_object_reuses_the_artifact(tmp_path, monkeypatch):
     assert compile_file(str(path), cache=False)._native_artifacts()
     assert cache_counters() == (hits, misses + 1) and len(compiles) == 1
 
-    # other compiles in between move the process-wide value counter
+    # other compiles in between must not change what is emitted
     compile_file(str(EXAMPLES[0]), cache=False)
     assert compile_file(str(path), cache=False)._native_artifacts()
     assert cache_counters() == (hits + 1, misses + 1) and len(compiles) == 1

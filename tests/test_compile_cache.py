@@ -1,10 +1,10 @@
 """The persistent compile cache (:mod:`repro.serve.cache`).
 
-The contract under test: a repeat compile of the same normalized HighIR
-is a disk hit that skips every optimizer/lowering/codegen pass (verified
-via obs spans), yields a Program whose behavior is bit-identical to the
-cold compile's, and the fingerprint is stable across processes but
-sensitive to everything that could change generated code.
+The contract under test: a repeat compile of the same source text is a
+disk hit that runs no compiler pass at all (verified via obs spans) and
+re-emits no C, yields a Program whose behavior is bit-identical to the
+cold compile's, and the key is stable across processes but sensitive to
+everything that could change generated code — the compiler included.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ strand s (int i) {
 initially [ s(i) | i in 0..(N-1) ];
 """
 
-#: front-end passes that always run, hit or miss
-FRONTEND = {"parse", "typecheck", "simplify", "highir"}
-#: passes that must NOT run on a cache hit
+#: passes every miss runs (a hit runs none)
 BACKEND = {"contraction", "value-numbering", "midir", "probe-fuse",
            "lowir", "codegen"}
 
@@ -62,7 +60,7 @@ class TestHitMiss:
             p2 = compile_program(SRC, obs=tr2, cache=True)
         assert _counter("compile_cache.hits") == hit0 + 1
         passes = {e.name for e in tr2.spans("pass")}
-        assert passes <= FRONTEND, f"optimizer passes re-ran on a hit: {passes}"
+        assert passes == set(), f"compiler passes ran on a hit: {passes}"
         assert [e.name for e in tr2.events if e.cat == "cache"] == \
             ["compile-cache-hit"]
         assert p2.generated_source == p1.generated_source
@@ -74,13 +72,30 @@ class TestHitMiss:
         assert np.array_equal(r1.outputs["y"], r2.outputs["y"])
         assert r1.steps == r2.steps
 
-    def test_formatting_changes_still_hit(self, cache_dir):
+    def test_comment_change_is_a_miss(self, cache_dir):
+        # the key is the source text: telling a comment from code would
+        # take the front end, which is exactly what a hit skips
         compile_program(SRC, cache=True)
         tr = Obs()
-        reformatted = SRC.replace("input int N = 6;",
-                                  "// renamed nothing\ninput int N = 6;")
-        compile_program(reformatted, obs=tr, cache=True)
-        assert {e.name for e in tr.spans("pass")} <= FRONTEND
+        commented = SRC.replace("input int N = 6;",
+                                "// renamed nothing\ninput int N = 6;")
+        compile_program(commented, obs=tr, cache=True)
+        assert BACKEND <= {e.name for e in tr.spans("pass")}
+        assert len(list(cache_dir.glob("*.pkl"))) == 2
+
+    def test_hit_reemits_no_c(self, cache_dir, monkeypatch):
+        from repro.core.codegen import cgen
+
+        p1 = compile_program(SRC, cache=True)
+        emitted = p1.c_module()
+        assert isinstance(emitted, tuple)  # this program has a C form
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a compile-cache hit re-emitted C")
+
+        monkeypatch.setattr(cgen, "generate_c_module", refuse)
+        p2 = compile_program(SRC, cache=True)
+        assert p2.c_module() == emitted
 
     def test_disabled_by_default(self, cache_dir, monkeypatch):
         monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
@@ -112,14 +127,9 @@ class TestKeySensitivity:
 
     def test_fingerprint_stable_across_processes(self, cache_dir):
         script = (
-            "from repro.core.driver import compile_to_source\n"
             "import repro.serve.cache as cc\n"
-            "from repro.core.syntax import parse_program\n"
-            "from repro.core.ty import check_program\n"
-            "from repro.core.xform.to_high import HighBuilder\n"
-            "from repro.core.driver import OptOptions\n"
-            f"hp = HighBuilder(check_program(parse_program({SRC!r}))).build()\n"
-            "print(cc.fingerprint(hp, OptOptions(), ('precision', 'double')))\n"
+            "from repro.core.records import OptOptions\n"
+            f"print(cc.fingerprint({SRC!r}, OptOptions(), 'double'))\n"
         )
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(sys.path))
@@ -130,6 +140,16 @@ class TestKeySensitivity:
             return out.stdout.strip()
 
         assert one() == one(), "fingerprint must not depend on process state"
+
+    def test_changed_compiler_is_a_miss(self, cache_dir, monkeypatch):
+        # an entry written before a pass changed must not serve old code
+        compile_program(SRC, cache=True)
+        monkeypatch.setattr(cc, "_compiler_digest", lambda: "another compiler")
+        tr = Obs()
+        compile_program(SRC, obs=tr, cache=True)
+        assert tr.counters["compile_cache.misses"] == 1
+        assert BACKEND <= {e.name for e in tr.spans("pass")}
+        assert len(list(cache_dir.glob("*.pkl"))) == 2
 
 
 class TestRobustness:

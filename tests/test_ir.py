@@ -36,10 +36,13 @@ class TestConstruction:
         with pytest.raises(CompileError, match="results"):
             _ = i.result
 
-    def test_value_ids_unique(self):
+    def test_values_hash_by_identity(self):
+        # passes key their tables by the value itself; a value carries no
+        # number that could leak process history into emitted code
         a = Value(REAL)
         b = Value(REAL)
-        assert a.id != b.id
+        assert a != b and len({a: 0, b: 1}) == 2
+        assert not hasattr(a, "id")
 
 
 class TestValidation:
