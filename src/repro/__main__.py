@@ -7,6 +7,7 @@ setting of input variables" (§3.3.1) and its runtime writes program output
     python -m repro PROGRAM.diderot [--input name=value ...]
                                     [--precision single|double]
                                     [--scheduler seq|thread|process|auto]
+                                    (process: --backend numpy only)
                                     [--backend numpy|c]
                                     [--workers N|auto] [--block-size N]
                                     [--out PREFIX] [--text]
@@ -19,8 +20,7 @@ Each output variable is written to ``PREFIX-<name>.nrrd`` (or ``.txt``
 with ``--text``).  ``--trace`` writes a Chrome trace-event JSON file
 (loadable in Perfetto / ``chrome://tracing``) covering both the compiler
 passes and the runtime's super-steps/blocks; ``--profile`` prints the
-same data as a summary table.  Setting ``REPRO_TRACE=FILE.json`` in the
-environment is equivalent to ``--trace FILE.json``.
+same data as a summary table.
 
 The compile and the run record into one :class:`repro.obs.Obs` (DESIGN.md
 "Observability"): ``--metrics-out FILE`` saves its metrics JSON document
@@ -69,11 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--no-fuse", action="store_true",
                     help="disable probe fusion (A/B against the fused "
                          "pipeline)")
-    ap.add_argument("--compile-cache", action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help="use the persistent compile cache (default: the "
-                         "REPRO_COMPILE_CACHE environment variable); a hit "
-                         "skips the compiler entirely")
+    ap.add_argument("--compile-cache", action="store_true",
+                    help="use the persistent compile cache; a hit skips "
+                         "the compiler entirely")
     args = ap.parse_args(argv)
 
     from repro.errors import DiderotError

@@ -19,16 +19,6 @@ from repro.errors import CompileError, InputError
 from repro.obs import scope
 
 
-def cache_requested(cache) -> bool:
-    """Map a ``cache=`` argument to on/off: ``True``/``False`` are
-    explicit; ``None`` defers to ``REPRO_COMPILE_CACHE`` (off by default —
-    the serving layer opts in explicitly, CLI users via the env var or
-    ``--compile-cache``)."""
-    if cache is not None:
-        return bool(cache)
-    return os.environ.get("REPRO_COMPILE_CACHE", "").strip() not in ("", "0")
-
-
 def compile_program(
     source: str,
     precision: str = "double",
@@ -36,7 +26,7 @@ def compile_program(
     search_path: str = ".",
     obs=None,
     check: bool | None = None,
-    cache: bool | None = None,
+    cache: bool = False,
 ):
     """Compile Diderot source text into a runnable Program.
 
@@ -61,11 +51,10 @@ def compile_program(
         Run the IR validators at every pass boundary (``--check``);
         defaults to the ``REPRO_CHECK`` environment variable.
     cache:
-        Use the persistent compile cache (``--compile-cache``); defaults
-        to the ``REPRO_COMPILE_CACHE`` environment variable.  A hit skips
-        the compiler entirely — its only trace is one
-        ``compile-cache-hit`` event; a miss compiles and stores the
-        Program with its C translation unit.
+        Use the persistent compile cache (``--compile-cache``; the
+        serving layer always does).  A hit skips the compiler entirely —
+        its only trace is one ``compile-cache-hit`` event; a miss
+        compiles and stores the Program with its C translation unit.
     """
     # here, not at the top: the driver re-exports this function, and a
     # caller that only compiles loads neither the runtime nor the cache
@@ -77,7 +66,7 @@ def compile_program(
     opts = optimize or OptOptions()
     with scope(obs, "compile") as obs:
         key = None
-        if cache_requested(cache):
+        if cache:
             from repro.serve import cache as _cc
 
             key = _cc.fingerprint(source, opts, precision)

@@ -69,8 +69,8 @@ describing the buffer ABI: which state slot / image / global feeds each
 pointer-table entry and each scalar-constant slot, plus ``real_dtype``
 ("float32"/"float64") and the batch width ``vb``.  The runtime binder
 (:mod:`repro.runtime.native`) fills the tables from live arrays using only
-the plan, so the same compiled artifact can be reused across runs (and
-across forked process workers) without re-walking the IR.
+the plan, so the same compiled artifact can be reused across runs without
+re-walking the IR.
 
 Anything the emitter cannot translate raises
 :class:`~repro.errors.CodegenError`; ``Program`` catches it and falls back to

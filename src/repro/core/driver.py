@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 
-from repro.core.api import cache_requested, compile_file, compile_program
+from repro.core.api import compile_file, compile_program
 from repro.core.codegen.pygen import generate_module
 from repro.core.ir import ops as irops
 from repro.core.records import CompileStats, HighProgram, OptOptions
@@ -84,7 +84,7 @@ def compile_to_source(
     optimize: OptOptions | None = None,
     obs=None,
     check: bool | None = None,
-    cache: bool | None = None,
+    cache: bool = False,
 ) -> tuple[str, HighProgram, CompileStats]:
     """Compile Diderot source to generated Python source + metadata.
 
@@ -100,11 +100,11 @@ def compile_to_source(
     the pass that broke the invariant.  Defaults to the ``REPRO_CHECK``
     environment variable.  Each check emits one ``cat="check"`` span.
 
-    ``cache`` (default: ``REPRO_COMPILE_CACHE``) answers from the
-    persistent compile cache, which holds whole programs: the triple is
-    that of the double-precision entry :func:`compile_program` keeps.
+    ``cache=True`` answers from the persistent compile cache, which holds
+    whole programs: the triple is that of the double-precision entry
+    :func:`compile_program` keeps.
     """
-    if cache_requested(cache):
+    if cache:
         prog = compile_program(source, optimize=optimize, obs=obs,
                                check=check, cache=True)
         return prog.generated_source, prog.high, prog.stats

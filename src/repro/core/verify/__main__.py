@@ -30,13 +30,12 @@ from repro.runtime.choices import BACKEND_NAMES
 
 def _cmd_fuzz(ns) -> int:
     from repro.core.ir.ops import LOW
-    from repro.core.verify.fuzz import ALL_SCHEDULERS, fuzz
+    from repro.core.verify.fuzz import fuzz
 
-    schedulers = tuple(ns.schedulers.split(",")) if ns.schedulers else ALL_SCHEDULERS
     report = fuzz(
         n=ns.n,
         seed=ns.seed,
-        schedulers=schedulers,
+        schedulers=tuple(ns.schedulers.split(",")) if ns.schedulers else None,
         shrink=not ns.no_shrink,
         progress=(lambda k, s: print(f"[{k + 1}/{ns.n}] seed {s}", end="\r"))
         if ns.progress else None,
@@ -109,7 +108,8 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=50, help="number of programs")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--schedulers", default=None,
-                   help="comma list (default seq,thread,process)")
+                   help="comma list (default seq,thread,process; "
+                        "seq,thread with --backend c)")
     p.add_argument("--no-shrink", action="store_true",
                    help="report failures without minimizing them")
     p.add_argument("--no-fuse", action="store_true",

@@ -6,7 +6,7 @@ supported surface syntax — arithmetic, vectors, probes (``F(x)``,
 same-typed state variables.  Each sample is executed
 
 * by the compiled pipeline under every requested scheduler
-  (``seq``/``thread``/``process``), and
+  (``seq``/``thread``/``process``; the process pool runs NumPy only), and
 * by the HighIR reference interpreter driven by a hand-rolled BSP loop
   (bypassing probe synthesis, kernel expansion, and codegen entirely),
 
@@ -31,7 +31,11 @@ from repro.errors import DiderotError
 N_STRANDS = 12
 MAX_STEPS = 3
 
-ALL_SCHEDULERS = ("seq", "thread", "process")
+
+def default_schedulers(backend: str) -> tuple[str, ...]:
+    """Every scheduler that runs ``backend``: the process pool runs NumPy
+    only."""
+    return ("seq", "thread") + (("process",) if backend == "numpy" else ())
 
 
 def _phantom():
@@ -307,14 +311,15 @@ def driving_check(src: str, image=None, scheduler: str = "seq",
 def differential_check(
     src: str,
     image=None,
-    schedulers: tuple[str, ...] = ALL_SCHEDULERS,
+    schedulers: tuple[str, ...] | None = None,
     fuse: bool = True,
     backend: str = "numpy",
     precision: str = "double",
 ) -> str | None:
     """Run one program every way; None if all agree, else a message.
 
-    The sequential compiled run is the baseline; the other schedulers —
+    The sequential compiled run is the baseline; the other schedulers
+    (default: every one that runs ``backend``) —
     and every scheduler again with one block covering every strand — must
     agree *exactly* (same generated code over the same strands) and the
     HighIR interpreter to numeric tolerance (it computes probes through a
@@ -335,6 +340,7 @@ def differential_check(
     """
     if image is None:
         image = _phantom()
+    schedulers = schedulers or default_schedulers(backend)
     single = precision == "single"
     # float64 interpreter is the oracle in both modes
     ref = interpret_program(src, image)
@@ -377,13 +383,11 @@ def differential_check(
             if not np.allclose(a, b, equal_nan=True, **cross_tol):
                 return (f"backend {backend!r} vs 'numpy' ({precision}) "
                         f"disagree on {name!r}: {a} vs {b}")
-        # the legs above all kept the step loop in the kernel; a process
-        # pool never does, so it has no second driving to compare
+        # the legs above all kept the step loop in the kernel
         for sched in schedulers:
-            if sched != "process":
-                msg = driving_check(src, image, sched, fuse, precision)
-                if msg is not None:
-                    return msg
+            msg = driving_check(src, image, sched, fuse, precision)
+            if msg is not None:
+                return msg
     return None
 
 
@@ -519,7 +523,7 @@ class FuzzReport:
 def fuzz(
     n: int = 50,
     seed: int = 0,
-    schedulers: tuple[str, ...] = ALL_SCHEDULERS,
+    schedulers: tuple[str, ...] | None = None,
     shrink: bool = True,
     progress=None,
     fuse: bool = True,
@@ -530,8 +534,9 @@ def fuzz(
     """Generate and differentially check ``n`` programs.
 
     Seeds are ``seed .. seed+n-1`` so a run is reproducible and a failure
-    names its seed.  ``progress`` (optional callable) receives
-    ``(index, seed)`` before each sample.  ``fuse=False`` fuzzes the
+    names its seed.  ``schedulers`` defaults to every one that runs
+    ``backend`` (:func:`default_schedulers`).  ``progress`` (optional
+    callable) receives ``(index, seed)`` before each sample.  ``fuse=False`` fuzzes the
     unfused pipeline (``--no-fuse``); ``backend="c"`` fuzzes the native
     backend against both the interpreter and the NumPy oracle;
     ``precision="single"`` fuzzes the float32 pipeline against the
@@ -545,7 +550,8 @@ def fuzz(
     from repro.core.driver import OptOptions, compile_program
 
     image = _phantom()
-    report = FuzzReport(n_programs=n, schedulers=tuple(schedulers))
+    schedulers = tuple(schedulers or default_schedulers(backend))
+    report = FuzzReport(n_programs=n, schedulers=schedulers)
 
     def check(program_src: str, sample_seed: int) -> str | None:
         if incremental:

@@ -31,15 +31,15 @@ The pass runs after MidIR contraction + value numbering (which it relies on
 for the sharing of gathers and weights between co-located probes) and is
 gated by ``OptOptions.probe_fusion`` / the driver's ``--no-fuse`` flag.
 
-Fusion is decided per group by a cost model (:func:`_fusion_profitable`)
-built from the neighborhood shape: 1-D groups are never fused — the
-incremental schedule *lost* to the direct path on every 1-D case it was
-measured on, where there is no prefix to share and the per-axis dispatch
-overhead dominates the single ``2s``-wide contraction
-(``tests/test_probe_fusion.py::TestCostModel`` pins the decision and that
-1-D programs compile to the unfused code) — while for ``d ≥ 2`` the
-modelled axis-contraction cost of the shared prefix tree is never worse
-than repeating full ``(2s)^d`` contractions, so those groups always fuse.
+Fusion is decided per group by its dimension (:func:`_fusion_profitable`):
+1-D groups are never fused — the incremental schedule *lost* to the direct
+path on every 1-D case it was measured on, where there is no prefix to
+share and the per-axis dispatch overhead dominates the single ``2s``-wide
+contraction (``tests/test_probe_fusion.py::TestCostModel`` pins the
+decision and that 1-D programs compile to the unfused code) — while for
+``d ≥ 2`` the axis-contraction cost of the shared prefix tree is never
+worse than repeating full ``(2s)^d`` contractions, so those groups always
+fuse.
 """
 
 from __future__ import annotations
@@ -62,27 +62,12 @@ def probe_fuse(func: Func) -> dict:
     return stats
 
 
-def _fusion_profitable(dim: int, support: int, specs: list[tuple]) -> bool:
-    """Decide whether the incremental schedule beats full contractions.
-
-    ``specs`` lists, per group member, the identity of the weight vector it
-    applies on each sample axis.  Both sides are modelled as axis-by-axis
-    contraction chains — contracting axis ``L`` of a partially-contracted
-    neighborhood costs ``(2s)^(d-L+1)`` multiply-adds: an unfused member
-    pays the whole chain ``Σ_L (2s)^(d-L+1)`` itself, while fused members
-    pay once per *unique* spec prefix (partial contractions are shared
-    through the prefix tree, so duplicates are free).  For ``dim == 1``
-    the schedule can share nothing and its constant per-axis dispatch
-    overhead loses in practice, so 1-D groups are rejected outright
-    (``tests/test_probe_fusion.py::TestCostModel``).
-    """
-    if dim < 2:
-        return False
-    width = 2 * support
-    chain = sum(width ** (dim - k) for k in range(dim))
-    prefixes = {spec[:k] for spec in specs for k in range(1, len(spec) + 1)}
-    fused = sum(width ** (dim - len(p) + 1) for p in prefixes)
-    return fused <= len(specs) * chain
+def _fusion_profitable(dim: int) -> bool:
+    """Whether a group of ``dim``-D contractions fuses: 1-D loses in
+    practice (``tests/test_probe_fusion.py::TestCostModel``)."""
+    # Why no prefix count: one spec's own prefixes cost exactly one unfused
+    # chain Σ_k (2s)^(d-k+1), so the unique-prefix sum never exceeds specs × chain.
+    return dim >= 2
 
 
 def _placeable(v: Value, anchor: int, pos: dict, hoist_pos: dict) -> bool:
@@ -134,10 +119,7 @@ def _fuse_body(body: Body, stats: dict) -> None:
     drop: set[int] = set()  # original indices vacated by fusion/hoisting
 
     for members in groups.values():
-        vox0 = members[0][1].args[0]
-        group_dim = len(members[0][1].args) - 1
-        group_specs = [tuple(m.args[1:]) for _, m in members]
-        if not _fusion_profitable(group_dim, vox0.ty[2], group_specs):
+        if not _fusion_profitable(len(members[0][1].args) - 1):
             stats["rejected"] += 1
             continue
         # Partition the group into subgroups whose weights can all be

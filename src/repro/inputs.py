@@ -18,7 +18,6 @@ and declare the flags that configure a run once, in
 from __future__ import annotations
 
 import argparse
-import os
 
 from repro.errors import InputError
 from repro.runtime.choices import BACKEND_NAMES, DEFAULT_BLOCK_SIZE, SCHEDULER_CHOICES
@@ -29,18 +28,18 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
 
     ``--workers --scheduler --backend --block-size`` map onto
     :meth:`Program.run <repro.runtime.program.Program.run>`'s parameters;
-    ``--trace --profile --metrics-out`` onto its ``obs`` (``--trace``'s
-    default is the one place ``REPRO_TRACE`` is read).
+    ``--trace --profile --metrics-out`` onto its ``obs``.
     """
     parser.add_argument("--workers", type=str, default=None, metavar="N|auto",
                         help="worker count, or 'auto' for the CPU count "
                              "(default: 1, or 'auto' with --scheduler auto)")
     parser.add_argument("--scheduler", choices=SCHEDULER_CHOICES, default=None,
-                        help="seq, thread, process, or auto (default: seq for "
-                             "1 worker, thread otherwise); auto picks seq on "
-                             "a single-CPU machine, for 1 worker, or when "
-                             "the program fits in one strand block, else "
-                             "thread for --backend c and process for numpy")
+                        help="seq, thread, process (numpy backend only), or "
+                             "auto (default: seq for 1 worker, thread "
+                             "otherwise); auto picks seq on a single-CPU "
+                             "machine, for 1 worker, or when the program "
+                             "fits in one strand block, else thread for "
+                             "--backend c and process for numpy")
     parser.add_argument("--backend", choices=BACKEND_NAMES, default="numpy",
                         help="strand-update backend: numpy (the generated "
                              "NumPy module, the reference) or c (native "
@@ -49,10 +48,8 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                         help="strands per work-list block (default: "
                              f"{DEFAULT_BLOCK_SIZE}, the paper's)")
-    parser.add_argument("--trace", metavar="FILE",
-                        default=os.environ.get("REPRO_TRACE") or None,
-                        help="write a Chrome trace-event JSON file (also "
-                             "via REPRO_TRACE=FILE)")
+    parser.add_argument("--trace", metavar="FILE", default=None,
+                        help="write a Chrome trace-event JSON file")
     parser.add_argument("--profile", action="store_true",
                         help="print a pass / super-step / worker profile "
                              "summary")

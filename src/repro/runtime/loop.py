@@ -125,20 +125,9 @@ def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,
 
             sched = ProcessScheduler(plan.workers)
             held.callback(sched.close)
-        # with the C backend, workers rebuild the native kernel from the
-        # cached artifact (the master's build warmed the cache)
-        native_setup = None
-        if plan.backend == "c":
-            from repro.core.codegen import cbuild
-
-            c_source, nplan, _, _ = program._native_artifacts()
-            native_setup = {
-                "c_source": c_source, "plan": nplan,
-                "flags": cbuild.flags_for(nplan.get("real_dtype") == "float32"),
-            }
         state, status = sched.setup(
             program.generated_source, ctx.images, program.dtype, g, state,
-            status, native=native_setup)
+            status)
         run = partial(sched.run_step, block_size=plan.block_size, obs=obs)
     else:
         if sched is None:

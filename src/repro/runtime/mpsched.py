@@ -108,7 +108,7 @@ class _WorkerEnv:
                 pass
 
 
-def _apply_setup(wid: int, setup_bytes: bytes) -> _WorkerEnv:
+def _apply_setup(setup_bytes: bytes) -> _WorkerEnv:
     """Attach one setup message's shared blocks and build the run env.
 
     Used both for the initial (fork-time) setup and for *re-arming* a
@@ -137,25 +137,9 @@ def _apply_setup(wid: int, setup_bytes: bytes) -> _WorkerEnv:
                              orientation=orient, dtype=data.dtype)
     ns: dict = {}
     exec(compile(setup["source"], "<diderot-generated>", "exec"), ns)
-    g = setup["globals"]
-    # the block kernel, bound to the shared views: the NumPy one unless
-    # the run is native — then rebuilt from the artifact cache (warmed by
-    # the master's build); a failure degrades this worker to NumPy
+    # the block kernel, bound to the shared views
     env.run_block = NumpyKernel(ns["update"], Ctx(images, setup["dtype"]),
-                                g, state, status).run_block
-    if setup.get("native") is not None:
-        from repro.errors import CodegenError
-        from repro.runtime.native import NativeUpdate, warn_numpy_fallback
-
-        try:
-            from repro.core.codegen import cbuild
-
-            lib, ffi = cbuild.build(setup["native"]["c_source"],
-                                    flags=setup["native"].get("flags"))
-            env.run_block = NativeUpdate(lib, ffi, setup["native"]["plan"],
-                                         images, g, state, status).run_range
-        except CodegenError as exc:
-            warn_numpy_fallback(exc, who=f"process worker {wid}: ")
+                                setup["globals"], state, status).run_block
     return env
 
 
@@ -177,7 +161,7 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
     """
     with Obs(f"worker-{wid}", parent=None) as obs:
         try:
-            env = _apply_setup(wid, setup_bytes)
+            env = _apply_setup(setup_bytes)
             result_q.put(("ready", wid))
         except BaseException:
             result_q.put(("fatal", wid, traceback.format_exc()))
@@ -190,7 +174,7 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
             if task[0] == "setup":
                 old, env = env, None
                 try:
-                    env = _apply_setup(wid, task[1])
+                    env = _apply_setup(task[1])
                     result_q.put(("ready", wid))
                 except BaseException:
                     result_q.put(("fatal", wid, traceback.format_exc()))
@@ -251,14 +235,11 @@ class ProcessScheduler:
     # -- lifecycle ---------------------------------------------------------
 
     def setup(self, source: str, images: dict, dtype, global_values,
-              state: list[np.ndarray], status: np.ndarray, native=None):
+              state: list[np.ndarray], status: np.ndarray):
         """Move state into shared memory and fork the pool.
 
-        ``native`` — optional ``{"c_source": ..., "plan": ..., "flags": ...}``
-        dict from the master's :mod:`~repro.core.codegen.cgen` build; workers
-        rebuild the kernel from the warm artifact cache (same flag set, so
-        the same cache key) and run blocks natively, falling back per-worker
-        to NumPy if their build fails.
+        Workers run the generated NumPy module: the pool is the NumPy
+        backend's multi-core path (DESIGN.md "Configuration matrix").
 
         Returns ``(state_views, status_view)`` — the shared arrays the
         master must use for the rest of the run (stabilize scatters and
@@ -308,7 +289,6 @@ class ProcessScheduler:
                 "state": [sa.spec() for sa in state_sa],
                 "status": status_sa.spec(),
                 "active": active_sa.spec(),
-                "native": native,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )

@@ -52,10 +52,10 @@ _K_CALLS, _K_LANES, _K_SECONDS = (
 )
 
 
-def warn_numpy_fallback(exc, who: str = "") -> None:
+def warn_numpy_fallback(exc) -> None:
     """Say on stderr that a ``backend="c"`` request degrades to NumPy (the
     run plan records why and counts ``runtime.backend.fallback.<stage>``)."""
-    print(f"warning: {who}native backend unavailable, falling back to "
+    print(f"warning: native backend unavailable, falling back to "
           f"NumPy: {exc}", file=sys.stderr)
 
 

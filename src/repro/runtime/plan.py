@@ -71,8 +71,8 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
     ``detail`` says the run's ``Obs`` records per-step spans, ``recording``
     that the run wants footprints; ``bind_error`` is why the native kernel
     refused this run's arrays (the caller resolves again when binding
-    fails).  A bad scheduler, worker count or backend raises
-    :class:`~repro.errors.InputError`."""
+    fails).  A bad scheduler, worker count or backend, or the process
+    pool with the C backend, raises :class:`~repro.errors.InputError`."""
     borrowed, why = None, "requested"
     if scheduler is not None and not isinstance(scheduler, str):
         if not hasattr(scheduler, "run_step"):
@@ -101,6 +101,14 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
         raise InputError(
             f"unknown backend {backend!r}; choose from {BACKEND_NAMES}"
         )
+    if scheduler == "process" and backend == "c":
+        # decided on the request, before any build: the answer must not
+        # depend on whether a compiler is installed (DESIGN.md
+        # "Configuration matrix": it lost to seq and to threads)
+        raise InputError(
+            "scheduler 'process' runs the NumPy backend only; run backend "
+            "'c' on scheduler 'seq' or 'thread'"
+        )
     fallback = None
     if backend == "c":
         if program._native_artifacts() is None:  # warned there, once
@@ -123,8 +131,6 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
 
     if backend != "c":
         driving = "per_step.numpy"
-    elif scheduler == "process":  # the master re-publishes the active list
-        driving = "per_step.process"
     elif program.namespace.get("stabilize") is not None:
         driving = "per_step.stabilize"
     elif on_step is not None:

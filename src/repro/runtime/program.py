@@ -314,8 +314,9 @@ class Program:
         backends"): ``"seq"`` is the sequential loop nest, ``"thread"``
         the persistent thread pool with a shared lock-protected work-list
         of strand blocks (paper §5.5), and ``"process"`` the
-        shared-memory process pool (:mod:`repro.runtime.mpsched`) — true
-        multicore execution on CPython.  When omitted, ``workers == 1``
+        shared-memory process pool (:mod:`repro.runtime.mpsched`) — the
+        NumPy backend's multi-core path; with ``backend="c"`` it raises
+        :class:`~repro.errors.InputError`.  When omitted, ``workers == 1``
         runs sequentially and ``workers > 1`` uses threads.  ``workers``
         accepts ``"auto"`` for the machine's CPU count; counts below 1
         raise :class:`~repro.errors.InputError`.
@@ -417,7 +418,7 @@ class Program:
                         self, self._inc, ctx, g, grid, dirty, rec, obs)
 
                 native = None
-                if plan.backend == "c" and plan.scheduler != "process":
+                if plan.backend == "c":
                     _, nplan, lib, ffi = self._native_artifacts()
                     try:
                         # binds the *materialized* state arrays: the native

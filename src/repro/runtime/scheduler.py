@@ -13,8 +13,8 @@ end of a super step."
 The in-process schedulers here execute one ``run_step`` when called: they
 are handed the list of strand blocks and a function that runs one block,
 and they return the per-block results plus per-block wall-clock times;
-returning is the barrier.  The process-pool scheduler — true multicore
-execution over shared-memory strand state — lives in
+returning is the barrier.  The process-pool scheduler — the NumPy
+backend's multi-core path over shared-memory strand state — lives in
 :mod:`repro.runtime.mpsched`; see DESIGN.md "Parallel backends" for when
 each backend wins.
 
@@ -22,8 +22,9 @@ How much a block does per ``run_step`` is the run plan's decision
 (:func:`repro.runtime.plan.resolve`, the ``driving`` field).  The block
 kernel they are handed (:mod:`repro.runtime.kernel`) runs its block for
 one super-step — the quoted model, a barrier after every step — whenever
-something must see step boundaries: the NumPy backend, a process pool, a
-``stabilize`` method, an ``on_step`` callback, an ``Obs(detail=True)``.
+something must see step boundaries: the NumPy backend (the only one a
+process pool runs), a ``stabilize`` method, an ``on_step`` callback, an
+``Obs(detail=True)``.
 Otherwise, on the native backend, it runs the block until its last strand
 has stabilized or died (:meth:`~repro.runtime.native.NativeUpdate.run_range`
 with every remaining step), and the only barrier left is the one that

@@ -26,10 +26,9 @@ Entries live in a :class:`repro.diskcache.DiskCache` in
 bounded by ``$REPRO_COMPILE_CACHE_MAX``; one that will not load or names
 another key is purged and is a miss.  ``FORMAT`` and the compiler digest
 are in the key, so an entry another format or another compiler wrote is
-never looked up again.  ``REPRO_COMPILE_CACHE`` enables the cache for
-plain ``compile_program`` calls (:func:`repro.core.api.cache_requested`;
-the serving layer passes ``cache=True``).  Each lookup and store is also
-one ``cat="cache"`` event.
+never looked up again.  ``compile_program(cache=True)`` (and
+``--compile-cache``) uses the cache; the serving layer always does.  Each
+lookup and store is also one ``cat="cache"`` event.
 """
 
 from __future__ import annotations

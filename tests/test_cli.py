@@ -142,15 +142,32 @@ class TestCli:
         assert "workers" in out
 
     def test_repro_trace_env_var(self, workspace, monkeypatch):
-        import json
-
+        """Not read any more: it was an alias of ``--trace`` (DESIGN.md
+        "Configuration matrix")."""
         trace_path = workspace / "env.json"
         monkeypatch.setenv("REPRO_TRACE", str(trace_path))
         code = main([str(workspace / "prog.diderot"),
                      "--out", str(workspace / "ev")])
         assert code == 0
-        doc = json.loads(trace_path.read_text(encoding="utf-8"))
-        assert any(e["name"] == "superstep" for e in doc["traceEvents"])
+        assert not trace_path.exists()
+
+    def test_check_no_fuse_and_max_steps_flags(self, workspace, capsys):
+        import json
+
+        prog = str(workspace / "prog.diderot")
+        assert main([prog, "--emit-python"]) == 0
+        fused = capsys.readouterr().out
+        assert main([prog, "--emit-python", "--no-fuse"]) == 0
+        unfused = capsys.readouterr().out
+        # the one 2-D probe: an axis-at-a-time chain, or one contraction
+        assert "rt.contract_axis" in fused and "rt.conv_contract" not in fused
+        assert "rt.conv_contract" in unfused and "rt.contract_axis" not in unfused
+        trace = workspace / "check.json"
+        assert main([prog, "--check", "--max-steps", "0", "--trace", str(trace),
+                     "--out", str(workspace / "m")]) == 0
+        assert "64 strands, 0 super-steps" in capsys.readouterr().out
+        events = json.loads(trace.read_text(encoding="utf-8"))["traceEvents"]
+        assert any(e.get("cat") == "check" for e in events)
 
 
 class TestParseValue:

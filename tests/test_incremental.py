@@ -62,8 +62,8 @@ def _prog(data: np.ndarray):
 
 CONFIGS = [("seq", 1, "numpy"), ("thread", 2, "numpy"),
            ("process", 2, "numpy")]
-if NATIVE:
-    CONFIGS += [("seq", 1, "c"), ("thread", 2, "c"), ("process", 2, "c")]
+if NATIVE:  # the process pool runs NumPy only
+    CONFIGS += [("seq", 1, "c"), ("thread", 2, "c")]
 
 
 # -- Image.patch --------------------------------------------------------------
@@ -179,8 +179,7 @@ def test_update_bit_identical_to_cold_run(scheduler, workers, backend,
     # how the footprints were obtained (DESIGN.md's configuration table):
     # recorded by the runs themselves wherever the strand updates execute
     # in this process, on any thread; in a process pool one shadow build,
-    # then a refresh of the re-run rows — on the checkpoint's backend
-    # either way
+    # then a refresh of the re-run rows
     if scheduler == "process":
         assert _counted_since(before) == {
             "runtime.footprint.shadow.process": 2,
@@ -190,7 +189,7 @@ def test_update_bit_identical_to_cold_run(scheduler, workers, backend,
     else:
         assert _counted_since(before) == {
             f"runtime.footprint.inline.{backend}": 2}
-    # ... and in this process: a native checkpoint's shadow run is native
+    # ... and a native checkpoint's kernel records as it runs
     assert any(rec is not None for _, rec in bound_kernels) == (backend == "c")
 
 
@@ -549,9 +548,9 @@ def _write_nrrd(path: str, arr: np.ndarray) -> None:
 
 
 def test_serve_update_route_and_streaming(tmp_path):
-    from repro.serve.__main__ import _request, _request_stream
     from repro.serve.registry import ProgramRegistry
     from repro.serve.server import ServeApp
+    from tests.http_client import request, request_stream
 
     base = _base()
     patched = base.copy()
@@ -562,17 +561,17 @@ def test_serve_update_route_and_streaming(tmp_path):
         app = ServeApp(ProgramRegistry())
         await app.start("127.0.0.1", 0)
         port = app.port
-        s, _ = await _request(port, "POST", "/programs/inc", {
+        s, _ = await request(port, "POST", "/programs/inc", {
             "source": SOURCE, "search_path": str(tmp_path)})
         assert s == 200
-        s, full = await _request(port, "POST", "/run/inc", {})
+        s, full = await request(port, "POST", "/run/inc", {})
         assert s == 200
-        s, events = await _request_stream(port, "/run/inc",
+        s, events = await request_stream(port, "/run/inc",
                                           {"stream": True})
-        s2, upd = await _request(port, "POST", "/update/inc", {
+        s2, upd = await request(port, "POST", "/update/inc", {
             "image": "img", "data": patched[3:6, 3:6].tolist(),
             "region": [[3, 5], [3, 5]]})
-        s3, bad = await _request(port, "POST", "/update/inc", {})
+        s3, bad = await request(port, "POST", "/update/inc", {})
         await app.close()
         return full, events, (s, s2, s3), upd, bad
 

@@ -269,12 +269,15 @@ class TestSummary:
 
 
 class TestEnvActivation:
-    def test_run_honors_env_var(self, monkeypatch, tmp_path):
-        """``REPRO_TRACE`` is the CLIs' ``--trace`` default."""
-        out = tmp_path / "auto.json"
-        monkeypatch.setenv("REPRO_TRACE", str(out))
-        compile_program(SRC).cli(["--block-size", "16"])
-        doc = json.loads(out.read_text(encoding="utf-8"))
+    def test_trace_env_var_is_not_read(self, monkeypatch, tmp_path):
+        """``REPRO_TRACE`` was an alias of ``--trace``, and aliases are
+        settable values nothing needs (DESIGN.md "Configuration matrix"):
+        only the flag writes a trace."""
+        env, flag = tmp_path / "env.json", tmp_path / "flag.json"
+        monkeypatch.setenv("REPRO_TRACE", str(env))
+        compile_program(SRC).cli(["--block-size", "16", "--trace", str(flag)])
+        assert not env.exists()
+        doc = json.loads(flag.read_text(encoding="utf-8"))
         names = {e["name"] for e in doc["traceEvents"]}
         assert "superstep" in names and "block" in names
 

@@ -253,7 +253,6 @@ class TestKernelLoopVsPerStep:
         ("tracer", dict(backend="c", obs=Obs(detail=True))),
         ("numpy", dict(backend="numpy")),
         ("numpy", dict(backend="numpy", scheduler="process", workers=2)),
-        ("process", dict(backend="c", scheduler="process", workers=2)),
     ])
     def test_decision_is_recorded_with_its_reason(self, reason, kw):
         res = _driven_program("die-heavy").run(block_size=64, **kw)
@@ -330,6 +329,15 @@ class TestCliWorkers:
         assert code == 0
         assert "144 strands" in capsys.readouterr().out
 
+    def test_process_with_c_backend_exits_1(self, workspace, capsys):
+        code = main([str(workspace / "prog.diderot"), "--scheduler", "process",
+                     "--backend", "c", "--workers", "2",
+                     "--out", str(workspace / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NumPy backend only" in err
+        assert not (workspace / "o-v.nrrd").exists()
+
     @pytest.mark.parametrize("bad", ["0", "-2", "lots"])
     def test_bad_workers_clean_error(self, workspace, bad, capsys):
         code = main([str(workspace / "prog.diderot"), "--workers", bad,
@@ -339,6 +347,51 @@ class TestCliWorkers:
         assert err.startswith("error:")
         assert "workers" in err
         assert "Traceback" not in err
+
+
+class TestProcessIsNumpyOnly:
+    """The process pool runs the NumPy backend only (DESIGN.md
+    "Configuration matrix"): the plan refuses process × C from the request,
+    before any build, so the answer does not depend on the compiler."""
+
+    @pytest.mark.parametrize("cc", [True, False], ids=["with-cc", "without-cc"])
+    def test_refused_before_any_build(self, monkeypatch, cc):
+        from repro.runtime.mpsched import ProcessScheduler
+
+        if not cc:
+            monkeypatch.setattr(cbuild, "compiler_available", lambda: False)
+            monkeypatch.setattr(cbuild, "find_compiler", lambda: None)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("process × C reached the native build")
+
+        monkeypatch.setattr(cbuild, "build", no_build)
+        prog = compile_program(BRANCHY)
+        with pytest.raises(InputError, match="NumPy backend only"):
+            prog.run(scheduler="process", workers=2, backend="c")
+        pool = ProcessScheduler(2)
+        try:
+            with pytest.raises(InputError, match="NumPy backend only"):
+                prog.run(scheduler=pool, backend="c", checkpoint=True)
+            assert pool._procs == []  # refused before the fork
+        finally:
+            pool.close()
+        assert not prog.has_checkpoint
+
+    @pytest.mark.parametrize("backend,picked", [("c", "thread"),
+                                                ("numpy", "process")])
+    def test_auto_never_picks_process_for_c(self, monkeypatch, backend,
+                                             picked):
+        import os
+
+        if backend == "c" and not cbuild.compiler_available():
+            pytest.skip("needs cffi plus a C compiler on PATH")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        obs = Obs()
+        compile_program(BRANCHY).run(scheduler="auto", workers=2,
+                                     block_size=16, backend=backend, obs=obs)
+        assert [e.args["scheduler"] for e in obs.events
+                if e.name == "superstep-loop"] == [f"auto→{picked}"]
 
 
 class TestThreadPoolPersistence:
@@ -558,19 +611,21 @@ ALIASING = {
     """,
 }
 
-_ALIASING_BACKENDS = ["numpy"] + (["c"] if cbuild.compiler_available() else [])
+#: every scheduler × backend cell a run can take (the process pool runs
+#: NumPy only)
+_CELLS = [("seq", 1, "numpy"), ("thread", 2, "numpy"), ("process", 2, "numpy")]
+if cbuild.compiler_available():
+    _CELLS += [("seq", 1, "c"), ("thread", 2, "c")]
 
 
 class TestStateAliasing:
-    """Bit-identical to seq under every scheduler × backend × block size;
-    4096 means one block covers every strand — the in-place path, where a
-    result that is another variable's state array must be read before that
-    array is overwritten."""
+    """Bit-identical to seq under every scheduler × backend cell and block
+    size; 4096 means one block covers every strand — the in-place path,
+    where a result that is another variable's state array must be read
+    before that array is overwritten."""
 
     @pytest.mark.parametrize("block_size", [1, 3, 4096])
-    @pytest.mark.parametrize("backend", _ALIASING_BACKENDS)
-    @pytest.mark.parametrize("scheduler,workers",
-                             [("seq", 1), ("thread", 2), ("process", 2)])
+    @pytest.mark.parametrize("scheduler,workers,backend", _CELLS)
     @pytest.mark.parametrize("name", list(ALIASING))
     def test_bit_identical_to_sequential(self, name, scheduler, workers,
                                          backend, block_size):
@@ -666,7 +721,7 @@ class TestFailingSetupReleases:
         from repro.errors import RuntimeErrorD
         from repro.runtime import mpsched
 
-        def broken(wid, setup_bytes):
+        def broken(setup_bytes):
             raise OSError("no shared memory today")
 
         shm, workers = _shm_segments(), _workers()

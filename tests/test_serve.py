@@ -22,6 +22,7 @@ from repro.obs import ROOT
 from repro.serve.batch import Overloaded, ProbeBatcher
 from repro.serve.registry import ProbeSpec, ProgramRegistry
 from repro.serve.server import ServeApp
+from tests.http_client import request
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir,
                        "examples", "programs", "probe_serve.diderot")
@@ -195,12 +196,6 @@ class TestBatcher:
         assert _counter("serve.shed") > before
 
 
-async def _http(port: int, method: str, path: str, doc=None):
-    from repro.serve.__main__ import _request
-
-    return await _request(port, method, path, doc)
-
-
 class TestHttpServer:
     def test_round_trip_coalesced_and_bit_exact(self):
         points = _points(8)
@@ -209,18 +204,18 @@ class TestHttpServer:
         async def drive():
             app = ServeApp(ProgramRegistry(), window=0.05)
             await app.start("127.0.0.1", 0)
-            status, doc = await _http(app.port, "POST", "/programs/demo", {
+            status, doc = await request(app.port, "POST", "/programs/demo", {
                 "path": EXAMPLE, "scheduler": "thread", "workers": 2,
                 "probe": {"points_image": "pts", "count_input": "N"},
             })
             assert status == 200, doc
             results = await asyncio.gather(*[
-                _http(app.port, "POST", "/probe/demo",
+                request(app.port, "POST", "/probe/demo",
                       {"points": [p.tolist()]})
                 for p in points
             ])
-            status_h, health = await _http(app.port, "GET", "/healthz")
-            status_m, metrics = await _http(app.port, "GET", "/metrics")
+            status_h, health = await request(app.port, "GET", "/healthz")
+            status_m, metrics = await request(app.port, "GET", "/metrics")
             await app.close()
             return results, (status_h, health), (status_m, metrics)
 
@@ -238,11 +233,11 @@ class TestHttpServer:
         async def drive():
             app = ServeApp(ProgramRegistry())
             await app.start("127.0.0.1", 0)
-            r404 = await _http(app.port, "POST", "/probe/ghost",
+            r404 = await request(app.port, "POST", "/probe/ghost",
                                {"points": [[0.0, 0.0, 0.0]]})
-            r400 = await _http(app.port, "POST", "/programs/x",
+            r400 = await request(app.port, "POST", "/programs/x",
                                {"source": "not diderot ("})
-            r405 = await _http(app.port, "GET", "/programs/x/extra")
+            r405 = await request(app.port, "GET", "/programs/x/extra")
             await app.close()
             return r404, r400, r405
 
@@ -257,13 +252,13 @@ class TestHttpServer:
         async def drive():
             app = ServeApp(ProgramRegistry(), window=0.1, max_queue=1)
             await app.start("127.0.0.1", 0)
-            status, _ = await _http(app.port, "POST", "/programs/demo", {
+            status, _ = await request(app.port, "POST", "/programs/demo", {
                 "path": EXAMPLE,
                 "probe": {"points_image": "pts", "count_input": "N"},
             })
             assert status == 200
             flood = await asyncio.gather(*[
-                _http(app.port, "POST", "/probe/demo",
+                request(app.port, "POST", "/probe/demo",
                       {"points": [p.tolist()]})
                 for p in points
             ])
@@ -279,13 +274,13 @@ class TestHttpServer:
         async def drive():
             app = ServeApp(ProgramRegistry())
             await app.start("127.0.0.1", 0)
-            status, _ = await _http(app.port, "POST", "/programs/s",
+            status, _ = await request(app.port, "POST", "/programs/s",
                                     {"source": SIMPLE})
             assert status == 200
-            s_run, doc = await _http(app.port, "POST", "/run/s",
+            s_run, doc = await request(app.port, "POST", "/run/s",
                                      {"inputs": {"N": 5}})
-            s_del, _ = await _http(app.port, "DELETE", "/programs/s")
-            s_gone, _ = await _http(app.port, "POST", "/run/s", {})
+            s_del, _ = await request(app.port, "DELETE", "/programs/s")
+            s_gone, _ = await request(app.port, "POST", "/run/s", {})
             await app.close()
             return s_run, doc, s_del, s_gone
 
@@ -294,6 +289,82 @@ class TestHttpServer:
         assert doc["outputs"]["y"] == [0.0, 3.0, 6.0, 9.0, 12.0]
         assert s_del == 200
         assert s_gone == 404
+
+    def test_process_with_c_backend_answers_400(self):
+        async def drive():
+            app = ServeApp(ProgramRegistry())
+            await app.start("127.0.0.1", 0)
+            status, _ = await request(app.port, "POST", "/programs/s", {
+                "source": SIMPLE, "scheduler": "process", "workers": 2,
+                "backend": "c"})
+            assert status == 200
+            answer = await request(app.port, "POST", "/run/s", {})
+            await app.close()
+            return answer
+
+        status, doc = asyncio.run(drive())
+        assert status == 400
+        assert "NumPy backend only" in doc["error"]
+
+
+class TestCli:
+    def test_every_flag_reaches_the_server(self, tmp_path):
+        """``python -m repro.serve`` with every flag it declares: the
+        programs it registers and warms answer, ``--max-batch 1`` keeps
+        two requests a batching window apart from sharing a run, and
+        SIGTERM writes the ``--metrics-out`` document."""
+        import json
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        (tmp_path / "warm.json").write_text(
+            json.dumps([{"name": "w", "source": SIMPLE}]), encoding="utf-8")
+        metrics = tmp_path / "m.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--host", "127.0.0.1",
+             "--port", "0", "--register", f"demo={EXAMPLE}",
+             "--probe", "demo=pts:N:2", "--precision", "double",
+             "--scheduler", "thread", "--workers", "2", "--backend", "numpy",
+             "--capacity", "2", "--window", "0.05", "--max-batch", "1",
+             "--max-queue", "8", "--no-compile-cache",
+             "--warm", str(tmp_path / "warm.json"),
+             "--metrics-out", str(metrics)],
+            stderr=subprocess.PIPE, stdout=subprocess.DEVNULL, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        try:
+            for line in proc.stderr:
+                port = re.search(r"serving on http://127\.0\.0\.1:(\d+)", line)
+                if port:
+                    break
+            assert port, "the server did not come up"
+            port = int(port.group(1))
+
+            async def drive():
+                listed = await request(port, "GET", "/programs")
+                probes = await asyncio.gather(*[
+                    request(port, "POST", "/probe/demo", {"points": [p]})
+                    for p in _points(2).tolist()])
+                return listed, probes, await request(port, "POST", "/run/w", {})
+
+            (s_list, listed), probes, (s_run, run) = asyncio.run(drive())
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=60)
+            proc.stderr.close()
+        assert proc.returncode == 0
+        assert s_list == 200 and s_run == 200
+        entries = {e["name"]: e for e in listed["programs"]}
+        assert set(entries) == {"w", "demo"}
+        assert (entries["demo"]["scheduler"], entries["demo"]["workers"],
+                entries["demo"]["backend"], entries["demo"]["probe"]["pad"]) \
+            == ("thread", 2, "numpy", 2)
+        assert [s for s, _ in probes] == [200, 200]
+        assert run["outputs"]["y"] == [0.0, 3.0, 6.0, 9.0]
+        counters = json.loads(metrics.read_text(encoding="utf-8"))["counters"]
+        assert counters["serve.batch.batches"] == 2
+        assert "serve.batch.coalesced" not in counters
 
 
 # -- one Obs per request: overlapping requests do not mix their counters --------
@@ -360,9 +431,9 @@ class TestRequestScopedObs:
             solo_a.update_input("img", np.asarray(patch), region=region)
             solo_a.run_update()
 
-        for request in (solo_a.run, solo_a.run, solo_b.run, update_a):
+        for call in (solo_a.run, solo_a.run, solo_b.run, update_a):
             with Obs(parent=None) as alone:
-                request()
+                call()
             for k, v in _work(alone.counters).items():
                 expected[k] = expected.get(k, 0) + v
         assert expected["op.gather.calls"] > 0
@@ -371,18 +442,18 @@ class TestRequestScopedObs:
             app = ServeApp(ProgramRegistry())
             await app.start("127.0.0.1", 0)
             for name, source in (("a", _PROBING_A), ("b", _PROBING_B)):
-                status, doc = await _http(app.port, "POST", f"/programs/{name}",
+                status, doc = await request(app.port, "POST", f"/programs/{name}",
                                           {"source": source, "search_path": tmp})
                 assert status == 200, doc
-            _, before = await _http(app.port, "GET", "/metrics")
+            _, before = await request(app.port, "GET", "/metrics")
             answers = await asyncio.gather(
-                _http(app.port, "POST", "/run/a", {}),
-                _http(app.port, "POST", "/run/b", {}),
-                _http(app.port, "POST", "/update/a",
+                request(app.port, "POST", "/run/a", {}),
+                request(app.port, "POST", "/run/b", {}),
+                request(app.port, "POST", "/update/a",
                       {"image": "img", "data": patch, "region": region}),
-                _http(app.port, "POST", "/run/a", {}),
+                request(app.port, "POST", "/run/a", {}),
             )
-            _, after = await _http(app.port, "GET", "/metrics")
+            _, after = await request(app.port, "GET", "/metrics")
             await app.close()
             return answers, before, after
 
@@ -400,7 +471,7 @@ class TestRequestScopedObs:
         async def drive():
             app = ServeApp(ProgramRegistry(), window=0.0)
             await app.start("127.0.0.1", 0)
-            status, _ = await _http(app.port, "POST", "/programs/demo", {
+            status, _ = await request(app.port, "POST", "/programs/demo", {
                 "path": EXAMPLE,
                 "probe": {"points_image": "pts", "count_input": "N"},
             })
@@ -408,7 +479,7 @@ class TestRequestScopedObs:
             sizes = []
             for _ in range(2):
                 for _ in range(100):
-                    status, _ = await _http(app.port, "POST", "/probe/demo",
+                    status, _ = await request(app.port, "POST", "/probe/demo",
                                             {"points": points})
                     assert status == 200
                 snap = ROOT.snapshot()

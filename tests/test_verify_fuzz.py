@@ -171,6 +171,35 @@ def test_cli_fuzz_exit_status(capsys):
     assert "evecs" in never.split() and "gather" not in never.split()
 
 
+def test_cli_fuzz_flags(tmp_path, capsys):
+    import json
+
+    from repro.core.verify.__main__ import main
+
+    metrics = tmp_path / "m.json"
+    assert main(["--metrics-out", str(metrics), "fuzz", "--n", "1", "--seed",
+                 "0", "--schedulers", "seq", "--no-shrink", "--no-fuse",
+                 "--incremental", "--progress"]) == 0
+    out = capsys.readouterr().out
+    assert "[1/1] seed 0" in out
+    assert "probe fusion off" in out and "incremental replay" in out
+    counters = json.loads(metrics.read_text(encoding="utf-8"))["counters"]
+    assert counters["run.count"] > 0
+
+
+@pytest.mark.skipif(not cbuild.compiler_available(),
+                    reason="needs cffi plus a C compiler on PATH")
+def test_cli_fuzz_c_defaults_to_seq_and_thread(capsys):
+    """The process pool runs NumPy only, so ``--backend c`` fuzzes the
+    schedulers that run C."""
+    from repro.core.verify.__main__ import main
+
+    assert main(["fuzz", "--n", "1", "--seed", "0", "--backend", "c",
+                 "--single"]) == 0
+    assert "schedulers seq/thread, backend c, single precision: all agree" \
+        in capsys.readouterr().out
+
+
 def test_outputs_are_real_arrays():
     from repro.core.verify.fuzz import _phantom, _run_scheduler
 
