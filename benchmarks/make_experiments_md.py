@@ -175,8 +175,10 @@ def front_door(w, rows: dict, ledger: dict, layers: dict) -> None:
     w("Where that goes, from the traced run (layer metrics, ms unless a count): a")
     w("cold `cc` against an artifact-cache hit, interpreter start and imports")
     w("inside `start_ms`, and the parts of a `/probe` request — the wait in the")
-    w("coalescing window, how many requests a batch ends up with, the batch")
-    w("itself, HTTP and JSON — beside a lone small probe and the refusals.")
+    w("batcher's queue (a fixed 2 ms window when the reference was measured; a")
+    w("batch now runs as soon as the batcher is free), how many requests a batch")
+    w("ends up with, the batch itself, HTTP and JSON — beside a lone small probe")
+    w("and the refusals.")
     w("")
     digits = {"core.codegen.cbuild_ms": 0, "core.codegen.cbuild_hit_ms": 2,
               "cli.import_ms": 0, "serve.batch.wait_ms": 2,

@@ -7,7 +7,7 @@
 * :mod:`repro.core.codegen.cgen` — the native backend: LowIR → a
   self-contained C translation unit (one strand-update function over flat
   ``double*`` buffers), compiled and loaded at build time by
-  :mod:`repro.core.codegen.cbuild` via cffi; selected with ``--backend c``
+  :mod:`repro.core.codegen.cbuild` via ctypes; selected with ``--backend c``
   and verified against pygen as the differential oracle.
 * :mod:`repro.core.codegen.interp` — a reference interpreter that executes
   HighIR directly against the :mod:`repro.fields` runtime objects,

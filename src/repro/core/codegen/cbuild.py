@@ -1,12 +1,12 @@
 """Compile and cache native-backend C modules.
 
-Thin wrapper around the system C compiler and :mod:`cffi`'s ABI mode:
+Thin wrapper around the system C compiler and :mod:`ctypes`:
 
-- :func:`compiler_available` — can this machine build and load native
-  kernels at all (cffi importable + a ``cc``/``gcc``/``clang`` on PATH)?
+- :func:`compiler_available` — can this machine build native kernels at
+  all (a ``cc``/``gcc``/``clang`` on PATH)?
 - :func:`build` — compile a C translation unit emitted by
   :mod:`repro.core.codegen.cgen` into a shared object and ``dlopen`` it,
-  returning ``(lib, ffi)``.
+  returning the :class:`ctypes.CDLL` whose ``dd_run`` is typed.
 
 Artifacts are keyed by a hash of the source, the exact flag set, the
 compiler path and the toolchain version (``cc --version``, probed once per
@@ -28,6 +28,7 @@ key.  Every failure is a :class:`~repro.errors.CodegenError`, on which
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import platform
@@ -38,18 +39,21 @@ import threading
 from ...diskcache import DiskCache
 from ...errors import CodegenError
 
-__all__ = ["CDEF", "CFLAGS", "build", "compiler_available",
+__all__ = ["CFLAGS", "DD_RUN_ARGTYPES", "build", "compiler_available",
            "compiler_version", "find_compiler", "flags_for"]
 
-#: The fixed entry-point ABI shared by every generated module (see cgen).
-#: RP entries point at dd_real payloads (double or float per the plan's
-#: ``real_dtype``), so the table itself is ``void **``.
-CDEF = (
-    "int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,"
-    " const double *SC, const int64_t *IC,"
-    " int64_t *idx, int64_t *n_io, int64_t max_steps,"
-    " int64_t *counts, double *seconds);"
-)
+#: The fixed entry-point ABI shared by every generated module (see cgen)::
+#:
+#:     int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,
+#:                    const double *SC, const int64_t *IC,
+#:                    int64_t *idx, int64_t *n_io, int64_t max_steps,
+#:                    int64_t *counts, double *seconds);
+#:
+#: as ctypes argument types: every pointer travels as an address (NULL is
+#: 0 or ``None``).  RP entries point at dd_real payloads (double or float
+#: per the plan's ``real_dtype``), so the table itself is ``void **``.
+DD_RUN_ARGTYPES = ((ctypes.c_void_p,) * 7 + (ctypes.c_int64,)
+                   + (ctypes.c_void_p,) * 2)
 
 _STORE = DiskCache(
     "cgen.cache", "REPRO_CGEN_CACHE",
@@ -83,17 +87,9 @@ def find_compiler() -> str | None:
     return None
 
 
-def _have_cffi() -> bool:
-    try:
-        import cffi  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def compiler_available() -> bool:
-    """True when native kernels can be built and loaded on this machine."""
-    return _have_cffi() and find_compiler() is not None
+    """True when a C compiler is on PATH, so native kernels can be built."""
+    return find_compiler() is not None
 
 
 # compiler path → version line (or failure sentinel), probed once per
@@ -161,31 +157,28 @@ def _compile(cc: str, flags: list[str], c_path: str, out: str) -> None:
         )
 
 
-def _dlopen(so_path: str):
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(CDEF)
-    return ffi.dlopen(so_path), ffi
+def _dlopen(so_path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(so_path)
+    lib.dd_run.argtypes = DD_RUN_ARGTYPES
+    lib.dd_run.restype = ctypes.c_int64
+    return lib
 
 
 def build(c_source: str, flags: list[str] | None = None):
     """Compile ``c_source`` (or reuse a cached artifact) and dlopen it.
 
     ``flags`` defaults to the double-precision :data:`CFLAGS`; pass
-    ``flags_for(True)`` for single-precision kernels.  Returns
-    ``(lib, ffi)`` where ``lib.dd_run`` is the native entry point.  The
-    cffi call releases the GIL for its whole duration, which is what lets
-    the thread scheduler scale across cores.  Concurrent builders of one
-    key (threads or processes) compile once; the rest reuse the ``.so``.
-    Raises :class:`CodegenError` when no compiler/cffi is available, the
+    ``flags_for(True)`` for single-precision kernels.  Returns the
+    loaded library; ``lib.dd_run`` is the native entry point.  A ctypes
+    call releases the GIL for its whole duration, which is what lets the
+    thread scheduler scale across cores.  Concurrent builders of one key
+    (threads or processes) compile once; the rest reuse the ``.so``.
+    Raises :class:`CodegenError` when no compiler is on PATH, the
     build fails, its artifact will not load, or a live peer holds the
     key's lock past ``diskcache.LOCK_WAIT_S``.
     """
     if flags is None:
         flags = CFLAGS
-    if not _have_cffi():
-        raise CodegenError("native backend unavailable: cffi is not importable")
     cc = find_compiler()
     if cc is None:
         raise CodegenError(

@@ -44,7 +44,7 @@ class CodegenError(CompileError):
 
     Raised by :mod:`repro.core.codegen.cgen` when the LowIR cannot be
     translated (unknown op, unsupported type, malformed attributes) and by
-    :mod:`repro.core.codegen.cbuild` when no C compiler/cffi is available
+    :mod:`repro.core.codegen.cbuild` when no C compiler is on PATH
     or the compilation itself fails.  ``Program.run(backend="c")`` catches
     it and falls back to the NumPy backend with a warning; direct callers
     of the codegen see it raised.

@@ -43,7 +43,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=BACKEND_NAMES, default="numpy",
                         help="strand-update backend: numpy (the generated "
                              "NumPy module, the reference) or c (native "
-                             "kernel compiled via cffi; needs a C compiler, "
+                             "kernel loaded via ctypes; needs a C compiler, "
                              "falls back to numpy with a warning)")
     parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                         help="strands per work-list block (default: "

@@ -1,18 +1,19 @@
 """Runtime binder for the native C backend.
 
-:class:`NativeUpdate` takes the ``(lib, ffi)`` pair from
-:mod:`repro.core.codegen.cbuild` plus the emitter's buffer *plan*
+:class:`NativeUpdate` takes the library that
+:mod:`repro.core.codegen.cbuild` loaded plus the emitter's buffer *plan*
 (:mod:`repro.core.codegen.cgen`) and binds the live run arrays — strand
 state, status, image voxel blocks, global values — into the fixed
-``dd_run`` ABI.  The cffi pointer tables are built once; per call only a
-private copy of the block's index list, its length and the tally arrays
-change.  ``run_range`` is the one way in: it runs a block for ``max_steps``
+``dd_run`` ABI.  The pointer tables (``np.uintp`` arrays of the bound
+arrays' addresses) are built once; per call only a private copy of the
+block's index list, its length and the tally arrays change.
+``run_range`` is the one way in: it runs a block for ``max_steps``
 super-steps — one, when the caller must see every step boundary; all that
 remain, when nothing does — and the kernel keeps the work-list itself
 (which lanes are still running, whether the list is a contiguous run that
 can skip the per-lane gather) and reports what each step did.
 
-The cffi call releases the GIL for its whole duration.  Disjoint lane
+The ctypes call releases the GIL for its whole duration.  Disjoint lane
 ranges touch disjoint state elements, so concurrent ``run_range`` calls
 from the thread scheduler's workers are safe — this is what turns the
 persistent thread pool into real multicore scaling.
@@ -28,8 +29,8 @@ which ``Program`` treats as "fall back to NumPy".
 The plan's ``fp_lo``/``fp_hi`` entries are the kernel's footprint
 outputs: bound to a
 :class:`~repro.runtime.incremental.FootprintRecorder`'s per-image box
-arrays when the run records, NULL otherwise (the kernel then skips
-recording).
+arrays when the run records, NULL (address 0) otherwise (the kernel then
+skips recording).
 """
 
 from __future__ import annotations
@@ -76,17 +77,15 @@ def _check_state_array(arr: np.ndarray, want_dtype, what: str) -> np.ndarray:
 class NativeUpdate:
     """One bound native update kernel over a fixed set of run arrays."""
 
-    def __init__(self, lib, ffi, plan, images, global_values, state, status,
+    def __init__(self, lib, plan, images, global_values, state, status,
                  recorder=None):
         self._lib = lib
-        self._ffi = ffi
         self._plan = plan
-        #: objects that must outlive the pointer tables (cffi buffers,
-        #: flattened global copies, contiguous image casts)
+        #: arrays the pointer tables point into: they must outlive them
+        #: (bound run arrays, flattened global copies, contiguous casts)
         self._keep: list = []
 
         real_dtype = np.dtype(plan.get("real_dtype", "float64"))
-        real_ctype = "float[]" if real_dtype == np.float32 else "double[]"
 
         writable = []  # (name, array) pairs that the kernel mutates
         # slots >= n_ret are immutable extras: read-only, never written
@@ -103,7 +102,6 @@ class NativeUpdate:
             arr = np.ascontiguousarray(arr)
             if any(np.may_share_memory(arr, state[j]) for j in range(n_ret)):
                 arr = np.array(arr)  # aliasing a written slot: private copy
-            self._keep.append(arr)
             return arr
 
         def image_array(name):
@@ -116,9 +114,7 @@ class NativeUpdate:
                     f"native backend: image {name!r} has dtype {data.dtype}, "
                     f"expected {real_dtype}"
                 )
-            data = np.ascontiguousarray(data)
-            self._keep.append(data)
-            return data
+            return np.ascontiguousarray(data)
 
         rp_bufs = []
         for entry in plan["real_ptrs"]:
@@ -129,7 +125,6 @@ class NativeUpdate:
                 arr = np.ascontiguousarray(
                     np.asarray(global_values[entry[1]], dtype=real_dtype)
                 ).reshape(-1)
-                self._keep.append(arr)
             elif entry[1] >= n_ret:  # ("state", si) read-only extra
                 arr = readonly_state(state[entry[1]], real_dtype, entry[1])
             else:  # ("state", si)
@@ -137,10 +132,7 @@ class NativeUpdate:
                     state[entry[1]], real_dtype, f"state slot {entry[1]}"
                 )
                 writable.append((f"state{entry[1]}", arr))
-            rp_bufs.append(
-                self._buf(real_ctype, arr,
-                          writable=kind == "state" and entry[1] < n_ret)
-            )
+            rp_bufs.append(self._addr(arr))
 
         def footprint_box(kind, name):
             # the kernel indexes these by strand id, like the state arrays
@@ -155,41 +147,36 @@ class NativeUpdate:
                     f"native backend: footprint box of image {name!r} has "
                     f"shape {arr.shape} for {status.shape[0]} strands"
                 )
-            return self._buf("int64_t[]", arr, writable=True)
+            return self._addr(arr)
 
         ip_bufs = []
         for entry in plan["int_ptrs"]:
             if entry[0] in ("fp_lo", "fp_hi"):
-                ip_bufs.append(ffi.NULL if recorder is None
+                ip_bufs.append(0 if recorder is None
                                else footprint_box(*entry))
                 continue
             if entry[0] == "status":
                 arr = _check_state_array(status, np.int64, "status")
                 writable.append(("status", arr))
-                wr = True
             elif entry[1] >= n_ret:
                 arr = readonly_state(state[entry[1]], np.int64, entry[1])
-                wr = False
             else:
                 arr = _check_state_array(
                     state[entry[1]], np.int64, f"state slot {entry[1]}"
                 )
                 writable.append((f"state{entry[1]}", arr))
-                wr = True
-            ip_bufs.append(self._buf("int64_t[]", arr, writable=wr))
+            ip_bufs.append(self._addr(arr))
 
         bp_bufs = []
         for entry in plan["bool_ptrs"]:
             if entry[1] >= n_ret:
                 arr = readonly_state(state[entry[1]], np.bool_, entry[1])
-                wr = False
             else:
                 arr = _check_state_array(
                     state[entry[1]], np.bool_, f"state slot {entry[1]}"
                 )
                 writable.append((f"state{entry[1]}", arr))
-                wr = True
-            bp_bufs.append(self._buf("unsigned char[]", arr, writable=wr))
+            bp_bufs.append(self._addr(arr))
 
         # The kernel writes every state array in place; aliased arrays would
         # double-apply updates, so refuse them (Program then uses NumPy).
@@ -240,23 +227,17 @@ class NativeUpdate:
             ic[i : i + dim] = sizes
             i += dim
 
-        self._keep.extend((sc, ic))
-        ffi = self._ffi
-        self._rp = (
-            ffi.new("void *[]", [ffi.cast("void *", b) for b in rp_bufs])
-            if rp_bufs
-            else ffi.NULL
-        )
-        self._ip = ffi.new("int64_t *[]", ip_bufs) if ip_bufs else ffi.NULL
-        self._bp = ffi.new("unsigned char *[]", bp_bufs) if bp_bufs else ffi.NULL
-        self._keep.extend((rp_bufs, ip_bufs, bp_bufs))
-        self._sc = self._buf("double[]", sc)
-        self._ic = self._buf("int64_t[]", ic)
+        self._rp, self._ip, self._bp = (
+            np.array(bufs, dtype=np.uintp) for bufs in (rp_bufs, ip_bufs, bp_bufs))
+        #: dd_run's first five arguments; an empty table is NULL
+        self._tables = tuple(t.ctypes.data if t.size else None
+                             for t in (self._rp, self._ip, self._bp))
+        self._tables += (self._addr(sc), self._addr(ic))
 
-    def _buf(self, ctype, arr, writable=False):
-        buf = self._ffi.from_buffer(ctype, arr, require_writable=writable)
-        self._keep.append(buf)
-        return buf
+    def _addr(self, arr: np.ndarray) -> int:
+        """``arr``'s address, with ``arr`` kept alive as long as ``self``."""
+        self._keep.append(arr)
+        return arr.ctypes.data
 
     def run_range(self, idx: np.ndarray, start: int = 0, end: int | None = None,
                   max_steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +253,7 @@ class NativeUpdate:
         mirroring the NumPy backend's live-lane contract.
         """
         work = np.array(idx[start:end], dtype=np.int64)
-        ffi = self._ffi
-        work_buf = ffi.from_buffer("int64_t[]", work, require_writable=True)
-        n_io = ffi.new("int64_t *", work.shape[0])
+        n_io = np.array([work.shape[0]], dtype=np.int64)
         chunks = []
         left = int(max_steps)
         while left > 0 and n_io[0] > 0:
@@ -282,10 +261,8 @@ class NativeUpdate:
             counts = np.empty((cap, 3), dtype=np.int64)
             seconds = np.empty(cap, dtype=np.float64)
             taken = self._lib.dd_run(
-                self._rp, self._ip, self._bp, self._sc, self._ic,
-                work_buf, n_io, cap,
-                ffi.from_buffer("int64_t[]", counts, require_writable=True),
-                ffi.from_buffer("double[]", seconds, require_writable=True),
+                *self._tables, work.ctypes.data, n_io.ctypes.data, cap,
+                counts.ctypes.data, seconds.ctypes.data,
             )
             if taken == -1:
                 raise RuntimeErrorD("integer division by zero")

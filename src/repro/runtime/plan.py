@@ -120,7 +120,7 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
     if scheduler == "auto":
         # sequential when parallel overhead buys nothing: one worker, one
         # CPU, or a program that fits in one strand block.  Otherwise
-        # threads for the C backend (the cffi call releases the GIL, so
+        # threads for the C backend (the ctypes call releases the GIL, so
         # threads scale and share state for free) and processes for NumPy
         # (which is GIL-bound on threads).
         why = "auto"

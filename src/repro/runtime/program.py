@@ -99,7 +99,7 @@ class Program:
         #: see c_module(): None = not emitted yet
         self._c_module = None
         #: cached native-backend artifacts: None = not tried yet,
-        #: "failed" = tried and unavailable, else (c_source, plan, lib, ffi)
+        #: "failed" = tried and unavailable, else (c_source, plan, lib)
         self._native_art = None
         self._native_error: str | None = None
         #: checkpoint + footprints for incremental re-execution, or None
@@ -260,7 +260,7 @@ class Program:
         return self._c_module
 
     def _native_artifacts(self):
-        """``(c_source, plan, lib, ffi)`` for this program, or ``None``.
+        """``(c_source, plan, lib)`` for this program, or ``None``.
 
         The LowIR→C emission (:meth:`c_module`) and the compile both
         happen once per Program (memoized, including failures); an
@@ -286,13 +286,13 @@ class Program:
             if isinstance(c_module, str):
                 raise CodegenError(c_module)
             c_source, plan = c_module
-            lib, ffi = cbuild.build(c_source, flags=cbuild.flags_for(single))
+            lib = cbuild.build(c_source, flags=cbuild.flags_for(single))
         except CodegenError as exc:
             self._native_art = "failed"
             self._native_error = str(exc)
             warn_numpy_fallback(exc)
             return None
-        self._native_art = (c_source, plan, lib, ffi)
+        self._native_art = (c_source, plan, lib)
         return self._native_art
 
     # -- execution ----------------------------------------------------------------
@@ -344,7 +344,7 @@ class Program:
         ``"c"`` compiles the LowIR to native code via
         :mod:`repro.core.codegen.cgen` (results agree to 1e-12 — the
         NumPy backend stays the differential oracle).  When no C
-        compiler or cffi is available, or the program uses a construct
+        compiler is on PATH, or the program uses a construct
         the emitter does not support, ``"c"`` degrades to NumPy with a
         stderr warning, never a crash.
 
@@ -419,12 +419,12 @@ class Program:
 
                 native = None
                 if plan.backend == "c":
-                    _, nplan, lib, ffi = self._native_artifacts()
+                    _, nplan, lib = self._native_artifacts()
                     try:
                         # binds the *materialized* state arrays: the native
                         # kernel updates them in place
                         with obs.span("bind", "run"):
-                            native = NativeUpdate(lib, ffi, nplan, ctx.images,
+                            native = NativeUpdate(lib, nplan, ctx.images,
                                                   g, state, status,
                                                   recorder=rec)
                     except CodegenError as exc:

@@ -6,14 +6,15 @@ package extends that economy across *processes* and *requests*:
 
 * :mod:`repro.serve.cache` — a persistent compile cache keyed on the
   source text, so a repeat ``compile_program`` skips the compiler
-  entirely (the cffi artifact cache in :mod:`repro.core.codegen.cbuild`
+  entirely (the native-artifact cache in :mod:`repro.core.codegen.cbuild`
   sits beneath it for the native backend's ``cc`` invocation).
 * :mod:`repro.serve.registry` — named warm :class:`Program` objects with
   pooled schedulers, so serving a request never pays compile, image
   load, or thread-pool startup cost.
 * :mod:`repro.serve.batch` + :mod:`repro.serve.server` — an asyncio
-  front door (``python -m repro.serve``) that coalesces concurrent probe
-  requests into strand batches with bounded queues and backpressure.
+  front door (``python -m repro.serve``) that runs a probe batch as soon
+  as the batcher is free, coalescing whatever queued meanwhile into one
+  strand batch, with bounded queues and backpressure.
 """
 
 from repro.lazy import exports

@@ -52,8 +52,7 @@ async def _serve(args) -> int:
     from repro.serve.server import ServeApp
 
     app = ServeApp(
-        ProgramRegistry(capacity=args.capacity),
-        window=args.window, max_batch=args.max_batch,
+        ProgramRegistry(capacity=args.capacity), max_batch=args.max_batch,
         max_queue=args.max_queue, compile_cache=not args.no_compile_cache,
     )
     if args.warm:
@@ -116,8 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", choices=BACKEND_NAMES, default=None)
     parser.add_argument("--capacity", type=int, default=None,
                         help="registry LRU capacity (default unbounded)")
-    parser.add_argument("--window", type=float, default=0.002,
-                        help="batching window in seconds (default 2ms)")
     parser.add_argument("--max-batch", type=int, default=65536,
                         help="max strand rows per coalesced batch")
     parser.add_argument("--max-queue", type=int, default=64,

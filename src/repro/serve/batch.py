@@ -3,11 +3,17 @@
 Diderot's runtime amortizes per-run overhead over strand *blocks*; the
 front door amortizes it over *requests* the same way.  Each registered
 program gets one :class:`ProbeBatcher`: concurrent ``submit()`` calls
-park their points on a bounded queue, a single drain task gathers
-everything that arrives within ``window`` seconds (up to ``max_batch``
-rows), concatenates the points into one strand population, runs it once
-on the entry's pooled scheduler, and splits the output rows back to the
-waiting futures.
+park their points on a bounded queue, and a single drain task takes the
+first request and every request already queued behind it (up to
+``max_batch`` rows), concatenates the points into one strand population,
+runs it once on the entry's pooled scheduler, and splits the output rows
+back to the waiting futures.
+
+Nothing waits on a timer: like the paper's runtime handing a free worker
+its next block (§5.5), a batch runs the moment the batcher is free.
+Requests that arrive while a batch runs queue up and form the next
+batch, so coalescing grows with offered load and an idle server answers
+a lone request at once.
 
 Because strand updates are independent (each strand reads only its own
 probe position), the coalesced run's per-row results are bit-identical
@@ -43,10 +49,8 @@ class Overloaded(Exception):
 class ProbeBatcher:
     """Coalesces concurrent probe submissions for one registry entry."""
 
-    def __init__(self, entry, *, window: float = 0.002,
-                 max_batch: int = 65536, max_queue: int = 64):
+    def __init__(self, entry, *, max_batch: int = 65536, max_queue: int = 64):
         self.entry = entry
-        self.window = window
         self.max_batch = max_batch
         self.max_queue = max_queue
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_queue)
@@ -95,29 +99,13 @@ class ProbeBatcher:
     # -- drain loop --------------------------------------------------------
 
     async def _drain(self) -> None:
-        loop = asyncio.get_running_loop()
         while not self._closed:
-            first = await self._queue.get()
-            batch = [first]
-            rows = first[0].shape[0]
-            # collect whatever else lands within the batching window;
-            # already-queued requests are absorbed even after the window
-            # closes — they cost no extra wait
-            deadline = loop.time() + self.window
-            while rows < self.max_batch:
-                if not self._queue.empty():
-                    item = self._queue.get_nowait()
-                else:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(self._queue.get(),
-                                                      timeout)
-                    except (asyncio.TimeoutError, TimeoutError):
-                        break
-                batch.append(item)
-                rows += item[0].shape[0]
+            batch = [await self._queue.get()]
+            rows = batch[0][0].shape[0]
+            # whatever queued while the previous batch ran joins this one
+            while rows < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+                rows += batch[-1][0].shape[0]
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: list) -> None:

@@ -13,7 +13,8 @@ Routes::
     GET    /programs           registered programs + per-entry stats
     POST   /programs/<name>    compile (through the compile cache) + register
     DELETE /programs/<name>    evict
-    POST   /probe/<name>       {"points": [...]} → coalesced batch run
+    POST   /probe/<name>       {"points": [...]} → batch run, coalesced with
+                               whatever queued while the last one ran
     POST   /run/<name>         {"inputs": {...}} → one full program run
     POST   /update/<name>      {"image", "data", "region"?} → dirty-region
                                incremental re-run (see DESIGN.md
@@ -77,10 +78,9 @@ class ServeApp:
     """The serving application: registry + per-program batchers + HTTP."""
 
     def __init__(self, registry: ProgramRegistry | None = None, *,
-                 window: float = 0.002, max_batch: int = 65536,
-                 max_queue: int = 64, compile_cache: bool = True):
+                 max_batch: int = 65536, max_queue: int = 64,
+                 compile_cache: bool = True):
         self.registry = registry if registry is not None else ProgramRegistry()
-        self.window = window
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.compile_cache = compile_cache
@@ -114,8 +114,7 @@ class ServeApp:
         held = self._batchers.get(entry.name)
         if held is not None and held[0] is entry:
             return held[1]
-        batcher = ProbeBatcher(entry, window=self.window,
-                               max_batch=self.max_batch,
+        batcher = ProbeBatcher(entry, max_batch=self.max_batch,
                                max_queue=self.max_queue)
         old, self._batchers[entry.name] = held, (entry, batcher)
         if old is not None:

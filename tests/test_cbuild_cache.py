@@ -28,17 +28,19 @@ from repro.obs import ROOT
 
 requires_cc = pytest.mark.skipif(
     not cbuild.compiler_available(),
-    reason="needs cffi plus a C compiler on PATH",
+    reason="needs a C compiler on PATH",
 )
 
-#: a minimal translation unit satisfying the dd_update ABI
+#: a minimal translation unit exporting the dd_run entry point (loading
+#: an artifact resolves it)
 OK_SOURCE = """
 #include <stdint.h>
-int dd_update(void **RP, int64_t **IP, unsigned char **BP,
-              const double *SC, const int64_t *IC,
-              const int64_t *idx, int64_t start, int64_t end) {
+int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,
+               const double *SC, const int64_t *IC,
+               int64_t *idx, int64_t *n_io, int64_t max_steps,
+               int64_t *counts, double *seconds) {
     (void)RP; (void)IP; (void)BP; (void)SC; (void)IC; (void)idx;
-    (void)start; (void)end;
+    (void)n_io; (void)max_steps; (void)counts; (void)seconds;
     return %d;
 }
 """
@@ -114,7 +116,7 @@ def _build_in_proc(args):
     from repro.core.codegen import cbuild as cb
 
     cb._VERSION_CACHE.clear()
-    lib, _ = cb.build(src)
+    cb.build(src)
     return True
 
 
@@ -188,7 +190,7 @@ class TestLockRecovery:
         lock = _lock_for(tmp_path, src, os.getpid())
         old = time.time() - diskcache.LOCK_STALE_S - 60
         os.utime(lock, (old, old))
-        lib, _ = cbuild.build(src)  # must not time out on the dead lock
+        cbuild.build(src)  # must not time out on the dead lock
         assert not lock.exists()
 
     def test_dead_pid_lock_is_broken_at_once(self, tmp_path, monkeypatch):

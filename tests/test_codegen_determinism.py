@@ -34,7 +34,7 @@ def test_three_compiles_in_two_orders_are_byte_identical():
 
 
 @pytest.mark.skipif(not cbuild.compiler_available(),
-                    reason="needs cffi plus a C compiler on PATH")
+                    reason="needs a C compiler on PATH")
 def test_second_program_object_reuses_the_artifact(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CGEN_CACHE", str(tmp_path))
     compiles = []

@@ -5,6 +5,8 @@
 * a warm ``python -m repro ... --backend c --compile-cache`` run (both
   on-disk caches primed) imports no compiler pass, opens no pass span,
   emits no C and runs no ``cc``, and writes what a cold run writes;
+* that run loads its kernel through ctypes: it imports neither ``cffi``
+  nor ``pycparser``;
 * every name the perf ledger wraps by ``vars(module)`` in its traced CLI
   leg is a real attribute of its owner, not a lazy one.
 """
@@ -65,9 +67,15 @@ def test_help_loads_neither_numpy_nor_the_compiler(module):
     assert "numpy" not in modules and "repro.core.driver" not in modules
 
 
-@pytest.mark.skipif(not cbuild.compiler_available(),
-                    reason="needs cffi plus a C compiler on PATH")
-def test_warm_cli_runs_no_compiler_code(tmp_path):
+requires_cc = pytest.mark.skipif(not cbuild.compiler_available(),
+                                 reason="needs a C compiler on PATH")
+
+
+@pytest.fixture(scope="module")
+def warm_cli(tmp_path_factory):
+    """A cold, then a warm ``--backend c --compile-cache`` CLI run:
+    ``(directory, warm run's modules, cold counters, warm counters)``."""
+    tmp_path = tmp_path_factory.mktemp("warm-cli")
     env = _env(REPRO_CGEN_CACHE=str(tmp_path / "cgen"),
                REPRO_COMPILE_CACHE_DIR=str(tmp_path / "compile"))
     args = [str(EXAMPLES / "vr_lite.diderot"), "--backend", "c",
@@ -81,14 +89,27 @@ def test_warm_cli_runs_no_compiler_code(tmp_path):
         return modules, json.loads(metrics.read_text(encoding="utf-8"))["counters"]
 
     _, cold = run("cold")  # fills both caches
-    assert cold["compile_cache.misses"] == 1 and cold["cgen.cache.misses"] == 1
     modules, warm = run("warm")
+    return tmp_path, modules, cold, warm
+
+
+@requires_cc
+def test_warm_cli_runs_no_compiler_code(warm_cli):
+    tmp_path, modules, cold, warm = warm_cli
+    assert cold["compile_cache.misses"] == 1 and cold["cgen.cache.misses"] == 1
     assert sorted(modules.intersection(COMPILER)) == []
     assert [k for k in warm if k.startswith("pass.")] == []
     assert warm["compile_cache.hits"] == 1 and warm["cgen.cache.hits"] == 1
     assert warm.get("cgen.cache.misses", 0) == 0
     assert (tmp_path / "warm-gray.nrrd").read_bytes() == \
         (tmp_path / "cold-gray.nrrd").read_bytes()
+
+
+@requires_cc
+def test_warm_cli_loads_the_kernel_without_cffi(warm_cli):
+    _, modules, _, warm = warm_cli
+    assert warm["cgen.cache.hits"] == 1  # the kernel was loaded
+    assert sorted(modules.intersection({"cffi", "pycparser"})) == []
 
 
 def test_ledger_cli_targets_are_real_attributes(monkeypatch):

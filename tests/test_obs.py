@@ -399,7 +399,7 @@ def _self_times(spans) -> dict:
 class TestLayers:
     BACKENDS = ["numpy", pytest.param("c", marks=pytest.mark.skipif(
         not cbuild.compiler_available(),
-        reason="native backend needs cffi plus a C compiler on PATH"))]
+        reason="native backend needs a C compiler on PATH"))]
     SIZES = {"vr-lite": dict(scale=0.1, volume_size=24),
              "illust-vr": dict(scale=0.1, volume_size=24),
              "lic2d": dict(scale=0.08),

@@ -356,7 +356,7 @@ def test_numpy_agrees_with_interpreter(op):
 
 
 @pytest.mark.skipif(not cbuild.compiler_available(),
-                    reason="native backend needs cffi plus a C compiler on PATH")
+                    reason="native backend needs a C compiler on PATH")
 @pytest.mark.parametrize("op", sorted(COVERAGE))
 def test_native_agrees_with_numpy(op, monkeypatch):
     for label in COVERAGE[op]:

@@ -195,7 +195,7 @@ def _int_counters(res, partition_free: bool) -> dict:
 
 
 @pytest.mark.skipif(not cbuild.compiler_available(),
-                    reason="needs cffi plus a C compiler on PATH")
+                    reason="needs a C compiler on PATH")
 class TestKernelLoopVsPerStep:
     """A C run with nothing watching its step boundaries keeps the loop
     in the kernel; the same run with a no-op ``on_step`` comes back to
@@ -385,7 +385,7 @@ class TestProcessIsNumpyOnly:
         import os
 
         if backend == "c" and not cbuild.compiler_available():
-            pytest.skip("needs cffi plus a C compiler on PATH")
+            pytest.skip("needs a C compiler on PATH")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         obs = Obs()
         compile_program(BRANCHY).run(scheduler="auto", workers=2,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +54,33 @@ def _direct_oracle(points: np.ndarray) -> np.ndarray:
     prog.bind_image("pts", Image(data, dim=1, tensor_shape=(3,)))
     prog.set_input("N", points.shape[0])
     return prog.run().outputs["out"]
+
+
+def _hold_first_batch(monkeypatch, entry):
+    """Park ``entry``'s first ``run_batch`` call until ``release`` is set,
+    so that later requests queue behind it deterministically.  Returns
+    ``(started, release, batches)``: ``batches`` collects the points of
+    every batch run."""
+    started, release = threading.Event(), threading.Event()
+    run, batches = entry.run_batch, []
+
+    def held(points):
+        batches.append(points)
+        if len(batches) == 1:
+            started.set()
+            release.wait(60)
+        return run(points)
+
+    monkeypatch.setattr(entry, "run_batch", held)
+    return started, release, batches
+
+
+async def _until(pred, timeout: float = 60.0) -> None:
+    """Yield to the event loop until ``pred()`` holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not pred():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.002)
 
 
 @pytest.fixture()
@@ -151,83 +179,179 @@ class TestRunBatch:
 
 
 class TestBatcher:
-    def test_coalesces_and_splits_bit_exact(self, registry):
+    def test_coalesces_and_splits_bit_exact(self, registry, monkeypatch):
         points = _points(9)
         want = _direct_oracle(points)
         entry = registry.register("p", path=EXAMPLE,
                                   probe=ProbeSpec("pts", "N"))
+        started, release, _ = _hold_first_batch(monkeypatch, entry)
         before_b = _counter("serve.batch.batches")
         before_c = _counter("serve.batch.coalesced")
 
         async def drive():
-            batcher = ProbeBatcher(entry, window=0.05)
-            outs = await asyncio.gather(*[
-                batcher.submit(points[i:i + 3]) for i in range(0, 9, 3)
-            ])
+            batcher = ProbeBatcher(entry)
+            first = asyncio.ensure_future(batcher.submit(points[:3]))
+            await asyncio.to_thread(started.wait, 60)
+            rest = [asyncio.ensure_future(batcher.submit(points[i:i + 3]))
+                    for i in (3, 6)]
+            await _until(lambda: batcher._queue.qsize() == 2)
+            release.set()
+            outs = await asyncio.gather(first, *rest)
             await batcher.close()
             return outs
 
         outs = asyncio.run(drive())
         for i, out in enumerate(outs):
             assert np.array_equal(out["out"], want[3 * i:3 * i + 3])
-        assert _counter("serve.batch.batches") - before_b < 3, \
-            "three concurrent submits should coalesce"
-        assert _counter("serve.batch.coalesced") - before_c >= 2
+        assert _counter("serve.batch.batches") - before_b == 2, \
+            "the two submits queued behind the first batch share one run"
+        assert _counter("serve.batch.coalesced") - before_c == 2
 
-    def test_queue_bound_sheds(self, registry):
+    def test_queue_bound_sheds(self, registry, monkeypatch):
         entry = registry.register("p", path=EXAMPLE,
                                   probe=ProbeSpec("pts", "N"))
+        started, release, _ = _hold_first_batch(monkeypatch, entry)
         points = _points(8)
         before = _counter("serve.shed")
 
         async def drive():
-            batcher = ProbeBatcher(entry, window=0.2, max_queue=2)
-            results = await asyncio.gather(*[
-                batcher.submit(points[i:i + 1]) for i in range(8)
-            ], return_exceptions=True)
+            batcher = ProbeBatcher(entry, max_queue=2)
+            first = asyncio.ensure_future(batcher.submit(points[:1]))
+            await asyncio.to_thread(started.wait, 60)
+            rest = [asyncio.ensure_future(batcher.submit(points[i:i + 1]))
+                    for i in range(1, 8)]
+            await _until(lambda: sum(t.done() for t in rest) == 5)
+            release.set()
+            results = await asyncio.gather(first, *rest,
+                                           return_exceptions=True)
             await batcher.close()
             return results
 
         results = asyncio.run(drive())
-        shed = [r for r in results if isinstance(r, Overloaded)]
-        served = [r for r in results if isinstance(r, dict)]
-        assert shed, "max_queue=2 under 8 concurrent submits must shed"
-        assert served, "some requests must still be served"
-        assert _counter("serve.shed") > before
+        shed = [i for i, r in enumerate(results) if isinstance(r, Overloaded)]
+        served = [i for i, r in enumerate(results) if isinstance(r, dict)]
+        # the running batch holds one, the queue two; the other five shed
+        assert served == [0, 1, 2] and shed == [3, 4, 5, 6, 7]
+        assert _counter("serve.shed") - before == 5
+
+    def test_idle_batcher_arms_no_timer(self, registry, monkeypatch):
+        """A lone request on an idle batcher runs at once: no
+        ``asyncio.wait_for``, no timer on the loop."""
+        entry = registry.register("p", path=EXAMPLE,
+                                  probe=ProbeSpec("pts", "N"))
+        points = _points(2)
+        want = _direct_oracle(points)
+        waits, timers, batches = [], [], []
+        run = entry.run_batch
+
+        def wait_for(aw, timeout):
+            waits.append(timeout)
+            return real_wait_for(aw, timeout)
+
+        def run_batch(pts):
+            batches.append(pts)
+            return run(pts)
+
+        real_wait_for = asyncio.wait_for
+        monkeypatch.setattr(asyncio, "wait_for", wait_for)
+        monkeypatch.setattr(entry, "run_batch", run_batch)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            call_at = loop.call_at
+
+            def spy(when, *args, **kwargs):
+                timers.append(when)
+                return call_at(when, *args, **kwargs)
+
+            batcher = ProbeBatcher(entry)
+            loop.call_at = spy
+            try:
+                out = await batcher.submit(points)
+            finally:
+                del loop.call_at
+            await batcher.close()
+            return out
+
+        out = asyncio.run(drive())
+        assert np.array_equal(out["out"], want)
+        assert len(batches) == 1 and np.array_equal(batches[0], points)
+        assert waits == [] and timers == []
+
+    @pytest.mark.parametrize("max_batch,sizes", [(65536, [1, 5]),
+                                                 (3, [1, 3, 2])])
+    def test_queued_requests_form_the_next_batch(self, registry, monkeypatch,
+                                                 max_batch, sizes):
+        """k requests queued while a batch runs form exactly one next batch
+        (split at ``max_batch`` rows), in arrival order, bit-exact."""
+        points = _points(6)
+        want = _direct_oracle(points)
+        entry = registry.register("p", path=EXAMPLE,
+                                  probe=ProbeSpec("pts", "N"))
+        started, release, batches = _hold_first_batch(monkeypatch, entry)
+
+        async def drive():
+            batcher = ProbeBatcher(entry, max_batch=max_batch)
+            futs = [asyncio.ensure_future(batcher.submit(points[:1]))]
+            await asyncio.to_thread(started.wait, 60)
+            for i in range(1, 6):
+                futs.append(asyncio.ensure_future(
+                    batcher.submit(points[i:i + 1])))
+                await asyncio.sleep(0)  # the i-th arrival is queued i-th
+            await _until(lambda: batcher._queue.qsize() == 5)
+            release.set()
+            outs = await asyncio.gather(*futs)
+            await batcher.close()
+            return outs
+
+        outs = asyncio.run(drive())
+        assert [b.shape[0] for b in batches] == sizes
+        assert np.array_equal(np.concatenate(batches), points)
+        for i, out in enumerate(outs):
+            assert np.array_equal(out["out"], want[i:i + 1])
 
 
 class TestHttpServer:
-    def test_round_trip_coalesced_and_bit_exact(self):
+    def test_round_trip_coalesced_and_bit_exact(self, monkeypatch):
         points = _points(8)
         want = _direct_oracle(points)
 
         async def drive():
-            app = ServeApp(ProgramRegistry(), window=0.05)
+            app = ServeApp(ProgramRegistry())
             await app.start("127.0.0.1", 0)
             status, doc = await request(app.port, "POST", "/programs/demo", {
                 "path": EXAMPLE, "scheduler": "thread", "workers": 2,
                 "probe": {"points_image": "pts", "count_input": "N"},
             })
             assert status == 200, doc
-            results = await asyncio.gather(*[
-                request(app.port, "POST", "/probe/demo",
-                      {"points": [p.tolist()]})
-                for p in points
-            ])
+            started, release, _ = _hold_first_batch(
+                monkeypatch, app.registry.get("demo"))
+            _, before = await request(app.port, "GET", "/metrics")
+            probes = [asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [points[0].tolist()]}))]
+            await asyncio.to_thread(started.wait, 60)
+            probes += [asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [p.tolist()]}))
+                for p in points[1:]]
+            queue = app._batchers["demo"][1]._queue
+            await _until(lambda: queue.qsize() == 7)
+            release.set()
+            results = await asyncio.gather(*probes)
             status_h, health = await request(app.port, "GET", "/healthz")
-            status_m, metrics = await request(app.port, "GET", "/metrics")
+            status_m, after = await request(app.port, "GET", "/metrics")
             await app.close()
-            return results, (status_h, health), (status_m, metrics)
+            return results, (status_h, health), (status_m, before, after)
 
-        results, (sh, health), (sm, metrics) = asyncio.run(drive())
+        results, (sh, health), (sm, before, after) = asyncio.run(drive())
         assert sh == 200 and health["ok"] and sm == 200
         for (status, doc), row in zip(results, want):
             assert status == 200, doc
             got = np.asarray(doc["outputs"]["out"][0])
             assert np.array_equal(got, row), "JSON hop must be bit-exact"
-        counters = metrics["counters"]
-        assert counters.get("serve.requests", 0) >= 9
-        assert counters.get("serve.batch.coalesced", 0) >= 2
+        added = _added(after["counters"], before["counters"])
+        assert added["serve.requests"] == 10  # 8 probes, /metrics, /healthz
+        assert added["serve.batch.batches"] == 2
+        assert added["serve.batch.coalesced"] == 7
 
     def test_unknown_program_404_and_bad_body_400(self):
         async def drive():
@@ -246,29 +370,34 @@ class TestHttpServer:
         assert s400 == 400
         assert s405 == 404
 
-    def test_shed_returns_429(self):
+    def test_shed_returns_429(self, monkeypatch):
         points = _points(10)
 
         async def drive():
-            app = ServeApp(ProgramRegistry(), window=0.1, max_queue=1)
+            app = ServeApp(ProgramRegistry(), max_queue=1)
             await app.start("127.0.0.1", 0)
             status, _ = await request(app.port, "POST", "/programs/demo", {
                 "path": EXAMPLE,
                 "probe": {"points_image": "pts", "count_input": "N"},
             })
             assert status == 200
-            flood = await asyncio.gather(*[
-                request(app.port, "POST", "/probe/demo",
-                      {"points": [p.tolist()]})
-                for p in points
-            ])
+            started, release, _ = _hold_first_batch(
+                monkeypatch, app.registry.get("demo"))
+            first = asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [points[0].tolist()]}))
+            await asyncio.to_thread(started.wait, 60)
+            flood = [asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [p.tolist()]}))
+                for p in points[1:]]
+            # one request fits the queue; the other eight are answered now
+            await _until(lambda: sum(t.done() for t in flood) == 8)
+            release.set()
+            answers = await asyncio.gather(first, *flood)
             await app.close()
-            return flood
+            return answers
 
-        flood = asyncio.run(drive())
-        codes = {s for s, _ in flood}
-        assert 429 in codes
-        assert 200 in codes
+        codes = sorted(s for s, _ in asyncio.run(drive()))
+        assert codes == [200] * 2 + [429] * 8
 
     def test_run_endpoint_and_evict(self):
         async def drive():
@@ -311,8 +440,8 @@ class TestCli:
     def test_every_flag_reaches_the_server(self, tmp_path):
         """``python -m repro.serve`` with every flag it declares: the
         programs it registers and warms answer, ``--max-batch 1`` keeps
-        two requests a batching window apart from sharing a run, and
-        SIGTERM writes the ``--metrics-out`` document."""
+        two concurrent requests from sharing a run, and SIGTERM writes the
+        ``--metrics-out`` document."""
         import json
         import re
         import signal
@@ -327,7 +456,7 @@ class TestCli:
              "--port", "0", "--register", f"demo={EXAMPLE}",
              "--probe", "demo=pts:N:2", "--precision", "double",
              "--scheduler", "thread", "--workers", "2", "--backend", "numpy",
-             "--capacity", "2", "--window", "0.05", "--max-batch", "1",
+             "--capacity", "2", "--max-batch", "1",
              "--max-queue", "8", "--no-compile-cache",
              "--warm", str(tmp_path / "warm.json"),
              "--metrics-out", str(metrics)],
@@ -469,7 +598,7 @@ class TestRequestScopedObs:
         points = _points(4).tolist()
 
         async def drive():
-            app = ServeApp(ProgramRegistry(), window=0.0)
+            app = ServeApp(ProgramRegistry())
             await app.start("127.0.0.1", 0)
             status, _ = await request(app.port, "POST", "/programs/demo", {
                 "path": EXAMPLE,

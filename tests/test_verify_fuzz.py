@@ -134,7 +134,7 @@ class TestHarnessCatchesBugs:
 
 
     @pytest.mark.skipif(not cbuild.compiler_available(),
-                        reason="needs cffi plus a C compiler on PATH")
+                        reason="needs a C compiler on PATH")
     def test_driving_divergence_detected(self, monkeypatch):
         """The C backend's second leg: a per-step run that drops a strand
         from one step's tally is told apart from the kernel-driven one."""
@@ -188,7 +188,7 @@ def test_cli_fuzz_flags(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not cbuild.compiler_available(),
-                    reason="needs cffi plus a C compiler on PATH")
+                    reason="needs a C compiler on PATH")
 def test_cli_fuzz_c_defaults_to_seq_and_thread(capsys):
     """The process pool runs NumPy only, so ``--backend c`` fuzzes the
     schedulers that run C."""

@@ -162,7 +162,7 @@ LATE_ZERO = """
 
 
 @pytest.mark.skipif(not cbuild.compiler_available(),
-                    reason="needs cffi plus a C compiler on PATH")
+                    reason="needs a C compiler on PATH")
 class TestNativeStepLoop:
     """The fault contract survives moving the step loop into the kernel:
     a zero divisor met deep inside a block's run still surfaces."""
