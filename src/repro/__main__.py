@@ -20,7 +20,7 @@ Each output variable is written to ``PREFIX-<name>.nrrd`` (or ``.txt``
 with ``--text``).  ``--trace`` writes a Chrome trace-event JSON file
 (loadable in Perfetto / ``chrome://tracing``) covering both the compiler
 passes and the runtime's super-steps/blocks; ``--profile`` prints the
-same data as a summary table.
+run report, rendered from the aggregates of the same recording.
 
 The compile and the run record into one :class:`repro.obs.Obs` (DESIGN.md
 "Observability"): ``--metrics-out FILE`` saves its metrics JSON document
@@ -33,9 +33,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-# only what declaring the flags needs: everything else is imported once
-# the command line has parsed, and only if the run uses it
-from repro.inputs import add_run_arguments
+# only the module that declares the flags: everything else is imported
+# once the command line has parsed, and only if the run uses it
+from repro.inputs import add_run_arguments, report_run, run_recorder
 
 
 def _write_text(prefix: str, name: str, arr) -> str:
@@ -75,20 +75,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     from repro.errors import DiderotError
-    from repro.obs import Obs
-    from repro.runtime.scheduler import resolve_workers
 
-    raw_workers = args.workers
-    if raw_workers is None:
-        raw_workers = "auto" if args.scheduler == "auto" else "1"
     try:
-        workers = resolve_workers(raw_workers)
+        workers, obs = run_recorder(args)
     except DiderotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # one recorder for the whole invocation: the compile's pass timings
     # and the run's metrics land in a single document and one timeline
-    with Obs("cli", detail=bool(args.trace or args.profile)) as obs:
+    with obs:
         return _compile_and_run(args, workers, obs)
 
 
@@ -97,7 +92,6 @@ def _compile_and_run(args, workers, obs) -> int:
     from repro.core.records import OptOptions
     from repro.errors import DiderotError
     from repro.inputs import parse_value
-    from repro.obs import format_summary, write_chrome_trace, write_metrics_json
 
     try:
         prog = compile_file(args.program, precision=args.precision, obs=obs,
@@ -112,13 +106,9 @@ def _compile_and_run(args, workers, obs) -> int:
         print(prog.generated_source)
         return 0
     if args.stats:
-        st = prog.stats
-        print("instruction counts (HighIR → MidIR → LowIR), per function:")
-        for fn in st.low_instrs:
-            print(
-                f"  {fn:<10} {st.high_instrs[fn]:>5} → {st.mid_instrs[fn]:>5} "
-                f"→ {st.low_instrs[fn]:>5}   (VN removed {st.vn_removed.get(fn, 0)})"
-            )
+        from repro.obs.export import format_metrics
+
+        print(format_metrics({}, prog.stats))  # the instruction counts
 
     for setting in args.input:
         if "=" not in setting:
@@ -150,33 +140,8 @@ def _compile_and_run(args, workers, obs) -> int:
         f"{result.num_stable} stable, {result.num_died} died, "
         f"{result.wall_time:.2f}s"
     )
-    status = 0
-    if args.trace:
-        try:
-            write_chrome_trace(obs, args.trace)
-            print(f"wrote trace {args.trace}")
-        except OSError as exc:
-            print(f"error: cannot write trace {args.trace}: {exc}",
-                  file=sys.stderr)
-            status = 1
-    if args.profile:
-        print(format_summary(obs))
-    if args.metrics_out:
-        try:
-            write_metrics_json(
-                obs, args.metrics_out,
-                meta={"program": args.program, "workers": workers,
-                      "scheduler": args.scheduler or
-                      ("seq" if workers == 1 else "thread"),
-                      "block_size": args.block_size,
-                      "precision": args.precision,
-                      "wall_seconds": result.wall_time},
-            )
-            print(f"wrote metrics {args.metrics_out}")
-        except OSError as exc:
-            print(f"error: cannot write metrics {args.metrics_out}: {exc}",
-                  file=sys.stderr)
-            status = 1
+    status = report_run(args, obs, result, workers, prog.stats,
+                        program=args.program, precision=args.precision)
     if args.text:
         paths = [
             _write_text(args.out, name, arr)

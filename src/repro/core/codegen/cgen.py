@@ -90,7 +90,7 @@ from ..ir import ops as irops
 from ..ir.base import Func, IfRegion, Instr, Phi, Value
 from ..ty.types import BOOL, INT, TensorTy
 
-__all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE", "MAX_VB"]
+__all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE"]
 
 # Default strand-batch widths: 4 doubles or 8 floats fill one 256-bit
 # vector per lane statement.  gcc prefers 256-bit vectors on current x86
@@ -98,8 +98,6 @@ __all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE", "MAX_V
 # batch only grows the SoA scratch footprint without adding parallelism.
 DEFAULT_VB_DOUBLE = 4
 DEFAULT_VB_SINGLE = 8
-#: widest batch the emitter accepts (widths run 1 .. MAX_VB)
-MAX_VB = 64
 
 # The blend-vs-branch model.  An IfRegion arm whose summed op weight (the
 # op table's ``cost`` column) reaches _GUARD_MIN_COST keeps a real
@@ -607,17 +605,12 @@ class _Scope:
 
 
 class _Emitter:
-    def __init__(self, high: Any, single: bool = False, batch: int | None = None) -> None:
+    def __init__(self, high: Any, single: bool = False) -> None:
         self.high = high
         self.func: Func = high.update_func
         self.images = dict(high.images)
         self.single = bool(single)
-        if batch is None:
-            batch = DEFAULT_VB_SINGLE if single else DEFAULT_VB_DOUBLE
-        batch = int(batch)
-        if not 1 <= batch <= MAX_VB:
-            raise CodegenError(f"cgen: batch width {batch} out of range [1, {MAX_VB}]")
-        self.vb = batch
+        self.vb = DEFAULT_VB_SINGLE if single else DEFAULT_VB_DOUBLE
         self.names = _Namer()
         self.lines: list[str] = []
         self.indent = 1
@@ -1722,22 +1715,20 @@ class _Emitter:
         return c_source, plan
 
 
-def generate_c_module(
-    high: Any, single: bool = False, batch: int | None = None
-) -> tuple[str, dict]:
+def generate_c_module(high: Any, single: bool = False) -> tuple[str, dict]:
     """Emit (c_source, plan) for a compiled program's update function.
 
     ``high`` is any object with ``update_func`` (a LowIR :class:`Func`),
     ``images`` (name -> ImageSlot), ``concrete_globals``, ``state_order`` and
     ``extra_state`` attributes — in practice the HighProgram held by a built
     :class:`~repro.runtime.program.Program`.  ``single=True`` emits a
-    ``float`` kernel (relaxed-tolerance path); ``batch`` overrides the
-    strand-batch width (default ``DEFAULT_VB_DOUBLE`` = 4 doubles /
-    ``DEFAULT_VB_SINGLE`` = 8 floats; 1 gives the scalar kernel).  Raises
+    ``float`` kernel (relaxed-tolerance path); the strand-batch width is
+    ``DEFAULT_VB_DOUBLE`` = 4 doubles / ``DEFAULT_VB_SINGLE`` = 8 floats
+    (1 gives the scalar kernel).  Raises
     :class:`~repro.errors.CodegenError` when any construct cannot be
     translated.
     """
     func = getattr(high, "update_func", None)
     if not isinstance(func, Func):
         raise CodegenError("cgen: program has no LowIR update function")
-    return _Emitter(high, single=single, batch=batch).generate()
+    return _Emitter(high, single=single).generate()

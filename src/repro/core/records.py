@@ -18,7 +18,6 @@ if TYPE_CHECKING:
     from repro.core.ir.base import Func
     from repro.core.syntax.ast import Program
     from repro.core.ty.types import Ty
-    from repro.core.xform.normalize import SymField
 
 
 @dataclass
@@ -115,16 +114,21 @@ class ImageSlot:
 
 @dataclass
 class HighProgram:
-    """All IR functions for one Diderot program, plus symbol info.
+    """All IR functions for one Diderot program, plus what the runtime
+    needs of its symbols.
 
     Built as HighIR by :class:`repro.core.xform.to_high.HighBuilder`; the
     driver lowers its functions in place, so a compiled program's are
     LowIR.
     """
 
-    typed: TypedProgram
+    #: input name → ``(kind, shape)``: kind ``int``, ``bool``, ``tensor``
+    #: (of that shape) or ``other``
+    input_types: dict[str, tuple[str, tuple[int, ...]]]
+    #: strand parameter and state variable name → tensor order (0 for a
+    #: non-tensor; a state variable wins over a parameter of its name)
+    tensor_orders: dict[str, int]
     images: dict[str, ImageSlot]
-    fields: dict[str, SymField]
     globals_func: Func
     defaults_func: Func
     bounds_func: Func

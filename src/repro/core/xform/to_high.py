@@ -52,6 +52,16 @@ _BINOPS = irops.surface(functions=False)
 _FUNCS = irops.surface(functions=True)
 
 
+def _input_type(ty: Ty) -> tuple[str, tuple[int, ...]]:
+    """An input's ``(kind, tensor shape)`` as ``Program.set_input``
+    coerces it."""
+    if isinstance(ty, TensorTy):
+        return "tensor", tuple(ty.shape)
+    if ty == INT:
+        return "int", ()
+    return ("bool" if ty == BOOL else "other"), ()
+
+
 class HighBuilder:
     def __init__(self, typed: TypedProgram, check: bool = True, obs=None):
         from repro.obs import current
@@ -122,10 +132,15 @@ class HighBuilder:
         stab = None
         if prog.strand.method("stabilize") is not None:
             stab = self.build_method(prog, "stabilize")
+        typed = self.typed
         hp = HighProgram(
-            typed=self.typed,
+            input_types={n: _input_type(typed.globals[n].ty)
+                         for n in typed.inputs},
+            tensor_orders={n: len(info.ty.shape)
+                           if isinstance(info.ty, TensorTy) else 0
+                           for n, info in {**typed.params,
+                                           **typed.state}.items()},
             images=self.images,
-            fields=self.fields,
             globals_func=globals_func,
             defaults_func=defaults_func,
             bounds_func=bounds_func,

@@ -12,7 +12,8 @@ textual forms, parsed here:
 * ``1.5``, ``1e-3`` — reals
 
 and declare the flags that configure a run once, in
-:func:`add_run_arguments`.
+:func:`add_run_arguments`; :func:`run_recorder` and :func:`report_run`
+are what both command lines do with them around the run.
 """
 
 from __future__ import annotations
@@ -51,11 +52,67 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON file")
     parser.add_argument("--profile", action="store_true",
-                        help="print a pass / super-step / worker profile "
-                             "summary")
+                        help="print the run report (passes, instruction "
+                             "counts, hot ops, scheduler health, workers, "
+                             "convergence)")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the run's metrics JSON document (see "
                              "python -m repro.obs report)")
+
+
+def run_recorder(args):
+    """``(workers, obs)`` for a command-line run: the resolved
+    ``--workers`` (default ``auto`` under ``--scheduler auto``, else 1;
+    a bad count raises :class:`~repro.errors.InputError`) and the one
+    :class:`~repro.obs.Obs` the compile and the run record into, with
+    per-step spans when ``--trace`` or ``--profile`` asks for them."""
+    from repro.obs import Obs
+    from repro.runtime.scheduler import resolve_workers
+
+    raw = args.workers
+    if raw is None:
+        raw = "auto" if args.scheduler == "auto" else "1"
+    return resolve_workers(raw), Obs("cli", detail=bool(args.trace or args.profile))
+
+
+def report_run(args, obs, result, workers: int, stats=None, **meta) -> int:
+    """Do what ``--trace``, ``--profile`` and ``--metrics-out`` ask of a
+    finished run: write the Chrome trace, print the run report (with the
+    instruction counts of ``stats``, a ``CompileStats``), write the
+    metrics document (``meta`` joins its metadata).  An artifact that
+    cannot be written is an ``error:`` line on stderr; returns the exit
+    status, 1 if any was not written.  The exporters are imported only
+    for the flags that need them."""
+    import sys
+    from functools import partial
+
+    writers = []
+    if args.trace:
+        from repro.obs.export import write_chrome_trace
+
+        writers.append(("trace", args.trace, write_chrome_trace))
+    if args.profile:
+        from repro.obs.export import format_summary
+
+        print(format_summary(obs, stats))
+    if args.metrics_out:
+        from repro.obs.metrics import write_metrics_json
+
+        meta.update(workers=workers, block_size=args.block_size,
+                    scheduler=args.scheduler or
+                    ("seq" if workers == 1 else "thread"),
+                    wall_seconds=result.wall_time)
+        writers.append(("metrics", args.metrics_out,
+                        partial(write_metrics_json, meta=meta)))
+    status = 0
+    for what, path, write in writers:
+        try:
+            write(obs, path)
+            print(f"wrote {what} {path}")
+        except OSError as exc:
+            print(f"error: cannot write {what} {path}: {exc}", file=sys.stderr)
+            status = 1
+    return status
 
 
 def parse_value(text: str):

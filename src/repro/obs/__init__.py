@@ -12,7 +12,8 @@ go through one object, :class:`Obs` (DESIGN.md "Observability"):
 * :mod:`repro.obs.metrics` — the histogram and the ``repro-metrics-v1``
   JSON document;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in Perfetto
-  / ``chrome://tracing``), the ``--profile`` summary, the run report;
+  / ``chrome://tracing``) and the run report (``--profile``), imported on
+  first use;
 * ``python -m repro.obs report FILE`` — render a saved metrics or trace
   file.
 
@@ -22,13 +23,7 @@ Every ``Program.run`` records into an ``Obs`` — the one passed as
 ``Obs(detail=True)``, ``--metrics-out FILE`` saves its aggregates.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    format_metrics,
-    format_report,
-    format_summary,
-    write_chrome_trace,
-)
+from repro.lazy import exports
 from repro.obs.metrics import (
     Histogram,
     metrics_doc,
@@ -54,3 +49,6 @@ __all__ = [
     "write_chrome_trace",
     "write_metrics_json",
 ]
+__getattr__ = exports(__name__, dict.fromkeys(
+    ("chrome_trace", "format_metrics", "format_report", "format_summary",
+     "write_chrome_trace"), "repro.obs.export"))

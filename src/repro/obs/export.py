@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON and a summary table.
+"""Exporters: Chrome trace-event JSON and the run report.
 
 The Chrome exporter emits the `trace-event format`__ consumed by Perfetto
 and ``chrome://tracing``: one ``"X"`` (complete) event per span, ``"i"``
@@ -7,16 +7,13 @@ worker threads.  Timestamps are microseconds from the recorder's epoch.
 
 __ https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-The summary exporter (:func:`format_summary`, the CLI's ``--profile``)
-renders three tables: compiler passes, per-function instruction counts,
-and runtime super-steps with per-worker utilization.
-
-:func:`format_metrics` / :func:`format_report` render the aggregates of
-an :class:`repro.obs.Obs` (or a saved metrics JSON document) as the run
-report: compiler-pass totals, the hot-op profiler
-table, scheduler-health distributions, per-worker load shares, and the
-per-step convergence curve.  ``python -m repro.obs report`` is the CLI
-entry point.
+The run report (:func:`format_metrics`; :func:`format_summary` is the
+CLIs' ``--profile``, :func:`format_report` adds a saved document's
+metadata for ``python -m repro.obs report``) is rendered from aggregates
+only — an :class:`repro.obs.Obs`, its snapshot or a metrics JSON
+document — plus a ``CompileStats`` for the instruction counts: compiler
+passes, instruction counts, hot ops, scheduler health, workers and the
+per-step convergence curve, each table once.
 """
 
 from __future__ import annotations
@@ -71,135 +68,19 @@ def _fmt_time(seconds: float) -> str:
     return f"{seconds * 1e6:.0f}us"
 
 
-def _pass_table(obs) -> list[str]:
-    order: list[str] = []
-    total: dict[str, float] = {}
-    count: dict[str, int] = {}
-    for ev in obs.spans("pass"):
-        if ev.name not in total:
-            order.append(ev.name)
-            total[ev.name] = 0.0
-            count[ev.name] = 0
-        total[ev.name] += ev.dur
-        count[ev.name] += 1
-    if not order:
-        return []
-    lines = ["compiler passes:", f"  {'pass':<18}{'calls':>6}{'time':>10}"]
-    for name in order:
-        lines.append(f"  {name:<18}{count[name]:>6}{_fmt_time(total[name]):>10}")
-    lines.append(f"  {'total':<18}{'':>6}{_fmt_time(sum(total.values())):>10}")
-    return lines
-
-
-def _instr_table(obs) -> list[str]:
-    counts: dict[str, dict[str, int]] = {}
-    removed: dict[str, int] = {}
-    for ev in obs.events:
-        if ev.name == "instr-count" and ev.cat == "count":
-            counts.setdefault(ev.args["func"], {})[ev.args["ir"]] = ev.args["value"]
-        elif ev.name == "value-numbering" and ev.cat == "pass":
-            fn = ev.args.get("func")
-            removed[fn] = removed.get(fn, 0) + ev.args.get("removed", 0)
-    if not counts:
-        return []
-    lines = ["instruction counts (HighIR → MidIR → LowIR):",
-             f"  {'function':<12}{'high':>6}{'mid':>6}{'low':>6}{'VN-removed':>12}"]
-    for fn, c in counts.items():
-        lines.append(
-            f"  {fn:<12}{c.get('high', 0):>6}{c.get('mid', 0):>6}"
-            f"{c.get('low', 0):>6}{removed.get(fn, 0):>12}"
-        )
-    return lines
-
-
-def _superstep_table(obs) -> list[str]:
-    steps = obs.spans("superstep")
-    if not steps:
-        return []
-    lines = ["super-steps:",
-             f"  {'step':>4}{'time':>10}{'blocks':>8}{'active':>8}"
-             f"{'stable':>8}{'died':>8}"]
-    for ev in steps:
-        a = ev.args
-        lines.append(
-            f"  {a.get('step', 0):>4}{_fmt_time(ev.dur):>10}{a.get('blocks', 0):>8}"
-            f"{a.get('active', 0):>8}{a.get('stable', 0):>8}{a.get('died', 0):>8}"
-        )
-    return lines
-
-
-def _tid_sort_key(tid: str) -> tuple:
-    """Natural ordering for worker labels: worker-2 before worker-10.
-
-    Block spans carry the same ``worker-<i>`` labels whether the worker
-    was a thread or a forked process, so one table serves all backends.
-    """
-    head, _, tail = tid.rpartition("-")
-    if tail.isdigit():
-        return (head, int(tail))
-    return (tid, -1)
-
-
-def _worker_table(obs) -> list[str]:
-    blocks = obs.spans("block")
-    if not blocks:
-        return []
-    busy: dict[str, float] = {}
-    n: dict[str, int] = {}
-    for ev in blocks:
-        busy[ev.tid] = busy.get(ev.tid, 0.0) + ev.dur
-        n[ev.tid] = n.get(ev.tid, 0) + 1
-    span_total = sum(ev.dur for ev in obs.spans("superstep"))
-    lines = ["workers:",
-             f"  {'worker':<16}{'blocks':>8}{'busy':>10}{'util':>7}"]
-    for tid in sorted(busy, key=_tid_sort_key):
-        util = busy[tid] / span_total if span_total > 0 else 0.0
-        lines.append(
-            f"  {tid:<16}{n[tid]:>8}{_fmt_time(busy[tid]):>10}{util:>6.0%}"
-        )
-    return lines
-
-
-def format_summary(obs) -> str:
-    """Human-readable profile of everything ``obs`` recorded (the CLI's
-    ``--profile``): the event tables, then the op-profiler and
-    scheduler-health tables of :func:`format_metrics`."""
-    pass_table = _pass_table(obs)
-    sections = [
-        pass_table,
-        _instr_table(obs),
-        _superstep_table(obs),
-        _worker_table(obs),
-    ]
-    body = "\n\n".join("\n".join(s) for s in sections if s)
-    # the span pass table (when present) is a superset of the counter
-    # one — don't print both
-    mbody = format_metrics(obs, passes=not pass_table)
-    if mbody:
-        body = f"{body}\n\n{mbody}" if body else mbody
-    return body if body else "(no trace events collected)"
-
-
 # -- aggregate rendering ------------------------------------------------------
 
 
-def _snap_of(obs) -> dict:
-    """Accept an ``Obs``, a snapshot dict, or a metrics JSON document."""
-    if hasattr(obs, "snapshot"):
-        return obs.snapshot()
-    return obs
-
-
-def _group_ops(counters: dict) -> dict[str, dict[str, float]]:
-    """Collect ``op.<name>.<field>`` counters into per-op dicts."""
-    ops: dict[str, dict[str, float]] = {}
+def _group(counters: dict, prefix: str) -> dict[str, dict[str, float]]:
+    """Collect ``<prefix><name>.<field>`` counters into per-name dicts,
+    in the order the names were first booked."""
+    out: dict[str, dict[str, float]] = {}
     for key, v in counters.items():
-        if not key.startswith("op."):
-            continue
-        name, _, field = key[3:].rpartition(".")
-        if name:
-            ops.setdefault(name, {})[field] = v
-    return ops
+        if key.startswith(prefix):
+            name, _, field = key[len(prefix):].rpartition(".")
+            if name:
+                out.setdefault(name, {})[field] = v
+    return out
 
 
 def _hot_op_table(counters: dict) -> list[str]:
@@ -207,7 +88,7 @@ def _hot_op_table(counters: dict) -> list[str]:
 
     Op names are the IR vocabulary the generated code calls
     (``rt.conv_contract`` etc.), so rows map directly to LowIR ops."""
-    ops = _group_ops(counters)
+    ops = _group(counters, "op.")
     if not ops:
         return []
     total = sum(c.get("seconds", 0.0) for c in ops.values())
@@ -243,21 +124,33 @@ def _hot_op_table(counters: dict) -> list[str]:
     return lines
 
 
-def _pass_metrics_table(counters: dict) -> list[str]:
-    """Compiler-pass table from folded ``pass.<name>.seconds`` counters."""
-    rows = []
-    for key, secs in counters.items():
-        if key.startswith("pass.") and key.endswith(".seconds"):
-            name = key[len("pass."):-len(".seconds")]
-            calls = counters.get(f"pass.{name}.calls", 0)
-            rows.append((name, int(calls), secs))
-    if not rows:
+def _pass_table(counters: dict) -> list[str]:
+    """Compiler-pass table from the ``pass.<name>.seconds``/``.calls``
+    counters."""
+    passes = _group(counters, "pass.")
+    if not passes:
         return []
     lines = ["compiler passes:", f"  {'pass':<18}{'calls':>6}{'time':>10}"]
-    for name, calls, secs in rows:
-        lines.append(f"  {name:<18}{calls:>6}{_fmt_time(secs):>10}")
-    lines.append(
-        f"  {'total':<18}{'':>6}{_fmt_time(sum(r[2] for r in rows)):>10}")
+    for name, c in passes.items():
+        lines.append(f"  {name:<18}{int(c.get('calls', 0)):>6}"
+                     f"{_fmt_time(c.get('seconds', 0.0)):>10}")
+    total = sum(c.get("seconds", 0.0) for c in passes.values())
+    lines.append(f"  {'total':<18}{'':>6}{_fmt_time(total):>10}")
+    return lines
+
+
+def _instr_table(stats) -> list[str]:
+    """Per-function instruction counts from a ``CompileStats``."""
+    if stats is None or not stats.low_instrs:
+        return []
+    lines = ["instruction counts (HighIR → MidIR → LowIR):",
+             f"  {'function':<12}{'high':>6}{'mid':>6}{'low':>6}{'VN-removed':>12}"]
+    for fn, low in stats.low_instrs.items():
+        lines.append(
+            f"  {fn:<12}{stats.high_instrs.get(fn, 0):>6}"
+            f"{stats.mid_instrs.get(fn, 0):>6}{low:>6}"
+            f"{stats.vn_removed.get(fn, 0):>12}"
+        )
     return lines
 
 
@@ -300,22 +193,29 @@ def _sched_health_table(snap: dict) -> list[str]:
     return lines
 
 
-def _worker_metrics_table(counters: dict) -> list[str]:
-    busy: dict[str, float] = {}
-    blocks: dict[str, float] = {}
-    for key, v in counters.items():
-        if key.startswith("sched.worker.") and key.endswith(".busy_seconds"):
-            busy[key[len("sched.worker."):-len(".busy_seconds")]] = v
-        elif key.startswith("sched.worker.") and key.endswith(".blocks"):
-            blocks[key[len("sched.worker."):-len(".blocks")]] = v
-    if len(busy) < 2:  # a single worker's share is always 100%
+def _tid_sort_key(label: str) -> tuple:
+    """Natural ordering for worker labels: worker-2 before worker-10."""
+    head, _, tail = label.rpartition("-")
+    if tail.isdigit():
+        return (head, int(tail))
+    return (label, -1)
+
+
+def _worker_table(counters: dict) -> list[str]:
+    """Per-worker blocks and busy time from the ``sched.worker.*``
+    counters; ``util`` is busy time over the runs' wall time less their
+    set-up (``run.wall_seconds`` − ``run.setup_seconds``)."""
+    workers = _group(counters, "sched.worker.")
+    if not workers:
         return []
-    total = sum(busy.values())
-    lines = ["workers:", f"  {'worker':<16}{'blocks':>8}{'busy':>10}{'share':>8}"]
-    for label in sorted(busy, key=_tid_sort_key):
-        share = busy[label] / total if total > 0 else 0.0
-        lines.append(f"  {label:<16}{int(blocks.get(label, 0)):>8}"
-                     f"{_fmt_time(busy[label]):>10}{share:>7.0%}")
+    running = (counters.get("run.wall_seconds", 0.0)
+               - counters.get("run.setup_seconds", 0.0))
+    lines = ["workers:", f"  {'worker':<16}{'blocks':>8}{'busy':>10}{'util':>7}"]
+    for label in sorted(workers, key=_tid_sort_key):
+        busy = workers[label].get("busy_seconds", 0.0)
+        util = busy / running if running > 0 else 0.0
+        lines.append(f"  {label:<16}{int(workers[label].get('blocks', 0)):>8}"
+                     f"{_fmt_time(busy):>10}{util:>6.0%}")
     return lines
 
 
@@ -341,23 +241,28 @@ def _convergence_table(series: dict, limit: int = 40) -> list[str]:
     return lines
 
 
-def format_metrics(obs, passes: bool = True) -> str:
-    """Human-readable rendering of an ``Obs`` / snapshot / metrics doc.
-
-    ``passes=False`` drops the compiler-pass table (``format_summary``
-    uses it when the pass spans already rendered a richer one).
-    """
-    snap = _snap_of(obs)
+def format_metrics(obs, stats=None) -> str:
+    """The run report: the tables of an ``Obs`` / snapshot / metrics doc,
+    with the instruction counts of ``stats`` (a ``CompileStats``) when
+    given — compiler passes, instruction counts, hot ops, scheduler
+    health, workers, convergence; each rendered once, from aggregates."""
+    snap = obs.snapshot() if hasattr(obs, "snapshot") else obs
     counters = snap.get("counters", {})
     sections = [
-        _pass_metrics_table(counters) if passes else None,
+        _pass_table(counters),
+        _instr_table(stats),
         _hot_op_table(counters),
         _sched_health_table(snap),
-        _worker_metrics_table(counters),
+        _worker_table(counters),
         _convergence_table(snap.get("series", {})),
     ]
-    body = "\n\n".join("\n".join(s) for s in sections if s)
-    return body
+    return "\n\n".join("\n".join(s) for s in sections if s)
+
+
+def format_summary(obs, stats=None) -> str:
+    """The CLIs' ``--profile``: :func:`format_metrics`, or a placeholder
+    when nothing was recorded."""
+    return format_metrics(obs, stats) or "(no trace events collected)"
 
 
 def format_report(doc: dict) -> str:

@@ -307,12 +307,6 @@ class Obs:
                 for name, rows in snap.get("series", {}).items():
                     self.series.setdefault(name, []).extend(rows)
 
-    def reset(self, *counters: str) -> None:
-        """Zero the named counters."""
-        with self._lock:
-            for name in counters:
-                self.counters.pop(name, None)
-
     # -- events ------------------------------------------------------------
 
     def _tid(self) -> str:

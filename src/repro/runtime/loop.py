@@ -76,7 +76,7 @@ def make_strands(program, ctx, g, grid: Grid, ids: np.ndarray,
     names = program.high.init_func.result_names
     for i, (name, arr) in enumerate(zip(names, state)):
         arr = np.asarray(arr)
-        if arr.ndim == program._state_tensor_order(name):
+        if arr.ndim == program.high.tensor_orders[name]:
             arr = np.repeat(arr[np.newaxis], ids.size, axis=0)
         arr = np.ascontiguousarray(arr)
         if not arr.flags.writeable or id(arr) in seen:

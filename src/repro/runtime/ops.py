@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.obs import ROOT, clock, current
+from repro.obs import clock, current
 from repro.fields.probe import (
     axis_weights,
     gather_neighborhood,
@@ -147,26 +147,6 @@ def select(cond, a, b, order: int = None):
     # a laned condition against unbatched branch values still broadcasts,
     # since the branches extend from the right
     return np.where(cond, a, b)
-
-
-def reset_guard_stats() -> None:
-    """Zero the uniform-branch guard counters (on the process root)."""
-    ROOT.reset("guard.checked", "guard.skipped")
-
-
-def guard_stats() -> dict:
-    """A snapshot of the uniform-branch guard counters.
-
-    ``checked`` counts guard evaluations, ``skipped`` counts predicated
-    arms whose lanes all agreed and were not executed.  Each run counts
-    into its own :class:`repro.obs.Obs` — including forked
-    ``ProcessScheduler`` workers, whose counts merge back at the
-    super-step barrier — and finished runs fold into the process root
-    (``repro.obs.ROOT``) that this reads.
-    """
-    c = ROOT.snapshot()["counters"]
-    return {"checked": int(c.get("guard.checked", 0)),
-            "skipped": int(c.get("guard.skipped", 0))}
 
 
 def any_lane(cond) -> bool:

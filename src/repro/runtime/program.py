@@ -132,21 +132,18 @@ class Program:
                 f"{name!r} is not an input of this program; inputs are "
                 f"{self.high.input_names}"
             )
-        info = self.high.typed.globals[name]
-        from repro.core.ty.types import BOOL, INT, TensorTy
-
-        ty = info.ty
-        if ty == INT:
+        kind, shape = self.high.input_types[name]
+        if kind == "int":
             value = int(value)
-        elif ty == BOOL:
+        elif kind == "bool":
             value = bool(value)
-        elif isinstance(ty, TensorTy):
+        elif kind == "tensor":
             value = np.asarray(value, dtype=self.dtype)
-            if value.shape != ty.shape:
+            if value.shape != shape:
                 raise InputError(
-                    f"input {name!r} expects shape {ty.shape}, got {value.shape}"
+                    f"input {name!r} expects shape {shape}, got {value.shape}"
                 )
-            if ty.shape == ():
+            if shape == ():
                 value = self.dtype(value)
         # inputs are re-resolved on every run; the context caches only
         # image data, so it survives input changes (the serving layer
@@ -234,13 +231,6 @@ class Program:
         env = dict(inputs)
         env.update(zip(derived_names, derived))
         return [env[n] for n in self.high.concrete_globals]
-
-    def _state_tensor_order(self, name: str) -> int:
-        from repro.core.ty.types import TensorTy
-
-        table = self.high.typed.state if name in self.high.typed.state else self.high.typed.params
-        ty = table[name].ty
-        return len(ty.shape) if isinstance(ty, TensorTy) else 0
 
     # -- native backend ----------------------------------------------------------
 
@@ -681,17 +671,19 @@ class Program:
 
         This is the "glue code that allows command-line setting of input
         variables" the compiler synthesizes in the paper.  Values use the
-        shared textual forms of :func:`repro.inputs.parse_value`;
-        ``--trace FILE`` and ``--profile`` expose the run's spans,
-        ``--metrics-out FILE`` its aggregates.
+        shared textual forms of :func:`repro.inputs.parse_value`; the run
+        flags and what ``--trace``/``--profile``/``--metrics-out`` make of
+        the run are ``python -m repro``'s (:func:`repro.inputs.report_run`),
+        and so is an artifact that cannot be written: an ``error:`` line,
+        then ``SystemExit(1)``.
         """
         import argparse
 
-        from repro.inputs import add_run_arguments, parse_value
-        from repro.obs import (
-            format_summary,
-            write_chrome_trace,
-            write_metrics_json,
+        from repro.inputs import (
+            add_run_arguments,
+            parse_value,
+            report_run,
+            run_recorder,
         )
 
         parser = argparse.ArgumentParser(description="Diderot program")
@@ -711,22 +703,11 @@ class Program:
             raw = getattr(args, name)
             if raw is not None:
                 self.set_input(name, parse_value(raw))
-        workers = args.workers
-        if workers is None:
-            workers = "auto" if args.scheduler == "auto" else "1"
-        with Obs("cli", detail=bool(args.trace or args.profile)) as obs:
+        workers, obs = run_recorder(args)
+        with obs:
             result = self.run(workers=workers, block_size=args.block_size,
                               scheduler=args.scheduler, backend=args.backend,
                               obs=obs)
-        if args.trace:
-            write_chrome_trace(obs, args.trace)
-        if args.profile:
-            print(format_summary(obs))
-        if args.metrics_out:
-            write_metrics_json(
-                obs, args.metrics_out,
-                meta={"workers": workers,
-                      "block_size": args.block_size,
-                      "wall_seconds": result.wall_time},
-            )
+        if report_run(args, obs, result, workers, self.stats):
+            raise SystemExit(1)
         return result

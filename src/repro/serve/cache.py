@@ -48,7 +48,7 @@ __all__ = ["CompileCacheEntry", "FORMAT", "cache_dir", "fingerprint", "load",
 #: on-disk format version; bump when CompileCacheEntry or the pickled
 #: record classes change shape (mixed into the key, so old entries are
 #: simply never looked up again)
-FORMAT = 2
+FORMAT = 3
 
 
 @dataclass

@@ -126,12 +126,6 @@ class TestGoldenEquivalence:
             assert a.outputs[k].tobytes() == b.outputs[k].tobytes(), k
         assert_outputs_equal(a, b)
 
-    @pytest.mark.parametrize("batch", [0, cgen.MAX_VB + 1])
-    def test_out_of_range_batch_is_a_codegen_error(self, batch):
-        high = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"]).high
-        with pytest.raises(CodegenError, match="batch width"):
-            generate_c_module(high, batch=batch)
-
 
 @requires_cc
 class TestSinglePrecision:

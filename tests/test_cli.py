@@ -138,7 +138,7 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "compiler passes" in out
-        assert "super-steps" in out
+        assert "convergence:" in out  # the per-step rows
         assert "workers" in out
 
     def test_repro_trace_env_var(self, workspace, monkeypatch):
@@ -245,7 +245,73 @@ class TestParseValue:
         prog.cli(["--res", "4", "--trace", str(trace_path), "--profile"])
         doc = json.loads(trace_path.read_text(encoding="utf-8"))
         assert any(e["name"] == "superstep" for e in doc["traceEvents"])
-        assert "super-steps" in capsys.readouterr().out
+        assert "convergence:" in capsys.readouterr().out  # the per-step rows
+
+
+class TestRunReport:
+    """``--trace``/``--profile``/``--metrics-out`` take one path
+    (``repro.inputs.report_run``) from both command lines."""
+
+    #: the tables of the run report, in the order they print
+    TABLES = ("compiler passes:", "instruction counts", "hot ops:",
+              "scheduler health:", "workers:", "convergence:")
+
+    def test_unwritable_artifacts_are_errors_on_both_command_lines(
+            self, workspace, monkeypatch, capsys):
+        from repro.core.driver import compile_file
+
+        monkeypatch.chdir(workspace)
+        bad = str(workspace / "missing" / "x.json")
+        flags = ["--trace", bad, "--metrics-out", bad]
+        code = main([str(workspace / "prog.diderot"), *flags,
+                     "--out", str(workspace / "u")])
+        assert code == 1
+        assert (workspace / "u-v.nrrd").exists()  # outputs still written
+        errs = [capsys.readouterr().err]
+        prog = compile_file(str(workspace / "prog.diderot"))
+        with pytest.raises(SystemExit) as exc:
+            prog.cli(flags)
+        assert exc.value.code == 1
+        errs.append(capsys.readouterr().err)
+        for err in errs:
+            assert f"error: cannot write trace {bad}" in err
+            assert f"error: cannot write metrics {bad}" in err
+
+    def test_profile_prints_each_table_once(self, workspace, monkeypatch,
+                                            capsys):
+        """A thread x 2 run: each table at most once, and one ``workers:``
+        table whose busy seconds are the ``sched.worker.<w>.busy_seconds``
+        counters."""
+        import json
+
+        from repro.core.driver import compile_file
+        from repro.obs.export import _fmt_time
+
+        monkeypatch.chdir(workspace)
+        metrics = workspace / "m.json"
+        flags = ["--scheduler", "thread", "--workers", "2", "--block-size",
+                 "16", "--profile", "--metrics-out", str(metrics)]
+        prog = compile_file(str(workspace / "prog.diderot"))
+        runs = (
+            lambda: main([str(workspace / "prog.diderot"), "--input",
+                          "res=64", *flags, "--out", str(workspace / "p")]),
+            lambda: prog.cli(["--res", "64", *flags]),
+        )
+        for i, run in enumerate(runs):
+            run()
+            out = capsys.readouterr().out
+            assert [t for t in self.TABLES if out.count(t) > 1] == [], i
+            # Program.cli's recorder opens after the compile: no pass table
+            assert [t for t in self.TABLES[i:] if t not in out] == [], i
+            counters = json.loads(metrics.read_text(encoding="utf-8"))["counters"]
+            workers = [k[len("sched.worker."):-len(".busy_seconds")]
+                       for k in counters if k.startswith("sched.worker.")
+                       and k.endswith(".busy_seconds")]
+            assert workers
+            for w in workers:
+                busy = counters[f"sched.worker.{w}.busy_seconds"]
+                blocks = int(counters[f"sched.worker.{w}.blocks"])
+                assert f"{w:<16}{blocks:>8}{_fmt_time(busy):>10}" in out, w
 
 
 class TestStandalonePrograms:

@@ -7,6 +7,9 @@
   emits no C and runs no ``cc``, and writes what a cold run writes;
 * that run loads its kernel through ctypes: it imports neither ``cffi``
   nor ``pycparser``;
+* its compile-cache entry unpickles without the front end's AST or the
+  field normalizer;
+* a run imports the exporters only for the report flags that need them;
 * every name the perf ledger wraps by ``vars(module)`` in its traced CLI
   leg is a real attribute of its owner, not a lazy one.
 """
@@ -33,6 +36,10 @@ COMPILER = ("repro.core.driver", "repro.core.syntax.parser",
             "repro.core.xform.to_mid", "repro.core.xform.probe_fuse",
             "repro.core.xform.to_low", "repro.core.codegen.cgen",
             "repro.core.verify.validate")
+
+#: what unpickling a compile-cache entry must not load either
+FRONT_END = ("repro.core.syntax", "repro.core.syntax.ast",
+             "repro.core.syntax.source", "repro.core.xform.normalize")
 
 #: runs ``module`` as ``python -m`` would and prints what it imported
 _RUN_MODULE = """\
@@ -103,6 +110,23 @@ def test_warm_cli_runs_no_compiler_code(warm_cli):
     assert warm.get("cgen.cache.misses", 0) == 0
     assert (tmp_path / "warm-gray.nrrd").read_bytes() == \
         (tmp_path / "cold-gray.nrrd").read_bytes()
+
+
+@requires_cc
+def test_warm_cli_unpickles_no_front_end(warm_cli):
+    _, modules, _, warm = warm_cli
+    assert warm["compile_cache.hits"] == 1
+    assert sorted(modules.intersection(FRONT_END)) == []
+    # --metrics-out writes JSON; no exporter is needed for it
+    assert "repro.obs.export" not in modules
+
+
+def test_run_without_report_flags_imports_no_exporter(tmp_path):
+    code, modules = _run("repro", [
+        str(EXAMPLES / "isocontour.diderot"), "--input", "resU=8",
+        "--input", "resV=8", "--out", str(tmp_path / "iso")], _env())
+    assert code == 0
+    assert "repro.obs.export" not in modules
 
 
 @requires_cc

@@ -25,7 +25,6 @@ from repro.obs.metrics import (
     read_metrics_json,
     write_metrics_json,
 )
-from repro.runtime import ops as rt
 
 PROBING = """
 image(2)[] img = load("data.nrrd");
@@ -216,14 +215,14 @@ class TestRunPlumbing:
         assert current() is before  # restored on the error path too
 
     def test_guard_stats_still_work_across_runs(self, probing_prog):
-        rt.reset_guard_stats()
-        probing_prog.run()
-        stats = rt.guard_stats()
-        assert stats["checked"] > 0
-        probing_prog.run()
-        assert rt.guard_stats()["checked"] == 2 * stats["checked"]
-        rt.reset_guard_stats()
-        assert rt.guard_stats() == {"checked": 0, "skipped": 0}
+        checked = probing_prog.run().metrics.counters["guard.checked"]
+        assert checked > 0
+        # each run counts into its own Obs: a second run counts as much
+        assert probing_prog.run().metrics.counters["guard.checked"] == checked
+        shared = Obs(parent=None)
+        probing_prog.run(obs=shared)
+        probing_prog.run(obs=shared)
+        assert shared.counters["guard.checked"] == 2 * checked
 
 
 # -- cross-scheduler determinism ---------------------------------------------

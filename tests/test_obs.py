@@ -257,10 +257,10 @@ class TestSummary:
         tr = Obs(detail=True)
         prog = compile_program(SRC, obs=tr)
         prog.run(block_size=16, obs=tr)
-        text = format_summary(tr)
+        text = format_summary(tr, prog.stats)
         assert "compiler passes" in text
         assert "instruction counts" in text
-        assert "super-steps" in text
+        assert "convergence:" in text  # the per-step rows
         assert "workers" in text
         assert "worker-0" in text
 

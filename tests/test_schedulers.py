@@ -484,20 +484,16 @@ class TestUniformBranchGuards:
         assert np.allclose(res.outputs["w"], ref, atol=1e-12), case
 
     def test_uniform_arms_are_skipped(self):
-        rt.reset_guard_stats()
         prog = compile_program(_guard_source(GUARD_CASES["all-false"]))
-        prog.run()
-        stats = rt.guard_stats()
-        assert stats["checked"] > 0
-        assert stats["skipped"] > 0  # the dead then-arm never executed
+        stats = prog.run().metrics.counters
+        assert stats["guard.checked"] > 0
+        assert stats["guard.skipped"] > 0  # the dead then-arm never executed
 
     def test_mixed_arms_are_not_skipped(self):
         prog = compile_program(_guard_source(GUARD_CASES["mixed"]))
-        rt.reset_guard_stats()
-        prog.run()
-        stats = rt.guard_stats()
-        assert stats["checked"] > 0
-        assert stats["skipped"] == 0
+        stats = prog.run().metrics.counters
+        assert stats["guard.checked"] > 0
+        assert stats.get("guard.skipped", 0) == 0
 
     def test_dead_lane_heavy_program_skips_work(self, hand32):
         """vr-lite's exit-the-volume branch: once every ray in a block has
@@ -505,12 +501,11 @@ class TestUniformBranchGuards:
         from repro.programs import vr_lite
 
         prog = vr_lite.make_program(scale=0.12, volume_size=32)
-        rt.reset_guard_stats()
         res = prog.run()
-        stats = rt.guard_stats()
+        stats = res.metrics.counters
         assert res.steps > 1
-        assert stats["skipped"] > 0
-        assert stats["skipped"] / stats["checked"] > 0.1
+        assert stats["guard.skipped"] > 0
+        assert stats["guard.skipped"] / stats["guard.checked"] > 0.1
 
 
 class TestInPlaceFastPath:
