@@ -36,9 +36,9 @@ a contiguous stride-1 access), and each LowIR op lowers to one or more
 ``#pragma omp simd`` lane loops that the C compiler turns into vector code.
 Divergent control flow is if-converted: both arms of an ``IfRegion`` run on
 all lanes under per-lane masks and the phis become branchless blends, except
-that *heavy* arms (cost-modeled over the op table's ``cost`` column) keep a real
-``if (any-lane)`` branch so a batch that uniformly skips an expensive probe
-does no work for it — the blend-vs-branch cost model from the issue.
+that *heavy* arms (:func:`repro.core.ir.ops.heavy_arm`, the op table's cost
+model) keep a real ``if (any-lane)`` branch so a batch that uniformly skips an
+expensive probe does no work for it.
 
 How a type is held in C is decided once (``_Emitter.rep``), and how a loop,
 a lane loop, a store and a reduction are printed once (the printer section
@@ -98,13 +98,6 @@ __all__ = ["generate_c_module", "DEFAULT_VB_DOUBLE", "DEFAULT_VB_SINGLE"]
 # batch only grows the SoA scratch footprint without adding parallelism.
 DEFAULT_VB_DOUBLE = 4
 DEFAULT_VB_SINGLE = 8
-
-# The blend-vs-branch model.  An IfRegion arm whose summed op weight (the
-# op table's ``cost`` column) reaches _GUARD_MIN_COST keeps a real
-# `if (any lane)` branch around it; cheaper arms always execute and rely on
-# the phi blend alone.
-_GUARD_MIN_COST = 8
-
 
 # ---------------------------------------------------------------------------
 # C helper prelude
@@ -1497,22 +1490,6 @@ class _Emitter:
 
     # -- control flow --------------------------------------------------------
 
-    def _body_cost(self, body) -> int:
-        """Blend-vs-branch weight of an IfRegion arm (the op table's costs)."""
-        cost = 0
-        for item in body.items:
-            if isinstance(item, Instr):
-                info = irops.LOW.get(item.op)  # an unknown op fails at emission
-                cost += info.cost if info is not None else 1
-            elif isinstance(item, IfRegion):
-                cost += (
-                    2
-                    + self._body_cost(item.then_body)
-                    + self._body_cost(item.else_body)
-                    + len(item.phis)
-                )
-        return cost
-
     def _emit_region(self, region: IfRegion) -> None:
         """If-converted region: per-lane then/else masks (ANDed with the
         enclosing mask), both arms executed on all lanes — except that heavy
@@ -1533,7 +1510,7 @@ class _Emitter:
             if not arm.items:
                 continue
             with ExitStack() as guard:
-                if self._body_cost(arm) >= _GUARD_MIN_COST:
+                if irops.heavy_arm(arm):
                     anyv = self.names.fresh("any")
                     self.emit(f"int {anyv} = 0;")
                     # an or-reduction across lanes, not a per-lane statement

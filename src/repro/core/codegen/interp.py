@@ -64,8 +64,9 @@ class HighInterpreter:
                 f"{func.name} expects {len(func.params)} arguments, got {len(args)}"
             )
         env: dict[Value, object] = dict(zip(func.params, args))
-        # mirror generated code: both if-arms run predicated, so dead lanes
-        # may raise IEEE flags whose results the φ selects drop
+        # both if-arms run predicated on every lane (generated code does so
+        # for light arms), so dead lanes may raise IEEE flags whose results
+        # the φ selects drop
         with np.errstate(all="ignore"):
             self._run_body(func.body, env)
         return tuple(env[r] for r in func.results)

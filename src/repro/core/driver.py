@@ -165,7 +165,10 @@ def _compile(source, opts, obs, check):
         _optimize(fn, irops.LOW, opts, obs, "low", verify=verify)
         obs.event("instr-count", cat="count", func=fn.name, ir="low", value=_count(fn))
     with obs.span("codegen", cat="pass"):
-        source_out = generate_module(funcs)
+        # the strand methods' state parameters (after the globals) are laned
+        methods = (hp.update_func, hp.stabilize_func)
+        source_out = generate_module(funcs, {
+            fn.name: len(hp.concrete_globals) for fn in methods if fn is not None})
     return source_out, hp, CompileStats.from_trace(obs.events[first:])
 
 

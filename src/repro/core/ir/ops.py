@@ -11,13 +11,16 @@ NumPy and C meaning, its branch-cost weight and whether contraction may
 fold it — and :data:`HIGH`/:data:`MID`/:data:`LOW`, the typechecker's
 overload tables, ``to_high``'s name maps, the validator, ``pygen`` and
 ``cgen``'s elementwise emitter are all views of :data:`OPS` (DESIGN.md
-"Adding an op").
+"Adding an op").  :func:`heavy_arm` is the one cost model over the
+``cost`` column: ``cgen`` branches around a heavy arm instead of blending
+it, and ``pygen`` runs a heavy arm on its live lanes only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.ir.base import Body, Instr
 from repro.core.ty.types import (
     BOOL,
     D,
@@ -67,8 +70,8 @@ class OpInfo:
         ``None`` for ops with a hand-written ``_Emitter._op_<name>``.
     ``py``/``c`` may be a dict by result kind (see :func:`template`).
     ``cost``
-        blend-vs-branch weight in ``cgen``: emitted-loop trip count
-        relative to one elementwise lane op.
+        branch weight (:func:`arm_cost`): emitted-loop trip count relative
+        to one elementwise lane op.
     ``foldable``
         contraction evaluates the op when all arguments are constants
         (``xform.contract._fold`` has a case for it).
@@ -459,3 +462,31 @@ def template(spec, instr):
     if "mixed" in spec and len({getattr(a.ty, "order", 0) for a in instr.args}) > 1:
         return spec["mixed"]
     return spec.get("real")
+
+
+#: an ``if`` arm whose :func:`arm_cost` reaches this is *heavy*: ``cgen``
+#: keeps a real ``if (any lane)`` branch around it (a lighter arm runs on
+#: every lane and relies on the φ blend), and ``pygen`` runs it on the
+#: block's live lanes only when the lanes disagree (a lighter arm runs on
+#: every lane and relies on the φ select)
+HEAVY_ARM_COST = 8
+
+
+def arm_cost(body: Body) -> int:
+    """Summed ``cost`` of an ``if`` arm, nested regions included (2 per
+    region plus one per φ); an op the table lacks weighs 1."""
+    cost = 0
+    for item in body.items:
+        if isinstance(item, Instr):
+            info = LOW.get(item.op)
+            cost += info.cost if info is not None else 1
+        else:
+            cost += (2 + arm_cost(item.then_body) + arm_cost(item.else_body)
+                     + len(item.phis))
+    return cost
+
+
+def heavy_arm(body: Body) -> bool:
+    """True when ``body`` is worth a branch (``cgen``) or a compaction
+    (``pygen``) rather than running on every lane."""
+    return arm_cost(body) >= HEAVY_ARM_COST

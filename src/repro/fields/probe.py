@@ -15,7 +15,10 @@ positions — one lane per strand in a block.
 Safety contract: positions may be garbage in predicated-off lanes (DESIGN.md
 deviation 3), so index math sanitizes non-finite values and clamps gathers
 into the valid sample range.  The ``inside`` test is what gives *live* lanes
-their real domain guarantee.
+their real domain guarantee.  The generated update code runs every arm that
+gathers on its live lanes only when a block's lanes disagree (DESIGN.md
+deviation 2), so there a gather sees live lanes only; the clamping still
+covers ``seed``/``init`` (mask-predicated) and live lanes' own edge reads.
 """
 
 from __future__ import annotations

@@ -119,8 +119,10 @@ def _hot_op_table(counters: dict) -> list[str]:
     checked = counters.get("guard.checked", 0)
     if checked:
         skipped = counters.get("guard.skipped", 0)
+        compacted = counters.get("guard.compacted", 0)
         lines.append(f"  uniform-branch guards: {int(checked)} checked, "
-                     f"{int(skipped)} skipped ({skipped / checked:.0%})")
+                     f"{int(skipped)} skipped ({skipped / checked:.0%}), "
+                     f"{int(compacted)} compacted")
     return lines
 
 

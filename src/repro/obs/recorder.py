@@ -243,10 +243,15 @@ class Obs:
             c[k_lanes] = c.get(k_lanes, 0) + lanes
             c[k_seconds] = c.get(k_seconds, 0.0) + seconds
 
-    def guard(self, skipped: bool) -> None:
-        """Count one uniform-branch guard evaluation (see ``rt.any_lane``)."""
+    def guard(self, skipped: bool = False, compacted: bool = False) -> None:
+        """Count one uniform-branch guard evaluation (``rt.any_lane``;
+        ``skipped``: no lane takes the arm) or one heavy arm run on its
+        live lanes only (``rt.live``; ``compacted``)."""
         with self._lock:
             c = self.counters
+            if compacted:
+                c["guard.compacted"] = c.get("guard.compacted", 0) + 1
+                return
             c["guard.checked"] = c.get("guard.checked", 0) + 1
             if skipped:
                 c["guard.skipped"] = c.get("guard.skipped", 0) + 1

@@ -264,6 +264,21 @@ class TestSummary:
         assert "workers" in text
         assert "worker-0" in text
 
+    def test_guard_line_counts_compacted_arms(self):
+        """The guard line of ``--profile``: every ``rt.any_lane`` check,
+        the arms no lane took, and the heavy arms run on their live lanes
+        only (``guard.compacted``)."""
+        from repro.programs import vr_lite
+
+        tr = Obs()
+        vr_lite.make_program(scale=0.12, volume_size=32).run(obs=tr)
+        c = tr.snapshot()["counters"]
+        assert c["guard.compacted"] > 0
+        checked, skipped = c["guard.checked"], c["guard.skipped"]
+        assert (f"  uniform-branch guards: {checked} checked, {skipped} skipped "
+                f"({skipped / checked:.0%}), {c['guard.compacted']} compacted"
+                ) in format_summary(tr).splitlines()
+
     def test_empty_tracer_summary(self):
         assert "no trace events" in format_summary(Obs())
 

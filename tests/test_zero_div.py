@@ -1,8 +1,9 @@
 """Integer division/modulo by zero: the predicated-execution contract.
 
-Generated code runs both arms of every ``if`` and selects results with
-the φ masks, so a zero divisor can legitimately appear on a *dead* lane
-(one the guard excluded).  The contract, enforced by
+Generated code runs a light ``if`` arm on every lane and selects results
+with the φ masks, so a zero divisor can legitimately appear on a *dead*
+lane (one the guard excluded); a heavy arm runs on its live lanes only
+(``tests/test_compaction.py``).  The contract, enforced by
 :func:`repro.runtime.ops.idiv` / :func:`~repro.runtime.ops.imod`:
 
 * zero divisor on any **live** lane → :class:`~repro.errors.RuntimeErrorD`
