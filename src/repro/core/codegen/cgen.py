@@ -26,7 +26,8 @@ The update itself is the file-local ``dd_update(..., idx, start, end)``: one
 pass over lanes ``[start, end)`` of an index list, where a ``NULL`` ``idx``
 means the identity mapping ``lane == k``.  The driver picks that dense form
 whenever the work-list is a contiguous ascending run (proved once at entry —
-compaction preserves order — then an O(1) span test per step).
+compaction preserves order — then an O(1) span test per step); its full
+batches load and store state at row ``_k0 + _l`` directly.
 
 Unlike the PR 7 emitter (one scalar body per strand), the update loop is
 *strand-batched*: strands are processed ``DD_VB`` at a time, every SSA value
@@ -533,8 +534,9 @@ def _for(var: str, n: int | str) -> str:
     return f"for (int {var} = 0; {var} < {n}; {var}++)"
 
 
-#: the lane loop: ``_n`` is DD_VB in the main loop, the remainder in the tail
-_LANE_FOR = _for("_l", "_n")
+#: the lane loop: every batch, the last one included, is DD_VB lanes wide,
+#: so every lane loop has a compile-time trip count
+_LANE_FOR = _for("_l", "DD_VB")
 
 
 class _Namer:
@@ -755,7 +757,7 @@ class _Emitter:
         return self.loop(self.size_of(v), stem)
 
     def lane(self, stmt: str, simd: bool = True) -> None:
-        """One lane loop ``for (_l = 0; _l < _n; _l++) stmt``."""
+        """One lane loop ``for (_l = 0; _l < DD_VB; _l++) stmt``."""
         if simd and self.vb > 1:
             self.emit("DD_SIMD")
         self.emit(f"{_LANE_FOR} {stmt}")
@@ -892,14 +894,14 @@ class _Emitter:
             vb=self.vb,
         )
 
-    def _state_ref(self, si: int, e: str | int) -> str:
-        """Lane ``_l``'s element ``e`` of state slot ``si`` in the caller's
-        strand-major buffer (the row of strand ``_lane[_l]``)."""
+    def _state_ref(self, si: int, e: str | int, row: str) -> str:
+        """Element ``e`` of state slot ``si`` in the caller's strand-major
+        buffer, in strand ``row`` (a C expression of lane ``_l``)."""
         rep = self.rep(self.func.params[self.plan["n_globals"] + si].ty)
         ptr = f"{_TABLES[rep.table].alias}{self.index['state', si]}"
         if rep.kind == "scalar":
-            return f"{ptr}[_lane[_l]]"
-        return f"{ptr}[_lane[_l] * {rep.size} + {e}]"
+            return f"{ptr}[{row}]"
+        return f"{ptr}[({row}) * {rep.size} + {e}]"
 
     # -- declarations -------------------------------------------------------
 
@@ -1324,7 +1326,7 @@ class _Emitter:
         with self.block(f"if ({lo})"), self.lanes(simd=False):
             if self.mask_stack:
                 self.emit(f"if (!{self.ref(self.mask_stack[-1])}) continue;")
-            self.emit(f"const int64_t _r = _lane[_l] * {d};")
+            self.emit(f"const int64_t _r = (_direct ? _k0 + _l : _lane[_l]) * {d};")
             for ax in range(d):
                 with self.block():
                     self.emit(f"const int64_t _mx = _sz_{img}[{ax}] - 1;")
@@ -1334,27 +1336,20 @@ class _Emitter:
                     self.emit(f"if (_b > {hi}[_r + {ax}]) {hi}[_r + {ax}] = _b;")
 
     def _op_index_inside(self, ins: Instr) -> None:
-        # Mirrors runtime.ops.index_inside: the argument is the *real*
-        # index-space position; non-finite coordinates are outside by
-        # definition, and the bounds test uses split_position's floor.
-        # Branchless form (sticky _ok over unrolled axes) so the lane loop
-        # vectorizes; identical results to the early-break original.
+        # fields.probe.index_inside (NumPy's rt.index_inside): two compares
+        # per axis on the real index-space coordinate x.  floor(x) in
+        # [s-1, size-1-s] is s-1 <= x < size-s for finite x, and NaN and
+        # +/-inf fail both.  Exact while size - s is a dd_real (size < 2^53
+        # in double, < 2^24 in float).
         (pos,) = ins.args
         img = ins.attrs["image"]
         s = int(ins.attrs["support"])
         d, _ = self._image_info(img)
-        with self.lanes():
-            self.emit("int _ok = 1;")
-            for ax in range(d):
-                p = self.ref(pos, ax)
-                with self.block():
-                    self.clean_coord(p)
-                    self.emit("int64_t _nv = (int64_t)dd_floor(_c);")
-                    self.emit(
-                        f"_ok = _ok & (isfinite({p}) != 0) & (_nv >= {s - 1}) & "
-                        f"(_nv <= _sz_{img}[{ax}] - 1 - {s});"
-                    )
-            self.emit(f"{self.ref(ins.result)} = _ok;")
+        lo = self.flit(s - 1)
+        self.store(ins.result, 0, " & ".join(
+            f"({self.ref(pos, ax)} >= {lo}) & "
+            f"({self.ref(pos, ax)} < (dd_real)(_sz_{img}[{ax}] - {s}))"
+            for ax in range(d)))
 
     def _op_horner(self, ins: Instr) -> None:
         (f,) = ins.args
@@ -1557,29 +1552,48 @@ class _Emitter:
 
     # -- batch body -----------------------------------------------------------
 
-    def _emit_batch_body(self) -> None:
-        """The per-batch strand update over lanes ``_k0 .. _k0 + _n``.
+    def _by_row(self, emit) -> None:
+        """``emit(row)`` for both ways lane ``_l`` finds its strand's state
+        row: ``_k0 + _l`` in a full batch of the identity mapping (stride-1
+        loads and stores), ``_lane[_l]`` otherwise."""
+        self.emit("if (_direct) {")
+        with self.indented():
+            emit("_k0 + _l")
+        self.emit("} else {")
+        with self.indented():
+            emit("_lane[_l]")
+        self.emit("}")
 
-        Emitted once and spliced twice by ``generate`` — into the main loop
-        (where ``_n`` is the constant ``DD_VB``, so every lane loop has a
-        compile-time trip count) and into the tail-batch block."""
+    def _emit_batch_body(self) -> None:
+        """The strand update of lanes ``_k0 .. _k0 + DD_VB`` of ``[start,
+        end)``: load each lane's state, run the update, store the state and
+        status back.  It is the only copy of the body in ``dd_update``.
+
+        An index list or the last, partial batch maps lanes to strands
+        through ``_lane[]``, whose lanes past ``end`` repeat the last real
+        one.  Strands are independent and deterministic, so a repeated lane
+        stores the bit-identical value, folds the same footprint box and
+        faults only where the lane it copies does."""
         func = self.func
         states = func.params[self.plan["n_globals"]:]
 
+        self.emit("const int _direct = !idx && _k0 + DD_VB <= end;")
         self.emit("int64_t _lane[DD_VB];")
-        self.emit("if (idx) {")
-        with self.indented():
-            self.lane("_lane[_l] = idx[_k0 + _l];", simd=False)
-        self.emit("} else {")
-        with self.indented():
-            self.lane("_lane[_l] = _k0 + _l;", simd=False)
-        self.emit("}")
+        with self.block("if (!_direct)"), self.lanes(simd=False):
+            self.emit("const int64_t _k = (_k0 + _l < end) ? _k0 + _l : end - 1;")
+            self.emit("_lane[_l] = idx ? idx[_k] : _k;")
 
-        # state parameter loads (SoA gather by lane)
-        for si, p in enumerate(states):
-            load = _TABLES[self.declare(p).table].load
-            with self.elements(p, "e") as e:
-                self.store(p, e, load.format(self._state_ref(si, e)))
+        # state loads: SoA blocks filled from the strand-major buffers
+        for p in states:
+            self.declare(p)
+
+        def loads(row: str) -> None:
+            for si, p in enumerate(states):
+                load = _TABLES[self.rep(p.ty).table].load
+                with self.elements(p, "e") as e:
+                    self.store(p, e, load.format(self._state_ref(si, e, row)))
+
+        self._by_row(loads)
 
         # hoisted declarations for all instruction results, then the body
         self._declare_results(func.body)
@@ -1588,11 +1602,15 @@ class _Emitter:
         # writebacks: results[:-1] are the *written* state slots in order
         # (a prefix of the slots — immutable extras at the tail are never
         # returned), results[-1] is the strand status.
-        for si, r in enumerate(func.results[:-1]):
-            store = _TABLES[self.rep(states[si].ty).table].store
-            with self.elements(states[si], "e") as e:
-                self.lane(f"{self._state_ref(si, e)} = {store.format(self.ref(r, e))};")
-        self.lane(f"_ip{self.index['status',]}[_lane[_l]] = {self.ref(func.results[-1])};")
+        def stores(row: str) -> None:
+            for si, r in enumerate(func.results[:-1]):
+                store = _TABLES[self.rep(states[si].ty).table].store
+                with self.elements(states[si], "e") as e:
+                    self.lane(f"{self._state_ref(si, e, row)} = "
+                              f"{store.format(self.ref(r, e))};")
+            self.lane(f"_ip{self.index['status',]}[{row}] = {self.ref(func.results[-1])};")
+
+        self._by_row(stores)
 
     # -- top-level -----------------------------------------------------------
 
@@ -1654,28 +1672,11 @@ class _Emitter:
                 cast = "" if rep.ctype == "int64_t" else f"({rep.ctype})"
                 self.emit(f"const {rep.ctype} {name} = {cast}{consts}[{k}];")
 
-        # hoisted constants + zero-init marking, then capture the batch body
-        # once and splice it into the main loop and the tail block
+        # hoisted constants + zero-init marking, then the batch loop
         self._declare_consts(func.body)
         self._collect_phi_operands(func.body)
-
-        saved = self.lines
-        self.lines = []
-        self.indent = 2
-        self._emit_batch_body()
-        body_lines = self.lines
-        self.lines = saved
-        self.indent = 1
-
-        self.emit("int64_t _k0;")
-        self.emit("for (_k0 = start; _k0 + DD_VB <= end; _k0 += DD_VB) {")
-        self.emit("    const int _n = DD_VB;")
-        self.lines.extend(body_lines)
-        self.emit("}")
-        self.emit("if (_k0 < end) {")
-        self.emit("    const int _n = (int)(end - _k0);")
-        self.lines.extend(body_lines)
-        self.emit("}")
+        with self.block("for (int64_t _k0 = start; _k0 < end; _k0 += DD_VB)"):
+            self._emit_batch_body()
         self.emit("return 0;")
 
         out.extend(self.lines)

@@ -191,6 +191,21 @@ def probe_convolution(
     return out[0] if single else out
 
 
+def index_inside(image: Image, pos_index: np.ndarray, support: int) -> np.ndarray:
+    """The ``inside`` test on index-space positions ``(..., d)``: the floor
+    of every coordinate ``x`` lies in :meth:`Image.index_bounds` ``[lo,
+    hi]``, tested as ``lo <= x < hi + 1`` — the same for finite ``x``
+    (the bounds are integers), while NaN and ±inf fail either compare.
+    Non-finite positions are therefore outside by definition, which is
+    what makes a strand that computes NaN (e.g. from a vanishing gradient
+    in Newton iteration) take the paper's "wanders outside the field
+    domain" exit (§4.3).  The native kernel emits the same two compares.
+    """
+    lo, hi = image.index_bounds(support)
+    pos_index = np.asarray(pos_index)
+    return np.all((pos_index >= lo) & (pos_index < hi + 1), axis=-1)
+
+
 def probe_inside(image: Image, support: int, pos_world: np.ndarray) -> np.ndarray:
     """The ``inside(x, F)`` test for a convolution field (paper §3.2).
 
@@ -202,9 +217,5 @@ def probe_inside(image: Image, support: int, pos_world: np.ndarray) -> np.ndarra
     single = pos_world.ndim == 1
     if single:
         pos_world = pos_world[None, :]
-    pos_index = image.orientation.to_index(pos_world)
-    finite = np.all(np.isfinite(pos_index), axis=-1)
-    n, _ = split_position(pos_index)
-    lo, hi = image.index_bounds(support)
-    ok = np.all((n >= lo) & (n <= hi), axis=-1) & finite
+    ok = index_inside(image, image.orientation.to_index(pos_world), support)
     return bool(ok[0]) if single else ok

@@ -10,8 +10,9 @@ block's index list, its length and the tally arrays change.
 ``run_range`` is the one way in: it runs a block for ``max_steps``
 super-steps — one, when the caller must see every step boundary; all that
 remain, when nothing does — and the kernel keeps the work-list itself
-(which lanes are still running, whether the list is a contiguous run that
-can skip the per-lane gather) and reports what each step did.
+(which lanes are still running, and whether the list is a contiguous run,
+whose full batches then read and write state rows without a per-lane
+index) and reports what each step did.
 
 The ctypes call releases the GIL for its whole duration.  Disjoint lane
 ranges touch disjoint state elements, so concurrent ``run_range`` calls

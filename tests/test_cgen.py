@@ -6,11 +6,12 @@ thread; the process pool runs NumPy only) must agree with the
 sequential NumPy run to 1e-12 (in practice the agreement is exact — the
 emitted C mirrors NumPy's operation order and ``-ffp-contract=off`` keeps
 FMA contraction from re-rounding).  The kernel is strand-batched
-(``DD_VB`` SoA lanes per iteration), so equivalence is additionally
-pinned at scheduler block sizes 1/64/4096 — full blocks, lane tails, and
-single-lane degenerate batches all hit the same double-precision oracle —
-and with the batch width forced to 1, the scalar kernel that is the
-vectorized emission's reference, and with probe fusion off (the
+(``DD_VB`` SoA lanes per iteration, the lanes of a block's last, partial
+batch repeating its last strand), so equivalence is additionally pinned
+at scheduler block sizes 1/64/4096 against the double-precision oracle,
+block sizes that pad batches are bit-identical to one block in both
+precisions, and with the batch width forced to 1, the scalar kernel
+that is the vectorized emission's reference, and with probe fusion off (the
 ``conv_contract`` form of a probe, which no fused program emits).  Single
 precision (``precision="single"``) runs natively too, checked against the
 float64 NumPy run at the relaxed tolerance DESIGN.md documents (1e-5
@@ -21,6 +22,7 @@ to NumPy with a warning, never a crash.
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,9 +31,12 @@ import pytest
 from repro.core import driver
 from repro.core.codegen import cbuild, cgen
 from repro.core.codegen.cgen import generate_c_module
-from repro.core.driver import OptOptions, compile_program
+from repro.core.driver import OptOptions, compile_file, compile_program
 from repro.errors import CodegenError, InputError
+from repro.fields.probe import split_position
+from repro.image import Image
 from repro.programs import ALL
+from repro.runtime import ops as rt
 
 requires_cc = pytest.mark.skipif(
     not cbuild.compiler_available(),
@@ -115,6 +120,32 @@ class TestGoldenEquivalence:
         b = run_outputs("ridge3d", "c", scheduler=scheduler,
                         workers=workers, block_size=block_size)
         assert_outputs_equal(a, b)
+
+    # The lanes past a block's end repeat its last strand: block sizes 1
+    # and 3 pad every batch, 5 pads one batch per block in double (a full
+    # batch and one lane) and every batch in single, 4097 pads the last
+    # batch unless the population is a multiple of DD_VB.  Each must
+    # reproduce the default single block bit for bit, in both precisions,
+    # run to the end: a strand stepped twice in one super-step (a padded
+    # lane that copied the wrong strand) ends on the same state earlier,
+    # so the per-step tallies are compared too.
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("name", PAPER)
+    def test_partial_blocks_bit_identical(self, name, precision):
+        def run(**kw):
+            prog = ALL[name].make_program(precision=precision, **PROGRAM_KW[name])
+            res = prog.run(backend="c", **kw)
+            assert res.metrics.counters["op.native_update.calls"] > 0
+            tallies = [(r["active"], r["stable"], r["died"])
+                       for r in res.metrics.series["steps"]]
+            return {k: v.tobytes() for k, v in res.outputs.items()}, tallies
+
+        want = run()
+        for block_size in (1, 3, 5, 4097):
+            for scheduler, workers in (("seq", 1), ("thread", 2)):
+                got = run(block_size=block_size, scheduler=scheduler,
+                          workers=workers)
+                assert got == want, (block_size, scheduler)
 
     def test_forced_scalar_batch_matches_default(self, monkeypatch):
         # batch width 1 is the scalar kernel: its one contract is that it
@@ -285,6 +316,129 @@ class TestSemantics:
         prog = ALL["isocontour"].make_program(**PROGRAM_KW["isocontour"])
         with pytest.raises(InputError, match="backend"):
             prog.run(backend="fortran")
+
+
+# -- inside: two compares per axis --------------------------------------------
+
+#: (support, continuity) of each kernel the ``inside`` exactness tests use
+KERNELS = {"tent": (1, 0), "bspln3": (2, 2)}
+
+
+def _inside_sizes(s):
+    """An empty valid floor range (size 2s-1), a one-floor range (2s) and
+    an ordinary one."""
+    return (2 * s - 1, 2 * s, 11)
+
+
+def _adversarial(size, s, dtype):
+    """Coordinates where a compare of ``x`` against the bounds could part
+    from the floor of ``x``: non-finite values, signed zeros, the ±2^40
+    clamp of ``split_position`` and beyond, and each bound with its
+    ``nextafter`` neighbours in ``dtype``."""
+    real = np.dtype(dtype).type
+    big = 2.0 ** 40
+    xs = [np.nan, np.inf, -np.inf, 0.0, -0.0, 2 * big, -2 * big, 2.0 ** 63,
+          -(2.0 ** 63), np.finfo(dtype).max, -np.finfo(dtype).max]
+    for edge in (s - 2, s - 1, s, size - 1 - s, size - s, big, -big):
+        v = real(edge)
+        xs += [v, np.nextafter(v, real(-np.inf)), np.nextafter(v, real(np.inf))]
+    return np.array(xs, dtype=dtype)
+
+
+def _floor_form(image, x, s):
+    """``inside`` as the floor of ``split_position`` decides it: finite, and
+    the floor in :meth:`Image.index_bounds` on every axis."""
+    n, _ = split_position(x)
+    lo, hi = image.index_bounds(s)
+    return np.all(np.isfinite(x) & (n >= lo) & (n <= hi), axis=-1)
+
+
+#: ``ok`` is ``inside`` at coordinate ``xs[i]`` of a 1-D image whose world
+#: and index space coincide; the arms of the select copy ``xs[i]`` exactly
+INSIDE_SRC = """
+input tensor[{k}] xs = [{zeros}];
+image(1)[] img = load("v.nrrd");
+field#{cont}(1)[] F = img ⊛ {kernel};
+strand S (int i) {{
+    output bool ok = false;
+    update {{ ok = inside({select}, F); stabilize; }}
+}}
+initially [ S(i) | i in 0 .. {last} ];
+"""
+
+
+class TestInsideExactness:
+    """``s-1 <= x < size-s`` is the floor form's ``inside`` bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_numpy_matches_floor_form(self, kernel, dtype):
+        s, _ = KERNELS[kernel]
+        for size in _inside_sizes(s):
+            image = Image(np.zeros((size, size)), dim=2)
+            xs = _adversarial(size, s, dtype)
+            pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
+            want = _floor_form(image, pts, s)
+            assert want.any() == (size > 2 * s - 1), size
+            assert rt.index_inside(image, pts, s).tolist() == want.tolist(), size
+
+    @requires_cc
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_native_matches_floor_form(self, kernel, precision):
+        s, cont = KERNELS[kernel]
+        dtype = np.float32 if precision == "single" else np.float64
+        k = len(_adversarial(1, s, dtype))
+        select = "0.0"
+        for i in reversed(range(k)):
+            select = f"(xs[{i}] if i == {i} else {select})"
+        prog = compile_program(INSIDE_SRC.format(
+            k=k, zeros=", ".join(["0.0"] * k), cont=cont, kernel=kernel,
+            select=select, last=k - 1), precision=precision)
+        for size in _inside_sizes(s):
+            image = Image(np.zeros(size), dim=1)
+            prog.bind_image("img", image)
+            xs = _adversarial(size, s, dtype)
+            prog.set_input("xs", xs)
+            want = _floor_form(image, xs[:, None], s).tolist()
+            for block_size in (1, 5):
+                res = prog.run(backend="c", block_size=block_size)
+                assert res.metrics.counters["op.native_update.calls"] > 0
+                assert res.outputs["ok"].tolist() == want, (size, block_size)
+
+
+# -- the emitted kernel's shape -------------------------------------------------
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parents[1] / "examples" / "programs")
+    .glob("*.diderot"))
+
+
+class TestKernelShape:
+    """One batch body, direct state access for contiguous blocks, and an
+    ``inside`` without a floor, in every example's C."""
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+    def test_one_batch_body(self, path, monkeypatch):
+        insides = []
+        emit_inside = cgen._Emitter._op_index_inside
+
+        def spy(self, ins):
+            start = len(self.lines)
+            emit_inside(self, ins)
+            insides.append("\n".join(self.lines[start:]))
+
+        monkeypatch.setattr(cgen._Emitter, "_op_index_inside", spy)
+        c_source, _ = generate_c_module(compile_file(str(path), cache=False).high)
+        update = c_source[c_source.index(" dd_update("):c_source.index(" dd_run(")]
+        assert update.count("_k0 += DD_VB") == 1
+        assert "(int)(end - _k0)" not in update
+        # the direct arms of the state loads and of the write-backs
+        direct = [arm.split("} else {")[0]
+                  for arm in update.split("if (_direct) {")[1:]]
+        assert len(direct) == 2
+        assert all("_lane[" not in arm and "_k0 + _l" in arm for arm in direct)
+        assert all("dd_floor" not in text for text in insides)
 
 
 # -- footprint recording inside the kernel -----------------------------------

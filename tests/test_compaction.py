@@ -174,6 +174,28 @@ class TestSemantics:
         else:
             assert np.isfinite(prog.run(**kw).outputs["gray"]).all()
 
+    # At block size 6 a native block is a full batch of strands
+    # 6b..6b+3 and the batch (6b+4, 6b+5, 6b+5, 6b+5), padded with copies
+    # of its last strand.  Strand 41 (ray 5, 1) enters the volume, a live
+    # lane of the arm; strand 47 (ray 5, 7) never does, a dead lane (and
+    # so are its copies) beside the live strand 46 (ray 5, 6).
+    @pytest.mark.parametrize("strand,raises", [(41, True), (47, False)])
+    @pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("thread", 2)])
+    @pytest.mark.skipif(not NATIVE, reason="native backend needs a C compiler")
+    def test_zero_divisor_on_the_last_lane_of_a_padded_batch(
+            self, strand, raises, scheduler, workers):
+        prog = _prog(f"""
+        if (inside(pos, F)) {{
+            gray += F(pos) + real(100 / (r * 8 + c - {strand}));
+        }}""")
+        kw = dict(scheduler=scheduler, workers=workers, block_size=6,
+                  backend="c")
+        if raises:
+            with pytest.raises(RuntimeErrorD, match="division by zero"):
+                prog.run(**kw)
+        else:
+            assert np.isfinite(prog.run(**kw).outputs["gray"]).all()
+
     @pytest.mark.parametrize("block_size", [1, 16, 4096])
     def test_gather_lanes_are_the_live_lanes(self, block_size):
         res = _prog(BODIES["nested"]).run(block_size=block_size, backend="numpy")
@@ -260,6 +282,8 @@ class TestFootprints:
                                      "block_size": 16}}
         if NATIVE:
             configs["seq-c"] = {"backend": "c"}
+            # every block ends in a batch padded with its last strand
+            configs["seq-c-b5"] = {"backend": "c", "block_size": 5}
         return {name: self._checkpoint(**kw) for name, kw in configs.items()}
 
     def test_boxes_and_dirty_strands_agree_across_backends(self):
