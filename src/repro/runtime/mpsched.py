@@ -10,12 +10,12 @@ paper's parallel runtime (§5.5) with *processes* instead:
   :mod:`multiprocessing.shared_memory` blocks.  The master's arrays *are*
   views over those blocks, so worker writes are immediately visible
   without any result pickling.
-* **Persistent pool** — workers are forked once per pool (not per
-  super-step, and — for pooled schedulers held by the serving layer —
-  not even per run: ``setup()`` on a live pool re-arms the existing
-  workers with the new run's shared state).  Each worker receives a
-  setup message carrying the generated module source, the image
-  metadata + shared-memory names, the resolved global values, and the
+* **One fork per run** — ``setup()`` forks the workers once per run, not
+  per super-step (paper §5.5 forks at start-up); a pool that already ran
+  retires that run's workers and shared blocks first, so no worker
+  outlives the run it was forked for.  Each worker receives a setup
+  message carrying the generated module source, the image metadata +
+  shared-memory names, the resolved global values, and the
   state/status/active array specs; it ``exec``\\ s the source and
   rebuilds its context locally.
 * **Work-list + barrier** — each super-step the master writes the active
@@ -109,11 +109,7 @@ class _WorkerEnv:
 
 
 def _apply_setup(setup_bytes: bytes) -> _WorkerEnv:
-    """Attach one setup message's shared blocks and build the run env.
-
-    Used both for the initial (fork-time) setup and for *re-arming* a
-    live pool with a new run's state (see :meth:`ProcessScheduler.setup`).
-    """
+    """Attach the setup message's shared blocks and build the run env."""
     from repro.image import Image
 
     env = _WorkerEnv()
@@ -143,16 +139,9 @@ def _apply_setup(setup_bytes: bytes) -> _WorkerEnv:
     return env
 
 
-def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
-                 barrier=None) -> None:
-    """Worker process: one-time setup, then the per-step task loop.
-
-    Besides block-range tasks and the ``None`` shutdown sentinel, the
-    task queue can carry ``("setup", setup_bytes)`` messages that re-arm
-    the worker with a new run's shared state.  The queue is shared, so
-    ``barrier`` (parties = workers + master) guarantees every worker
-    consumed exactly one setup message before the master enqueues
-    anything else.
+def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q) -> None:
+    """Worker process: one-time setup, then the per-step task loop until
+    the ``None`` shutdown sentinel.
 
     The worker records into an ``Obs`` of its own (the forked copy of the
     master's would double-count): op metrics accumulate there and each
@@ -171,25 +160,6 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
             task = task_q.get()
             if task is None:
                 break
-            if task[0] == "setup":
-                old, env = env, None
-                try:
-                    env = _apply_setup(task[1])
-                    result_q.put(("ready", wid))
-                except BaseException:
-                    result_q.put(("fatal", wid, traceback.format_exc()))
-                finally:
-                    # reach the barrier even on failure, or the master (and
-                    # the sibling workers) would hang in wait()
-                    if barrier is not None:
-                        try:
-                            barrier.wait(timeout=60)
-                        except Exception:
-                            pass
-                old.close()
-                if env is None:
-                    return
-                continue
             step, bindex, start, end = task
             t0 = clock()
             wait = t0 - idle0
@@ -205,7 +175,7 @@ def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q,
 
 
 class ProcessScheduler:
-    """Persistent process pool with shared-memory strand state.
+    """Process pool with shared-memory strand state, forked once per run.
 
     Unlike the in-process schedulers (which are handed opaque per-block
     closures), this scheduler owns the strand state: ``setup()`` moves
@@ -221,14 +191,9 @@ class ProcessScheduler:
         self.workers = workers
         self.last_block_workers: list[int] = []
         self._arrays: list[_SharedArray] = []
-        #: image payload blocks persist across re-arms: a pooled scheduler
-        #: serving many runs of one program re-uses the blocks (refreshing
-        #: the samples in place) instead of re-allocating shared memory
-        self._image_arrays: dict[str, _SharedArray] = {}
         self._procs: list = []
         self._task_q = None
         self._result_q = None
-        self._barrier = None
         self._active = None
         self._closed = False
 
@@ -245,41 +210,29 @@ class ProcessScheduler:
         master must use for the rest of the run (stabilize scatters and
         output extraction read worker writes through them).
 
-        Calling ``setup()`` again on a live pool **re-arms** it: the new
-        run's state moves into fresh shared blocks and the existing
-        worker processes swap over to them (a ``("setup", ...)`` message
-        per worker, with a barrier so each consumes exactly one), so a
-        pooled scheduler serves many runs without re-forking.
+        Calling ``setup()`` again on a pool that already ran first
+        retires that run's workers and shared blocks, then forks fresh
+        workers: a borrowed pool serves many runs, one fork each.
         """
         if self._closed:
             raise RuntimeErrorD("process pool is closed")
+        self._retire()
         ctx = _context()
-        old_arrays = self._arrays
-        state_sa = [_SharedArray(s) for s in state]
-        status_sa = _SharedArray(status)
-        active_sa = _SharedArray(np.arange(status.shape[0], dtype=np.int64))
-        arrays = [*state_sa, status_sa, active_sa]
 
-        image_specs = {}
-        stale_images: list[_SharedArray] = []
-        for name, img in images.items():
-            sa = self._image_arrays.get(name)
-            if (sa is not None and sa.view.shape == img.data.shape
-                    and sa.view.dtype == img.data.dtype):
-                # reuse the existing block, refreshing the payload in
-                # place (dirty-region patches mutate the master's data)
-                np.copyto(sa.view, img.data)
-                current().inc("sched.shm.image_reuse")
-            else:
-                if sa is not None:
-                    stale_images.append(sa)
-                sa = self._image_arrays[name] = _SharedArray(img.data)
-            image_specs[name] = (sa.spec(), img.dim, img.tensor_shape,
-                                 img.orientation)
-        for name in list(self._image_arrays):
-            if name not in images:
-                stale_images.append(self._image_arrays.pop(name))
+        def share(arr) -> _SharedArray:
+            # registered as soon as it exists, so close() releases it
+            # even if a later block or the fork fails
+            self._arrays.append(_SharedArray(arr))
+            return self._arrays[-1]
 
+        state_sa = [share(s) for s in state]
+        status_sa = share(status)
+        active_sa = share(np.arange(status.shape[0], dtype=np.int64))
+        image_specs = {
+            name: (share(img.data).spec(), img.dim, img.tensor_shape,
+                   img.orientation)
+            for name, img in images.items()
+        }
         setup_bytes = pickle.dumps(
             {
                 "source": source,
@@ -292,20 +245,12 @@ class ProcessScheduler:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        self._arrays = arrays
         self._active = active_sa.view
-        if self._procs:
-            self._rearm(setup_bytes, old_arrays + stale_images)
-            return [sa.view for sa in state_sa], status_sa.view
-        for sa in stale_images:  # pragma: no cover - no pool yet
-            sa.destroy()
         self._task_q = ctx.SimpleQueue()
         self._result_q = ctx.Queue()
-        self._barrier = ctx.Barrier(self.workers + 1)
         self._procs = [
             ctx.Process(target=_worker_main,
-                        args=(i, setup_bytes, self._task_q, self._result_q,
-                              self._barrier),
+                        args=(i, setup_bytes, self._task_q, self._result_q),
                         name=f"diderot-worker-{i}", daemon=True)
             for i in range(self.workers)
         ]
@@ -320,47 +265,13 @@ class ProcessScheduler:
                 )
         return [sa.view for sa in state_sa], status_sa.view
 
-    def _rearm(self, setup_bytes: bytes, old_arrays) -> None:
-        """Swap a live pool's workers over to a new run's shared state.
-
-        One setup message per worker; the barrier (workers + master)
-        guarantees each worker consumed exactly one before this returns,
-        so subsequent task messages can never be mistaken for a setup.
-        Old shared blocks are destroyed only after every worker has
-        detached from them.
-        """
+    def _retire(self) -> None:
+        """Stop the workers and release the last run's shared blocks."""
         for _ in self._procs:
-            self._task_q.put(("setup", setup_bytes))
-        fatal = None
-        for _ in self._procs:
-            msg = self._get_result()
-            if msg[0] == "fatal":
-                fatal = msg
-        try:
-            self._barrier.wait(timeout=60)
-        except Exception as exc:  # BrokenBarrierError
-            if fatal is None:
-                raise RuntimeErrorD(
-                    f"process pool re-arm barrier failed: {exc!r}"
-                ) from exc
-        for sa in old_arrays:
-            sa.destroy()
-        if fatal is not None:
-            raise RuntimeErrorD(
-                f"process worker {fatal[1]} failed during re-arm:\n{fatal[2]}"
-            )
-
-    def close(self) -> None:
-        """Retire the pool and release every shared block (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._task_q is not None:
-            for _ in self._procs:
-                try:
-                    self._task_q.put(None)
-                except (OSError, ValueError):
-                    break
+            try:
+                self._task_q.put(None)
+            except (OSError, ValueError):
+                break
         for p in self._procs:
             p.join(timeout=2.0)
         for p in self._procs:
@@ -375,11 +286,15 @@ class ProcessScheduler:
                     pass
         for sa in self._arrays:
             sa.destroy()
-        for sa in self._image_arrays.values():
-            sa.destroy()
         self._arrays = []
-        self._image_arrays = {}
         self._procs = []
+        self._task_q = self._result_q = self._active = None
+
+    def close(self) -> None:
+        """Retire the pool and release every shared block (idempotent)."""
+        if not self._closed:
+            self._closed = True
+            self._retire()
 
     # -- execution ---------------------------------------------------------
 

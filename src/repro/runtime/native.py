@@ -86,12 +86,12 @@ class NativeUpdate:
         #: (bound run arrays, flattened global copies, contiguous casts)
         self._keep: list = []
 
-        real_dtype = np.dtype(plan.get("real_dtype", "float64"))
+        real_dtype = np.dtype(plan["real_dtype"])
 
         writable = []  # (name, array) pairs that the kernel mutates
         # slots >= n_ret are immutable extras: read-only, never written
         # back, so a private contiguous copy is always a safe binding
-        n_ret = plan.get("n_ret", plan["n_state"])
+        n_ret = plan["n_ret"]
 
         def readonly_state(arr, want_dtype, si):
             arr = np.asarray(arr)
@@ -203,9 +203,9 @@ class NativeUpdate:
             if kind == "origin":
                 vals = np.asarray(orient.origin, dtype=np.float64).reshape(-1)
             elif kind == "minv":
-                vals = np.asarray(orient._m_inv, dtype=np.float64).reshape(-1)
+                vals = np.asarray(orient.index_jacobian, dtype=np.float64).reshape(-1)
             elif kind == "gxf":
-                vals = np.asarray(orient._m_inv_t, dtype=np.float64).reshape(-1)
+                vals = np.asarray(orient.gradient_transform, dtype=np.float64).reshape(-1)
             else:
                 raise CodegenError(f"native backend: unknown sc entry {entry!r}")
             sc[i : i + vals.size] = vals

@@ -316,9 +316,9 @@ class Program:
         :class:`~repro.runtime.scheduler.ThreadScheduler`, or
         :class:`~repro.runtime.mpsched.ProcessScheduler` object.  The run
         uses it but does not close it, so callers (the serving layer's
-        program registry) can keep warm worker pools across runs; a
-        reused process pool re-arms its live workers with the new run's
-        shared state instead of forking.
+        program registry) can keep warm thread pools across runs; a
+        reused process pool retires the last run's workers and forks
+        fresh ones for this run.
 
         ``obs`` is the :class:`repro.obs.Obs` the run records into and
         returns as ``result.metrics`` (DESIGN.md "Observability"); when

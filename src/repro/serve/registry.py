@@ -6,8 +6,9 @@ it runs on — under user-chosen names.  Registration compiles through the
 persistent compile cache (:mod:`repro.serve.cache`), so re-registering a
 program another worker already compiled skips the optimizer pipeline;
 requests then run on the entry's *pooled* scheduler (a warm
-``ThreadScheduler`` or re-armable ``ProcessScheduler``), so steady-state
-serving pays neither compile, image-load, nor pool-startup cost.
+``ThreadScheduler``), so steady-state serving pays neither compile,
+image-load, nor thread-startup cost.  A ``process`` entry's run forks
+its own worker pool and closes it when the run ends.
 
 Batching contract: a probe-style program declares (via
 :class:`ProbeSpec`) which image global carries the batch's points and
@@ -82,24 +83,20 @@ class ProgramEntry:
     # -- scheduler pooling -------------------------------------------------
 
     def _pooled_scheduler(self):
-        """The entry's warm scheduler instance (built on first use).
+        """The entry's warm thread pool (built on first use).
 
-        Thread and process pools are kept alive across runs —
-        ``Program.run`` never closes a scheduler *instance*, and a live
-        ``ProcessScheduler`` re-arms its forked workers per run instead
-        of re-forking.  ``seq``/default runs stay instance-free.
+        ``Program.run`` never closes a scheduler *instance*, so the
+        threads live across runs.  ``seq``/default runs stay
+        instance-free, and so do ``process`` runs: each forks its own
+        workers (as a borrowed pool would, one fork per run) and closes
+        them when it ends.
         """
-        if self.scheduler not in ("thread", "process") or self.workers < 2:
+        if self.scheduler != "thread" or self.workers < 2:
             return None
         if self._pool is None:
-            if self.scheduler == "thread":
-                from repro.runtime.scheduler import ThreadScheduler
+            from repro.runtime.scheduler import ThreadScheduler
 
-                self._pool = ThreadScheduler(self.workers)
-            else:
-                from repro.runtime.mpsched import ProcessScheduler
-
-                self._pool = ProcessScheduler(self.workers)
+            self._pool = ThreadScheduler(self.workers)
         return self._pool
 
     def close(self) -> None:

@@ -731,6 +731,30 @@ class TestFailingSetupReleases:
         assert not prog.has_checkpoint
         _results_equal(prog.run(scheduler="process", workers=2), prog.run())
 
+    def test_killed_worker_of_borrowed_pool(self, noise32):
+        """A worker that dies between runs is not the next run's worker:
+        ``setup`` retires the old pool and forks afresh, and ``close``
+        leaves no shared block behind."""
+        import os
+        import signal
+
+        from repro.runtime.mpsched import ProcessScheduler
+
+        shm = _shm_segments()
+        prog = compile_program(PROBING)
+        prog.bind_image("img", noise32)
+        want = prog.run(block_size=16)
+        pool = ProcessScheduler(2)
+        try:
+            _results_equal(prog.run(scheduler=pool, block_size=16), want)
+            victim = pool._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            _results_equal(prog.run(scheduler=pool, block_size=16), want)
+        finally:
+            pool.close()
+        assert _shm_segments() == shm
+
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_borrowed_scheduler_is_left_open(self, pool):
         from repro.errors import RuntimeErrorD

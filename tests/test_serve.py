@@ -145,14 +145,19 @@ class TestRegistry:
         assert entry._pool is pool1 and pool1 is not None
         assert np.array_equal(r1.outputs["y"], r2.outputs["y"])
 
-    def test_process_pool_reuses_workers(self, registry):
+    def test_process_entry_forks_per_run(self, registry):
+        import multiprocessing
+
+        seq = registry.register("seq", source=SIMPLE)
         entry = registry.register("a", source=SIMPLE, scheduler="process",
                                   workers=2)
-        entry.run()
-        pids1 = [p.pid for p in entry._pool._procs]
-        entry.run()
-        pids2 = [p.pid for p in entry._pool._procs]
-        assert pids1 == pids2, "a pooled process scheduler must re-arm, not re-fork"
+        want = seq.run().outputs["y"]
+        for _ in range(2):
+            got = entry.run().outputs["y"]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert entry._pool is None  # each run owned and closed its pool
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("diderot-worker-")]
 
 
 class TestRunBatch:
