@@ -113,11 +113,12 @@ def restore_strands(program, snap, ctx, g, grid, dirty, rec, obs):
 def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,
                   held):
     """Bind kernel and scheduler for ``plan``: ``(state, status, dispatch)``
-    — the arrays the run must use from here on (a process pool moves them
-    into shared memory) and ``dispatch(active, step)``, which runs one
-    round of blocks over the active strands and returns their ``(counts,
-    seconds)`` tallies and the worker that ran each.  A scheduler the run
-    creates is closed by ``held``; a borrowed one is left open."""
+    — the arrays the run must use from here on (a process pool copies them
+    into shared mappings its workers inherit) and ``dispatch(active,
+    step)``, which runs one round of blocks over the active strands and
+    returns their ``(counts, seconds)`` tallies and the worker that ran
+    each.  A scheduler the run creates is closed by ``held``; a borrowed
+    one is left open."""
     sched = plan.borrowed
     if plan.scheduler == "process":
         if sched is None:
@@ -125,9 +126,8 @@ def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,
 
             sched = ProcessScheduler(plan.workers)
             held.callback(sched.close)
-        state, status = sched.setup(
-            program.generated_source, ctx.images, program.dtype, g, state,
-            status)
+        state, status = sched.setup(program.namespace["update"], ctx, g,
+                                    state, status)
         run = partial(sched.run_step, block_size=plan.block_size, obs=obs)
     else:
         if sched is None:

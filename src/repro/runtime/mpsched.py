@@ -1,30 +1,29 @@
-"""True multicore execution: a process pool over shared-memory strand state.
+"""True multicore execution: a forked process pool over shared strand state.
 
 CPython's GIL serializes the bytecode between NumPy calls, so the
 thread-pool scheduler (:mod:`repro.runtime.scheduler`) cannot reach the
 paper's near-linear scaling on real hardware.  This module reproduces the
 paper's parallel runtime (§5.5) with *processes* instead:
 
-* **Shared-memory layout** — every strand-state array, the status array,
-  the active-strand index list, and every image payload live in
-  :mod:`multiprocessing.shared_memory` blocks.  The master's arrays *are*
-  views over those blocks, so worker writes are immediately visible
-  without any result pickling.
-* **One fork per run** — ``setup()`` forks the workers once per run, not
-  per super-step (paper §5.5 forks at start-up); a pool that already ran
-  retires that run's workers and shared blocks first, so no worker
-  outlives the run it was forked for.  Each worker receives a setup
-  message carrying the generated module source, the image metadata +
-  shared-memory names, the resolved global values, and the
-  state/status/active array specs; it ``exec``\\ s the source and
-  rebuilds its context locally.
+* **The fork carries the run** — ``setup()`` copies the strand state, the
+  status array and an active-strand index buffer into anonymous shared
+  mappings (``mmap.mmap(-1, n)``, ``MAP_SHARED``), binds one block kernel
+  (:class:`repro.runtime.kernel.NumpyKernel`) to them over the run's own
+  context, globals and generated ``update``, and forks the workers with
+  that kernel as their argument.  A worker inherits everything it needs;
+  images are shared copy-on-write, and worker writes land in the master's
+  arrays without any result pickling.
+* **One fork per run** — the workers live until the next ``setup()`` or
+  ``close()`` kills them (paper §5.5 forks at start-up, not per step), so
+  a borrowed pool serves many runs, one fork each, and no worker outlives
+  the run it was forked for.
 * **Work-list + barrier** — each super-step the master writes the active
   strand indices into the shared index buffer and enqueues
-  ``(block_start, block_end)`` ranges on a shared task queue; workers
-  pull ranges until the list is empty, running each through the block
-  kernel the in-process schedulers use (:mod:`repro.runtime.kernel`) over
-  their shared-memory views.  The master collecting one ack per block is
-  the paper's end-of-super-step barrier.
+  ``(block, start, end)`` ranges on one task queue; workers pull ranges
+  until the list is empty and answer each on a pipe of their own.  The
+  master collecting one answer per block is the paper's end-of-super-step
+  barrier; it waits on the pipes and the workers' sentinels together, so
+  a worker that dies fails the run at once.
 
 Strand blocks index disjoint strand sets, so concurrent in-place writes
 never overlap and the results are bit-identical to the sequential
@@ -33,156 +32,66 @@ schedule (asserted by ``tests/test_schedulers.py``).
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
-import pickle
-import queue as _queue
 import traceback
+from itertools import islice
+from multiprocessing.connection import wait
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.errors import RuntimeErrorD
 from repro.obs import Obs, clock, current
-from repro.runtime.kernel import Ctx, NumpyKernel
+from repro.runtime.kernel import NumpyKernel
 from repro.runtime.scheduler import block_span
 
-#: seconds between liveness checks while waiting on worker messages
-_POLL_INTERVAL = 5.0
+
+def _shared(arr) -> np.ndarray:
+    """A copy of ``arr`` in an anonymous shared mapping, which workers
+    forked afterwards write through; the mapping lives as long as any
+    array viewing it."""
+    arr = np.asarray(arr)
+    view = np.ndarray(arr.shape, arr.dtype,
+                      buffer=mmap.mmap(-1, max(1, arr.nbytes)))
+    view[...] = arr
+    return view
 
 
-def _context():
-    """Prefer fork (cheap, inherits sys.path); fall back to spawn."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
-
-
-class _SharedArray:
-    """A NumPy array whose storage is a named SharedMemory block."""
-
-    def __init__(self, arr: np.ndarray):
-        arr = np.ascontiguousarray(arr)
-        self.shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        self.view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=self.shm.buf)
-        self.view[...] = arr
-
-    def spec(self) -> tuple:
-        return (self.shm.name, self.view.shape, str(self.view.dtype))
-
-    def destroy(self) -> None:
-        self.view = None
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-
-def _attach(spec):
-    """Open a named block in a worker; returns ``(shm, ndarray_view)``.
-
-    The master owns the block's lifetime (it unlinks on close), so the
-    worker's attach must not register with its resource tracker — that
-    would produce spurious leak warnings / double unlinks at exit.
-    """
-    name, shape, dtype = spec
-    try:
-        shm = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        # before 3.13 there is no ``track`` kwarg — but attaching does not
-        # register with the resource tracker there either, so plain attach
-        # is already untracked
-        shm = shared_memory.SharedMemory(name=name)
-    return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-
-
-class _WorkerEnv:
-    """One run's worker-side state: shared views + compiled functions."""
-
-    __slots__ = ("shms", "active", "run_block")
-
-    def close(self) -> None:
-        for shm in self.shms:
-            try:
-                shm.close()
-            except Exception:
-                pass
-
-
-def _apply_setup(setup_bytes: bytes) -> _WorkerEnv:
-    """Attach the setup message's shared blocks and build the run env."""
-    from repro.image import Image
-
-    env = _WorkerEnv()
-    env.shms = shms = []
-    setup = pickle.loads(setup_bytes)
-    state = []
-    for spec in setup["state"]:
-        shm, view = _attach(spec)
-        shms.append(shm)
-        state.append(view)
-    shm, status = _attach(setup["status"])
-    shms.append(shm)
-    shm, env.active = _attach(setup["active"])
-    shms.append(shm)
-    images = {}
-    for name, (spec, dim, tshape, orient) in setup["images"].items():
-        shm, data = _attach(spec)
-        shms.append(shm)
-        # same dtype + contiguous ⇒ Image keeps the shared view, no copy
-        images[name] = Image(data, dim=dim, tensor_shape=tshape,
-                             orientation=orient, dtype=data.dtype)
-    ns: dict = {}
-    exec(compile(setup["source"], "<diderot-generated>", "exec"), ns)
-    # the block kernel, bound to the shared views
-    env.run_block = NumpyKernel(ns["update"], Ctx(images, setup["dtype"]),
-                                setup["globals"], state, status).run_block
-    return env
-
-
-def _worker_main(wid: int, setup_bytes: bytes, task_q, result_q) -> None:
-    """Worker process: one-time setup, then the per-step task loop until
-    the ``None`` shutdown sentinel.
+def _worker_main(wid: int, kernel: NumpyKernel, active: np.ndarray, tasks,
+                 answers) -> None:
+    """Worker process: run the blocks it pulls off ``tasks`` until killed.
 
     The worker records into an ``Obs`` of its own (the forked copy of the
     master's would double-count): op metrics accumulate there and each
-    block's ``done`` ack ships the drained delta back for the master to
-    merge at the super-step barrier.
+    block's ``done`` answer ships the drained delta back for the master
+    to merge at the super-step barrier.
     """
     with Obs(f"worker-{wid}", parent=None) as obs:
-        try:
-            env = _apply_setup(setup_bytes)
-            result_q.put(("ready", wid))
-        except BaseException:
-            result_q.put(("fatal", wid, traceback.format_exc()))
-            return
         while True:
             idle0 = clock()
-            task = task_q.get()
-            if task is None:
-                break
-            step, bindex, start, end = task
+            bindex, start, end = tasks.get()
             t0 = clock()
-            wait = t0 - idle0
             try:
                 # state/status writes land in place through the shared views
-                counts, _ = env.run_block(env.active[start:end], max_steps=1)
+                counts, _ = kernel.run_block(active[start:end])
             except BaseException:
-                result_q.put(("error", wid, bindex, traceback.format_exc()))
+                # whatever the generated update raised: the master
+                # re-raises it with this traceback
+                answers.send(("error", bindex, traceback.format_exc()))
                 continue
-            result_q.put(("done", wid, bindex, t0, clock() - t0,
-                          counts[0].tolist(), wait, obs.drain()))
-        env.close()
+            answers.send(("done", bindex, t0, clock() - t0,
+                          counts[0].tolist(), t0 - idle0, obs.drain()))
 
 
 class ProcessScheduler:
-    """Process pool with shared-memory strand state, forked once per run.
+    """Process pool over shared strand state, forked once per run.
 
     Unlike the in-process schedulers (which are handed opaque per-block
-    closures), this scheduler owns the strand state: ``setup()`` moves
-    the state/status arrays and image payloads into shared memory, forks
-    the pool, and returns shared views that **replace** the master's
-    arrays; each ``run_step()`` then only ships ``(start, end)`` block
-    ranges — workers write results in place through their own views.
+    closures), this scheduler owns the strand state: ``setup()`` copies
+    the state/status arrays into shared mappings, forks the pool, and
+    returns the shared arrays that **replace** the master's; each
+    ``run_step()`` then only ships ``(start, end)`` block ranges —
+    workers write results in place.
     """
 
     def __init__(self, workers: int):
@@ -190,124 +99,93 @@ class ProcessScheduler:
             raise ValueError("need at least one worker")
         self.workers = workers
         self.last_block_workers: list[int] = []
-        self._arrays: list[_SharedArray] = []
         self._procs: list = []
-        self._task_q = None
-        self._result_q = None
+        self._answers: list = []
+        self._tasks = None
         self._active = None
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
-    def setup(self, source: str, images: dict, dtype, global_values,
-              state: list[np.ndarray], status: np.ndarray):
-        """Move state into shared memory and fork the pool.
+    def setup(self, update, ctx, global_values, state: list[np.ndarray],
+              status: np.ndarray):
+        """Share the run's state and fork the pool.
 
-        Workers run the generated NumPy module: the pool is the NumPy
-        backend's multi-core path (DESIGN.md "Configuration matrix").
+        Workers run the generated NumPy module's ``update``: the pool is
+        the NumPy backend's multi-core path (DESIGN.md "Configuration
+        matrix").
 
-        Returns ``(state_views, status_view)`` — the shared arrays the
-        master must use for the rest of the run (stabilize scatters and
-        output extraction read worker writes through them).
+        Returns ``(state, status)`` — the shared arrays the master must
+        use for the rest of the run (stabilize scatters and output
+        extraction read worker writes through them).
 
         Calling ``setup()`` again on a pool that already ran first
-        retires that run's workers and shared blocks, then forks fresh
-        workers: a borrowed pool serves many runs, one fork each.
+        retires that run's workers, then forks fresh ones: a borrowed pool
+        serves many runs, one fork each.
         """
         if self._closed:
             raise RuntimeErrorD("process pool is closed")
         self._retire()
-        ctx = _context()
-
-        def share(arr) -> _SharedArray:
-            # registered as soon as it exists, so close() releases it
-            # even if a later block or the fork fails
-            self._arrays.append(_SharedArray(arr))
-            return self._arrays[-1]
-
-        state_sa = [share(s) for s in state]
-        status_sa = share(status)
-        active_sa = share(np.arange(status.shape[0], dtype=np.int64))
-        image_specs = {
-            name: (share(img.data).spec(), img.dim, img.tensor_shape,
-                   img.orientation)
-            for name, img in images.items()
-        }
-        setup_bytes = pickle.dumps(
-            {
-                "source": source,
-                "images": image_specs,
-                "dtype": dtype,
-                "globals": list(global_values),
-                "state": [sa.spec() for sa in state_sa],
-                "status": status_sa.spec(),
-                "active": active_sa.spec(),
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        self._active = active_sa.view
-        self._task_q = ctx.SimpleQueue()
-        self._result_q = ctx.Queue()
-        self._procs = [
-            ctx.Process(target=_worker_main,
-                        args=(i, setup_bytes, self._task_q, self._result_q),
-                        name=f"diderot-worker-{i}", daemon=True)
-            for i in range(self.workers)
-        ]
-        for p in self._procs:
-            p.start()
-        # setup barrier: every worker reports ready (or a setup failure)
-        for _ in self._procs:
-            msg = self._get_result()
-            if msg[0] == "fatal":
-                raise RuntimeErrorD(
-                    f"process worker {msg[1]} failed during setup:\n{msg[2]}"
-                )
-        return [sa.view for sa in state_sa], status_sa.view
+        state = [_shared(s) for s in state]
+        status = _shared(status)
+        self._active = _shared(np.arange(status.shape[0], dtype=np.int64))
+        kernel = NumpyKernel(update, ctx, global_values, state, status)
+        fork = mp.get_context("fork")
+        self._tasks = fork.SimpleQueue()
+        for wid in range(self.workers):
+            answers, reply = fork.Pipe(duplex=False)
+            self._answers.append(answers)
+            proc = fork.Process(
+                target=_worker_main, name=f"diderot-worker-{wid}",
+                args=(wid, kernel, self._active, self._tasks, reply),
+                daemon=True)
+            with reply:  # the worker's end: a dead worker reads as EOF
+                try:
+                    proc.start()
+                except OSError as exc:
+                    raise RuntimeErrorD(
+                        f"cannot fork process worker {wid}: {exc}") from exc
+            self._procs.append(proc)
+        return state, status
 
     def _retire(self) -> None:
-        """Stop the workers and release the last run's shared blocks."""
-        for _ in self._procs:
-            try:
-                self._task_q.put(None)
-            except (OSError, ValueError):
-                break
+        """Kill the last run's workers and reap them."""
         for p in self._procs:
-            p.join(timeout=2.0)
+            p.kill()
         for p in self._procs:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=1.0)
-        for q in (self._task_q, self._result_q):
-            if q is not None:
-                try:
-                    q.close()
-                except Exception:
-                    pass
-        for sa in self._arrays:
-            sa.destroy()
-        self._arrays = []
-        self._procs = []
-        self._task_q = self._result_q = self._active = None
+            p.join()
+            p.close()
+        for conn in self._answers:
+            conn.close()
+        if self._tasks is not None:
+            self._tasks.close()
+        self._procs, self._answers = [], []
+        self._tasks = self._active = None
 
     def close(self) -> None:
-        """Retire the pool and release every shared block (idempotent)."""
+        """Retire the pool (idempotent)."""
         if not self._closed:
             self._closed = True
             self._retire()
 
     # -- execution ---------------------------------------------------------
 
-    def _get_result(self):
-        while True:
-            try:
-                return self._result_q.get(timeout=_POLL_INTERVAL)
-            except _queue.Empty:
-                dead = [p.name for p in self._procs if not p.is_alive()]
-                if dead:
-                    raise RuntimeErrorD(
-                        f"process workers died unexpectedly: {dead}"
-                    ) from None
+    def _collect(self, n: int):
+        """Yield the next ``n`` answers as ``(worker, message)``; a worker
+        that has died raises at once."""
+        died = RuntimeErrorD("process workers died unexpectedly")
+        wid_of = {conn: wid for wid, conn in enumerate(self._answers)}
+        watched = [*self._answers, *(p.sentinel for p in self._procs)]
+        while n:
+            for ready in wait(watched):
+                if ready not in wid_of:  # a worker's sentinel: it exited
+                    raise died
+                try:
+                    msg = ready.recv()
+                except EOFError:  # its pipe closed: the worker is gone
+                    raise died from None
+                n -= 1
+                yield wid_of[ready], msg
 
     def run_step(self, active_idx: np.ndarray, block_size: int,
                  obs=None, step: int = 0):
@@ -328,28 +206,28 @@ class ProcessScheduler:
             (start, min(start + block_size, n_active))
             for start in range(0, n_active, block_size)
         ]
-        for i, (start, end) in enumerate(ranges):
-            self._task_q.put((step, i, start, end))
+        tasks = ((i, start, end) for i, (start, end) in enumerate(ranges))
+        # two blocks per worker in flight, one more per answer: the task
+        # pipe never fills, so the master never blocks in put() on workers
+        # that are dead and always reaches the wait that notices them
+        for task in islice(tasks, 2 * self.workers):
+            self._tasks.put(task)
         tallies = [None] * len(ranges)
         block_workers = [-1] * len(ranges)
         errors = []
-        for _ in ranges:  # the barrier: one ack per block
-            msg = self._get_result()
-            kind = msg[0]
-            if kind == "done":
-                _, wid, bindex, t0, dt, counts, wait, delta = msg
-                tallies[bindex] = (np.array([counts], dtype=np.int64),
-                                   np.array([dt]))
-                block_workers[bindex] = wid
-                obs.merge(delta)
-                obs.observe("sched.queue_wait_seconds", wait)
-                block_span(obs, step, bindex, t0, dt, wid, counts[0])
-            elif kind == "error":
-                errors.append((msg[2], msg[3]))
-            else:  # pragma: no cover - fatal after setup barrier
-                raise RuntimeErrorD(
-                    f"process worker {msg[1]} failed:\n{msg[2]}"
-                )
+        for wid, msg in self._collect(len(ranges)):  # the barrier
+            for task in islice(tasks, 1):
+                self._tasks.put(task)
+            if msg[0] == "error":
+                errors.append(msg[1:])
+                continue
+            _, bindex, t0, dt, counts, wait_s, delta = msg
+            tallies[bindex] = (np.array([counts], dtype=np.int64),
+                               np.array([dt]))
+            block_workers[bindex] = wid
+            obs.merge(delta)
+            obs.observe("sched.queue_wait_seconds", wait_s)
+            block_span(obs, step, bindex, t0, dt, wid, counts[0])
         self.last_block_workers = block_workers
         if errors:
             bindex, tb = errors[0]

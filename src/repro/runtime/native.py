@@ -89,12 +89,18 @@ class NativeUpdate:
         real_dtype = np.dtype(plan["real_dtype"])
 
         writable = []  # (name, array) pairs that the kernel mutates
-        # slots >= n_ret are immutable extras: read-only, never written
-        # back, so a private contiguous copy is always a safe binding
         n_ret = plan["n_ret"]
 
-        def readonly_state(arr, want_dtype, si):
-            arr = np.asarray(arr)
+        def state_slot(si, want_dtype):
+            """State slot ``si`` as the kernel binds it."""
+            if si < n_ret:  # written in place: the run's own array
+                arr = _check_state_array(state[si], want_dtype,
+                                         f"state slot {si}")
+                writable.append((f"state{si}", arr))
+                return arr
+            # slots >= n_ret are immutable extras: read-only, never written
+            # back, so a private contiguous copy is always a safe binding
+            arr = np.asarray(state[si])
             if arr.dtype != np.dtype(want_dtype):
                 raise CodegenError(
                     f"native backend: state slot {si} has dtype {arr.dtype}, "
@@ -126,13 +132,8 @@ class NativeUpdate:
                 arr = np.ascontiguousarray(
                     np.asarray(global_values[entry[1]], dtype=real_dtype)
                 ).reshape(-1)
-            elif entry[1] >= n_ret:  # ("state", si) read-only extra
-                arr = readonly_state(state[entry[1]], real_dtype, entry[1])
             else:  # ("state", si)
-                arr = _check_state_array(
-                    state[entry[1]], real_dtype, f"state slot {entry[1]}"
-                )
-                writable.append((f"state{entry[1]}", arr))
+                arr = state_slot(entry[1], real_dtype)
             rp_bufs.append(self._addr(arr))
 
         def footprint_box(kind, name):
@@ -159,25 +160,12 @@ class NativeUpdate:
             if entry[0] == "status":
                 arr = _check_state_array(status, np.int64, "status")
                 writable.append(("status", arr))
-            elif entry[1] >= n_ret:
-                arr = readonly_state(state[entry[1]], np.int64, entry[1])
             else:
-                arr = _check_state_array(
-                    state[entry[1]], np.int64, f"state slot {entry[1]}"
-                )
-                writable.append((f"state{entry[1]}", arr))
+                arr = state_slot(entry[1], np.int64)
             ip_bufs.append(self._addr(arr))
 
-        bp_bufs = []
-        for entry in plan["bool_ptrs"]:
-            if entry[1] >= n_ret:
-                arr = readonly_state(state[entry[1]], np.bool_, entry[1])
-            else:
-                arr = _check_state_array(
-                    state[entry[1]], np.bool_, f"state slot {entry[1]}"
-                )
-                writable.append((f"state{entry[1]}", arr))
-            bp_bufs.append(self._addr(arr))
+        bp_bufs = [self._addr(state_slot(entry[1], np.bool_))
+                   for entry in plan["bool_ptrs"]]
 
         # The kernel writes every state array in place; aliased arrays would
         # double-apply updates, so refuse them (Program then uses NumPy).

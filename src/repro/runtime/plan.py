@@ -15,6 +15,9 @@ from repro.errors import InputError
 from repro.runtime.choices import BACKEND_NAMES, SCHEDULER_CHOICES
 from repro.runtime.scheduler import SequentialScheduler, resolve_workers
 
+#: the process pool forks its workers (``runtime.mpsched``)
+CAN_FORK = hasattr(os, "fork")
+
 
 @dataclass(frozen=True)
 class RunPlan:
@@ -72,7 +75,8 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
     that the run wants footprints; ``bind_error`` is why the native kernel
     refused this run's arrays (the caller resolves again when binding
     fails).  A bad scheduler, worker count or backend, or the process
-    pool with the C backend, raises :class:`~repro.errors.InputError`."""
+    pool with the C backend or without ``fork``, raises
+    :class:`~repro.errors.InputError`."""
     borrowed, why = None, "requested"
     if scheduler is not None and not isinstance(scheduler, str):
         if not hasattr(scheduler, "run_step"):
@@ -101,6 +105,12 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
         raise InputError(
             f"unknown backend {backend!r}; choose from {BACKEND_NAMES}"
         )
+    if scheduler == "process" and not CAN_FORK:
+        # the pool's workers inherit the run by fork; there is no other way
+        raise InputError(
+            "scheduler 'process' needs fork(), which this platform lacks; "
+            "run scheduler 'seq' or 'thread'"
+        )
     if scheduler == "process" and backend == "c":
         # decided on the request, before any build: the answer must not
         # depend on whether a compiler is installed (DESIGN.md
@@ -122,12 +132,13 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
         # CPU, or a program that fits in one strand block.  Otherwise
         # threads for the C backend (the ctypes call releases the GIL, so
         # threads scale and share state for free) and processes for NumPy
-        # (which is GIL-bound on threads).
+        # (which is GIL-bound on threads) where the pool can fork.
         why = "auto"
         if workers == 1 or (os.cpu_count() or 1) == 1 or total <= block_size:
             scheduler = "seq"
         else:
-            scheduler = "thread" if backend == "c" else "process"
+            scheduler = ("thread" if backend == "c" or not CAN_FORK
+                         else "process")
 
     if backend != "c":
         driving = "per_step.numpy"

@@ -438,10 +438,6 @@ class Program:
                 finally:
                     if tallies:  # a failing run keeps what it did
                         _loop.book_steps(obs, tallies, plan.workers)
-                if plan.scheduler == "process":
-                    # outputs must outlive the pool's shared blocks
-                    state = [np.array(s) for s in state]
-                    status = np.array(status)
                 held.close()
 
             with obs.span("result", "run"):

@@ -50,8 +50,8 @@ strand S (int i, int j) {
 initially [ S(i, j) | i in 0 .. res-1, j in 0 .. res-1 ];
 """
 
-#: image-probing program — under the process scheduler the payload
-#: travels through a shared-memory block
+#: image-probing program — under the process scheduler the forked
+#: workers inherit the payload
 PROBING = """
 input real scale = 1.5;
 image(2)[] img = load("data.nrrd");
@@ -118,10 +118,12 @@ class TestSchedulerEquivalence:
     def test_process_error_propagates(self):
         from repro.errors import RuntimeErrorD
 
+        def update(*_):
+            raise ValueError("boom")
+
         prog = compile_program(BRANCHY)
-        # corrupt the generated source so workers fail during setup
-        broken = prog.generated_source + "\nraise ValueError('boom')\n"
-        object.__setattr__(prog, "generated_source", broken)
+        # the forked workers call the update the run was set up with
+        prog.namespace["update"] = update
         with pytest.raises(RuntimeErrorD, match="boom"):
             prog.run(workers=2, scheduler="process")
 
@@ -392,6 +394,23 @@ class TestProcessIsNumpyOnly:
                                      block_size=16, backend=backend, obs=obs)
         assert [e.args["scheduler"] for e in obs.events
                 if e.name == "superstep-loop"] == [f"auto→{picked}"]
+
+    def test_refused_without_fork(self, monkeypatch):
+        """Where ``fork`` is missing the pool is refused from the request,
+        and ``auto`` runs NumPy on threads instead."""
+        import os
+
+        from repro.runtime import plan
+
+        monkeypatch.setattr(plan, "CAN_FORK", False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        prog = compile_program(BRANCHY)
+        with pytest.raises(InputError, match="needs fork"):
+            prog.run(scheduler="process", workers=2)
+        obs = Obs()
+        prog.run(scheduler="auto", workers=2, block_size=16, obs=obs)
+        assert [e.args["scheduler"] for e in obs.events
+                if e.name == "superstep-loop"] == ["auto→thread"]
 
 
 class TestThreadPoolPersistence:
@@ -676,7 +695,7 @@ def _shm_segments():
 class TestFailingSetupReleases:
     """Set-up is inside the run's one ``finally``: a run that raises
     before the step loop leaves no gather hook, no worker of its own and
-    no shared memory behind, and leaves a borrowed scheduler alone."""
+    no ``/dev/shm`` entry behind, and leaves a borrowed scheduler alone."""
 
     @pytest.mark.parametrize("kw", [
         dict(),
@@ -713,18 +732,25 @@ class TestFailingSetupReleases:
         assert prog.run_update().num_strands == 6
 
     def test_process_worker_fatal_during_setup(self, monkeypatch):
-        from repro.errors import RuntimeErrorD
-        from repro.runtime import mpsched
+        from multiprocessing.process import BaseProcess
 
-        def broken(setup_bytes):
-            raise OSError("no shared memory today")
+        from repro.errors import RuntimeErrorD
+
+        real_start, started = BaseProcess.start, []
+
+        def start(proc):  # the second worker's fork fails
+            started.append(proc.name)
+            if len(started) == 2:
+                raise OSError("no fork today")
+            real_start(proc)
 
         shm, workers = _shm_segments(), _workers()
         prog = compile_program(BRANCHY)
-        with monkeypatch.context() as patched:  # before the fork
-            patched.setattr(mpsched, "_apply_setup", broken)
-            with pytest.raises(RuntimeErrorD, match="no shared memory today"):
+        with monkeypatch.context() as patched:
+            patched.setattr(BaseProcess, "start", start)
+            with pytest.raises(RuntimeErrorD, match="no fork today"):
                 prog.run(scheduler="process", workers=2, checkpoint=True)
+        assert started == ["diderot-worker-0", "diderot-worker-1"]
         assert _gather_hook() is None
         assert _workers() <= workers
         assert _shm_segments() == shm
@@ -734,7 +760,7 @@ class TestFailingSetupReleases:
     def test_killed_worker_of_borrowed_pool(self, noise32):
         """A worker that dies between runs is not the next run's worker:
         ``setup`` retires the old pool and forks afresh, and ``close``
-        leaves no shared block behind."""
+        leaves no ``/dev/shm`` entry behind."""
         import os
         import signal
 
@@ -754,6 +780,94 @@ class TestFailingSetupReleases:
         finally:
             pool.close()
         assert _shm_segments() == shm
+
+    def test_worker_killed_mid_run_fails_it_at_once(self):
+        """A worker that dies between super-steps fails the run at the
+        next barrier — not after a poll interval, and not silently while
+        its peer drains the work-list — and the pool's next run forks
+        afresh."""
+        import os
+        import signal
+        import time
+
+        from repro.errors import RuntimeErrorD
+        from repro.runtime.mpsched import ProcessScheduler
+
+        shm, workers = _shm_segments(), _workers()
+        prog = compile_program(BRANCHY)
+        want = prog.run(block_size=16)
+        seen, killed = {}, []
+
+        def on_step(ev):
+            if ev.step == 3:
+                seen["shm"] = _shm_segments()
+                seen["pids"] = [p.pid for p in pool._procs]
+                os.kill(seen["pids"][0], signal.SIGKILL)
+                killed.append(time.monotonic())
+
+        pool = ProcessScheduler(2)
+        try:
+            with pytest.raises(RuntimeErrorD, match="died unexpectedly"):
+                prog.run(scheduler=pool, block_size=16, on_step=on_step)
+            assert time.monotonic() - killed[0] < 2.0
+            assert seen["shm"] == shm
+            _results_equal(prog.run(scheduler=pool, block_size=16), want)
+        finally:
+            pool.close()
+        assert not set(seen["pids"]) & _workers()
+        assert _workers() <= workers
+        assert _shm_segments() == shm
+
+    def test_dead_pool_with_a_step_bigger_than_the_task_pipe(self):
+        """Every worker killed before a step of 3,600 one-strand blocks —
+        more than the task pipe holds — still fails the run at once: the
+        master never blocks handing out blocks that nobody takes."""
+        import os
+        import signal
+
+        from repro.errors import RuntimeErrorD
+        from repro.runtime.mpsched import ProcessScheduler
+
+        def hung(*_):
+            pytest.fail("the master hung on a dead pool")
+
+        def on_step(ev):
+            if ev.step == 0:
+                for p in pool._procs:
+                    os.kill(p.pid, signal.SIGKILL)
+                signal.alarm(10)
+
+        prog = compile_program(BRANCHY)
+        prog.set_input("res", 60)
+        pool = ProcessScheduler(2)
+        handler = signal.signal(signal.SIGALRM, hung)
+        try:
+            with pytest.raises(RuntimeErrorD, match="died unexpectedly"):
+                prog.run(scheduler=pool, block_size=1, on_step=on_step)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+            pool.close()
+
+    def test_outputs_outlive_the_pool(self):
+        """Outputs view the run's shared mappings: the pool's next run
+        and ``close()`` leave them as they were."""
+        from repro.runtime.mpsched import ProcessScheduler
+
+        prog = compile_program(BRANCHY)
+        pool = ProcessScheduler(2)
+        try:
+            res = prog.run(scheduler=pool, block_size=16)
+            kept = {k: v.copy() for k, v in res.outputs.items()}
+            prog.set_input("res", 10)
+            other = prog.run(scheduler=pool, block_size=16)
+            assert other.num_strands != res.num_strands
+            for k, v in kept.items():
+                assert np.array_equal(res.outputs[k], v), k
+        finally:
+            pool.close()
+        for k, v in kept.items():
+            assert np.array_equal(res.outputs[k], v), k
 
     @pytest.mark.parametrize("pool", ["thread", "process"])
     def test_borrowed_scheduler_is_left_open(self, pool):
