@@ -59,7 +59,8 @@ NumPy code performs as two roundings.
 
 ``generate_c_module(high, single=True)`` emits the same kernel over
 ``float``: ``dd_real`` becomes ``float``, every libm call switches to its
-``f``-suffixed form, and all numeric literals (Horner coefficients included)
+``f``-suffixed form (the eigen helpers excepted: they compute in double, as
+``rt.evals``/``evecs`` do), and all numeric literals (Horner coefficients included)
 are rounded to float once at emission time and printed as exact hex float
 literals.  The float kernel is validated against the float64 NumPy oracle at
 a relaxed tolerance (see ``core.verify.fuzz``); it may use FMA contraction,
@@ -81,6 +82,7 @@ the NumPy backend.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import ExitStack, contextmanager
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -146,7 +148,7 @@ typedef float dd_real;
 # NaN behaviour is load-bearing throughout: see module docstring.  Literal
 # constants stay double (C promotes, the store rounds), which keeps the
 # double build bit-identical to the PR 7 scalar emitter.
-_HELPERS = r"""
+_BASIC = r"""
 #define DD_PI 0x1.921fb54442d18p+1
 
 static dd_real dd_min(dd_real a, dd_real b) {
@@ -189,7 +191,9 @@ static dd_real dd_det3(const dd_real *m) {
          + m[2] * (m[3] * m[7] - m[4] * m[6]);
 }
 
-/* Mirrors tensors.ops.normalize: scale by the max |component| (NaN
+"""
+
+_NORMALIZE = r"""/* Mirrors tensors.ops.normalize: scale by the max |component| (NaN
  * propagates through the max), then divide by the scaled norm; an all-zero
  * vector maps to the zero vector. */
 static void dd_normalize(const dd_real *u, int n, dd_real *r) {
@@ -215,7 +219,9 @@ static void dd_normalize(const dd_real *u, int n, dd_real *r) {
     }
 }
 
-/* Symmetric 2x2 eigenvalues, descending.  m = [a b; b d] row-major. */
+"""
+
+_EIGEN = r"""/* Symmetric 2x2 eigenvalues, descending.  m = [a b; b d] row-major. */
 static void dd_evals2(const dd_real *m, dd_real *lam) {
     dd_real a = m[0], b = m[1], d = m[3];
     dd_real mean = 0.5 * (a + d);
@@ -389,6 +395,19 @@ static void dd_evecs3(const dd_real *m, dd_real *rows) {
 }
 """
 
+_HELPERS = _BASIC + _NORMALIZE + _EIGEN
+
+#: ``rt.evals``/``evecs`` compute in float64 at any precision, so a
+#: single-precision kernel calls a double twin of the eigen helpers and
+#: of the helpers they call: the same text over ``double``, each name
+#: ``_d``-suffixed
+_EIGEN_DOUBLE = re.sub(
+    r"\bdd_(sqrt|acos|cos|fabs)\b", r"\1",
+    re.sub(r"\b(dd_(?:min|max|clamp|[gl]t_nanfirst|cross3|det3|evals[23]"
+           r"|evec_raw|orth_unit|evecs[23]))\b", r"\1_d",
+           _BASIC[_BASIC.index("static"):] + _EIGEN),
+).replace("dd_real", "double")
+
 
 # The one exported entry point.  Strand status codes are the runtime's
 # (0 running, 1 stabilized, 2 died); %d is the status slot in IP.
@@ -450,6 +469,7 @@ def _prelude(single: bool, vb: int) -> str:
         "#endif\n\n"
         + precision
         + _HELPERS
+        + (_EIGEN_DOUBLE if single else "")
     )
 
 
@@ -1152,19 +1172,21 @@ class _Emitter:
         self.store(res, 0, f"dd_sqrt({squares})")
 
     @contextmanager
-    def _lanewise(self, ins: Instr, buf: str, n_in: int) -> Iterator[str]:
+    def _lanewise(self, ins: Instr, buf: str, n_in: int,
+                  ctype: str = "dd_real") -> Iterator[str]:
         """Per-lane AoS extract -> helper call -> SoA insert, for the eigen/
         normalize helpers that are intrinsically scalar per strand (an
         out-of-line call per lane, so the lane loop is not simd).
 
-        Declares the helper's input ``buf`` and its output ``_out``; the
-        caller fills ``buf`` and emits the call inside, then ``_out`` is
-        scattered into the result.  Yields a spare element index."""
+        Declares the helper's input ``buf`` and its output ``_out``, of
+        element type ``ctype``; the caller fills ``buf`` and emits the call
+        inside, then ``_out`` is scattered into the result.  Yields a spare
+        element index."""
         res = ins.result
         e = self.names.fresh("e")
         with self.lanes(simd=False):
-            self.emit(f"dd_real {buf}[{n_in}];")
-            self.emit(f"dd_real _out[{self.size_of(res)}];")
+            self.emit(f"{ctype} {buf}[{n_in}];")
+            self.emit(f"{ctype} _out[{self.size_of(res)}];")
             yield e
             self.emit(f"{_for(e, self.size_of(res))} {self.ref(res, e)} = _out[{e}];")
 
@@ -1180,18 +1202,21 @@ class _Emitter:
         n = a.ty.shape[0]
         if n not in (2, 3):
             self.fail(f"{stem} of {n}x{n} matrix is not supported")
-        # symmetrize into _s inside the per-lane block, then call the helper
-        with self._lanewise(ins, "_s", n * n):
+        # symmetrize into _s inside the per-lane block, then call the helper;
+        # single precision computes in double, as rt.evals/evecs do
+        cast, suffix = ("(double)", "_d") if self.single else ("", "")
+        with self._lanewise(ins, "_s", n * n,
+                            "double" if self.single else "dd_real"):
             i = self.names.fresh("i")
             j = self.names.fresh("j")
             self.emit(_for(i, n))
             with self.indented():
                 self.emit(
                     f"{_for(j, n)} _s[{i} * {n} + {j}] = 0.5 * "
-                    f"({self.ref(a, f'{i} * {n} + {j}')} + "
+                    f"({cast}{self.ref(a, f'{i} * {n} + {j}')} + "
                     f"{self.ref(a, f'{j} * {n} + {i}')});"
                 )
-            self.emit(f"dd_{stem}{n}(_s, _out);")
+            self.emit(f"dd_{stem}{n}{suffix}(_s, _out);")
 
     def _op_evals(self, ins: Instr) -> None:
         self._sym_helper(ins, "evals")

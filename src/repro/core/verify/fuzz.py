@@ -1,29 +1,46 @@
 """Differential fuzzing: random programs, N-way execution, shrinking.
 
-:class:`ProgramGen` generates random well-typed Diderot programs over the
-supported surface syntax — arithmetic, vectors, probes (``F(x)``,
-``∇F(x)``), nested conditionals, early exits, copies and swaps between two
-same-typed state variables.  Each sample is executed
-
-* by the compiled pipeline under every requested scheduler
-  (``seq``/``thread``/``process``; the process pool runs NumPy only), and
-* by the HighIR reference interpreter driven by a hand-rolled BSP loop
-  (bypassing probe synthesis, kernel expansion, and codegen entirely),
-
-and all results must agree to tight tolerance.  Any disagreement is a
-compiler or runtime bug; the failing program is then *shrunk* — the
-generator keeps the statement tree, and the shrinker repeatedly deletes
-statements and hoists ``if`` arms while the reduced program still fails —
-to a minimal source snippet for the bug report.
+:class:`ProgramGen` draws random well-typed programs from the op table: it
+picks a type, an op whose signature produces it (``OpInfo.surface`` and
+``sigs``, or a syntactic form of :data:`FORMS`) and recurses on the
+argument types, inside a fixed strand template with branches, early exits,
+state copies and swaps, and probes.  Each sample is executed by the
+compiled pipeline under every requested scheduler (the process pool runs
+NumPy only) and by the HighIR reference interpreter driven by a hand-rolled
+BSP loop (bypassing probe synthesis, kernel expansion, and codegen), and all
+results must agree to tight tolerance.  Any disagreement is a compiler or
+runtime bug; the failing statement tree is then *shrunk* — statements
+deleted and ``if`` arms hoisted while the reduced program still fails — to
+a minimal reproducer.  :func:`op_programs` is the generator's deterministic
+entry point: one program per op and signature instance.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.ir import ops as irops
+from repro.core.records import OptOptions
+from repro.core.ty.types import (
+    BOOL,
+    D,
+    INT,
+    REAL,
+    S,
+    TENSOR_S,
+    DimVar,
+    ShapeVar,
+    Sig,
+    TensorTy,
+    const,
+    subst,
+    substitute,
+)
 from repro.errors import DiderotError
 
 #: strands / steps for generated programs; N_STRANDS differs from every
@@ -36,6 +53,13 @@ def default_schedulers(backend: str) -> tuple[str, ...]:
     """Every scheduler that runs ``backend``: the process pool runs NumPy
     only."""
     return ("seq", "thread") + (("process",) if backend == "numpy" else ())
+
+
+def options(seed: int, fuse: bool = True) -> OptOptions:
+    """What seed ``seed`` compiles with: every fourth seed skips
+    contraction, so constant operands reach the emitters too (an
+    ``identity[n]`` never does otherwise)."""
+    return OptOptions(contraction=seed % 4 != 3, probe_fusion=fuse)
 
 
 def _phantom():
@@ -68,9 +92,11 @@ def render_stmts(stmts: list, indent: str = "                    ") -> str:
     return "\n".join(out)
 
 
-def render_program(stmts: list) -> str:
-    """Wrap a statement tree in the fixed strand/field template."""
+def render_program(stmts: list, state: tuple = ()) -> str:
+    """Wrap a statement tree in the fixed strand/field template; ``state``
+    adds strand-state declarations."""
     body = render_stmts(stmts)
+    extra = "".join(f"\n            {decl}" for decl in state)
     return f"""
         image(2)[] img = load("p.nrrd");
         field#2(2)[] F = img ⊛ bspln3;
@@ -78,7 +104,7 @@ def render_program(stmts: list) -> str:
             output real x = real(i) * 0.5;
             real y = 1.5 - real(i) * 0.25;
             output vec2 v = [0.1, real(i)];
-            int n = 0;
+            int n = 0;{extra}
             update {{
 {body}
                 n += 1;
@@ -89,87 +115,173 @@ def render_program(stmts: list) -> str:
     """
 
 
-class ProgramGen:
-    """Seeded random well-typed program generator (statement-tree form)."""
+# -- the generator ------------------------------------------------------------
+#
+# A *production* spells one op at one ground instance of one of its
+# signatures.  The op table gives the operator symbols, builtin names and
+# signatures; FORMS gives the syntactic forms; CONDITION keeps arguments
+# where every leg computes the same thing.  Nothing else names an op.
 
-    def __init__(self, seed: int):
+VEC2 = TensorTy((2,))
+DIMS = (2, 3)
+#: the shapes of generated tensors: scalars, vectors and matrices over DIMS
+SHAPES = ((), *((d,) for d in DIMS), *itertools.product(DIMS, DIMS))
+TYPES = (INT, BOOL, *(TensorTy(s) for s in SHAPES))
+
+#: ops written as a syntactic form, and the probes and domain test of the
+#: template's field ``F``: op -> [(template, signatures or None for the
+#: row's own)].  ``{0}``.. are the arguments, ``{k}`` a literal index.
+FORMS = {
+    "neg": [("(-{0})", None)],
+    "not": [("(!{0})", None)],
+    "norm": [("(|{0}|)", None)],
+    "select": [("({1} if {0} else {2})", (
+        Sig((BOOL, INT, INT), const(INT)),
+        Sig((BOOL, TENSOR_S, TENSOR_S), subst(TENSOR_S))))],
+    "tensor_index": [("({0})[{k}]", (
+        Sig((TensorTy((D, S)),), subst(TENSOR_S)),))],
+    "tensor_cons": [
+        ("[{0}, {1}]", (Sig((TENSOR_S,) * 2, subst(TensorTy((2, S)))),)),
+        ("[{0}, {1}, {2}]", (Sig((TENSOR_S,) * 3, subst(TensorTy((3, S)))),)),
+    ],
+    "identity": [(f"identity[{d}]", (Sig((), const(TensorTy((d, d)))),))
+                 for d in DIMS],
+    "probe": [(f"{nabla}F({{0}})", (Sig((VEC2,), const(ty)),)) for nabla, ty in
+              (("", REAL), ("∇", VEC2), ("∇⊗∇", TensorTy((2, 2))))],
+    "inside": [("inside({0}, F)", (Sig((VEC2,), const(BOOL)),))],
+}
+
+_POSITIVE = "(|{0}| + 0.5)"
+_NONZERO = {"int": "(2 * {0} + 1)", "real": "(|{0}| + 1.5)"}
+_NAN_LANE = {"real": "(sqrt(real(i) - 0.5) * 0.0 + {0})"}
+#: argument conditioning, once per op: a wrapper per argument (``None``: as
+#: generated; a dict picks by argument type).  It keeps every leg on one
+#: side of a domain edge, pole, branch cut or zero divisor, inside int64,
+#: off the zero vector (whose direction, like an out-of-domain probe's
+#: derivative, is rounding noise) and, for ``evecs``, on eigenvalues at
+#: least 1 apart (within 1 of 0, 3 [and 6]); strand 0's NaN (sqrt of a
+#: negative) must propagate on every backend.
+CONDITION = {
+    "div": (None, _NONZERO), "mod": (None, _NONZERO), "fmod": (None, _NONZERO),
+    "sqrt": (_POSITIVE,), "log": (_POSITIVE,),
+    "atan2": (None, _POSITIVE),
+    "asin": ("clamp(-0.9, 0.9, {0})",), "acos": ("clamp(-0.9, 0.9, {0})",),
+    "tan": ("clamp(-1.2, 1.2, {0})",),
+    "exp": ("clamp(-20.0, 20.0, {0})",),
+    "pow": (_POSITIVE, {"int": "({0} % 4)", "real": "clamp(-3.0, 3.0, {0})"}),
+    "real_to_int": ("({0} if (|{0}| < 1000.0) else 0.0)",),
+    "normalize_v": ({"tensor[2]": "({0} + [1.5, 0.0])",
+                     "tensor[3]": "({0} + [1.5, 0.0, 0.0])"},),
+    "evecs": ({
+        "tensor[2,2]": "({0} / (|{0}| + 1.0) + [[0.0, 0.0], [0.0, 3.0]])",
+        "tensor[3,3]": "({0} / (|{0}| + 1.0) + "
+                       "[[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 6.0]])",
+    },),
+    "min": (_NAN_LANE, None), "max": (_NAN_LANE, None),
+    "clamp": (_NAN_LANE, None, None),
+}
+
+#: how much likelier than another op of its type an op is drawn: the
+#: probes are what the compiler's middle end exists for
+WEIGHT = {"probe": 2}
+
+
+def instances(sigs) -> list[tuple[tuple, object]]:
+    """Ground ``(param types, result type)`` instances of an overload list,
+    over :data:`TYPES` (dimension variables at 2 and 3, shape variables at
+    every shape of :data:`SHAPES`); a signature's first instance of a
+    parameter tuple wins, as in :func:`repro.core.ty.types.resolve`."""
+    seen: dict[tuple, object] = {}
+    for sig in sigs:
+        variables = {
+            s.name: s
+            for p in sig.params if isinstance(p, TensorTy)
+            for s in p.shape if isinstance(s, (DimVar, ShapeVar))
+        }
+        domains = [DIMS if isinstance(v, DimVar) else SHAPES
+                   for v in variables.values()]
+        for combo in itertools.product(*domains):
+            env = dict(zip(variables, combo))
+            params = tuple(substitute(p, env) for p in sig.params)
+            if params in seen or (sig.guard and sig.guard(env)):
+                continue
+            result = sig.result(env)
+            if all(t in TYPES for t in (*params, result)):
+                seen[params] = result
+    return list(seen.items())
+
+
+#: one op's spelling, a ``str.format`` template, at one ground instance
+Production = namedtuple("Production", "op template params result")
+
+
+def productions() -> list[Production]:
+    """Every spelling of every op of the table, at every instance."""
+    out = []
+    for name, info in irops.OPS.items():
+        if name in FORMS:
+            spellings = [(t, sigs or info.sigs) for t, sigs in FORMS[name]]
+        else:
+            spellings = [(s, info.sigs) for s in info.surface]
+        for spelling, sigs in spellings:
+            for params, result in instances(sigs):
+                args = [f"{{{k}}}" for k in range(len(params))]
+                template = spelling if name in FORMS else (
+                    f"{spelling}({', '.join(args)})" if spelling.isidentifier()
+                    else f" {spelling} ".join(args).join("()"))
+                out.append(Production(name, template, params, result))
+    return out
+
+
+class ProgramGen:
+    """Seeded random well-typed program generator (statement-tree form).
+
+    ``varying=True`` draws no literal and no nullary form, so every
+    expression depends on the strand and no pass can fold it away.
+    """
+
+    def __init__(self, seed: int, varying: bool = False):
         self.rng = random.Random(seed)
-        self.locals_reals: list[str] = []
+        self.varying = varying
+        self.makes: dict = {}  # type -> op -> productions of that type
+        for prod in productions():
+            self.makes.setdefault(prod.result, {}).setdefault(
+                prod.op, []).append(prod)
+        self.scope = {REAL: ["x", "y"], VEC2: ["v"], INT: ["i", "n"]}
         self.n_locals = 0
 
-    def real(self, depth: int) -> str:
+    def expr(self, ty, depth: int) -> str:
         r = self.rng
-        atoms = [
-            lambda: f"{r.uniform(-3, 3):.3f}",
-            lambda: "x",
-            lambda: "y",
-            lambda: "real(i)",
-            lambda: "real(n)",
-        ]
-        if self.locals_reals:
-            atoms.append(lambda: r.choice(self.locals_reals))
-        if depth <= 0:
-            return r.choice(atoms)()
-        compound = [
-            lambda: f"({self.real(depth - 1)} + {self.real(depth - 1)})",
-            lambda: f"({self.real(depth - 1)} - {self.real(depth - 1)})",
-            lambda: f"({self.real(depth - 1)} * {self.real(depth - 1)})",
-            lambda: f"({self.real(depth - 1)} / (|({self.real(depth - 1)})| + 1.5))",
-            # + 0.5: sqrt's slope is unbounded at 0, where it would amplify
-            # rounding noise past the differential tolerance
-            lambda: f"sqrt(|({self.real(depth - 1)})| + 0.5)",
-            lambda: f"min({self.real(depth - 1)}, {self.real(depth - 1)})",
-            lambda: f"max({self.real(depth - 1)}, {self.real(depth - 1)})",
-            lambda: f"-{self.real(depth - 1)}",
-            lambda: f"clamp(-2.0, 2.0, {self.real(depth - 1)})",
-            lambda: f"real({self.int_expr(depth - 1)} / ({self.int_expr(depth - 1)} + 7))",
-            lambda: f"F({self.vec2(depth - 1)})",
-            lambda: f"|∇F({self.vec2(depth - 1)})|",
-            lambda: f"(∇F({self.vec2(depth - 1)}))[{r.randint(0, 1)}]",
-            lambda: f"({self.real(depth - 1)} if {self.cond(depth - 1)} "
-                    f"else {self.real(depth - 1)})",
-            lambda: f"({self.vec2(depth - 1)} • {self.vec2(depth - 1)})",
-            lambda: f"|{self.vec2(depth - 1)}|",
-            lambda: f"lerp({self.real(depth - 1)}, {self.real(depth - 1)}, 0.25)",
-        ]
-        return r.choice(atoms + compound)()
+        names = self.scope.get(ty, [])
+        if depth <= 0 or r.random() < 0.2:
+            if names and (self.varying or r.random() < 0.7):
+                return r.choice(names)
+            if not self.varying and ty in (INT, REAL):
+                text = str(r.randint(0, 5)) if ty == INT else \
+                    f"{r.uniform(-3, 3):.3f}"
+                return f"({text})" if text[0] == "-" else text
+        makes = self.makes[ty]
+        if depth <= 0 or self.varying:
+            # no deeper: build from variables, tensors by rows; varying:
+            # no nullary form (a constant)
+            makes = {op: keep for op, prods in makes.items() if (keep := [
+                p for p in prods if (p.params or not self.varying) and (
+                    depth > 0 or op == "tensor_cons"
+                    or all(t in self.scope for t in p.params))])}
+        ops = list(makes)
+        op = r.choices(ops, [WEIGHT.get(o, 1) for o in ops])[0]
+        prod = r.choice(makes[op])
+        return self.spell(prod, [self.expr(t, depth - 1) for t in prod.params])
 
-    def vec2(self, depth: int) -> str:
-        r = self.rng
-        base = f"[{self.real(max(0, depth - 1))}, {self.real(max(0, depth - 1))}]"
-        if depth > 0 and r.random() < 0.3:
-            return f"({base} + [{r.uniform(5, 40):.2f}, {r.uniform(5, 40):.2f}])"
-        return base
-
-    def int_expr(self, depth: int) -> str:
-        r = self.rng
-        atoms = [lambda: str(r.randint(0, 5)), lambda: "i", lambda: "n"]
-        if depth <= 0:
-            return r.choice(atoms)()
-        compound = [
-            lambda: f"({self.int_expr(depth - 1)} + {self.int_expr(depth - 1)})",
-            lambda: f"({self.int_expr(depth - 1)} * {r.randint(1, 3)})",
-            lambda: f"({self.int_expr(depth - 1)} % {r.randint(2, 5)})",
-            lambda: f"({self.int_expr(depth - 1)} / {r.randint(2, 4)})",
-        ]
-        return r.choice(atoms + compound)()
-
-    def cond(self, depth: int) -> str:
-        r = self.rng
-        base = [
-            lambda: f"{self.real(max(0, depth - 1))} < {self.real(max(0, depth - 1))}",
-            lambda: f"{self.int_expr(max(0, depth - 1))} == {self.int_expr(max(0, depth - 1))}",
-            lambda: f"{self.int_expr(max(0, depth - 1))} >= {self.int_expr(max(0, depth - 1))}",
-            lambda: f"inside({self.vec2(max(0, depth - 1))}, F)",
-        ]
-        if depth <= 0:
-            return r.choice(base)()
-        compound = [
-            lambda: f"({self.cond(depth - 1)} && {self.cond(depth - 1)})",
-            lambda: f"({self.cond(depth - 1)} || {self.cond(depth - 1)})",
-            lambda: f"!({self.cond(depth - 1)})",
-        ]
-        return r.choice(base + compound)()
+    def spell(self, prod: Production, args: list) -> str:
+        """``prod`` over ``args``, conditioned."""
+        conditions = CONDITION.get(prod.op, (None,) * len(args))
+        for k, (ty, wrap) in enumerate(zip(prod.params, conditions)):
+            if isinstance(wrap, dict):
+                wrap = wrap.get(str(ty))
+            if wrap is not None:
+                args[k] = wrap.format(args[k])
+        return prod.template.format(*args, k=self.rng.randrange(2))
 
     def stmts(self, depth: int, budget: int) -> list:
         r = self.rng
@@ -179,34 +291,34 @@ class ProgramGen:
             if kind < 0.25 and depth > 0:
                 # locals declared inside a branch are block-scoped; restore
                 # a fresh copy around each arm
-                saved = list(self.locals_reals)
+                saved = {t: list(names) for t, names in self.scope.items()}
                 inner = self.stmts(depth - 1, 2)
-                self.locals_reals = list(saved)
+                self.scope = {t: list(names) for t, names in saved.items()}
                 els = self.stmts(depth - 1, 2) if r.random() < 0.5 else None
-                self.locals_reals = list(saved)
-                out.append(("if", self.cond(1), inner, els))
+                self.scope = saved
+                out.append(("if", self.expr(BOOL, 1), inner, els))
             elif kind < 0.40:
-                name = f"t{self.n_locals}"
+                ty = r.choice((REAL, REAL, REAL, INT, BOOL, *TYPES[3:]))
+                out.append(f"{ty} t{self.n_locals} = {self.expr(ty, 2)};")
+                self.scope.setdefault(ty, []).append(f"t{self.n_locals}")
                 self.n_locals += 1
-                out.append(f"real {name} = {self.real(2)};")
-                self.locals_reals.append(name)
             elif kind < 0.55:
-                out.append(f"v = {self.vec2(2)};")
+                out.append(f"v = {self.expr(VEC2, 2)};")
             elif kind < 0.62 and depth > 0:
-                out.append(("if", self.cond(1), ["stabilize;"], None))
+                out.append(("if", self.expr(BOOL, 1), ["stabilize;"], None))
             elif kind < 0.67 and depth > 0:
-                out.append(("if", self.cond(1), ["die;"], None))
+                out.append(("if", self.expr(BOOL, 1), ["die;"], None))
             elif kind < 0.73:
                 # state-to-state copy: update hands back an array it was
                 # given, under another variable's name
                 out.append(r.choice(["x = y;", "y = x;"]))
             elif kind < 0.79:
-                name = f"t{self.n_locals}"
+                out.append(f"real t{self.n_locals} = x; x = y; "
+                           f"y = t{self.n_locals};")
                 self.n_locals += 1
-                out.append(f"real {name} = x; x = y; y = {name};")
             else:
                 op = r.choice(["=", "+=", "-=", "*="])
-                out.append(f"{r.choice('xxy')} {op} {self.real(2)};")
+                out.append(f"{r.choice('xxy')} {op} {self.expr(REAL, 2)};")
         return out
 
     def program_tree(self) -> list:
@@ -214,6 +326,26 @@ class ProgramGen:
 
     def program(self) -> str:
         return render_program(self.program_tree())
+
+
+def op_programs(seed: int = 0) -> dict[str, dict[str, str]]:
+    """op -> {instance label: program}: each production once, stored in the
+    output ``out``.  Its arguments are strand-state variables ``a0``..,
+    which no pass of the update method can see through or fold."""
+    progs: dict[str, dict[str, str]] = {}
+    for k, prod in enumerate(productions()):
+        g = ProgramGen(seed + k, varying=True)
+        args = [f"a{k}" for k in range(len(prod.params))]
+        state = [f"{ty} {a} = {g.expr(ty, 1)};"
+                 for a, ty in zip(args, prod.params)]
+        expr, ty = g.spell(prod, args), prod.result
+        if ty == BOOL:
+            expr, ty = FORMS["select"][0][0].format(expr, "1.0", "0.0"), REAL
+        label = f"{', '.join(map(str, prod.params))} -> {prod.result}"
+        progs.setdefault(prod.op, {})[label] = render_program(
+            [f"out = {expr};", "stabilize;"],
+            (*state, f"output {ty} out = {g.expr(ty, 0)};"))
+    return progs
 
 
 # -- execution ----------------------------------------------------------------
@@ -229,15 +361,10 @@ def interpret_program(src: str, image) -> dict[str, np.ndarray]:
     iters = [np.arange(N_STRANDS)]
     params = interp.call(hp.seed_func, g + iters)
     raw = [np.asarray(s) for s in interp.call(hp.init_func, g + list(params))]
-    state = []
-    for s in raw:
-        # broadcast constant initializers to full lanes (N_STRANDS differs
-        # from every tensor axis length, so the shape test is unambiguous)
-        if s.ndim == 0 or s.shape[0] != N_STRANDS:
-            s = np.broadcast_to(s, (N_STRANDS,) + s.shape).copy()
-        else:
-            s = s.copy()
-        state.append(s)
+    # broadcast constant initializers to full lanes (N_STRANDS differs from
+    # every tensor axis length, so the shape test is unambiguous)
+    state = [s.copy() if s.ndim and s.shape[0] == N_STRANDS else
+             np.broadcast_to(s, (N_STRANDS,) + s.shape).copy() for s in raw]
     status = np.zeros(N_STRANDS, dtype=np.int64)
     for _ in range(100):
         active = np.flatnonzero(status == 0)
@@ -249,19 +376,15 @@ def interpret_program(src: str, image) -> dict[str, np.ndarray]:
         for arr, new in zip(state, new_state):
             arr[active] = new
         status[active] = block_status
-    outputs = {}
-    state_names = hp.init_func.result_names
-    for out_name in hp.outputs:
-        outputs[out_name] = state[state_names.index(out_name)]
-    return outputs
+    names = hp.init_func.result_names
+    return {name: state[names.index(name)] for name in hp.outputs}
 
 
-def _run(prog_src: str, image, scheduler: str, fuse: bool, backend: str,
+def _run(prog_src: str, image, scheduler: str, optimize, backend: str,
          precision: str, block_size: int = 5, **run_kw):
-    from repro.core.driver import OptOptions, compile_program
+    from repro.core.driver import compile_program
 
-    prog = compile_program(prog_src, precision=precision,
-                           optimize=OptOptions(probe_fusion=fuse))
+    prog = compile_program(prog_src, precision=precision, optimize=optimize)
     prog.bind_image("img", image)
     workers = 1 if scheduler == "seq" else 2
     return prog.run(max_steps=100, scheduler=scheduler, workers=workers,
@@ -269,10 +392,11 @@ def _run(prog_src: str, image, scheduler: str, fuse: bool, backend: str,
 
 
 def _run_scheduler(prog_src: str, image, scheduler: str,
-                   fuse: bool = True,
+                   optimize: OptOptions | None = None,
                    backend: str = "numpy",
                    precision: str = "double") -> dict[str, np.ndarray]:
-    return _run(prog_src, image, scheduler, fuse, backend, precision).outputs
+    return _run(prog_src, image, scheduler, optimize, backend,
+                precision).outputs
 
 
 def step_tallies(res) -> tuple:
@@ -284,7 +408,8 @@ def step_tallies(res) -> tuple:
 
 
 def driving_check(src: str, image=None, scheduler: str = "seq",
-                  fuse: bool = True, precision: str = "double") -> str | None:
+                  optimize: OptOptions | None = None,
+                  precision: str = "double") -> str | None:
     """Run one program on the C backend under both loop drivings; None if
     they are bit-identical, tallies included, else a message.
 
@@ -294,8 +419,8 @@ def driving_check(src: str, image=None, scheduler: str = "seq",
     """
     if image is None:
         image = _phantom()
-    kernel = _run(src, image, scheduler, fuse, "c", precision)
-    stepped = _run(src, image, scheduler, fuse, "c", precision,
+    kernel = _run(src, image, scheduler, optimize, "c", precision)
+    stepped = _run(src, image, scheduler, optimize, "c", precision,
                    on_step=lambda ev: None)
     for name, a in kernel.outputs.items():
         b = stepped.outputs[name]
@@ -312,7 +437,7 @@ def differential_check(
     src: str,
     image=None,
     schedulers: tuple[str, ...] | None = None,
-    fuse: bool = True,
+    optimize: OptOptions | None = None,
     backend: str = "numpy",
     precision: str = "double",
 ) -> str | None:
@@ -323,8 +448,9 @@ def differential_check(
     and every scheduler again with one block covering every strand — must
     agree *exactly* (same generated code over the same strands) and the
     HighIR interpreter to numeric tolerance (it computes probes through a
-    different engine).  ``fuse`` toggles probe fusion in every compiled
-    run, so the fuzzer exercises both the fused and the unfused pipeline.
+    different engine).  Every compiled run uses ``optimize`` (default: all
+    passes on), so the fuzzer exercises the fused and the unfused pipeline
+    and the uncontracted one (:func:`options`).
     ``backend="c"`` runs the compiled legs through the native backend, with
     the interpreter still serving as the independent oracle; additionally
     the sequential NumPy run must match the native baseline to 1e-12, and
@@ -348,7 +474,8 @@ def differential_check(
         dict(rtol=1e-9, atol=1e-10)
     cross_tol = dict(rtol=2e-5, atol=1e-6) if single else \
         dict(rtol=1e-12, atol=1e-12)
-    base = _run_scheduler(src, image, schedulers[0], fuse, backend, precision)
+    base = _run_scheduler(src, image, schedulers[0], optimize, backend,
+                          precision)
     for name in base:
         a, c = base[name], ref[name]
         if not np.allclose(a, c, equal_nan=True, **interp_tol):
@@ -363,20 +490,20 @@ def differential_check(
         return None
 
     for sched in schedulers[1:]:
-        msg = vs_base(_run_scheduler(src, image, sched, fuse, backend,
+        msg = vs_base(_run_scheduler(src, image, sched, optimize, backend,
                                      precision), repr(sched))
         if msg is not None:
             return msg
     # the legs above cut the strands into blocks of 5; one block covering
     # every strand takes the kernel's in-place path instead
     for sched in schedulers:
-        out = _run(src, image, sched, fuse, backend, precision,
+        out = _run(src, image, sched, optimize, backend, precision,
                    block_size=N_STRANDS).outputs
         msg = vs_base(out, f"{sched!r} (one block)")
         if msg is not None:
             return msg
     if backend != "numpy":
-        out = _run_scheduler(src, image, schedulers[0], fuse, "numpy",
+        out = _run_scheduler(src, image, schedulers[0], optimize, "numpy",
                              precision)
         for name in base:
             a, b = base[name], out[name]
@@ -385,7 +512,7 @@ def differential_check(
                         f"disagree on {name!r}: {a} vs {b}")
         # the legs above all kept the step loop in the kernel
         for sched in schedulers:
-            msg = driving_check(src, image, sched, fuse, precision)
+            msg = driving_check(src, image, sched, optimize, precision)
             if msg is not None:
                 return msg
     return None
@@ -536,8 +663,9 @@ def fuzz(
     Seeds are ``seed .. seed+n-1`` so a run is reproducible and a failure
     names its seed.  ``schedulers`` defaults to every one that runs
     ``backend`` (:func:`default_schedulers`).  ``progress`` (optional
-    callable) receives ``(index, seed)`` before each sample.  ``fuse=False`` fuzzes the
-    unfused pipeline (``--no-fuse``); ``backend="c"`` fuzzes the native
+    callable) receives ``(index, seed)`` before each sample.  Each seed
+    compiles with :func:`options`; ``fuse=False`` fuzzes the unfused
+    pipeline (``--no-fuse``); ``backend="c"`` fuzzes the native
     backend against both the interpreter and the NumPy oracle;
     ``precision="single"`` fuzzes the float32 pipeline against the
     float64 interpreter oracle at relaxed tolerance (``--single``).
@@ -547,13 +675,14 @@ def fuzz(
     dirty-region update path against fresh-compile cold oracles, under
     each of ``schedulers`` in turn and ``backend``.
     """
-    from repro.core.driver import OptOptions, compile_program
+    from repro.core.driver import compile_program
 
     image = _phantom()
     schedulers = tuple(schedulers or default_schedulers(backend))
     report = FuzzReport(n_programs=n, schedulers=schedulers)
 
     def check(program_src: str, sample_seed: int) -> str | None:
+        optimize = options(sample_seed, fuse)
         if incremental:
             for sched in schedulers:
                 msg = incremental_check(program_src, image, seed=sample_seed,
@@ -561,7 +690,7 @@ def fuzz(
                 if msg is not None:
                     return f"scheduler {sched!r}: {msg}"
             return None
-        return differential_check(program_src, image, schedulers, fuse,
+        return differential_check(program_src, image, schedulers, optimize,
                                   backend, precision)
 
     for k in range(n):
@@ -571,7 +700,7 @@ def fuzz(
         tree = ProgramGen(s).program_tree()
         src = render_program(tree)
         lowered = compile_program(src, precision=precision,
-                                  optimize=OptOptions(probe_fusion=fuse))
+                                  optimize=options(s, fuse))
         report.ops.update(
             ins.op for ins in lowered.high.update_func.body.instructions())
         msg = check(src, s)

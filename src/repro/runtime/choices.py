@@ -15,3 +15,9 @@ SCHEDULER_CHOICES = ("seq", "thread", "process", "auto")
 
 #: the paper's strand-block size ("currently 4096 strands per block", §5.5)
 DEFAULT_BLOCK_SIZE = 4096
+
+
+def default_scheduler(workers: int) -> str:
+    """The scheduler of a run that names none: sequential on one worker,
+    threads on more."""
+    return "seq" if workers == 1 else "thread"

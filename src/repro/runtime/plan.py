@@ -12,7 +12,11 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import InputError
-from repro.runtime.choices import BACKEND_NAMES, SCHEDULER_CHOICES
+from repro.runtime.choices import (
+    BACKEND_NAMES,
+    SCHEDULER_CHOICES,
+    default_scheduler,
+)
 from repro.runtime.scheduler import SequentialScheduler, resolve_workers
 
 #: the process pool forks its workers (``runtime.mpsched``)
@@ -95,7 +99,7 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
         workers = getattr(borrowed, "workers", workers)
     workers = resolve_workers(workers)
     if scheduler is None:
-        scheduler, why = ("seq" if workers == 1 else "thread"), "default"
+        scheduler, why = default_scheduler(workers), "default"
     if scheduler not in SCHEDULER_CHOICES:
         raise InputError(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULER_CHOICES}"

@@ -109,7 +109,6 @@ class ProbeBatcher:
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: list) -> None:
-        points = np.concatenate([p for p, _ in batch], axis=0)
         # one Obs per coalesced batch; to_thread carries it to the run
         with Obs("batch") as obs, \
                 obs.span("batch", "serve", requests=len(batch)):
@@ -118,6 +117,9 @@ class ProbeBatcher:
             if len(batch) > 1:
                 obs.inc("serve.batch.coalesced", len(batch))
             try:
+                # inside the try: a batch that cannot even be assembled
+                # still answers every request in it
+                points = np.concatenate([p for p, _ in batch], axis=0)
                 outputs = await asyncio.to_thread(self.entry.run_batch,
                                                   points)
             except BaseException as exc:

@@ -37,8 +37,10 @@ import numpy as np
 from repro.errors import InputError
 from repro.image import Image
 from repro.obs import current
+from repro.runtime.choices import default_scheduler
 
-__all__ = ["ProbeSpec", "ProgramEntry", "ProgramRegistry", "warm_manifest"]
+__all__ = ["ProbeSpec", "ProgramEntry", "ProgramRegistry", "registration",
+           "warm_manifest"]
 
 
 @dataclass
@@ -71,7 +73,7 @@ class ProgramEntry:
         self.name = name
         self.program = program
         self.probe = probe
-        self.scheduler = scheduler
+        self.scheduler = scheduler or default_scheduler(workers)
         self.workers = workers
         self.backend = backend
         self.lock = threading.Lock()
@@ -86,10 +88,9 @@ class ProgramEntry:
         """The entry's warm thread pool (built on first use).
 
         ``Program.run`` never closes a scheduler *instance*, so the
-        threads live across runs.  ``seq``/default runs stay
-        instance-free, and so do ``process`` runs: each forks its own
-        workers (as a borrowed pool would, one fork per run) and closes
-        them when it ends.
+        threads live across runs.  ``seq`` runs stay instance-free, and so
+        do ``process`` runs: each forks its own workers (as a borrowed
+        pool would, one fork per run) and closes them when it ends.
         """
         if self.scheduler != "thread" or self.workers < 2:
             return None
@@ -166,28 +167,16 @@ class ProgramEntry:
         ``points`` has shape ``(n, *point_shape)``; each output comes
         back with leading dimension ``n`` (guard rows stripped).
         """
-        if self.probe is None:
-            raise InputError(
-                f"program {self.name!r} was registered without a probe "
-                "spec; only whole-program /run requests are supported"
-            )
-        spec = self.probe
         points = np.ascontiguousarray(points, dtype=self.program.dtype)
-        if points.ndim < 1 or points.shape[0] < 1:
-            raise InputError("probe batch must contain at least one point")
+        self.check_points(points)
+        spec = self.probe
         n = points.shape[0]
-        slot = self.program.high.images.get(spec.points_image)
-        if slot is None:
-            raise InputError(
-                f"{spec.points_image!r} is not an image global of "
-                f"{self.name!r}"
-            )
         if spec.pad:
             guard = np.repeat(points[-1:], spec.pad, axis=0)
             data = np.concatenate([points, guard], axis=0)
         else:
             data = points
-        img = Image(data, dim=1, tensor_shape=tuple(slot.shape))
+        img = Image(data, dim=1, tensor_shape=points.shape[1:])
         with current().span("run_batch", "serve", points=n), self.lock:
             if self._closed:
                 raise InputError(f"program {self.name!r} has been evicted")
@@ -203,12 +192,34 @@ class ProgramEntry:
             )
         return {name: arr[:n] for name, arr in result.outputs.items()}
 
+    def check_points(self, points: np.ndarray) -> None:
+        """Refuse a probe request whose rows are not one point each of
+        the points image — before it can join (and fail) a batch."""
+        if self.probe is None:
+            raise InputError(
+                f"program {self.name!r} was registered without a probe "
+                "spec; only whole-program /run requests are supported"
+            )
+        slot = self.program.high.images.get(self.probe.points_image)
+        if slot is None:
+            raise InputError(
+                f"{self.probe.points_image!r} is not an image global of "
+                f"{self.name!r}"
+            )
+        if points.ndim < 1 or points.shape[0] < 1:
+            raise InputError("probe batch must contain at least one point")
+        if points.shape[1:] != tuple(slot.shape):
+            raise InputError(
+                f"each point of {self.name!r} has shape {tuple(slot.shape)}, "
+                f"got rows of shape {points.shape[1:]}"
+            )
+
     def info(self) -> dict:
         return {
             "name": self.name,
             "inputs": self.program.input_names,
             "outputs": self.program.output_names,
-            "scheduler": self.scheduler or "seq",
+            "scheduler": self.scheduler,
             "workers": self.workers,
             "backend": self.backend or "numpy",
             "probe": None if self.probe is None else {
@@ -311,18 +322,63 @@ class ProgramRegistry:
             return name in self._entries
 
 
+def _integer(doc: dict, key: str, default: int, name: str) -> int:
+    value = doc.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{name!r} must be an integer, got {value!r}") \
+            from None
+
+
+def registration(doc: dict, base: str | None = None) -> dict:
+    """The :meth:`ProgramRegistry.register` keywords a registration object
+    asks for — a ``POST /programs/<name>`` body or a warm-manifest item:
+    ``path`` or ``source`` (with ``search_path``), and optionally
+    ``precision``, ``scheduler``, ``workers``, ``backend`` and a ``probe``
+    object (``points_image``, ``count_input``, optional ``pad``).  A
+    relative ``path`` resolves against ``base`` when one is given.  A
+    malformed field raises :class:`InputError` naming it."""
+    probe = doc.get("probe")
+    if probe:
+        if not isinstance(probe, dict):
+            raise InputError(
+                "'probe' must be an object with 'points_image' and "
+                f"'count_input', got {probe!r}")
+        for key in ("points_image", "count_input"):
+            if not isinstance(probe.get(key), str):
+                raise InputError(f"'probe.{key}' must name a global of the "
+                                 f"program, got {probe.get(key)!r}")
+        probe = ProbeSpec(probe["points_image"], probe["count_input"],
+                          _integer(probe, "pad", 1, "probe.pad"))
+    kwargs = dict(
+        precision=doc.get("precision", "double"), probe=probe or None,
+        scheduler=doc.get("scheduler"),
+        workers=_integer(doc, "workers", 1, "workers"),
+        backend=doc.get("backend"),
+    )
+    if "source" in doc:
+        kwargs["source"] = doc["source"]
+        kwargs["search_path"] = doc.get("search_path")
+    elif "path" in doc:
+        path = doc["path"]
+        if base is not None and not os.path.isabs(path):
+            path = os.path.join(base, path)
+        kwargs["path"] = path
+    else:
+        raise InputError("registration needs 'source' or 'path'")
+    return kwargs
+
+
 def warm_manifest(registry: ProgramRegistry, manifest_path: str, *,
                   cache: bool = True) -> list[ProgramEntry]:
     """Pre-compile and register every program listed in a JSON manifest.
 
     The manifest is either ``{"programs": [...]}`` or a bare list; each
-    item needs ``name`` plus ``path`` or ``source`` and may carry
-    ``precision``, ``scheduler``, ``workers``, ``backend``,
-    ``search_path``, and a ``probe`` object (``points_image``,
-    ``count_input``, optional ``pad``).  Relative ``path`` values are
-    resolved against the manifest file's directory.  Each registration
-    goes through the persistent compile cache and increments the
-    ``serve.registry.warmed`` counter.
+    item needs ``name`` and is otherwise a :func:`registration` object,
+    whose relative ``path`` values resolve against the manifest file's
+    directory.  Each registration goes through the persistent compile
+    cache and increments the ``serve.registry.warmed`` counter.
     """
     with open(manifest_path, encoding="utf-8") as fp:
         doc = json.load(fp)
@@ -336,30 +392,11 @@ def warm_manifest(registry: ProgramRegistry, manifest_path: str, *,
     for item in items:
         if not isinstance(item, dict) or "name" not in item:
             raise InputError(f"manifest entry needs a 'name': {item!r}")
-        probe = None
-        if item.get("probe"):
-            p = item["probe"]
-            probe = ProbeSpec(points_image=p["points_image"],
-                              count_input=p["count_input"],
-                              pad=int(p.get("pad", 1)))
-        kwargs = dict(
-            precision=item.get("precision", "double"), probe=probe,
-            scheduler=item.get("scheduler"),
-            workers=int(item.get("workers", 1)),
-            backend=item.get("backend"), cache=cache,
-        )
-        if "source" in item:
-            kwargs["source"] = item["source"]
-            kwargs["search_path"] = item.get("search_path")
-        elif "path" in item:
-            path = item["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base, path)
-            kwargs["path"] = path
-        else:
-            raise InputError(
-                f"manifest entry {item['name']!r} needs 'path' or 'source'"
-            )
-        entries.append(registry.register(item["name"], **kwargs))
+        try:
+            kwargs = registration(item, base)
+        except InputError as exc:
+            raise InputError(f"manifest entry {item['name']!r}: {exc}") \
+                from None
+        entries.append(registry.register(item["name"], cache=cache, **kwargs))
         current().inc("serve.registry.warmed")
     return entries

@@ -47,7 +47,7 @@ from repro.errors import DiderotError
 from repro.obs import ROOT, Obs, current
 from repro.obs.metrics import metrics_doc
 from repro.serve.batch import Overloaded, ProbeBatcher
-from repro.serve.registry import ProbeSpec, ProgramRegistry
+from repro.serve.registry import ProgramRegistry, registration
 
 __all__ = ["ServeApp"]
 
@@ -274,27 +274,7 @@ class ServeApp:
     # -- handlers ----------------------------------------------------------
 
     async def _register(self, name: str, doc: dict):
-        probe = None
-        if doc.get("probe"):
-            p = doc["probe"]
-            probe = ProbeSpec(points_image=p["points_image"],
-                              count_input=p["count_input"],
-                              pad=int(p.get("pad", 1)))
-        kwargs = dict(
-            precision=doc.get("precision", "double"),
-            probe=probe,
-            scheduler=doc.get("scheduler"),
-            workers=int(doc.get("workers", 1)),
-            backend=doc.get("backend"),
-            cache=self.compile_cache,
-        )
-        if "source" in doc:
-            kwargs["source"] = doc["source"]
-            kwargs["search_path"] = doc.get("search_path")
-        elif "path" in doc:
-            kwargs["path"] = doc["path"]
-        else:
-            raise _HttpError(400, "register needs 'source' or 'path'")
+        kwargs = registration(doc) | {"cache": self.compile_cache}
         # compile off the event loop: a cold compile takes real time
         entry = await asyncio.to_thread(self.registry.register, name, **kwargs)
         await self._drop_batcher(name)  # stale batcher from a replaced entry
@@ -305,8 +285,7 @@ class ServeApp:
         if "points" not in doc:
             raise _HttpError(400, "probe needs 'points'")
         points = np.asarray(doc["points"], dtype=entry.program.dtype)
-        if points.ndim < 1 or points.shape[0] < 1:
-            raise _HttpError(400, "'points' must be a non-empty array")
+        entry.check_points(points)
         outputs = await self._batcher(entry).submit(points)
         return 200, {"outputs": {k: v.tolist() for k, v in outputs.items()}}
 

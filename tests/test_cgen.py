@@ -196,6 +196,22 @@ class TestSinglePrecision:
                       backend="c", precision="single")
         assert report.ok, report.failures[0].message
 
+    def test_single_eigensystem_is_computed_in_double(self):
+        """``rt.evals`` works in float64 at any precision, and so must the
+        float kernel: else a rank-one matrix's zero eigenvalue is float
+        rounding noise on the C side only (``fuzz --single`` seed 13)."""
+        src = """
+            strand S (int i) {
+                output vec2 v = [0.1, real(i)];
+                update { v = evals(outer(v, v)); stabilize; }
+            }
+            initially [ S(i) | i in 0 .. 11 ];
+        """
+        prog = compile_program(src, precision="single")
+        got = prog.run(backend="c").outputs["v"]
+        want = prog.run(backend="numpy").outputs["v"]
+        assert np.allclose(got, want, rtol=2e-5, atol=1e-6), got - want
+
 
 @requires_cc
 class TestSemantics:

@@ -8,12 +8,11 @@ Three table-driven suites, so a new row is covered the day it is added:
 * ``foldable`` tells the truth — a flagged op folds on constant arguments
   of each of its signatures, an unflagged one is left alone;
 * op coverage — one single-update strand program per op and per ``Sig``
-  instance (dimensions 2 and 3, rectangular matrices included), compiled
-  with the validators on and run on NumPy, the native backend (at the
-  default batch width and, bit-identically, as the scalar kernel) and the
-  HighIR interpreter, which must agree to 1e-12.  The example programs
-  and the fuzzer never emit a third of the LowIR ops, so the
-  generated-code digests cannot see a wrong row there; this does.
+  instance (dimensions 2 and 3, rectangular matrices included), from the
+  fuzzer's generator (:func:`repro.core.verify.fuzz.op_programs`),
+  compiled with the validators on and run on NumPy, the native backend (at
+  the default batch width and, bit-identically, as the scalar kernel) and
+  the HighIR interpreter, which must agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
-import itertools
 
 import numpy as np
 import pytest
@@ -32,49 +30,18 @@ from repro.core.driver import OptOptions, compile_program
 from repro.core.ir import ops as irops
 from repro.core.ir.base import Body, Func, Instr, Value
 from repro.core.ty import builtins
-from repro.core.ty.types import (
-    BOOL,
-    INT,
-    REAL,
-    STRING,
-    DimVar,
-    ShapeVar,
-    TensorTy,
-    resolve,
-    substitute,
+from repro.core.ty.types import BOOL, INT, REAL, STRING, TensorTy
+from repro.core.verify.fuzz import (
+    FORMS,
+    _phantom,
+    instances,
+    interpret_program,
+    op_programs,
 )
-from repro.core.verify.fuzz import N_STRANDS, interpret_program
 from repro.core.verify.validate import _TypeChecker
 from repro.core.xform.contract import contract
 
 VOCAB = {"high": irops.HIGH, "mid": irops.MID, "low": irops.LOW}
-DIMS = (2, 3)
-SHAPES = ((), (3,), (2, 3))
-
-
-def instances(sigs) -> list[tuple[tuple, object]]:
-    """Ground ``(param types, result type)`` instances of an overload list:
-    every dimension variable at 2 and 3, every shape variable at a scalar,
-    a vector and a rectangular matrix.  String instances have no runtime
-    form and are left out."""
-    seen: dict[tuple, object] = {}
-    for sig in sigs:
-        variables = {
-            s.name: s
-            for p in sig.params if isinstance(p, TensorTy)
-            for s in p.shape if isinstance(s, (DimVar, ShapeVar))
-        }
-        domains = [DIMS if isinstance(v, DimVar) else SHAPES
-                   for v in variables.values()]
-        for combo in itertools.product(*domains):
-            env = dict(zip(variables, combo))
-            params = tuple(substitute(p, env) for p in sig.params)
-            if params in seen or STRING in params:
-                continue
-            result, _ = resolve(sigs, list(params))
-            if result is not None:
-                seen[params] = result
-    return list(seen.items())
 
 
 # -- completeness ---------------------------------------------------------------
@@ -228,108 +195,19 @@ def test_foldable_flag_tells_the_truth(name):
 
 # -- op coverage ------------------------------------------------------------------
 
-#: ops written as syntactic forms rather than operator symbols or calls
-FORMS = {"neg": "-{0}", "norm": "|{0}|", "not": "!{0}"}
-#: strand 0 feeds these a NaN as argument 0 (every backend has to
-#: propagate it, whichever side it comes from)
-NAN_LANE = ("min", "max", "clamp")
-
-
-def _ty_name(ty) -> str:
-    if ty in (INT, BOOL):
-        return str(ty)
-    if ty.shape == ():
-        return "real"
-    return f"tensor[{','.join(map(str, ty.shape))}]"
-
-
-def _tensor_lit(shape, leaf) -> str:
-    """Nested ``[..]`` literal; ``leaf(k)`` is the k-th scalar expression."""
-    counter = itertools.count()
-
-    def build(shape):
-        if not shape:
-            return leaf(next(counter))
-        return "[" + ", ".join(build(shape[1:]) for _ in range(shape[0])) + "]"
-
-    return build(tuple(shape))
-
-
-def _arg_expr(ty, k: int, nan_lane: bool) -> str:
-    """Argument ``k`` as a function of the strand index: ints span negative,
-    zero and positive (argument 1 is odd, so never a zero divisor); reals
-    stay inside (0, 1)."""
-    if ty == INT:
-        return ("(i * 3 - 7)", "(2 * i - 5)", "(i - 4)")[k]
-    if ty == BOOL:
-        return ("(i < 5)", "(i % 2 == 0)", "(i > 8)")[k]
-
-    def leaf(e: int) -> str:
-        x = (f"({0.15 + 0.05 * k + 0.02 * e:.2f} + "
-             f"{0.055 - 0.01 * k + 0.004 * e:.3f} * real(i))")
-        if nan_lane and k == 0 and e == 0:
-            x = f"(sqrt(real(i) - 0.5) * 0.0 + {x})"  # NaN on strand 0 only
-        return x
-
-    return _tensor_lit(ty.shape, leaf)
-
-
-def _program(params, result, expr: str, nan_lane: bool = False) -> str:
-    decls = "\n".join(
-        f"            {_ty_name(p)} a{k} = {_arg_expr(p, k, nan_lane)};"
-        for k, p in enumerate(params)
-    )
-    if result == BOOL:
-        result, expr = REAL, f"1.0 if {expr} else 0.0"
-    zero = "0" if result == INT else _tensor_lit(result.shape, lambda e: "0.0")
-    return f"""
-    strand S (int i) {{
-        output {_ty_name(result)} out = {zero};
-        update {{
-{decls}
-            out = {expr};
-            stabilize;
-        }}
-    }}
-    initially [ S(i) | i in 0 .. {N_STRANDS - 1} ];
-    """
-
-
-def _coverage_programs() -> dict[str, dict[str, str]]:
-    """op -> {instance label: source}, generated from the table."""
-    progs: dict[str, dict[str, str]] = {}
-    for name, info in irops.LOW.items():
-        symbols = [s for s in info.surface if not s.isidentifier()]
-        if not info.sigs or not (info.surface or name in FORMS):
-            continue
-        for params, result in instances(info.sigs):
-            args = [f"a{k}" for k in range(len(params))]
-            if name in FORMS:
-                expr = FORMS[name].format(*args)
-            elif symbols:
-                expr = f"({args[0]} {symbols[0]} {args[1]})"
-            else:
-                expr = f"{info.surface[0]}({', '.join(args)})"
-            label = ", ".join(map(_ty_name, params))
-            progs.setdefault(name, {})[label] = _program(
-                params, result, expr, name in NAN_LANE)
-    # identity takes no arguments, so only unoptimized code keeps the op
-    progs["identity"] = {
-        str(n): _program((), TensorTy((n, n)), f"identity[{n}]") for n in DIMS
-    }
-    return progs
-
-
-COVERAGE = _coverage_programs()
+COVERAGE = {op: progs for op, progs in op_programs().items() if op in irops.LOW}
+IMAGE = _phantom()
 
 
 @functools.cache
 def _compiled(op: str, label: str):
+    # identity takes no arguments, so only uncontracted code keeps the op
     optimize = OptOptions(contraction=op != "identity")
     prog = compile_program(COVERAGE[op][label], check=True, cache=False,
                            optimize=optimize)
     emitted = {ins.op for ins in prog.high.update_func.body.instructions()}
     assert op in emitted, f"{op}({label}) compiled to {sorted(emitted)}"
+    prog.bind_image("img", IMAGE)
     return prog
 
 
@@ -338,20 +216,16 @@ def _agree(a, b) -> bool:
 
 
 def test_coverage_reaches_every_surface_op():
-    """Every LowIR op a source program can spell has generated programs —
-    among them the twenty ops no example program or fuzz seed 0–999 emits."""
-    unseen = ("abs acos asin atan atan2 ceil cos cross det exp floor fmod "
-              "identity le log ne real_to_int sin tan transpose").split()
-    assert set(unseen) <= set(COVERAGE)
+    """Every LowIR op a source program can spell has generated programs."""
     spelled = {n for n, i in irops.LOW.items() if i.sigs and i.surface}
-    assert spelled <= set(COVERAGE)
+    assert spelled | (set(FORMS) & set(irops.LOW)) <= set(COVERAGE)
 
 
 @pytest.mark.parametrize("op", sorted(COVERAGE))
 def test_numpy_agrees_with_interpreter(op):
     for label, src in COVERAGE[op].items():
         got = _compiled(op, label).run(max_steps=2, backend="numpy").outputs["out"]
-        want = interpret_program(src, None)["out"]
+        want = interpret_program(src, IMAGE)["out"]
         assert _agree(got, want), f"{op}({label}): {got} vs {want}"
 
 

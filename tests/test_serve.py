@@ -10,6 +10,7 @@ because Python serializes floats with shortest-round-trip repr.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 
@@ -21,7 +22,7 @@ from repro.errors import InputError
 from repro.image import Image
 from repro.obs import ROOT
 from repro.serve.batch import Overloaded, ProbeBatcher
-from repro.serve.registry import ProbeSpec, ProgramRegistry
+from repro.serve.registry import ProbeSpec, ProgramRegistry, warm_manifest
 from repro.serve.server import ServeApp
 from tests.http_client import request
 
@@ -109,6 +110,13 @@ class TestRegistry:
         with pytest.raises(InputError):
             registry.register("x", source=SIMPLE, path=EXAMPLE)
 
+    def test_bad_manifest_names_entry_and_field(self, registry, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{
+            "name": "w", "path": EXAMPLE, "probe": {"count_input": "N"}}]))
+        with pytest.raises(InputError, match="'w': 'probe.points_image'"):
+            warm_manifest(registry, str(manifest))
+
     def test_evicted_entry_refuses_runs(self, registry):
         entry = registry.register("a", source=SIMPLE)
         registry.evict("a")
@@ -144,6 +152,19 @@ class TestRegistry:
         r2 = entry.run()
         assert entry._pool is pool1 and pool1 is not None
         assert np.array_equal(r1.outputs["y"], r2.outputs["y"])
+
+    def test_default_scheduler_is_the_runs_and_pooled(self, registry):
+        """An entry that names no scheduler reports, and pools, the one
+        its runs' plan picks."""
+        entry = registry.register("a", source=SIMPLE, workers=2)
+        assert entry.info()["scheduler"] == "thread"
+        runs = [entry.run(), entry.run()]
+        assert entry._pool is not None and entry._pool.workers == 2
+        picked = [e.args["scheduler"] for r in runs for e in r.metrics.events
+                  if e.name == "superstep-loop"]
+        assert picked == ["instance→thread"] * 2
+        assert registry.register("b", source=SIMPLE).info()["scheduler"] \
+            == "seq"
 
     def test_process_entry_forks_per_run(self, registry):
         import multiprocessing
@@ -238,6 +259,34 @@ class TestBatcher:
         # the running batch holds one, the queue two; the other five shed
         assert served == [0, 1, 2] and shed == [3, 4, 5, 6, 7]
         assert _counter("serve.shed") - before == 5
+
+    def test_unassembled_batch_answers_every_request(self, registry,
+                                                     monkeypatch):
+        """Rows of two shapes cannot be concatenated into one batch: each
+        request of that batch gets the error, and the drain goes on."""
+        entry = registry.register("p", path=EXAMPLE,
+                                  probe=ProbeSpec("pts", "N"))
+        started, release, _ = _hold_first_batch(monkeypatch, entry)
+        points = _points(3)
+
+        async def drive():
+            batcher = ProbeBatcher(entry)
+            first = asyncio.ensure_future(batcher.submit(points[:1]))
+            await asyncio.to_thread(started.wait, 60)
+            queued = [asyncio.ensure_future(batcher.submit(p))
+                      for p in (np.ones((1, 2)), points[1:2])]
+            await _until(lambda: batcher._queue.qsize() == 2)
+            release.set()
+            done = await asyncio.wait_for(asyncio.gather(
+                first, *queued, return_exceptions=True), 30)
+            after = await asyncio.wait_for(batcher.submit(points[2:]), 30)
+            await batcher.close()
+            return done, after
+
+        (first, bad, good), after = asyncio.run(drive())
+        assert isinstance(first, dict)
+        assert isinstance(bad, ValueError) and isinstance(good, ValueError)
+        assert np.array_equal(after["out"], _direct_oracle(points)[2:])
 
     def test_idle_batcher_arms_no_timer(self, registry, monkeypatch):
         """A lone request on an idle batcher runs at once: no
@@ -374,6 +423,58 @@ class TestHttpServer:
         assert s404 == 404
         assert s400 == 400
         assert s405 == 404
+
+    def test_malformed_point_answers_400_not_a_hang(self, monkeypatch):
+        """A request whose rows are not points of the points image is
+        refused before it queues, so it cannot take the batch it would
+        join down with it."""
+        points = _points(2)
+        want = _direct_oracle(points)
+
+        async def drive():
+            app = ServeApp(ProgramRegistry())
+            await app.start("127.0.0.1", 0)
+            await request(app.port, "POST", "/programs/demo", {
+                "path": EXAMPLE,
+                "probe": {"points_image": "pts", "count_input": "N"}})
+            started, release, _ = _hold_first_batch(
+                monkeypatch, app.registry.get("demo"))
+            first = asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [points[0].tolist()]}))
+            await asyncio.to_thread(started.wait, 60)
+            bad = asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [[1.0, 2.0]]}))
+            good = asyncio.ensure_future(request(
+                app.port, "POST", "/probe/demo", {"points": [points[1].tolist()]}))
+            await _until(lambda: bad.done())
+            release.set()
+            answers = await asyncio.wait_for(
+                asyncio.gather(first, bad, good), 30)
+            await app.close()
+            return answers
+
+        (s1, d1), (s_bad, d_bad), (s2, d2) = asyncio.run(drive())
+        assert (s1, s_bad, s2) == (200, 400, 200)
+        assert "shape (3,)" in d_bad["error"]
+        assert np.array_equal(np.asarray(d1["outputs"]["out"]), want[:1])
+        assert np.array_equal(np.asarray(d2["outputs"]["out"]), want[1:])
+
+    @pytest.mark.parametrize("probe,field", [
+        ({"count_input": "N"}, "probe.points_image"),
+        ("pts:N", "'probe'"),
+        ({"points_image": "pts", "count_input": "N", "pad": "x"}, "probe.pad"),
+    ])
+    def test_malformed_registration_answers_400(self, probe, field):
+        async def drive():
+            app = ServeApp(ProgramRegistry())
+            await app.start("127.0.0.1", 0)
+            answer = await request(app.port, "POST", "/programs/demo",
+                                   {"path": EXAMPLE, "probe": probe})
+            await app.close()
+            return answer
+
+        status, doc = asyncio.run(drive())
+        assert status == 400 and field in doc["error"]
 
     def test_shed_returns_429(self, monkeypatch):
         points = _points(10)
