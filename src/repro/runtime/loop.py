@@ -87,10 +87,10 @@ def make_strands(program, ctx, g, grid: Grid, ids: np.ndarray,
 
 
 def restore_strands(program, snap, ctx, g, grid, dirty, rec, obs):
-    """The strand set of an update run: clean strands come back from the
-    checkpoint ``snap``; the ``dirty`` ones are re-seeded and
-    re-initialized exactly as a cold run would (init may probe the image,
-    so restoring a stale init is not an option)."""
+    """The strand set of an update run: the checkpoint ``snap``'s own
+    arrays, with the ``dirty`` rows re-seeded and re-initialized exactly
+    as a cold run would (init may probe the image, so restoring a stale
+    init is not an option)."""
     if snap.total != grid.total:
         raise RuntimeErrorD(
             f"checkpoint has {snap.total} strands but the current "
@@ -99,15 +99,14 @@ def restore_strands(program, snap, ctx, g, grid, dirty, rec, obs):
     with obs.span("snapshot-restore", "incremental",
                   hist="runtime.restore_seconds", dirty=int(dirty.size),
                   total=grid.total):
-        state, status = snap.copies()
         if rec is not None:
             rec.reset_rows(dirty)
         if dirty.size:
             fresh = make_strands(program, ctx, g, grid, dirty, rec)
-            for s_arr, new in zip(state, fresh):
+            for s_arr, new in zip(snap.state, fresh):
                 s_arr[dirty] = new
-            status[dirty] = RUNNING
-    return state, status
+            snap.status[dirty] = RUNNING
+    return snap.state, snap.status
 
 
 def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,

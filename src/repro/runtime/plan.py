@@ -46,7 +46,7 @@ class RunPlan:
     #: footprints — or ``shadow.<why they cannot>``: a sequential shadow run
     #: will; ``None`` when the run keeps no footprints
     footprint: str | None
-    #: dirty strands over a restored checkpoint, not a cold run
+    #: dirty strands in the checkpoint's own arrays, not a cold run
     update: bool
 
     @property

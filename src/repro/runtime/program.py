@@ -360,7 +360,7 @@ class Program:
             # a run that could not record leaves the footprints to a lazy
             # shadow run (build_footprints)
             self._inc = _increc.Snapshot(
-                state=[np.array(s) for s in state], status=status.copy(),
+                state=state, status=status,
                 total=result.num_strands, steps=result.steps,
                 max_steps=max_steps, backend=plan.backend,
                 recorder=rec if plan.records else None)
@@ -372,8 +372,8 @@ class Program:
         backends"): plan → strand set → block kernel → super-step loop;
         returns ``(result, plan, state, status)``.  ``dirty`` is ``None``
         for a cold run — every strand is created — or the strand ids to
-        re-create over the checkpoint's restored state; ``rec`` receives
-        the footprints when the plan lets the strand updates record.
+        re-create in the checkpoint's own arrays; ``rec`` receives the
+        footprints when the plan lets the strand updates record.
         Everything the run acquires — its ``Obs`` scope, the gather hook,
         a scheduler or pool of its own — is given back by the one ``with``,
         set-up included."""
@@ -452,7 +452,9 @@ class Program:
                                 dirty.size / max(grid.total, 1))
                 obs.inc_many(counts)
                 obs.gauge("strands.active", int(active.size))
-                result = self._result(grid, state, status, steps, obs, dirty)
+                # the snapshot keeps a checkpointing or update run's arrays
+                result = self._result(grid, state, status, steps, obs, dirty,
+                                      plan.footprint is not None or plan.update)
             whole.args.update(
                 workers=plan.workers, block_size=block_size, steps=steps,
                 strands=grid.total, stable=result.num_stable,
@@ -460,15 +462,17 @@ class Program:
         result.wall_time = whole.dur
         return result, plan, state, status
 
-    def _result(self, grid, state, status, steps, obs, dirty) -> RunResult:
-        """Assemble outputs and statistics; ``dirty`` marks an update run.
-        The caller fills in ``wall_time`` once the run's span has closed."""
+    def _result(self, grid, state, status, steps, obs, dirty,
+                copy) -> RunResult:
+        """Assemble outputs (copies when ``copy``) and statistics; ``dirty``
+        marks an update run.  The caller fills in ``wall_time``."""
         name_to_arr = dict(zip(self.high.init_func.result_names, state))
         outputs: dict[str, np.ndarray] = {}
         if self.high.grid:
             for name in self.high.outputs:
                 arr = name_to_arr[name]
-                outputs[name] = arr.reshape(grid.sizes + arr.shape[1:])
+                arr = arr.reshape(grid.sizes + arr.shape[1:])
+                outputs[name] = arr.copy() if copy else arr
         else:
             keep = status == STABILIZE
             for name in self.high.outputs:
@@ -478,8 +482,8 @@ class Program:
             outputs=outputs,
             steps=steps,
             num_strands=grid.total,
-            num_stable=int(np.sum(status == STABILIZE)),
-            num_died=int(np.sum(status == DIE)),
+            num_stable=int(np.count_nonzero(status == STABILIZE)),
+            num_died=int(np.count_nonzero(status == DIE)),
             wall_time=0.0,
             grid=self.high.grid,
             grid_dims=len(self.high.iter_names),
@@ -594,8 +598,12 @@ class Program:
         if dirty is None:
             # an untracked (global-box) read overlaps the patch
             snap.pending_full = True
+        elif snap.pending_ids.size:  # merged through one mask
+            mask = np.zeros(snap.total, dtype=np.bool_)
+            mask[snap.pending_ids] = mask[dirty] = True
+            snap.pending_ids = np.flatnonzero(mask)
         else:
-            snap.pending_ids = np.union1d(snap.pending_ids, dirty)
+            snap.pending_ids = dirty
         return info([[lo.tolist(), hi.tolist()] for lo, hi in regions],
                     snap.total if dirty is None else int(dirty.size),
                     dirty is None)
@@ -612,12 +620,12 @@ class Program:
     ) -> RunResult:
         """Re-execute only the strands invalidated since the checkpoint.
 
-        Consumes the dirty set queued by :meth:`update_input`: clean
-        strands are restored from the snapshot, dirty strands are
-        re-seeded, re-initialized, and run to convergence, and the
-        snapshot is replaced with the new converged state.  The result
-        is bit-identical to a cold :meth:`run` over the patched inputs
-        (golden-gated across all schedulers and both backends).
+        Consumes the dirty set queued by :meth:`update_input`: the dirty
+        strands are re-seeded, re-initialized and run to convergence in
+        the snapshot's own arrays (an update that raises leaves them
+        pending); the result holds copies of the outputs, bit-identical to
+        a cold :meth:`run` over the patched inputs (golden-gated across
+        all schedulers and both backends).
 
         ``backend`` defaults to the checkpoint's backend; passing a
         different one raises (mixed backends would break the
@@ -651,13 +659,14 @@ class Program:
             obs, workers=workers, block_size=block_size,
             max_steps=max_steps, scheduler=scheduler, backend=backend,
             on_step=on_step, rec=snap.recorder, dirty=dirty)
-        snap.pending_ids = np.empty(0, dtype=np.int64)
-        snap.store_rows(dirty, state, status)
-        snap.steps, snap.max_steps = result.steps, max_steps
         if not plan.records:
-            # re-ran without recording: re-trace those rows now, on the
-            # inputs their new trajectories were computed from
+            # a process pool ran on shared copies and recorded nothing:
+            # re-trace the rows, then store the pool's over the shadow's
             self.build_footprints(dirty, obs=obs)
+            for mine, new in zip([*snap.state, snap.status], [*state, status]):
+                mine[dirty] = new[dirty]
+        snap.pending_ids = np.empty(0, dtype=np.int64)
+        snap.steps, snap.max_steps = result.steps, max_steps
         return result
 
     # -- synthesized CLI glue (paper §3.3.1) ---------------------------------------

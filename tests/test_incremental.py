@@ -401,6 +401,90 @@ def test_sequential_updates_stay_identical():
         assert np.array_equal(res.outputs["x"], want.outputs["x"])
 
 
+# -- the in-place update: held results, failed updates, pending merges --------
+
+SEQ_BACKENDS = ["numpy"] + (["c"] if NATIVE else [])
+
+
+def _patch(prog, data: np.ndarray, i: int, j: int, delta: float) -> dict:
+    """Bump the 4×4 block at ``(i, j)`` of ``data`` and hand it to
+    ``prog.update_input``."""
+    data[i:i + 4, j:j + 4] += delta
+    return prog.update_input("img", data[i:i + 4, j:j + 4],
+                             region=[[i, i + 3], [j, j + 3]])
+
+
+@pytest.mark.parametrize("backend", SEQ_BACKENDS)
+def test_held_results_survive_later_updates(backend):
+    """An update runs in the checkpoint's own arrays and hands out copies
+    of the outputs: the third update changes neither earlier result."""
+    data = _base()
+    prog = _prog(data)
+    prog.run(checkpoint=True, backend=backend)
+    held = []
+    for k, (i, j) in enumerate([(2, 3), (9, 12), (4, 5)]):  # 3rd hits 1st
+        _patch(prog, data, i, j, 0.5 * (k + 1))
+        res = prog.run_update()
+        assert res.incremental
+        held.append((res, res.outputs["x"].copy(),
+                     _prog(data).run(backend=backend).outputs["x"]))
+    for res, seen, cold in held:
+        assert np.array_equal(res.outputs["x"], seen)
+        assert np.array_equal(seen, cold)
+
+
+@pytest.mark.parametrize("backend", SEQ_BACKENDS)
+def test_failed_update_leaves_its_strands_pending(backend):
+    """An update that raises mid-run has written no clean row and keeps its
+    dirty strands pending: the next update re-seeds them."""
+    data = _base()
+    prog = _prog(data)
+    prog.run(checkpoint=True, backend=backend)
+    info = _patch(prog, data, 3, 3, 1.0)
+    snap = prog._inc
+    dirty = snap.pending_ids.copy()
+    clean = np.setdiff1d(np.arange(snap.total), dirty)
+    before = [a[clean].copy() for a in (*snap.state, snap.status)]
+
+    def fail(event):
+        if event.step == 1:
+            raise RuntimeError("stop at step 1")
+
+    with pytest.raises(RuntimeError, match="stop at step 1"):
+        prog.run_update(on_step=fail)
+    assert np.array_equal(prog._inc.pending_ids, dirty)
+    for a, b in zip((*snap.state, snap.status), before):
+        assert np.array_equal(a[clean], b)
+
+    res = prog.run_update()
+    assert res.incremental and res.dirty_strands == info["dirty_strands"]
+    cold = _prog(data).run(backend=backend)
+    assert np.array_equal(res.outputs["x"], cold.outputs["x"])
+
+
+@pytest.mark.parametrize("backend", SEQ_BACKENDS)
+@pytest.mark.parametrize("second", [(4, 6), (13, 14)],
+                         ids=["overlapping", "disjoint"])
+def test_two_patches_before_one_update(backend, second):
+    """Two ``update_input`` calls queue the union of their dirty strands;
+    one update over it equals a cold run over both patches."""
+    data = _base()
+    prog = _prog(data)
+    prog.run(checkpoint=True, backend=backend)
+    counts = [_patch(prog, data, i, j, 0.75)["dirty_strands"]
+              for i, j in [(2, 3), second]]
+    res = prog.run_update()
+    assert res.incremental
+    ids = res.updated_indices
+    assert np.array_equal(ids, np.unique(ids))
+    if second == (13, 14):  # footprints apart: nothing counted twice
+        assert ids.size == sum(counts)
+    else:
+        assert max(counts) < ids.size < sum(counts)
+    cold = _prog(data).run(backend=backend)
+    assert np.array_equal(res.outputs["x"], cold.outputs["x"])
+
+
 def test_whole_image_dirty_degenerates_to_full_rerun():
     base = _base()
     patched = base + 1.0

@@ -782,10 +782,12 @@ class TestFailingSetupReleases:
         assert _shm_segments() == shm
 
     def test_worker_killed_mid_run_fails_it_at_once(self):
-        """A worker that dies between super-steps fails the run at the
-        next barrier — not after a poll interval, and not silently while
-        its peer drains the work-list — and the pool's next run forks
-        afresh."""
+        """A worker dead before a step's barrier fails the run at that
+        barrier — not after a poll interval, and not silently while its
+        peer drains the work-list — and the pool's next run forks afresh.
+        The victim is reaped before ``on_step`` returns: SIGKILL alone is
+        asynchronous, and a victim still exiting when its peer has drained
+        the run's last blocks is not dead before any barrier."""
         import os
         import signal
         import time
@@ -803,6 +805,7 @@ class TestFailingSetupReleases:
                 seen["shm"] = _shm_segments()
                 seen["pids"] = [p.pid for p in pool._procs]
                 os.kill(seen["pids"][0], signal.SIGKILL)
+                pool._procs[0].join()
                 killed.append(time.monotonic())
 
         pool = ProcessScheduler(2)
