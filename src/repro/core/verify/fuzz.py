@@ -62,6 +62,12 @@ def options(seed: int, fuse: bool = True) -> OptOptions:
     return OptOptions(contraction=seed % 4 != 3, probe_fusion=fuse)
 
 
+def motion(seed: int) -> tuple[float, int]:
+    """The moving-strand family's step ``h`` and step count ``k`` for
+    ``seed``."""
+    return (0.1, 0.25, 0.5)[seed // 2 % 3], 4 + seed // 6 % 5
+
+
 def _phantom():
     from repro.data import portrait_phantom
 
@@ -92,10 +98,23 @@ def render_stmts(stmts: list, indent: str = "                    ") -> str:
     return "\n".join(out)
 
 
-def render_program(stmts: list, state: tuple = ()) -> str:
+def render_program(stmts: list, state: tuple = (), move=None) -> str:
     """Wrap a statement tree in the fixed strand/field template; ``state``
-    adds strand-state declarations."""
+    adds strand-state declarations.  ``move=(h, k)`` makes it the
+    moving-strand family: each strand also carries a position that climbs
+    the image gradient, ``pos += h·∇F(pos)`` while ``inside(pos, F)`` (the
+    particle case of arXiv 1704.00032), and stabilizes after ``k`` steps —
+    where it reads next depends on what it read, so a patch can move a
+    whole trajectory."""
     body = render_stmts(stmts)
+    steps = MAX_STEPS
+    if move is not None:
+        h, steps = move
+        state = (*state, "output vec2 pos = "
+                 "[4.0 + real(i) * 3.5, 44.0 - real(i) * 3.0];")
+        # first, so that a body that stabilizes at once still moved
+        body = ("                    if (inside(pos, F)) "
+                f"{{ pos += {h} * ∇F(pos); }}\n" + body)
     extra = "".join(f"\n            {decl}" for decl in state)
     return f"""
         image(2)[] img = load("p.nrrd");
@@ -108,7 +127,7 @@ def render_program(stmts: list, state: tuple = ()) -> str:
             update {{
 {body}
                 n += 1;
-                if (n >= {MAX_STEPS}) stabilize;
+                if (n >= {steps}) stabilize;
             }}
         }}
         initially [ S(i) | i in 0 .. {N_STRANDS - 1} ];
@@ -673,7 +692,8 @@ def fuzz(
     differential check with :func:`incremental_check`: each generated
     program gets a random patch sequence replayed through the
     dirty-region update path against fresh-compile cold oracles, under
-    each of ``schedulers`` in turn and ``backend``.
+    each of ``schedulers`` in turn and ``backend``; odd seeds render it
+    as the moving-strand family (:func:`render_program`'s ``move``).
     """
     from repro.core.driver import compile_program
 
@@ -698,7 +718,8 @@ def fuzz(
         if progress is not None:
             progress(k, s)
         tree = ProgramGen(s).program_tree()
-        src = render_program(tree)
+        move = motion(s) if incremental and s % 2 else None
+        src = render_program(tree, move=move)
         lowered = compile_program(src, precision=precision,
                                   optimize=options(s, fuse))
         report.ops.update(
@@ -709,12 +730,13 @@ def fuzz(
 
         def still_fails(cand) -> bool:
             try:
-                return check(render_program(cand), s) is not None
+                return check(render_program(cand, move=move), s) is not None
             except DiderotError:
                 return False  # the reduction broke compilation; skip it
 
         minimized = src
         if shrink:
-            minimized = render_program(shrink_failure(tree, still_fails))
+            minimized = render_program(shrink_failure(tree, still_fails),
+                                       move=move)
         report.failures.append(FuzzFailure(s, msg, src, minimized))
     return report

@@ -130,7 +130,9 @@ class Image:
         if regions and np.isscalar(regions[0][0]):
             regions = [regions]
         full = data.shape == self.data.shape
-        out = []
+        out, blocks = [], []
+        # every region is checked before any is written: a bad one leaves
+        # the samples as they were
         for reg in regions:
             if len(reg) != self.dim:
                 raise ValueError(
@@ -148,8 +150,10 @@ class Image:
                     f"patch data shape {block.shape} does not match region "
                     f"shape {want}"
                 )
-            self.data[sl] = block.astype(self.data.dtype, copy=False)
             out.append((lo, hi))
+            blocks.append((sl, block))
+        for sl, block in blocks:
+            self.data[sl] = block.astype(self.data.dtype, copy=False)
         if out:
             self._bounds_cache.clear()
         return out

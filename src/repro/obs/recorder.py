@@ -13,8 +13,10 @@ appends the event and adds the span's aggregate (``counter=`` /
 ``hist=`` at the call site; a ``cat="pass"`` span books
 ``pass.<name>.seconds`` / ``.calls``).  Coarse spans — one per compiler
 pass, per run phase, per request — are always recorded; per-step and
-per-block spans are recorded only by an ``Obs(detail=True)``, which is
-also what makes the run plan drive the native kernel one step at a time.
+per-block spans are recorded only by an ``Obs(detail=True)``, and only
+after the run, from the block kernels' per-step tallies
+(:func:`repro.runtime.loop.book_steps`): a detailed run executes the same
+loop as any other.
 
 Scope and fold
 --------------
@@ -336,6 +338,19 @@ class Obs:
         by a worker process — from its absolute :data:`clock` start."""
         self._append(SpanEvent(name, cat, start - self.epoch, dur,
                                tid or self._tid(), "X", args))
+
+    def extend(self, events) -> None:
+        """Record events measured elsewhere under one lock acquisition:
+        ``(name, cat, ph, start, dur, tid, args)`` tuples, ``start`` on
+        :data:`clock`, ``tid`` ``None`` for the calling thread — a
+        detailed run's timeline, booked from its kernels' tallies."""
+        if not self._keeps_events:
+            return
+        epoch, me = self.epoch, self._tid()
+        evs = [SpanEvent(name, cat, start - epoch, dur, tid or me, ph, args)
+               for name, cat, ph, start, dur, tid, args in events]
+        with self._lock:
+            self.events.extend(evs)
 
     def event(self, name: str, cat: str = "", **why) -> None:
         """Record a decision (a zero-duration marker) with its reasons."""

@@ -17,9 +17,12 @@ state.  This module supplies the machinery ``Program.update_input`` /
 
 ``Footprints``
     The queryable product: which strands' boxes, dilated by one extra
-    sample per axis, hit a dirty region.  The dilation keeps the native
-    backend's 1e-12 contract (and single precision's 1e-5) from flipping
-    a floor-boundary read across the dirty test.
+    sample per axis, hit a dirty region.  An update runs only on its
+    checkpoint's backend, so no cross-backend rounding can move a read
+    across the dirty test; the margin is a one-sample allowance for a
+    footprint that misses a read, kept until the moving-strand family of
+    ``verify fuzz --incremental`` — strands whose next read depends on
+    the last — decides it.
 
 ``Snapshot``
     A checkpoint of converged strand state: the run's own state arrays

@@ -11,14 +11,12 @@ becomes of the result.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import RuntimeErrorD
-from repro.obs import clock
 from repro.obs.metrics import IMBALANCE_BUCKETS
 from repro.runtime.incremental import StepEvent
 from repro.runtime.kernel import RUNNING, STABILIZE, NumpyKernel
@@ -113,11 +111,11 @@ def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,
                   held):
     """Bind kernel and scheduler for ``plan``: ``(state, status, dispatch)``
     — the arrays the run must use from here on (a process pool copies them
-    into shared mappings its workers inherit) and ``dispatch(active,
-    step)``, which runs one round of blocks over the active strands and
-    returns their ``(counts, seconds)`` tallies and the worker that ran
-    each.  A scheduler the run creates is closed by ``held``; a borrowed
-    one is left open."""
+    into shared mappings its workers inherit) and ``dispatch(active)``,
+    which runs one round of blocks over the active strands and returns,
+    per block, the worker that ran it, its start and its ``(counts,
+    seconds)`` tally.  A scheduler the run creates is closed by ``held``;
+    a borrowed one is left open."""
     sched = plan.borrowed
     if plan.scheduler == "process":
         if sched is None:
@@ -142,16 +140,16 @@ def open_dispatch(plan, program, ctx, g, state, status, native, rec, obs,
             run_block = partial(native.run_range, max_steps=(
                 _UNBOUNDED_STEPS if plan.max_steps is None else plan.max_steps))
 
-        def run(active, step):
+        def run(active):
             return sched.run_step(make_blocks(active, plan.block_size),
-                                  run_block, obs=obs, step=step)
+                                  run_block, obs=obs)
 
-    span = (partial(obs.span, "kernel", "run") if plan.driving == "kernel"
-            else nullcontext)
+    if plan.driving != "kernel":
+        return state, status, run
 
-    def dispatch(active, step):
-        with span():
-            return run(active, step=step)[0], sched.last_block_workers
+    def dispatch(active):
+        with obs.span("kernel", "run"):
+            return run(active)
 
     return state, status, dispatch
 
@@ -162,30 +160,28 @@ def run_steps(active: np.ndarray, status: np.ndarray, dispatch, max_steps,
     steps taken and the strands still running.  One dispatch runs every
     block from the current step on — for one step or, kernel-driven, until
     the block empties; its tallies say how many steps went by.  After each,
-    every hook is called as ``hook(step, active, active_status, tallies,
-    block_workers, t0)``."""
+    every hook is called as ``hook(step, active, active_status, blocks)``
+    with ``blocks`` what the dispatch returned."""
     steps = 0
     while active.size and (max_steps is None or steps < max_steps):
-        t0 = clock()
-        tallies, block_workers = dispatch(active, steps)
+        blocks = dispatch(active)
         # one status gather serves every hook AND the active-strand filter
         active_status = status[active]
         for hook in hooks:
-            hook(steps, active, active_status, tallies, block_workers, t0)
-        steps += max(c.shape[0] for c, _ in tallies)
+            hook(steps, active, active_status, blocks)
+        steps += max(c.shape[0] for _, _, (c, _) in blocks)
         active = active[active_status == RUNNING]
     return steps, active
 
 
-def step_hooks(program, ctx, g, state, rec, on_step, obs, tallies) -> list:
+def step_hooks(program, ctx, g, state, rec, on_step, tallies) -> list:
     """The hooks of one run, in the order they fire: the ``stabilize``
-    method, the caller's ``on_step``, the ``detail`` span, and the tally —
-    ``(first step, worker, counts, seconds)`` per block appended to
-    ``tallies`` for :func:`book_steps`."""
+    method, the caller's ``on_step``, and the tally — ``(first step,
+    blocks)`` per dispatch appended to ``tallies`` for :func:`book_steps`."""
     hooks = []
     stabilize = program.namespace.get("stabilize")
     if stabilize is not None:
-        def run_stabilize(step, active, active_status, *_):
+        def run_stabilize(step, active, active_status, _):
             # mutates state only, never status
             ids = active[active_status == STABILIZE]
             if ids.size:
@@ -198,42 +194,40 @@ def step_hooks(program, ctx, g, state, rec, on_step, obs, tallies) -> list:
     if on_step is not None:
         names = program.high.init_func.result_names
         outputs = [(o, state[names.index(o)]) for o in program.high.outputs]
-        hooks.append(lambda step, active, active_status, *_: on_step(StepEvent(
+        hooks.append(lambda step, active, active_status, _: on_step(StepEvent(
             step=step, active=active.copy(), status=active_status.copy(),
             # fancy indexing already yields private copies
             outputs={o: arr[active] for o, arr in outputs})))
-    if obs.detail:
-        def span(step, active, active_status, tallies, block_workers, t0):
-            # detail keeps the run per-step: a dispatch is a step
-            n, stable, died = sum(c[0] for c, _ in tallies).tolist()
-            obs.complete("superstep", "superstep", t0, clock() - t0,
-                         step=step, blocks=len(tallies), active=n,
-                         stable=stable, died=died)
-            obs.gauge("strands.active", n - stable - died)
-
-        hooks.append(span)
-    hooks.append(lambda step, a, st, blocks, workers, t0: tallies.extend(
-        (step, w, c, sec) for (c, sec), w in zip(blocks, workers)))
+    hooks.append(lambda step, a, st, blocks: tallies.append((step, blocks)))
     return hooks
 
 
 def book_steps(obs, tallies: list, workers: int) -> None:
-    """Book a run's tallies — collected a tuple per block per dispatch, so
-    a 241-step per-step run pays nothing per step for its scheduler-health
-    telemetry — once, whichever way the loop was driven: a block's row
-    ``i`` belongs to step ``first + i``, counts add up across blocks, a
-    step's ``blocks`` is the number of blocks that still had a live strand,
-    and its seconds are the seconds its blocks spent (their sum: wall time
-    under the sequential scheduler, busy time under threads or processes).
-    The load-imbalance index is ``max(busy) / mean(busy over the configured
-    worker count)`` — 1.0 when every worker did equal work, ``workers``
-    when one did everything."""
-    firsts, who, counts, seconds = zip(*tallies)
+    """Book a run's tallies — collected per dispatch, so a 241-step
+    per-step run pays nothing per step for its telemetry — once, whichever
+    way the loop was driven: a block's row ``i`` belongs to step ``first +
+    i``, counts add up across blocks, a step's ``blocks`` is the number of
+    blocks that still had a live strand, and its seconds are the seconds
+    its blocks spent (their sum: wall time under the sequential scheduler,
+    busy time under threads or processes).  The load-imbalance index is
+    ``max(busy) / mean(busy over the configured worker count)`` — 1.0 when
+    every worker did equal work, ``workers`` when one did everything.
+
+    Under ``obs.detail`` the same rows become the timeline: a ``block``
+    span per block per step it ran, laid end to end from the block's start
+    with the kernel-measured step seconds and attributed to its worker; a
+    ``superstep`` span per step, from its first block span's start to its
+    last one's end, whose args are the step's ``steps`` row; and the
+    ``strands.active`` sample at each step's end."""
+    firsts, index, who, starts, counts, seconds = zip(*(
+        (first, i, w, t0, c, sec) for first, blocks in tallies
+        for i, (w, t0, (c, sec)) in enumerate(blocks)))
     # one row per (block, step it took part in)
     lens = np.array([c.shape[0] for c in counts])
     counts, seconds = np.concatenate(counts), np.concatenate(seconds)
-    step = (np.repeat(np.array(firsts) - firsts[0] - np.cumsum(lens) + lens,
-                      lens) + np.arange(lens.sum()))
+    heads = np.cumsum(lens) - lens
+    step = (np.repeat(np.array(firsts) - firsts[0] - heads, lens)
+            + np.arange(lens.sum()))
     worker = np.repeat(np.array(who), lens)
     n_steps = int(step.max()) + 1
     per_step = np.bincount(
@@ -260,9 +254,32 @@ def book_steps(obs, tallies: list, workers: int) -> None:
             "sched.imbalance", busy.max(axis=0)[worked] * workers
             / step_seconds[worked], bounds=IMBALANCE_BUCKETS)
     blocks = np.bincount(step, minlength=n_steps).tolist()
-    obs.rows("steps", [
-        dict(step=firsts[0] + i, blocks=nb, active=a, stable=st, died=d,
-             seconds=dt)
-        for i, (nb, (a, st, d), dt) in enumerate(
-            zip(blocks, per_step.tolist(), step_seconds.tolist()))
+    rows = [dict(step=firsts[0] + i, blocks=nb, active=a, stable=st, died=d,
+                 seconds=dt)
+            for i, (nb, (a, st, d), dt) in enumerate(
+                zip(blocks, per_step.tolist(), step_seconds.tolist()))]
+    obs.rows("steps", rows)
+    if not obs.detail:
+        return
+    # a block's row i starts when its rows before i are done
+    done = np.cumsum(seconds) - seconds
+    begin = np.repeat(np.array(starts) - done[heads], lens) + done
+    first_begin = np.full(n_steps, np.inf)
+    np.minimum.at(first_begin, step, begin)
+    last_end = np.full(n_steps, -np.inf)
+    np.maximum.at(last_end, step, begin + seconds)
+    obs.extend([
+        *(("block", "block", "X", t0, dt, f"worker-{w}",
+           dict(step=firsts[0] + s, block=b, strands=n))
+          for s, b, w, t0, dt, n in zip(
+              step.tolist(), np.repeat(np.array(index), lens).tolist(),
+              worker.tolist(), begin.tolist(), seconds.tolist(),
+              counts[:, 0].tolist())),
+        *(("superstep", "superstep", "X", t0, t1 - t0, None,
+           {k: v for k, v in row.items() if k != "seconds"})
+          for row, t0, t1 in zip(rows, first_begin.tolist(),
+                                 last_end.tolist())),
+        *(("strands.active", "gauge", "C", t1, 0.0, None,
+           {"value": row["active"] - row["stable"] - row["died"]})
+          for row, t1 in zip(rows, last_end.tolist())),
     ])

@@ -43,7 +43,6 @@ import numpy as np
 from repro.errors import RuntimeErrorD
 from repro.obs import Obs, clock, current
 from repro.runtime.kernel import NumpyKernel
-from repro.runtime.scheduler import block_span
 
 
 def _shared(arr) -> np.ndarray:
@@ -73,14 +72,14 @@ def _worker_main(wid: int, kernel: NumpyKernel, active: np.ndarray, tasks,
             t0 = clock()
             try:
                 # state/status writes land in place through the shared views
-                counts, _ = kernel.run_block(active[start:end])
+                counts, seconds = kernel.run_block(active[start:end])
             except BaseException:
                 # whatever the generated update raised: the master
                 # re-raises it with this traceback
                 answers.send(("error", bindex, traceback.format_exc()))
                 continue
-            answers.send(("done", bindex, t0, clock() - t0,
-                          counts[0].tolist(), t0 - idle0, obs.drain()))
+            answers.send(("done", bindex, t0, counts.tolist(),
+                          seconds.tolist(), t0 - idle0, obs.drain()))
 
 
 class ProcessScheduler:
@@ -98,7 +97,6 @@ class ProcessScheduler:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
-        self.last_block_workers: list[int] = []
         self._procs: list = []
         self._answers: list = []
         self._tasks = None
@@ -187,12 +185,11 @@ class ProcessScheduler:
                 n -= 1
                 yield wid_of[ready], msg
 
-    def run_step(self, active_idx: np.ndarray, block_size: int,
-                 obs=None, step: int = 0):
+    def run_step(self, active_idx: np.ndarray, block_size: int, obs=None):
         """Execute one super-step over ``active_idx``.
 
-        Returns ``(per_block_tallies, per_block_times)`` — a tally is
-        the worker kernel's one-step ``(counts, seconds)`` pair, as the
+        Returns, per block, ``(worker, start, tally)`` — a tally is the
+        worker kernel's one-step ``(counts, seconds)`` pair, as the
         in-process schedulers return from their ``run_block`` — and
         state/status mutations happen in place in the shared arrays.
         ``obs`` (default: the current one) receives the worker-drained
@@ -212,8 +209,7 @@ class ProcessScheduler:
         # that are dead and always reaches the wait that notices them
         for task in islice(tasks, 2 * self.workers):
             self._tasks.put(task)
-        tallies = [None] * len(ranges)
-        block_workers = [-1] * len(ranges)
+        results = [None] * len(ranges)
         errors = []
         for wid, msg in self._collect(len(ranges)):  # the barrier
             for task in islice(tasks, 1):
@@ -221,18 +217,15 @@ class ProcessScheduler:
             if msg[0] == "error":
                 errors.append(msg[1:])
                 continue
-            _, bindex, t0, dt, counts, wait_s, delta = msg
-            tallies[bindex] = (np.array([counts], dtype=np.int64),
-                               np.array([dt]))
-            block_workers[bindex] = wid
+            _, bindex, t0, counts, seconds, wait_s, delta = msg
+            results[bindex] = (wid, t0, (np.array(counts, dtype=np.int64),
+                                         np.array(seconds)))
             obs.merge(delta)
             obs.observe("sched.queue_wait_seconds", wait_s)
-            block_span(obs, step, bindex, t0, dt, wid, counts[0])
-        self.last_block_workers = block_workers
         if errors:
             bindex, tb = errors[0]
             raise RuntimeErrorD(
                 f"strand update failed in block {bindex} "
                 f"(process scheduler):\n{tb}"
             )
-        return tallies, [float(sec[0]) for _, sec in tallies]
+        return results

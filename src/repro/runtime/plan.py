@@ -71,12 +71,11 @@ class RunPlan:
 
 
 def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
-            total, on_step, detail, recording, update,
+            total, on_step, recording, update,
             bind_error=None) -> RunPlan:
     """Decide how ``program`` runs ``total`` strands.  ``scheduler`` is a
     name from ``SCHEDULER_CHOICES``, ``None`` or a scheduler instance;
-    ``detail`` says the run's ``Obs`` records per-step spans, ``recording``
-    that the run wants footprints; ``bind_error`` is why the native kernel
+    ``recording`` says the run wants footprints; ``bind_error`` is why the native kernel
     refused this run's arrays (the caller resolves again when binding
     fails).  A bad scheduler, worker count or backend, or the process
     pool with the C backend or without ``fork``, raises
@@ -150,8 +149,6 @@ def resolve(program, *, scheduler, workers, backend, block_size, max_steps,
         driving = "per_step.stabilize"
     elif on_step is not None:
         driving = "per_step.on_step"
-    elif detail:  # an Obs(detail=True) wants a span per super-step
-        driving = "per_step.tracer"
     else:  # nothing has to see a super-step boundary
         driving = "kernel"
 

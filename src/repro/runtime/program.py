@@ -391,8 +391,7 @@ class Program:
                 want = dict(scheduler=scheduler, workers=workers,
                             backend=backend, block_size=block_size,
                             max_steps=max_steps, total=grid.total,
-                            on_step=on_step, detail=obs.detail,
-                            recording=rec is not None,
+                            on_step=on_step, recording=rec is not None,
                             update=dirty is not None)
                 plan = resolve(self, **want)
                 if rec is not None:
@@ -431,7 +430,7 @@ class Program:
 
             with obs.span("steps", "run"):
                 hooks = _loop.step_hooks(self, ctx, g, state, rec, on_step,
-                                         obs, tallies)
+                                         tallies)
                 try:
                     steps, active = _loop.run_steps(active, status, dispatch,
                                                     max_steps, hooks)

@@ -12,33 +12,32 @@ end of a super step."
 
 The in-process schedulers here execute one ``run_step`` when called: they
 are handed the list of strand blocks and a function that runs one block,
-and they return the per-block results plus per-block wall-clock times;
-returning is the barrier.  The process-pool scheduler — the NumPy
-backend's multi-core path over shared-memory strand state — lives in
-:mod:`repro.runtime.mpsched`; see DESIGN.md "Parallel backends" for when
-each backend wins.
+and they return, per block, the worker that ran it, the block's start on
+:data:`repro.obs.clock` and what the function returned — for a block
+kernel, its ``(counts, seconds)`` tally; returning is the barrier.  The
+process-pool scheduler — the NumPy backend's multi-core path over
+shared-memory strand state — lives in :mod:`repro.runtime.mpsched`; see
+DESIGN.md "Parallel backends" for when each backend wins.
 
 How much a block does per ``run_step`` is the run plan's decision
 (:func:`repro.runtime.plan.resolve`, the ``driving`` field).  The block
 kernel they are handed (:mod:`repro.runtime.kernel`) runs its block for
 one super-step — the quoted model, a barrier after every step — whenever
 something must see step boundaries: the NumPy backend (the only one a
-process pool runs), a ``stabilize`` method, an ``on_step`` callback, an
-``Obs(detail=True)``.
+process pool runs), a ``stabilize`` method, an ``on_step`` callback.
 Otherwise, on the native backend, it runs the block until its last strand
 has stabilized or died (:meth:`~repro.runtime.native.NativeUpdate.run_range`
 with every remaining step), and the only barrier left is the one that
 ends the run.  That is unobservable: strands neither communicate nor take
 part in global reductions, so no strand's trajectory depends on which step
 another has reached, and the kernel's per-step tallies let the run book
-the same metrics either way (:func:`repro.runtime.loop.book_steps`).
+the same metrics — and, under ``Obs(detail=True)``, the same per-step and
+per-block spans — either way (:func:`repro.runtime.loop.book_steps`).
+The schedulers themselves time and record no block.
 
 ``run_step(..., obs=)`` names the :class:`repro.obs.Obs` the step records
-into (default: the current one).  With ``detail`` each block is
-additionally recorded as a ``cat="block"`` span attributed to the worker
-that ran it (the raw material for the simulated-multicore analysis in
-:mod:`repro.runtime.simsched` and the per-worker utilization table);
-``last_block_workers`` records which worker ran each block.
+into (default: the current one): queue waits, and a process pool's
+worker-drained op metrics.
 """
 
 from __future__ import annotations
@@ -86,33 +85,12 @@ def make_blocks(active_idx: np.ndarray, block_size: int) -> list[np.ndarray]:
     ]
 
 
-def block_span(obs, step: int, block: int, start: float, dur: float,
-               worker: int, strands: int) -> None:
-    """The per-block span every scheduler records — under ``detail`` only:
-    there is one per block per super-step."""
-    if obs.detail:
-        obs.complete("block", "block", start, dur, tid=f"worker-{worker}",
-                     step=step, block=block, strands=strands)
-
-
 class SequentialScheduler:
-    """The sequential loop nest: one block after another."""
+    """The sequential loop nest: one block after another, on worker 0."""
 
-    def __init__(self):
-        self.last_block_workers: list[int] = []
-
-    def run_step(self, blocks, run_block, obs=None, step=0):
-        obs = obs or current()
-        results = []
-        times = []
-        for i, block in enumerate(blocks):
-            t0 = clock()
-            results.append(run_block(block))
-            dt = clock() - t0
-            times.append(dt)
-            block_span(obs, step, i, t0, dt, 0, int(len(block)))
-        self.last_block_workers = [0] * len(blocks)
-        return results, times
+    def run_step(self, blocks, run_block, obs=None):
+        """``obs`` is unused: nothing here waits in a queue."""
+        return [(0, clock(), run_block(block)) for block in blocks]
 
     def close(self) -> None:
         """Nothing to shut down; present for scheduler-interface symmetry."""
@@ -137,18 +115,14 @@ class ThreadScheduler:
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
-        self.last_block_workers: list[int] = []
         self._cv = threading.Condition()
         # per-step work-list state, all guarded by the condition variable
         self._blocks: list = []
         self._run_block = None
         self._obs = None
-        self._step = 0
         self._next = 0        # the work-list cursor (§6.4's lock)
         self._pending = 0     # blocks not yet completed this step
         self._results: list = []
-        self._times: list = []
-        self._block_workers: list = []
         self._errors: list = []
         self._closed = False
         self._threads = [
@@ -172,7 +146,6 @@ class ThreadScheduler:
                 blocks = self._blocks
                 run_block = self._run_block
                 obs = self._obs
-                step = self._step
             # queue wait: how long this worker sat idle before it could
             # grab a block (scheduler-health telemetry)
             obs.observe("sched.queue_wait_seconds", clock() - idle0)
@@ -182,7 +155,6 @@ class ThreadScheduler:
                 with obs.activate():
                     t0 = clock()
                     out = run_block(blocks[i])
-                    dt = clock() - t0
             except BaseException as exc:  # propagate after the barrier
                 with self._cv:
                     self._errors.append(exc)
@@ -194,16 +166,13 @@ class ThreadScheduler:
                     if self._pending <= 0:
                         self._cv.notify_all()
                 continue
-            block_span(obs, step, i, t0, dt, wid, int(len(blocks[i])))
             with self._cv:
-                self._results[i] = out
-                self._times[i] = dt
-                self._block_workers[i] = wid
+                self._results[i] = (wid, t0, out)
                 self._pending -= 1
                 if self._pending <= 0:
                     self._cv.notify_all()
 
-    def run_step(self, blocks, run_block, obs=None, step=0):
+    def run_step(self, blocks, run_block, obs=None):
         n = len(blocks)
         with self._cv:
             if self._closed:
@@ -211,10 +180,7 @@ class ThreadScheduler:
             self._blocks = blocks
             self._run_block = run_block
             self._obs = obs or current()
-            self._step = step
             self._results = [None] * n
-            self._times = [0.0] * n
-            self._block_workers = [-1] * n
             self._errors = []
             self._pending = n
             self._next = 0
@@ -226,12 +192,10 @@ class ThreadScheduler:
             self._next = 0
             self._run_block = None
             results = self._results
-            times = self._times
-            self.last_block_workers = list(self._block_workers)
             errors = list(self._errors)
         if errors:
             raise errors[0]
-        return results, times
+        return results
 
     def close(self) -> None:
         """Retire the worker pool (idempotent)."""

@@ -3,9 +3,10 @@
 The paper's parallel results (Table 2's 1P/2P/8P columns, Figure 12) were
 measured on an 8-core Xeon; this reproduction runs in a 1-core container.
 We therefore *measure* the real cost of every strand block in a sequential
-run (``Program.run(..., obs=Obs(detail=True))`` — the scheduler records one
-``cat="block"`` span per block) and replay the per-super-step block trace
-through a discrete simulation of the paper's scheduler: N workers pulling
+run (``Program.run(..., obs=Obs(detail=True))`` — the run books one
+``cat="block"`` span per block per step, timed by the block kernel) and
+replay the per-super-step block trace through a discrete simulation of
+the paper's scheduler: N workers pulling
 blocks from a central work-list whose lock costs ``lock_overhead`` seconds
 per acquisition, with a barrier at the end of each super-step.
 

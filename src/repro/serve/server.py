@@ -23,7 +23,9 @@ Routes::
 ``POST /run`` and ``POST /update`` accept ``"stream": true``: the
 response becomes ``Transfer-Encoding: chunked`` NDJSON, one line per
 super-step (newly-stabilized strand ids + their output rows) and a
-final ``{"done": true, ...}`` line carrying the run summary.
+final ``{"done": true, ...}`` line carrying the run summary.  A client
+that disconnects mid-stream ends the run at its next super-step, which
+frees the entry for the next request (``serve.stream.cancelled``).
 
 Status mapping: unknown program → 404, bad request/compile error → 400,
 queue full (:class:`~repro.serve.batch.Overloaded`) → 429 with
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 
@@ -219,8 +222,11 @@ class ServeApp:
             writer.write(b"0\r\n\r\n")
             await writer.drain()
         except (ConnectionError, RuntimeError):
-            pass
+            # the client went away: closing the generator stops the run at
+            # its next super-step, and the entry's lock with it
+            current().inc("serve.stream.cancelled")
         finally:
+            await gen.aclose()
             try:
                 writer.close()
             except RuntimeError:
@@ -363,11 +369,16 @@ class ServeApp:
         The worker thread's per-super-step callback is bridged onto the
         event loop via ``call_soon_threadsafe`` into a queue; the final
         chunk is whatever ``call`` returns (a dict with ``done: true``).
+        Once the generator is closed — its client has gone — the callback
+        raises instead, which ends the run at the next super-step.
         """
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
+        closed = threading.Event()
 
         def on_step(ev):
+            if closed.is_set():
+                raise ConnectionAbortedError("the stream's client has gone")
             mask = ev.status == 1  # strands that stabilized this step
             item = {
                 "step": int(ev.step),
@@ -387,16 +398,19 @@ class ServeApp:
         # when the client disconnects mid-stream
         task.add_done_callback(
             lambda t: queue.put_nowait(("done", t.exception(), t)))
-        while True:
-            msg = await queue.get()
-            if msg[0] == "step":
-                yield msg[1]
-                continue
-            _, exc, done = msg
-            if exc is not None:
-                status = getattr(exc, "status", None)
-                yield {"error": f"{type(exc).__name__}: {exc}",
-                       **({"status": status} if status else {})}
+        try:
+            while True:
+                msg = await queue.get()
+                if msg[0] == "step":
+                    yield msg[1]
+                    continue
+                _, exc, done = msg
+                if exc is not None:
+                    status = getattr(exc, "status", None)
+                    yield {"error": f"{type(exc).__name__}: {exc}",
+                           **({"status": status} if status else {})}
+                    return
+                yield done.result()
                 return
-            yield done.result()
-            return
+        finally:
+            closed.set()

@@ -384,6 +384,30 @@ def test_overlapping_multi_region_update():
     assert np.array_equal(res.outputs["x"], want.outputs["x"])
 
 
+#: a valid first region and an out-of-bounds second one
+BAD_REGIONS = [[[2, 3], [2, 3]], [[0, 99], [0, 1]]]
+
+
+def test_failed_multi_region_patch_writes_nothing():
+    """A list of regions is checked whole before any sample is written:
+    an update whose second region is out of bounds leaves the image, and
+    so the next update, as they were."""
+    base = _base()
+    patched = base.copy()
+    patched[2:4, 2:4] += 1.0
+    prog = _prog(base)
+    cold = prog.run(checkpoint=True)
+    with pytest.raises(ValueError, match="outside image"):
+        prog.update_input("img", patched, region=BAD_REGIONS)
+    assert np.array_equal(prog._context().images["img"].data, base)
+    res = prog.run_update()
+    assert np.array_equal(res.outputs["x"], cold.outputs["x"])
+    prog.update_input("img", patched, region=BAD_REGIONS[0])
+    res = prog.run_update()
+    assert res.dirty_strands > 0
+    assert np.array_equal(res.outputs["x"], _prog(patched).run().outputs["x"])
+
+
 def test_sequential_updates_stay_identical():
     base = _base()
     prog = _prog(base)
@@ -676,6 +700,49 @@ def test_serve_update_route_and_streaming(tmp_path):
     assert np.array_equal(flat.reshape(N, N), want.outputs["x"])
 
 
+def test_serve_failed_update_changes_nothing(tmp_path):
+    """A ``/update`` refused with 400 leaves the entry's image, and the
+    updates after it, as if it had never been sent."""
+    from repro.serve.registry import ProgramRegistry
+    from repro.serve.server import ServeApp
+    from tests.http_client import request
+
+    base = _base()
+    patched = base.copy()
+    patched[2:4, 2:4] += 1.0
+    _write_nrrd(str(tmp_path / "p.nrrd"), base)
+    registry = ProgramRegistry()
+
+    async def drive():
+        app = ServeApp(registry)
+        await app.start("127.0.0.1", 0)
+        port = app.port
+        await request(port, "POST", "/programs/inc", {
+            "source": SOURCE, "search_path": str(tmp_path)})
+        s, full = await request(port, "POST", "/run/inc", {})
+        assert s == 200
+        s, bad = await request(port, "POST", "/update/inc", {
+            "image": "img", "data": patched.tolist(), "region": BAD_REGIONS})
+        image = np.array(
+            registry.get("inc").program._context().images["img"].data)
+        s2, nop = await request(port, "POST", "/update/inc", {
+            "image": "img", "data": base[20:22, 20:22].tolist(),
+            "region": [[20, 21], [20, 21]]})
+        await app.close()
+        return s, bad, image, s2, full, nop
+
+    s, bad, image, s2, full, nop = asyncio.run(drive())
+    assert s == 400 and "outside image" in bad["error"]
+    assert np.array_equal(image, base)
+    # an update that rewrites samples unchanged: every output is the cold
+    # run's over the unpatched image
+    assert s2 == 200 and nop["partial"]
+    flat = np.asarray(full["outputs"]["x"], dtype=np.float64).reshape(-1)
+    assert np.array_equal(
+        np.asarray(nop["outputs"]["x"], dtype=np.float64),
+        flat[np.asarray(nop["updated_indices"])])
+
+
 def test_warm_manifest(tmp_path):
     from repro.serve.registry import ProgramRegistry, warm_manifest
 
@@ -698,6 +765,27 @@ def test_warm_manifest(tmp_path):
 
 
 # -- fuzz hook ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", SEQ_BACKENDS)
+def test_incremental_fuzz_moving_family(backend):
+    """The moving-strand family: particles climb the gradient, so a patch
+    can move what they read next; every replayed update stays
+    bit-identical to a cold run, at seq and at thread."""
+    from repro.core.verify import fuzz
+
+    seed = 11
+    src = fuzz.render_program(fuzz.ProgramGen(seed).program_tree(),
+                              move=fuzz.motion(seed))
+    cold = compile_program(src)
+    cold.bind_image("img", fuzz._phantom())
+    res = cold.run(max_steps=100, block_size=5)
+    start = np.stack([4.0 + np.arange(fuzz.N_STRANDS) * 3.5,
+                      44.0 - np.arange(fuzz.N_STRANDS) * 3.0], axis=1)
+    assert (np.abs(res.outputs["pos"] - start).max(axis=1) > 1.0).sum() > 6
+    for scheduler in ("seq", "thread"):
+        assert fuzz.incremental_check(src, seed=seed, backend=backend,
+                                      scheduler=scheduler) is None
 
 
 def test_incremental_fuzz_smoke():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.driver import compile_program
 from repro.obs import Obs
+from repro.runtime.loop import book_steps
 from repro.runtime.scheduler import SequentialScheduler, ThreadScheduler, make_blocks
 from repro.runtime.simsched import (
     DEFAULT_LOCK_OVERHEAD,
@@ -54,19 +55,29 @@ class TestBlocks:
         assert np.concatenate(blocks).tolist() == idx.tolist()
 
 
+def _one_step_tally(block):
+    """A block kernel's tally for one step over ``block``: every strand
+    active, a millisecond spent."""
+    return np.array([[block.size, 0, 0]]), np.array([1e-3])
+
+
 class TestSchedulers:
     def _run(self, sched, blocks):
-        return sched.run_step(blocks, lambda b: b.sum())
+        """What each block returned, in work-list order."""
+        return [out for _, _, out in sched.run_step(blocks, lambda b: b.sum())]
 
     def test_sequential_results_in_order(self):
-        res, times = self._run(SequentialScheduler(), make_blocks(np.arange(10), 3))
-        assert res == [0 + 1 + 2, 3 + 4 + 5, 6 + 7 + 8, 9]
-        assert len(times) == 4
+        got = SequentialScheduler().run_step(make_blocks(np.arange(10), 3),
+                                             lambda b: b.sum())
+        assert [out for _, _, out in got] == [0 + 1 + 2, 3 + 4 + 5,
+                                              6 + 7 + 8, 9]
+        starts = [t0 for _, t0, _ in got]
+        assert starts == sorted(starts)
 
     def test_thread_scheduler_matches_sequential(self):
         blocks = make_blocks(np.arange(100), 7)
-        seq, _ = self._run(SequentialScheduler(), blocks)
-        par, _ = self._run(ThreadScheduler(4), blocks)
+        seq = self._run(SequentialScheduler(), blocks)
+        par = self._run(ThreadScheduler(4), blocks)
         assert par == seq
 
     def test_thread_scheduler_propagates_errors(self):
@@ -103,35 +114,37 @@ class TestSchedulers:
 
     def test_worker_attribution_recorded(self):
         blocks = make_blocks(np.arange(40), 4)
-        sched = ThreadScheduler(2)
-        results, _ = sched.run_step(blocks, lambda b: b.sum())
-        assert len(sched.last_block_workers) == len(blocks)
-        assert all(w in (0, 1) for w in sched.last_block_workers)
+        got = ThreadScheduler(2).run_step(blocks, lambda b: b.sum())
+        assert len(got) == len(blocks)
+        assert all(w in (0, 1) for w, _, _ in got)
         # a single worker must also be able to drain the whole list
-        solo = ThreadScheduler(1)
-        solo.run_step(blocks, lambda b: b.sum())
-        assert solo.last_block_workers == [0] * len(blocks)
+        solo = ThreadScheduler(1).run_step(blocks, lambda b: b.sum())
+        assert [w for w, _, _ in solo] == [0] * len(blocks)
 
     def test_tracer_attribution_matches_workers(self):
+        """The block spans are booked from what ``run_step`` returned:
+        each names the worker that ran its block."""
         tracer = Obs(detail=True)
         blocks = make_blocks(np.arange(24), 4)
-        sched = ThreadScheduler(2)
-        sched.run_step(blocks, lambda b: b.sum(), obs=tracer, step=0)
+        got = ThreadScheduler(2).run_step(blocks, _one_step_tally)
+        book_steps(tracer, [(0, got)], workers=2)
         spans = tracer.spans("block")
         assert len(spans) == len(blocks)
         by_block = {ev.args["block"]: ev.tid for ev in spans}
-        for i, wid in enumerate(sched.last_block_workers):
+        for i, (wid, t0, _) in enumerate(got):
             assert by_block[i] == f"worker-{wid}"
+            assert spans[i].ts == pytest.approx(t0 - tracer.epoch)
 
     def test_sequential_scheduler_traces_blocks(self):
         tracer = Obs(detail=True)
         blocks = make_blocks(np.arange(10), 3)
-        SequentialScheduler().run_step(blocks, lambda b: b.sum(),
-                                       obs=tracer, step=7)
+        got = SequentialScheduler().run_step(blocks, _one_step_tally)
+        book_steps(tracer, [(7, got)], workers=1)
         spans = tracer.spans("block")
         assert [ev.args["step"] for ev in spans] == [7] * 4
         assert {ev.tid for ev in spans} == {"worker-0"}
         assert [ev.args["strands"] for ev in spans] == [3, 3, 3, 1]
+        assert [ev.dur for ev in spans] == [1e-3] * 4
 
 
 class TestSimulatedScheduler:

@@ -252,7 +252,8 @@ class TestKernelLoopVsPerStep:
                    for r in res.metrics.series["steps"])
 
     @pytest.mark.parametrize("reason,kw", [
-        ("tracer", dict(backend="c", obs=Obs(detail=True))),
+        # a trace changes nothing: nothing has to see a step boundary
+        ("kernel", dict(backend="c", obs=Obs(detail=True))),
         ("numpy", dict(backend="numpy")),
         ("numpy", dict(backend="numpy", scheduler="process", workers=2)),
     ])
@@ -260,12 +261,13 @@ class TestKernelLoopVsPerStep:
         res = _driven_program("die-heavy").run(block_size=64, **kw)
         loop = {k: v for k, v in res.metrics.counters.items()
                 if k.startswith("runtime.loop.")}
-        assert loop == {f"runtime.loop.per_step.{reason}": 1}
+        driving = reason if reason == "kernel" else f"per_step.{reason}"
+        assert loop == {f"runtime.loop.{driving}": 1}
         tracer = kw.get("obs")
         if tracer is not None:
             how = [ev.args["how"] for ev in tracer.events
                    if ev.name == "superstep-loop"]
-            assert how == [f"per_step.{reason}"]
+            assert how == [driving]
 
     def test_stabilize_method_keeps_the_barrier(self):
         src = """
@@ -280,6 +282,65 @@ class TestKernelLoopVsPerStep:
         a, b = prog.run(backend="c"), prog.run(backend="numpy")
         assert a.metrics.counters["runtime.loop.per_step.stabilize"] == 1
         _results_equal(a, b)
+
+
+@pytest.mark.parametrize("scheduler,workers,backend", [
+    ("seq", 1, "numpy"), ("thread", 2, "numpy"), ("process", 2, "numpy"),
+    ("seq", 1, "c"), ("thread", 2, "c"),
+])
+class TestDetailedRunIsTheProductionRun:
+    """``Obs(detail=True)`` changes what is written down, never what runs:
+    its per-step and per-block spans are booked after the loop from the
+    block kernels' tallies, whichever way the loop was driven."""
+
+    def _runs(self, scheduler, workers, backend):
+        if backend == "c" and not cbuild.compiler_available():
+            pytest.skip("needs a C compiler on PATH")
+        prog = _driven_program("die-heavy")
+        kw = dict(backend=backend, scheduler=scheduler, workers=workers,
+                  block_size=64)
+        tracer = Obs(detail=True)
+        return prog.run(**kw), prog.run(obs=tracer, **kw), tracer
+
+    def test_same_results_same_counters(self, scheduler, workers, backend):
+        plain, detailed, _ = self._runs(scheduler, workers, backend)
+        _results_equal(plain, detailed)
+        # scratch reuse says how warm each thread's buffer pool was, which
+        # depends on the runs before, not on this one
+        work = [{k: v for k, v in _int_counters(r, False).items()
+                 if not k.startswith("mem.scratch.")}
+                for r in (plain, detailed)]
+        assert work[0] == work[1]
+        loops = [{k for k in r.metrics.counters if k.startswith(
+            "runtime.loop.")} for r in (plain, detailed)]
+        assert loops[0] == loops[1] == {"runtime.loop." + (
+            "kernel" if backend == "c" else "per_step.numpy")}
+
+    def test_spans_are_the_step_rows(self, scheduler, workers, backend):
+        _, res, tracer = self._runs(scheduler, workers, backend)
+        rows = res.metrics.series["steps"]
+        supersteps = tracer.spans("superstep")
+        assert [ev.args for ev in supersteps] == [
+            {k: v for k, v in row.items() if k != "seconds"} for row in rows]
+        per_step = tracer.block_step_times()
+        assert [len(b) for b in per_step] == [row["blocks"] for row in rows]
+        for blocks, row in zip(per_step, rows):
+            assert sum(blocks) == pytest.approx(row["seconds"], rel=1e-9)
+        blocks = tracer.spans("block")
+        for ev, span in ((ev, s) for s in supersteps for ev in blocks
+                         if ev.args["step"] == s.args["step"]):
+            assert span.ts - 1e-9 <= ev.ts and ev.end <= span.end + 1e-9
+        by_worker = {}
+        for ev in blocks:
+            by_worker[ev.tid] = by_worker.get(ev.tid, 0) + 1
+        assert by_worker == {
+            name[len("sched.worker."):-len(".blocks")]: n
+            for name, n in res.metrics.counters.items()
+            if name.startswith("sched.worker.") and name.endswith(".blocks")}
+        samples = [ev.args["value"] for ev in tracer.events
+                   if ev.ph == "C" and ev.name == "strands.active"]
+        assert samples[:len(rows)] == [
+            row["active"] - row["stable"] - row["died"] for row in rows]
 
 
 class TestWorkersOption:
@@ -418,24 +479,23 @@ class TestThreadPoolPersistence:
         sched = ThreadScheduler(3)
         try:
             idents_before = {t.ident for t in sched._threads}
-            for step in range(5):
+            for _ in range(5):
                 blocks = [np.arange(i, i + 4) for i in range(0, 32, 4)]
-                results, times = sched.run_step(blocks, lambda b: int(b.sum()),
-                                                step=step)
-                assert results == [int(b.sum()) for b in blocks]
-                assert len(times) == len(blocks)
+                got = sched.run_step(blocks, lambda b: int(b.sum()))
+                assert [out for _, _, out in got] == [int(b.sum())
+                                                      for b in blocks]
             assert {t.ident for t in sched._threads} == idents_before
             assert all(t.is_alive() for t in sched._threads)
         finally:
             sched.close()
 
-    def test_last_block_workers_filled(self):
+    def test_block_workers_returned(self):
         sched = ThreadScheduler(2)
         try:
             blocks = [np.arange(3)] * 7
-            sched.run_step(blocks, lambda b: None)
-            assert len(sched.last_block_workers) == 7
-            assert all(w in (0, 1) for w in sched.last_block_workers)
+            got = sched.run_step(blocks, lambda b: None)
+            assert len(got) == 7
+            assert all(w in (0, 1) for w, _, _ in got)
         finally:
             sched.close()
 
@@ -448,8 +508,8 @@ class TestThreadPoolPersistence:
             with pytest.raises(ValueError, match="bad block"):
                 sched.run_step([np.arange(2)] * 4, boom)
             # the pool is still usable after an error
-            results, _ = sched.run_step([np.arange(2)], lambda b: 7)
-            assert results == [7]
+            [(_, _, out)] = sched.run_step([np.arange(2)], lambda b: 7)
+            assert out == 7
         finally:
             sched.close()
 

@@ -13,6 +13,7 @@ import asyncio
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.obs import ROOT
 from repro.serve.batch import Overloaded, ProbeBatcher
 from repro.serve.registry import ProbeSpec, ProgramRegistry, warm_manifest
 from repro.serve.server import ServeApp
-from tests.http_client import request
+from tests.http_client import _send, request
 
 EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir,
                        "examples", "programs", "probe_serve.diderot")
@@ -36,6 +37,18 @@ strand s (int i) {
     update { y = real(i) * 3.0; stabilize; }
 }
 initially [ s(i) | i in 0..(N-1) ];
+"""
+
+
+#: a run that would take a million super-steps unless something stops it
+ENDLESS = """
+input int K = 1000000;
+strand s (int i) {
+    output real y = 0.0;
+    int n = 0;
+    update { y += 1.0; n += 1; if (n >= K) stabilize; }
+}
+initially [ s(i) | i in 0..1 ];
 """
 
 
@@ -524,6 +537,48 @@ class TestHttpServer:
         assert doc["outputs"]["y"] == [0.0, 3.0, 6.0, 9.0, 12.0]
         assert s_del == 200
         assert s_gone == 404
+
+    def test_disconnected_stream_frees_the_entry(self, monkeypatch):
+        """A client that leaves after the first chunk ends its run at the
+        next super-step: the entry's next request is served, and the
+        abandoned run stopped long before its millionth step."""
+        from repro.serve.registry import ProgramEntry
+
+        run = ProgramEntry.run
+
+        def paced(self, *, inputs=None, on_step=None):
+            # a super-step's worth of work off the GIL, so the event loop
+            # keeps up with the chunks as a real program's steps let it
+            if on_step is not None:
+                def on_step(ev, _step=on_step):
+                    time.sleep(0.001)
+                    _step(ev)
+            return run(self, inputs=inputs, on_step=on_step)
+
+        monkeypatch.setattr(ProgramEntry, "run", paced)
+        cancelled = _counter("serve.stream.cancelled")
+        steps = _counter("sched.supersteps")
+
+        async def drive():
+            app = ServeApp(ProgramRegistry())
+            await app.start("127.0.0.1", 0)
+            await request(app.port, "POST", "/programs/e", {"source": ENDLESS})
+            reader, writer, status, _ = await _send(
+                app.port, "POST", "/run/e", {"stream": True})
+            size = int((await reader.readline()).strip(), 16)
+            first = json.loads(await reader.readexactly(size))
+            writer.close()
+            await writer.wait_closed()
+            answer = await asyncio.wait_for(request(
+                app.port, "POST", "/run/e", {"inputs": {"K": 3}}), 60)
+            await app.close()
+            return status, first, answer
+
+        status, first, (s_next, doc) = asyncio.run(drive())
+        assert status == 200 and first["step"] == 0
+        assert s_next == 200 and doc["outputs"]["y"] == [3.0, 3.0]
+        assert _counter("serve.stream.cancelled") - cancelled == 1
+        assert _counter("sched.supersteps") - steps < 1000000
 
     def test_process_with_c_backend_answers_400(self):
         async def drive():
