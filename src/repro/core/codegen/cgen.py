@@ -13,21 +13,27 @@ single entry point, the super-step driver::
 image voxel data and non-scalar globals), ``SC``/``IC`` carry scalar constants
 (scalar globals, image origins / inverse transforms / sizes).  ``idx`` is the
 caller's private work-list of ``*n_io`` active strand indices: ``dd_run``
-updates them for up to ``max_steps`` super-steps, after each step compacting
-the list in place to the strands still running and writing the step's
-``(active, stable, died)`` counts to ``counts[3 * step ...]`` and its
-``CLOCK_MONOTONIC`` duration to ``seconds[step]`` (both caller-owned, at
-least ``max_steps`` rows).  It stops early when the list empties, stores the
-remaining count in ``*n_io`` and returns the number of steps taken, or ``-1``
-when an integer division by zero occurs on a live lane (the caller re-raises
-``RuntimeErrorD`` to match the NumPy backend contract).
+updates them for up to ``max_steps`` super-steps, leaves the strands still
+running in ``idx[0 .. *n_io)`` and writes each step's ``(active, stable,
+died)`` counts to ``counts[3 * step ...]`` and its share of the call's
+``CLOCK_MONOTONIC`` wall time — split over the steps by active strands — to
+``seconds[step]`` (both caller-owned, at least ``max_steps`` rows).  It
+returns the number of steps taken, or ``-1`` when an integer division by
+zero occurs on a live lane (the caller re-raises ``RuntimeErrorD`` to match
+the NumPy backend contract).
 
-The update itself is the file-local ``dd_update(..., idx, start, end)``: one
-pass over lanes ``[start, end)`` of an index list, where a ``NULL`` ``idx``
-means the identity mapping ``lane == k``.  The driver picks that dense form
-whenever the work-list is a contiguous ascending run (proved once at entry —
-compaction preserves order — then an O(1) span test per step); its full
-batches load and store state at row ``_k0 + _l`` directly.
+The update itself is the file-local ``dd_update``: one loop over ``DD_VB``
+lane slots.  A slot takes a strand from the work-list, loads its state
+once, runs the batch body step after step with the state blocks carried
+across the loop's back edge, and stores the state when the strand
+stabilizes, dies or spends ``max_steps``; then it takes the next strand.
+A slot with no strand left shadows a running lane (its row, age and
+state), so every lane computes a step the reference takes, and a shadow
+stores the bit-identical value, folds the same footprint box and faults
+only where the lane it copies faults.  A step in which some lane
+finishes stores every lane and reloads every lane, one batch each,
+whichever lanes finished; so per-step driving (``max_steps=1``), where
+every lane finishes every step, runs the batch it always ran.
 
 Unlike the PR 7 emitter (one scalar body per strand), the update loop is
 *strand-batched*: strands are processed ``DD_VB`` at a time, every SSA value
@@ -409,43 +415,67 @@ _EIGEN_DOUBLE = re.sub(
 ).replace("dd_real", "double")
 
 
-# The one exported entry point.  Strand status codes are the runtime's
-# (0 running, 1 stabilized, 2 died); %d is the status slot in IP.
+# The lane slots' refill when some slot is still running or fewer than a
+# batch of strands is left (``_Emitter._emit_refill`` inlines the common
+# case): a finished slot takes the next strand of the work-list or, with
+# none left, shadows the first running slot's row and age.  0: no slot is
+# running.  Out of line, its branches stay out of the body's function.
+_REFILL = """
+static DD_NOINLINE int dd_refill(int64_t *row, int64_t *age, int *own, int *done,
+                                 const int64_t *idx, int64_t *next, int64_t n) {
+    int run = -1;
+    for (int l = 0; l < DD_VB; l++) {
+        if (done[l]) {
+            own[l] = *next < n;
+            if (own[l]) {
+                row[l] = idx[(*next)++];
+                age[l] = 0;
+                done[l] = 0;
+            }
+        }
+        if (run < 0 && !done[l]) run = l;
+    }
+    if (run < 0) return 0;
+    for (int l = 0; l < DD_VB; l++) {
+        if (done[l]) {
+            row[l] = row[run];
+            age[l] = age[run];
+            done[l] = 0;
+        }
+    }
+    return 1;
+}
+"""
+
+# The one exported entry point.  ``dd_update`` adds each step's stabilized
+# and died strands into ``counts``; a strand is active at every step before
+# the one it left at, which rebuilds the active column.
 _DRIVER = """
 int64_t dd_run(void **RP, int64_t **IP, unsigned char **BP,
                const double *SC, const int64_t *IC,
                int64_t *idx, int64_t *n_io, int64_t max_steps,
                int64_t *counts, double *seconds) {
-    const int64_t *const status = IP[%d];
-    int64_t n = *n_io, step = 0, i;
-    /* compaction keeps a strictly ascending list strictly ascending, so
-     * one proof at entry makes every later density test O(1) */
-    int ascending = 1;
-    for (i = 1; i < n; i++) ascending &= idx[i] > idx[i - 1];
-    for (; step < max_steps && n > 0; step++) {
-        struct timespec t0, t1;
-        int64_t live = 0, stable = 0;
-        int rc;
-        clock_gettime(CLOCK_MONOTONIC, &t0);
-        if (ascending && idx[n - 1] - idx[0] == n - 1)
-            rc = dd_update(RP, IP, BP, SC, IC, 0, idx[0], idx[0] + n);
-        else
-            rc = dd_update(RP, IP, BP, SC, IC, idx, 0, n);
+    struct timespec t0, t1;
+    int64_t left = *n_io, updates = 0, step;
+    double wall;
+    if (left <= 0 || max_steps <= 0) return 0;
+    for (step = 0; step < max_steps; step++)
+        counts[3 * step + 1] = counts[3 * step + 2] = 0;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    {
+        const int rc = dd_update(RP, IP, BP, SC, IC, idx, left, max_steps, counts);
         if (rc) return -rc;
-        for (i = 0; i < n; i++) {
-            const int64_t s = status[idx[i]];
-            if (s == 0) idx[live++] = idx[i];
-            else stable += s == 1;
-        }
-        clock_gettime(CLOCK_MONOTONIC, &t1);
-        counts[3 * step] = n;
-        counts[3 * step + 1] = stable;
-        counts[3 * step + 2] = n - live - stable;
-        seconds[step] = (double)(t1.tv_sec - t0.tv_sec)
-            + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
-        n = live;
     }
-    *n_io = n;
+    clock_gettime(CLOCK_MONOTONIC, &t1);
+    for (step = 0; step < max_steps && left > 0; step++) {
+        counts[3 * step] = left;
+        updates += left;
+        left -= counts[3 * step + 1] + counts[3 * step + 2];
+    }
+    wall = (double)(t1.tv_sec - t0.tv_sec) + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+    for (int64_t i = 0; i < step; i++)
+        seconds[i] = wall * (double)counts[3 * i] / (double)updates;
+    *n_io = left;
     return step;
 }
 """
@@ -470,6 +500,7 @@ def _prelude(single: bool, vb: int) -> str:
         + precision
         + _HELPERS
         + (_EIGEN_DOUBLE if single else "")
+        + _REFILL
     )
 
 
@@ -1351,7 +1382,7 @@ class _Emitter:
         with self.block(f"if ({lo})"), self.lanes(simd=False):
             if self.mask_stack:
                 self.emit(f"if (!{self.ref(self.mask_stack[-1])}) continue;")
-            self.emit(f"const int64_t _r = (_direct ? _k0 + _l : _lane[_l]) * {d};")
+            self.emit(f"const int64_t _r = _row[_l] * {d};")
             for ax in range(d):
                 with self.block():
                     self.emit(f"const int64_t _mx = _sz_{img}[{ax}] - 1;")
@@ -1575,67 +1606,109 @@ class _Emitter:
                 self._declare_consts(item.then_body)
                 self._declare_consts(item.else_body)
 
-    # -- batch body -----------------------------------------------------------
+    # -- lane slots -----------------------------------------------------------
 
-    def _by_row(self, emit) -> None:
-        """``emit(row)`` for both ways lane ``_l`` finds its strand's state
-        row: ``_k0 + _l`` in a full batch of the identity mapping (stride-1
-        loads and stores), ``_lane[_l]`` otherwise."""
-        self.emit("if (_direct) {")
-        with self.indented():
-            emit("_k0 + _l")
-        self.emit("} else {")
-        with self.indented():
-            emit("_lane[_l]")
-        self.emit("}")
+    def _emit_refill(self) -> None:
+        """Give every finished slot (``_done``) the next strand of the
+        work-list, or, with none left, make it a shadow of a running slot;
+        its state comes with the load that follows.  When every slot
+        finished and a whole batch of strands is left, as on every step of
+        per-step driving, the slots take the next ``DD_VB`` in one lane
+        loop; otherwise ``dd_refill`` does it, and returns when the
+        work-list is spent."""
+        with self.block("if (_fin == DD_VB && _next + DD_VB <= n)"):
+            self.lane("{ _row[_l] = idx[_next + _l]; _age[_l] = 0; "
+                      "_own[_l] = 1; _done[_l] = 0; }")
+            self.emit("_next += DD_VB;")
+        self.emit("else if (!dd_refill(_row, _age, _own, _done, idx, &_next, n)) return 0;")
 
-    def _emit_batch_body(self) -> None:
-        """The strand update of lanes ``_k0 .. _k0 + DD_VB`` of ``[start,
-        end)``: load each lane's state, run the update, store the state and
-        status back.  It is the only copy of the body in ``dd_update``.
+    def _emit_finish(self, status: str) -> None:
+        """After a step: age every slot and mark the ones whose strand left
+        or spent ``max_steps``; ``_fin`` counts them."""
+        self.emit("_fin = 0;")
+        with self.lanes(simd=False):
+            self.emit("_age[_l]++;")
+            self.emit(f"_done[_l] = ({status} != 0) | (_age[_l] == max_steps);")
+            self.emit("_fin += _done[_l];")
 
-        An index list or the last, partial batch maps lanes to strands
-        through ``_lane[]``, whose lanes past ``end`` repeat the last real
-        one.  Strands are independent and deterministic, so a repeated lane
-        stores the bit-identical value, folds the same footprint box and
-        faults only where the lane it copies does."""
+    def _emit_tally(self, status: str) -> None:
+        """Add each finished owning slot's strand to the row of the step it
+        left at, or hand it back to the work-list's head if it spent
+        ``max_steps`` (a shadow's strand is its owner's)."""
+        with self.lanes(simd=False), self.block("if (_own[_l] && _done[_l])"):
+            self.emit(f"const int64_t _s = {status};")
+            self.emit("if (_s) counts[3 * (_age[_l] - 1) + _s]++;")
+            self.emit("else idx[_kept++] = _row[_l];")
+
+    def _emit_carry(self, states: list, results: list) -> None:
+        """Each written state slot takes its step's result, as a store and
+        the next load would leave it.  A result that is another written
+        slot's value is read before any slot is overwritten."""
+        written = states[:len(results)]
+        moves = []
+        for p, r in zip(states, results):
+            if r is p:
+                continue
+            if r in written:
+                rep = self.rep(p.ty)
+                r_old = self.scratch("cy", rep.ctype, rep.size if rep.kind == "array" else None)
+                self.copy(r_old, r)
+                r = r_old
+            moves.append((p, r))
+        for p, r in moves:
+            load = _TABLES[self.rep(p.ty).table].load
+            with self.elements(p, "e") as e:
+                self.store(p, e, load.format(self.ref(r, e)))
+
+    def _emit_lane_loop(self) -> None:
+        """``dd_update``'s one loop: refill and load the slots that
+        finished, run one step of the batch body, then store every slot or
+        carry the state blocks across the back edge.  It holds the only
+        copy of the body, and each state slot is loaded at one site and
+        stored at one site, in lane loops over all ``DD_VB`` slots."""
         func = self.func
         states = func.params[self.plan["n_globals"]:]
+        results, status = func.results[:-1], func.results[-1]
 
-        self.emit("const int _direct = !idx && _k0 + DD_VB <= end;")
-        self.emit("int64_t _lane[DD_VB];")
-        with self.block("if (!_direct)"), self.lanes(simd=False):
-            self.emit("const int64_t _k = (_k0 + _l < end) ? _k0 + _l : end - 1;")
-            self.emit("_lane[_l] = idx ? idx[_k] : _k;")
-
-        # state loads: SoA blocks filled from the strand-major buffers
+        self.emit("int64_t _row[DD_VB], _age[DD_VB];")
+        self.emit("int _own[DD_VB], _done[DD_VB];")
+        self.emit("int64_t _next = 0, _kept = 0;")
+        # every slot starts finished, with nothing to store
+        self.emit("int _fin = DD_VB;")
+        self.lane("_done[_l] = 1;", simd=False)
+        # the state blocks live across steps
         for p in states:
             self.declare(p)
-
-        def loads(row: str) -> None:
-            for si, p in enumerate(states):
-                load = _TABLES[self.rep(p.ty).table].load
-                with self.elements(p, "e") as e:
-                    self.store(p, e, load.format(self._state_ref(si, e, row)))
-
-        self._by_row(loads)
-
-        # hoisted declarations for all instruction results, then the body
-        self._declare_results(func.body)
-        self._emit_body(func.body)
-
-        # writebacks: results[:-1] are the *written* state slots in order
-        # (a prefix of the slots — immutable extras at the tail are never
-        # returned), results[-1] is the strand status.
-        def stores(row: str) -> None:
-            for si, r in enumerate(func.results[:-1]):
-                store = _TABLES[self.rep(states[si].ty).table].store
-                with self.elements(states[si], "e") as e:
-                    self.lane(f"{self._state_ref(si, e, row)} = "
-                              f"{store.format(self.ref(r, e))};")
-            self.lane(f"_ip{self.index['status',]}[{row}] = {self.ref(func.results[-1])};")
-
-        self._by_row(stores)
+        with self.block("for (;;)"):
+            # the state loads and stores are plain lane loops: a vector
+            # gather or scatter through _row measured slower than scalar
+            # accesses on every step of per-step driving
+            with self.block("if (_fin)"):
+                self._emit_refill()
+                for si, p in enumerate(states):
+                    load = _TABLES[self.rep(p.ty).table].load
+                    with self.elements(p, "e") as e:
+                        self.store(p, e, load.format(self._state_ref(si, e, "_row[_l]")),
+                                   simd=False)
+            # hoisted declarations for all instruction results, then the
+            # body
+            self._declare_results(func.body)
+            self._emit_body(func.body)
+            self._emit_finish(self.ref(status))
+            # results[:-1] are the *written* state slots in order (a prefix
+            # of the slots: immutable extras at the tail are never
+            # returned), results[-1] is the strand status
+            with self.block("if (_fin)"):
+                self._emit_tally(self.ref(status))
+                for si, r in enumerate(results):
+                    store = _TABLES[self.rep(states[si].ty).table].store
+                    with self.elements(states[si], "e") as e:
+                        self.lane(f"{self._state_ref(si, e, '_row[_l]')} = "
+                                  f"{store.format(self.ref(r, e))};", simd=False)
+                self.lane(f"_ip{self.index['status',]}[_row[_l]] = {self.ref(status)};",
+                          simd=False)
+            with self.block("else"):
+                self._emit_carry(states, results)
 
     # -- top-level -----------------------------------------------------------
 
@@ -1649,7 +1722,7 @@ class _Emitter:
             "static DD_NOINLINE int dd_update(\n"
             "        void **RP, int64_t **IP, unsigned char **BP,\n"
             "        const double *SC, const int64_t *IC,\n"
-            "        const int64_t *idx, int64_t start, int64_t end) {"
+            "        int64_t *idx, int64_t n, int64_t max_steps, int64_t *counts) {"
         )
         self.lines = []
         self.indent = 1
@@ -1697,16 +1770,14 @@ class _Emitter:
                 cast = "" if rep.ctype == "int64_t" else f"({rep.ctype})"
                 self.emit(f"const {rep.ctype} {name} = {cast}{consts}[{k}];")
 
-        # hoisted constants + zero-init marking, then the batch loop
+        # hoisted constants + zero-init marking, then the lane loop
         self._declare_consts(func.body)
         self._collect_phi_operands(func.body)
-        with self.block("for (int64_t _k0 = start; _k0 < end; _k0 += DD_VB)"):
-            self._emit_batch_body()
-        self.emit("return 0;")
+        self._emit_lane_loop()
 
         out.extend(self.lines)
         out.append("}")
-        out.append(_DRIVER % self.index["status",])
+        out.append(_DRIVER)
         c_source = "\n".join(out)
 
         # per-image metadata the binder needs (dim, tshape) — picklable

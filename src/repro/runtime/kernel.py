@@ -1,7 +1,7 @@
 """The block kernel: what updates one strand block (paper §5.5).
 
 ``run_block(idx, max_steps) -> (counts, seconds)`` runs the strands with
-ascending ids ``idx`` for up to ``max_steps`` super-steps, writing their
+ids ``idx`` for up to ``max_steps`` super-steps, writing their
 state and status **in place** into the arrays the kernel is bound to, and
 reports one row per step taken: ``counts`` — int64 ``(steps, 3)``, active /
 stabilized / died — and ``seconds`` — float64 ``(steps,)``.  Blocks index

@@ -209,7 +209,11 @@ def book_steps(obs, tallies: list, workers: int) -> None:
     i``, counts add up across blocks, a step's ``blocks`` is the number of
     blocks that still had a live strand, and its seconds are the seconds
     its blocks spent (their sum: wall time under the sequential scheduler,
-    busy time under threads or processes).  The load-imbalance index is
+    busy time under threads or processes).  A block's step seconds are
+    measured per step when the loop is driven per step; a kernel-driven
+    native call takes its steps with no boundary between them, so it
+    reports its one wall time split over them by active strands.  The
+    load-imbalance index is
     ``max(busy) / mean(busy over the configured worker count)`` — 1.0 when
     every worker did equal work, ``workers`` when one did everything.
 

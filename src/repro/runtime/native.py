@@ -9,10 +9,13 @@ arrays' addresses) are built once; per call only a private copy of the
 block's index list, its length and the tally arrays change.
 ``run_range`` is the one way in: it runs a block for ``max_steps``
 super-steps — one, when the caller must see every step boundary; all that
-remain, when nothing does — and the kernel keeps the work-list itself
-(which lanes are still running, and whether the list is a contiguous run,
-whose full batches then read and write state rows without a per-lane
-index) and reports what each step did.
+remain, when nothing does — and the kernel keeps the work-list itself and
+reports what each step did.  Inside the kernel a lane keeps its strand
+until the strand finishes, loading its state once and storing it once,
+and a lane with no strand left shadows a live one; so a kernel-driven
+call has no step boundary to time, and its per-step ``seconds`` are the
+call's wall time split over the steps by active strands (a one-step call
+measures its step).
 
 The ctypes call releases the GIL for its whole duration.  Disjoint lane
 ranges touch disjoint state elements, so concurrent ``run_range`` calls
@@ -233,11 +236,12 @@ class NativeUpdate:
         """Run lanes ``idx[start:end]`` for up to ``max_steps`` super-steps.
 
         ``idx`` holds strand indices into the flat state buffers and is
-        not modified: the kernel works on (and compacts) a private copy,
-        and stops early once every lane has stabilized or died.  Returns
-        the kernel's tallies, one row per step taken: ``counts`` — int64
-        ``(steps, 3)`` columns active / stabilized / died — and
-        ``seconds`` — float64 ``(steps,)``, measured inside the kernel.
+        not modified: the kernel works on a private copy, and stops early
+        once every strand has stabilized or died.  Returns the kernel's
+        tallies, one row per step taken: ``counts`` — int64 ``(steps, 3)``
+        columns active / stabilized / died — and ``seconds`` — float64
+        ``(steps,)``, the kernel call's measured wall time split over its
+        steps by active strands.
         Raises :class:`RuntimeErrorD` on an integer division by zero,
         mirroring the NumPy backend's live-lane contract.
         """

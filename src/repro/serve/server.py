@@ -57,6 +57,10 @@ __all__ = ["ServeApp"]
 #: refuse request bodies larger than this (64 MiB)
 MAX_BODY = 64 << 20
 
+#: super-steps a streamed run may be ahead of the chunks its writer has
+#: sent; the run's ``on_step`` waits for the writer beyond that
+STREAM_AHEAD = 8
+
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -369,16 +373,26 @@ class ServeApp:
         The worker thread's per-super-step callback is bridged onto the
         event loop via ``call_soon_threadsafe`` into a queue; the final
         chunk is whatever ``call`` returns (a dict with ``done: true``).
-        Once the generator is closed — its client has gone — the callback
-        raises instead, which ends the run at the next super-step.
+        The callback waits while ``STREAM_AHEAD`` steps are queued or being
+        written, so a run of cheap steps moves at its writer's pace instead
+        of flooding the event loop.  Once the generator is closed — its
+        client has gone — the callback raises instead of waiting, which
+        ends the run at the next super-step.
         """
         loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
+        # the steps in flight, then the final message
+        queue: asyncio.Queue = asyncio.Queue(STREAM_AHEAD + 1)
         closed = threading.Event()
+        room = threading.Condition()
+        in_flight = 0
 
         def on_step(ev):
-            if closed.is_set():
-                raise ConnectionAbortedError("the stream's client has gone")
+            nonlocal in_flight
+            with room:
+                room.wait_for(lambda: closed.is_set() or in_flight < STREAM_AHEAD)
+                if closed.is_set():
+                    raise ConnectionAbortedError("the stream's client has gone")
+                in_flight += 1
             mask = ev.status == 1  # strands that stabilized this step
             item = {
                 "step": int(ev.step),
@@ -403,6 +417,10 @@ class ServeApp:
                 msg = await queue.get()
                 if msg[0] == "step":
                     yield msg[1]
+                    # the writer has sent the chunk: the run may go on
+                    with room:
+                        in_flight -= 1
+                        room.notify()
                     continue
                 _, exc, done = msg
                 if exc is not None:
@@ -413,4 +431,6 @@ class ServeApp:
                 yield done.result()
                 return
         finally:
-            closed.set()
+            with room:
+                closed.set()
+                room.notify_all()

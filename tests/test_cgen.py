@@ -431,8 +431,9 @@ EXAMPLES = sorted(
 
 
 class TestKernelShape:
-    """One batch body, direct state access for contiguous blocks, and an
-    ``inside`` without a floor, in every example's C."""
+    """One batch body in one lane loop, each state slot loaded at one site
+    and stored at one site, and an ``inside`` without a floor, in every
+    example's C."""
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
     def test_one_batch_body(self, path, monkeypatch):
@@ -445,16 +446,60 @@ class TestKernelShape:
             insides.append("\n".join(self.lines[start:]))
 
         monkeypatch.setattr(cgen._Emitter, "_op_index_inside", spy)
-        c_source, _ = generate_c_module(compile_file(str(path), cache=False).high)
+        c_source, plan = generate_c_module(compile_file(str(path), cache=False).high)
         update = c_source[c_source.index(" dd_update("):c_source.index(" dd_run(")]
-        assert update.count("_k0 += DD_VB") == 1
-        assert "(int)(end - _k0)" not in update
-        # the direct arms of the state loads and of the write-backs
-        direct = [arm.split("} else {")[0]
-                  for arm in update.split("if (_direct) {")[1:]]
-        assert len(direct) == 2
-        assert all("_lane[" not in arm and "_k0 + _l" in arm for arm in direct)
+        assert update.count("for (;;)") == 1
+        assert "_direct" not in update and "_k0" not in update
+        sites = {}
+        for table, alias in (("real_ptrs", "_rp"), ("int_ptrs", "_ip"),
+                             ("bool_ptrs", "_bp")):
+            for i, entry in enumerate(plan[table]):
+                if entry[0] not in ("state", "status"):
+                    continue
+                ref = f"{alias}{i}["
+                lhs = [line.rpartition(" = ") for line in update.splitlines()
+                       if ref in line]
+                sites[entry] = (sum(ref in rhs for _, _, rhs in lhs),
+                                sum(ref in left for left, _, _ in lhs))
+        n_ret, n_state = plan["n_ret"], plan["n_state"]
+        assert sites == {("status",): (0, 1),
+                         **{("state", si): (1, int(si < n_ret))
+                            for si in range(n_state)}}
         assert all("dd_floor" not in text for text in insides)
+
+    #: two state slots that trade values every step: each result is the
+    #: other slot's value, so a carry that copied slot by slot would read
+    #: one it had just overwritten
+    SWAP = """
+        strand S (int i) {
+            output real a = real(i);
+            output real b = -1.0;
+            output bool odd = false;
+            int n = 0;
+            update {
+                real t = a;
+                a = b;
+                b = t;
+                odd = !odd;
+                n += 1;
+                if (n >= 3 + i % 4) stabilize;
+            }
+        }
+        initially [ S(i) | i in 0 .. 9 ];
+    """
+
+    @requires_cc
+    def test_carried_state_swaps(self):
+        prog = compile_program(self.SWAP)
+        kernel = prog.run(backend="c", block_size=3)
+        stepped = prog.run(backend="c", block_size=3, on_step=lambda ev: None)
+        ref = prog.run(backend="numpy")
+        assert kernel.metrics.counters["runtime.loop.kernel"] == 1
+        for key in ref.outputs:
+            assert kernel.outputs[key].tobytes() == stepped.outputs[key].tobytes()
+            assert np.array_equal(kernel.outputs[key], ref.outputs[key]), key
+        assert list(kernel.outputs["odd"]) == [n % 2 == 1 for n in
+                                               (3 + i % 4 for i in range(10))]
 
 
 # -- footprint recording inside the kernel -----------------------------------

@@ -538,24 +538,10 @@ class TestHttpServer:
         assert s_del == 200
         assert s_gone == 404
 
-    def test_disconnected_stream_frees_the_entry(self, monkeypatch):
+    def test_disconnected_stream_frees_the_entry(self):
         """A client that leaves after the first chunk ends its run at the
         next super-step: the entry's next request is served, and the
         abandoned run stopped long before its millionth step."""
-        from repro.serve.registry import ProgramEntry
-
-        run = ProgramEntry.run
-
-        def paced(self, *, inputs=None, on_step=None):
-            # a super-step's worth of work off the GIL, so the event loop
-            # keeps up with the chunks as a real program's steps let it
-            if on_step is not None:
-                def on_step(ev, _step=on_step):
-                    time.sleep(0.001)
-                    _step(ev)
-            return run(self, inputs=inputs, on_step=on_step)
-
-        monkeypatch.setattr(ProgramEntry, "run", paced)
         cancelled = _counter("serve.stream.cancelled")
         steps = _counter("sched.supersteps")
 
@@ -579,6 +565,54 @@ class TestHttpServer:
         assert s_next == 200 and doc["outputs"]["y"] == [3.0, 3.0]
         assert _counter("serve.stream.cancelled") - cancelled == 1
         assert _counter("sched.supersteps") - steps < 1000000
+
+    def test_stream_of_cheap_steps_keeps_pace_with_its_writer(self, monkeypatch):
+        """Steps far cheaper than a chunk's write do not flood the event
+        loop: the first chunk of a million-step stream arrives at once, and
+        a run whose client reads 50 chunks and leaves stops within a
+        bounded number of steps of the last chunk it was sent."""
+        from repro.serve.registry import ProgramEntry
+        from repro.serve.server import STREAM_AHEAD
+
+        run, stepped = ProgramEntry.run, []
+
+        def counted(self, *, inputs=None, on_step=None):
+            if on_step is not None:
+                def on_step(ev, _step=on_step):
+                    stepped.append(ev.step)
+                    _step(ev)
+            return run(self, inputs=inputs, on_step=on_step)
+
+        monkeypatch.setattr(ProgramEntry, "run", counted)
+
+        async def drive():
+            app = ServeApp(ProgramRegistry())
+            await app.start("127.0.0.1", 0)
+            await request(app.port, "POST", "/programs/e", {"source": ENDLESS})
+            t0 = time.monotonic()
+            reader, writer, _, _ = await _send(
+                app.port, "POST", "/run/e", {"stream": True})
+            chunks = []
+            for _ in range(50):
+                size = int((await reader.readline()).strip(), 16)
+                chunks.append(json.loads(await reader.readexactly(size)))
+                await reader.readline()  # the chunk's CRLF
+                if len(chunks) == 1:
+                    first_s = time.monotonic() - t0
+            writer.close()
+            await writer.wait_closed()
+            # the entry is free once the abandoned run has ended
+            await asyncio.wait_for(request(
+                app.port, "POST", "/run/e", {"inputs": {"K": 3}}), 60)
+            await app.close()
+            return first_s, chunks
+
+        first_s, chunks = asyncio.run(drive())
+        assert first_s < 10
+        assert [c["step"] for c in chunks] == list(range(50))
+        # 50 sent and STREAM_AHEAD in flight, plus the few that still go
+        # out before a write to the closed socket fails
+        assert 50 < len(stepped) < 50 + STREAM_AHEAD + 1000
 
     def test_process_with_c_backend_answers_400(self):
         async def drive():

@@ -185,3 +185,60 @@ class TestNativeStepLoop:
             prog.run(on_step=lambda ev: None, **kw)
         with pytest.raises(RuntimeErrorD, match="division by zero"):
             prog.run(backend="numpy", block_size=4)
+
+    #: strands live 1–7 steps, mixed within every batch, and leave by
+    #: ``stabilize`` (even ``i``) or ``die`` (odd ``i``); each strand's
+    #: divisor reaches zero one step after its last one, so a lane that
+    #: stepped a finished strand again would fault
+    FINISHED = """
+        image(2)[] img = load("p.nrrd");
+        field#2(2)[] F = img ⊛ bspln3;
+        strand S (int i) {
+            output real x = 0.0;
+            int n = 0;
+            update {
+                int life = 1 + (i * 5) % 7;
+                n += 1;
+                vec2 p = [real(i % 9) + 2.5 + real(n), real(i / 9) + 2.5];
+                if (inside(p, F)) x += F(p);
+                x += real(100 / (life + 1 - n));
+                if (n >= life) {
+                    if (i % 2 == 0) stabilize; else die;
+                }
+            }
+        }
+        initially [ S(i) | i in 0 .. 40 ];
+    """
+
+    @pytest.mark.parametrize("block_size", [1, 3, 5, 4096])
+    @pytest.mark.parametrize("scheduler,workers", [("seq", 1), ("thread", 2)])
+    def test_finished_strand_never_steps_again(self, scheduler, workers,
+                                               block_size):
+        from repro.core.verify.fuzz import step_tallies
+        from repro.image import Image
+
+        prog = compile_program(self.FINISHED)
+        prog.bind_image("img", Image(
+            np.random.default_rng(0).random((20, 20)), dim=2))
+        kw = dict(backend="c", scheduler=scheduler, workers=workers,
+                  block_size=block_size, checkpoint=True)
+        runs = []
+        for on_step in (None, lambda ev: None):
+            res = prog.run(on_step=on_step, **kw)
+            boxes = {img: (lo.copy(), hi.copy()) for img, (lo, hi)
+                     in prog._inc.recorder.boxes.items()}
+            runs.append((res, boxes))
+        (kernel, k_boxes), (stepped, s_boxes) = runs
+        assert kernel.metrics.counters["runtime.loop.kernel"] == 1
+        assert stepped.metrics.counters["runtime.loop.per_step.on_step"] == 1
+        assert kernel.steps == 7
+        assert kernel.num_stable == 21 and kernel.num_died == 20
+        assert step_tallies(kernel) == step_tallies(stepped)
+        assert set(kernel.outputs) == set(stepped.outputs)
+        for key in kernel.outputs:
+            assert kernel.outputs[key].tobytes() == \
+                stepped.outputs[key].tobytes(), key
+        assert set(k_boxes) == set(s_boxes) == {"img"}
+        for img, (lo, hi) in k_boxes.items():
+            assert np.array_equal(lo, s_boxes[img][0]), img
+            assert np.array_equal(hi, s_boxes[img][1]), img
