@@ -103,8 +103,8 @@ def _fold(instr: Instr, args: list) -> object:
     if op == "norm":
         return float(rt.norm(_as_np(a[0]), instr.attrs["order"]))
     if op == "dot":
-        # by tensor order, like the generated code: rt.dot guesses from the
-        # shapes and would take a constant vector•matrix for matrix•vector
+        # by tensor order, like the generated code; a folded operand has no
+        # lane axis, so its ndim is its order
         u, v = _as_np(a[0]), _as_np(a[1])
         return rt.dot_ord(u, v, u.ndim, v.ndim)
     if op == "cross":

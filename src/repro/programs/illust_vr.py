@@ -12,62 +12,9 @@ import numpy as np
 
 from repro.data import hand_phantom
 from repro.image import Image, Orientation
+from repro.programs import source
 
-SOURCE = """\
-input real stepSz = 0.5;
-input vec3 eye = [0.0, 0.0, 90.0];
-input vec3 orig = [-15.0, -15.0, 45.0];
-input vec3 cVec = [0.3, 0.0, 0.0];
-input vec3 rVec = [0.0, 0.3, 0.0];
-input real opacMin = 350.0;
-input real opacMax = 900.0;
-input real tMax = 120.0;
-input int imgResU = 100;
-input int imgResV = 100;
-image(3)[] img = load("hand.nrrd");
-field#2(3)[] F = img ⊛ bspln3;
-// RGB colormap of (kappa1, kappa2)
-image(2)[3] xfer = load("xfer.nrrd");
-field#0(2)[3] RGB = tent ⊛ xfer;
-
-strand RayCast (int r, int c) {
-    vec3 pos = orig + real(r)*rVec + real(c)*cVec;
-    vec3 dir = normalize(pos - eye);
-    real t = 0.0;
-    real transp = 1.0;
-    output vec3 rgb = [0.0, 0.0, 0.0];
-
-    update {
-        pos = pos + stepSz*dir;
-        t = t + stepSz;
-        if (inside(pos, F)) {
-            real val = F(pos);
-            if (val > opacMin) {
-                real opac = 1.0 if (val > opacMax)
-                            else (val - opacMin)/(opacMax - opacMin);
-                vec3 grad = -∇F(pos);
-                vec3 norm = normalize(grad);
-                tensor[3,3] H = ∇⊗∇F(pos);
-                tensor[3,3] P = identity[3] - norm⊗norm;
-                tensor[3,3] G = -(P•H•P)/|grad|;
-                real disc = sqrt(max(0.0, 2.0*|G|^2 - trace(G)^2));
-                real k1 = (trace(G) + disc)/2.0;
-                real k2 = (trace(G) - disc)/2.0;
-                // find material RGBA
-                vec3 matRGB = RGB([max(-1.0, min(0.99, 6.0*k1)),
-                                   max(-1.0, min(0.99, 6.0*k2))]);
-                real diff = max(0.0, -dir • norm);
-                rgb += transp*opac*diff*matRGB;
-                transp *= 1.0 - opac;
-            }
-        }
-        if (t > tMax) stabilize;
-    }
-}
-
-initially [ RayCast(vi, ui) | vi in 0 .. imgResV-1,
-                              ui in 0 .. imgResU-1 ];
-"""
+SOURCE = source("illust_vr")
 
 PAPER_STRANDS = 307_200
 NAME = "illust-vr"

@@ -10,38 +10,9 @@ initial strands — the green dots of Figure 8.
 from __future__ import annotations
 
 from repro.data import portrait_phantom
+from repro.programs import source
 
-SOURCE = """\
-input int resU = 100;
-input int resV = 100;
-input int stepsMax = 20;
-input real epsilon = 0.001;
-field#1(2)[] f = ctmr ⊛ load("ddro.nrrd");
-
-strand sample (int ui, int vi) {
-    output vec2 pos = [real(ui), real(vi)];
-    // set isovalue to closest of 50, 30, or 10
-    real f0 = 50.0 if f([real(ui), real(vi)]) >= 40.0
-              else 30.0 if f([real(ui), real(vi)]) >= 20.0
-              else 10.0;
-    int steps = 0;
-
-    update {
-        if (!inside(pos, f) || steps > stepsMax)
-            die;
-        vec2 grad = ∇f(pos);
-        vec2 delta =  // the Newton-Raphson step
-            normalize(grad) * (f(pos) - f0)/|grad|;
-        if (|delta| < epsilon)
-            stabilize;
-        pos -= delta;
-        steps += 1;
-    }
-}
-
-initially { sample(ui, vi) | vi in 0 .. resV-1,
-                             ui in 0 .. resU-1 };
-"""
+SOURCE = source("isocontour")
 
 NAME = "isocontour"
 PAPER_STRANDS = None  # demonstration program (Figures 7-8), not in Table 1

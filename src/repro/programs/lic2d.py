@@ -9,38 +9,9 @@ velocity magnitude, exactly as in the paper's Figure 5.
 from __future__ import annotations
 
 from repro.data import noise_texture, vector_field_2d
+from repro.programs import source
 
-SOURCE = """\
-input real h = 0.005;       // integration step size
-input int stepNum = 20;     // streamline steps each direction
-input int imgResU = 250;
-input int imgResV = 250;
-input real extent = 0.75;   // seed grid half-extent in world space
-field#1(2)[2] V = load("vectors.nrrd") ⊛ ctmr;
-field#0(2)[] R = load("rand.nrrd") ⊛ tent;
-
-strand LIC (vec2 pos0) {
-    vec2 forw = pos0;
-    vec2 back = pos0;
-    output real sum = R(pos0);
-    int step = 0;
-
-    update {
-        forw += h*V(forw + 0.5*h*V(forw));
-        back -= h*V(back - 0.5*h*V(back));
-        sum += R(forw) + R(back);
-        step += 1;
-        if (step == stepNum) {
-            sum *= |V(pos0)| / real(1 + 2*stepNum);
-            stabilize;
-        }
-    }
-}
-
-initially [ LIC([extent*(2.0*real(ui)/real(imgResU-1) - 1.0),
-                 extent*(2.0*real(vi)/real(imgResV-1) - 1.0)])
-            | vi in 0 .. imgResV-1, ui in 0 .. imgResU-1 ];
-"""
+SOURCE = source("lic2d")
 
 PAPER_STRANDS = 572_220
 NAME = "lic2d"

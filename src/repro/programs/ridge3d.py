@@ -22,48 +22,9 @@ Strands die when they leave the domain, land in non-ridge-like territory
 from __future__ import annotations
 
 from repro.data import lung_phantom
+from repro.programs import source
 
-SOURCE = """\
-input int gridRes = 12;       // initial particles per axis
-input real gridExt = 12.0;    // particle grid half-extent (world)
-input real epsilon = 0.001;   // convergence threshold on |step|
-input real maxStep = 1.0;     // Newton step clamp
-input int stepsMax = 30;      // iteration limit
-input real strengthMin = 30.0; // minimum ridge strength (-lambda2)
-image(3)[] img = load("lung.nrrd");
-field#2(3)[] F = img ⊛ bspln3;
-
-strand Ridge (int i, int j, int k) {
-    output vec3 pos = [gridExt*(2.0*real(i)/real(gridRes-1) - 1.0),
-                       gridExt*(2.0*real(j)/real(gridRes-1) - 1.0),
-                       gridExt*(2.0*real(k)/real(gridRes-1) - 1.0)];
-    int steps = 0;
-
-    update {
-        if (!inside(pos, F) || steps > stepsMax)
-            die;
-        vec3 grad = ∇F(pos);
-        tensor[3,3] H = ∇⊗∇F(pos);
-        vec3 lam = evals(H);
-        tensor[3,3] E = evecs(H);
-        if (lam[1] > -strengthMin)   // not vessel-like here
-            die;
-        vec3 e2 = E[1];
-        vec3 e3 = E[2];
-        vec3 delta = -((grad • e2)/lam[1])*e2 - ((grad • e3)/lam[2])*e3;
-        if (|delta| > maxStep)
-            delta = maxStep*normalize(delta);
-        if (|delta| < epsilon)
-            stabilize;
-        pos += delta;
-        steps += 1;
-    }
-}
-
-initially { Ridge(i, j, k) | i in 0 .. gridRes-1,
-                             j in 0 .. gridRes-1,
-                             k in 0 .. gridRes-1 };
-"""
+SOURCE = source("ridge3d")
 
 PAPER_STRANDS = 1_728_000
 NAME = "ridge3d"

@@ -8,49 +8,10 @@ contribution, with the surface normal taken from the gradient field.
 from __future__ import annotations
 
 from repro.data import hand_phantom
+from repro.programs import source
 
 #: the Diderot program (Figure 1, with the camera as explicit inputs)
-SOURCE = """\
-input real stepSz = 0.5;             // size of steps
-input vec3 eye = [0.0, 0.0, 90.0];   // eye location
-input vec3 orig = [-15.0, -15.0, 45.0]; // pixel (0,0) location
-input vec3 cVec = [0.3, 0.0, 0.0];   // vector between columns
-input vec3 rVec = [0.0, 0.3, 0.0];   // vector between rows
-input real opacMin = 350.0;          // value with opacity 0.0
-input real opacMax = 900.0;          // value with opacity 1.0
-input real tMax = 120.0;             // ray length limit
-input int imgResU = 100;
-input int imgResV = 100;
-image(3)[] img = load("hand.nrrd");
-field#2(3)[] F = img ⊛ bspln3;
-
-strand RayCast (int r, int c) {
-    vec3 pos = orig + real(r)*rVec + real(c)*cVec;
-    vec3 dir = normalize(pos - eye);
-    real t = 0.0;
-    real transp = 1.0;
-    output real gray = 0.0;
-
-    update {
-        pos = pos + stepSz*dir;
-        t = t + stepSz;
-        if (inside(pos, F)) {
-            real val = F(pos);
-            if (val > opacMin) {
-                real opac = 1.0 if (val > opacMax)
-                            else (val - opacMin)/(opacMax - opacMin);
-                vec3 norm = -normalize(∇F(pos));
-                gray += transp*opac*max(0.0, -dir • norm);
-                transp *= 1.0 - opac;
-            }
-        }
-        if (t > tMax) stabilize;
-    }
-}
-
-initially [ RayCast(vi, ui) | vi in 0 .. imgResV-1,
-                              ui in 0 .. imgResU-1 ];
-"""
+SOURCE = source("vr_lite")
 
 #: paper's strand count for this benchmark (Table 1)
 PAPER_STRANDS = 165_600

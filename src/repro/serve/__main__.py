@@ -23,27 +23,26 @@ from repro.runtime.choices import BACKEND_NAMES
 
 
 def _parse_register(specs, probes):
-    """``name=path`` pairs plus ``name=image:count[:pad]`` probe specs."""
+    """``name=path`` pairs plus ``name=image:count`` probe specs; a probe
+    spec must name a ``--register``ed program."""
     from repro.serve.registry import ProbeSpec
 
     probe_by_name = {}
     for spec in probes or ():
         name, _, rest = spec.partition("=")
         parts = rest.split(":")
-        if len(parts) < 2:
-            raise SystemExit(
-                f"--probe {spec!r}: expected NAME=IMAGE:COUNT_INPUT[:PAD]"
-            )
-        probe_by_name[name] = ProbeSpec(
-            points_image=parts[0], count_input=parts[1],
-            pad=int(parts[2]) if len(parts) > 2 else 1,
-        )
+        if len(parts) != 2 or not all(parts):
+            raise SystemExit(f"--probe {spec!r}: expected NAME=IMAGE:COUNT_INPUT")
+        probe_by_name[name] = ProbeSpec(*parts)
     out = []
     for spec in specs or ():
         name, sep, path = spec.partition("=")
         if not sep or not path:
             raise SystemExit(f"--register {spec!r}: expected NAME=PATH")
-        out.append((name, path, probe_by_name.get(name)))
+        out.append((name, path, probe_by_name.pop(name, None)))
+    if probe_by_name:
+        stray = ", ".join(repr(name) for name in probe_by_name)
+        raise SystemExit(f"--probe for {stray}: no --register names it")
     return out
 
 
@@ -51,6 +50,7 @@ async def _serve(args) -> int:
     from repro.serve.registry import ProgramRegistry, warm_manifest
     from repro.serve.server import ServeApp
 
+    registrations = _parse_register(args.register, args.probe)
     app = ServeApp(
         ProgramRegistry(capacity=args.capacity), max_batch=args.max_batch,
         max_queue=args.max_queue, compile_cache=not args.no_compile_cache,
@@ -62,7 +62,7 @@ async def _serve(args) -> int:
         )
         for entry in warmed:
             print(f"warmed {entry.name!r}: {entry.info()}", file=sys.stderr)
-    for name, path, probe in _parse_register(args.register, args.probe):
+    for name, path, probe in registrations:
         entry = await asyncio.to_thread(
             app.registry.register, name, path=path, probe=probe,
             precision=args.precision, scheduler=args.scheduler,
@@ -102,10 +102,10 @@ def main(argv=None) -> int:
                         help="JSON manifest of programs to compile and "
                              "register before binding the port")
     parser.add_argument("--probe", action="append",
-                        metavar="NAME=IMAGE:COUNT[:PAD]",
-                        help="probe spec for a registered name: the points "
-                             "image global, the strand-count input, and "
-                             "optional guard-row pad (default 1)")
+                        metavar="NAME=IMAGE:COUNT",
+                        help="probe spec for a --register'ed name: the "
+                             "points image global and the strand-count "
+                             "input (one guard row follows each batch)")
     parser.add_argument("--precision", choices=["single", "double"],
                         default="double")
     parser.add_argument("--scheduler", choices=["seq", "thread", "process"],

@@ -13,11 +13,11 @@ its own worker pool and closes it when the run ends.
 Batching contract: a probe-style program declares (via
 :class:`ProbeSpec`) which image global carries the batch's points and
 which ``int`` input carries the strand count.  ``run_batch`` binds the
-points (plus ``pad`` replicated guard rows, so edge points stay inside
-the kernel support of the *loaded* image) and runs the program over
-exactly ``len(points)`` strands.  Strand updates are independent, so a
-coalesced batch's per-row outputs are bit-identical to running each
-request alone — asserted by ``tests/test_serve.py``.
+points (plus :data:`GUARD_ROWS` copies of the last point, so edge points
+stay inside the kernel support of the *loaded* image) and runs the
+program over exactly ``len(points)`` strands.  Strand updates are
+independent, so a coalesced batch's per-row outputs are bit-identical to
+running each request alone — asserted by ``tests/test_serve.py``.
 
 The registry is LRU-bounded (``capacity``): registering past capacity
 evicts the least-recently *used* entry (``get`` refreshes recency) and
@@ -42,21 +42,23 @@ from repro.runtime.choices import default_scheduler
 __all__ = ["ProbeSpec", "ProgramEntry", "ProgramRegistry", "registration",
            "warm_manifest"]
 
+#: copies of a batch's last point appended after it: a support-1 kernel
+#: like ``tent`` reads one row past the last point's integer position, so
+#: one guard row keeps every strand's probe of the points image inbounds
+GUARD_ROWS = 1
+
 
 @dataclass
 class ProbeSpec:
     """How to feed a batch of probe positions into a program.
 
     ``points_image`` — the 1-D image global whose rows are the batch's
-    probe positions; ``count_input`` — the ``int`` input holding the
-    strand count; ``pad`` — replicated guard rows appended after the
-    batch (a support-1 kernel like ``tent`` reads one row past the last
-    integer position, so ``pad=1`` keeps every strand's probe inbounds).
+    probe positions (bound with :data:`GUARD_ROWS` guard rows after
+    them); ``count_input`` — the ``int`` input holding the strand count.
     """
 
     points_image: str
     count_input: str
-    pad: int = 1
 
 
 class ProgramEntry:
@@ -171,11 +173,8 @@ class ProgramEntry:
         self.check_points(points)
         spec = self.probe
         n = points.shape[0]
-        if spec.pad:
-            guard = np.repeat(points[-1:], spec.pad, axis=0)
-            data = np.concatenate([points, guard], axis=0)
-        else:
-            data = points
+        guard = np.repeat(points[-1:], GUARD_ROWS, axis=0)
+        data = np.concatenate([points, guard], axis=0)
         img = Image(data, dim=1, tensor_shape=points.shape[1:])
         with current().span("run_batch", "serve", points=n), self.lock:
             if self._closed:
@@ -225,7 +224,6 @@ class ProgramEntry:
             "probe": None if self.probe is None else {
                 "points_image": self.probe.points_image,
                 "count_input": self.probe.count_input,
-                "pad": self.probe.pad,
             },
             "requests": self.requests,
             "batches": self.batches,
@@ -336,9 +334,9 @@ def registration(doc: dict, base: str | None = None) -> dict:
     asks for — a ``POST /programs/<name>`` body or a warm-manifest item:
     ``path`` or ``source`` (with ``search_path``), and optionally
     ``precision``, ``scheduler``, ``workers``, ``backend`` and a ``probe``
-    object (``points_image``, ``count_input``, optional ``pad``).  A
-    relative ``path`` resolves against ``base`` when one is given.  A
-    malformed field raises :class:`InputError` naming it."""
+    object (``points_image``, ``count_input``).  A relative ``path``
+    resolves against ``base`` when one is given.  A malformed field raises
+    :class:`InputError` naming it."""
     probe = doc.get("probe")
     if probe:
         if not isinstance(probe, dict):
@@ -349,8 +347,7 @@ def registration(doc: dict, base: str | None = None) -> dict:
             if not isinstance(probe.get(key), str):
                 raise InputError(f"'probe.{key}' must name a global of the "
                                  f"program, got {probe.get(key)!r}")
-        probe = ProbeSpec(probe["points_image"], probe["count_input"],
-                          _integer(probe, "pad", 1, "probe.pad"))
+        probe = ProbeSpec(probe["points_image"], probe["count_input"])
     kwargs = dict(
         precision=doc.get("precision", "double"), probe=probe or None,
         scheduler=doc.get("scheduler"),

@@ -7,45 +7,18 @@ NumPy array whose **trailing** ``len(s)`` axes are the tensor axes; any
 leading axes are batch ("strand") axes and every operation broadcasts over
 them.  A scalar is a 0-order tensor: an array with no trailing tensor axes.
 
-These functions implement the operator set of paper §3.2: dot product
-(``u • v``), cross product (``u × v``), tensor product (``u ⊗ v``), norm
-(``|u|``), plus ``trace``, ``normalize``, ``identity[n]``, transpose, and
-determinant, which the examples in §4 rely on.
+These functions implement the shape-driven part of the operator set of
+paper §3.2: cross product (``u × v``), tensor product (``u ⊗ v``), norm
+(``|u|``), plus ``trace``, ``normalize``, transpose and determinant, which
+the examples in §4 rely on.  The ops whose meaning depends on tensor order
+rather than array shape — ``u • v``, ``lerp`` and ``identity[n]`` — are
+defined once, in :mod:`repro.runtime.ops` (``dot_ord``, ``lerp``,
+``identity``), next to the generated code that calls them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inner product ``u • v`` contracting the last axis of each operand.
-
-    For two vectors this is the dot product; for matrices it contracts the
-    last axis of ``u`` with the last axis of ``v`` is *not* what Diderot's
-    ``•`` does — Diderot contracts adjacent indices, so for a matrix ``M``
-    and vector ``v``, ``M • v`` is the usual matrix-vector product.  This
-    helper handles the vector•vector, matrix•vector, and matrix•matrix cases.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim == 1 and v.ndim == 1:
-        return np.sum(u * v, axis=-1)
-    if (
-        u.ndim == v.ndim
-        and u.shape == v.shape
-        and (u.ndim == 1 or u.shape[-1] != u.shape[-2])
-    ):
-        # batched vectors: equal non-square shapes can only mean a lane
-        # axis over same-length vectors.  (Batched code should prefer
-        # repro.runtime.ops.dot_ord, which takes explicit tensor orders.)
-        return np.sum(u * v, axis=-1)
-    if u.ndim >= 2 and v.ndim >= 1 and u.shape[-1] == v.shape[-1] and v.ndim == u.ndim - 1:
-        # matrix • vector: contract last axis of u with last axis of v
-        return np.einsum("...ij,...j->...i", u, v)
-    if u.ndim >= 2 and v.ndim >= 2:
-        return np.matmul(u, v)
-    return np.sum(u * v, axis=-1)
 
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -81,11 +54,6 @@ def norm(t: np.ndarray, order: int = 1) -> np.ndarray:
         return np.abs(t)
     axes = tuple(range(-order, 0))
     return np.sqrt(np.sum(t * t, axis=axes))
-
-
-def frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm ``|G|`` of a matrix (used by the curvature example)."""
-    return norm(m, order=2)
 
 
 def normalize(u: np.ndarray) -> np.ndarray:
@@ -140,19 +108,6 @@ def determinant(m: np.ndarray) -> np.ndarray:
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
         )
     raise ValueError(f"determinant supports 1x1..3x3 matrices, got {n}x{n}")
-
-
-def identity(n: int, dtype=np.float64) -> np.ndarray:
-    """The ``identity[n]`` literal: the n x n identity matrix."""
-    return np.eye(n, dtype=dtype)
-
-
-def lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Linear interpolation ``a + t*(b - a)``, broadcasting all operands."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    t = np.asarray(t)
-    return a + t * (b - a)
 
 
 #: memoized ``np.einsum_path`` results keyed by ``(spec, *operand_shapes)``.

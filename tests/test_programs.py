@@ -1,7 +1,5 @@
 """Behavioral tests of the five paper programs at small scales."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -25,16 +23,15 @@ class TestAllPrograms:
         for out in res.outputs.values():
             assert out.dtype in (np.float32, np.int64)
 
-    @pytest.mark.parametrize("name", list(ALL))
-    def test_one_copy_of_each_source(self, name):
-        """``examples/programs/<p>.diderot`` is the module's ``SOURCE``
-        (the perf ledger times one on ``paper-*`` and the other on
-        ``front-door``): the two may differ only in trailing newlines."""
-        module = ALL[name]
-        example = (Path(__file__).resolve().parents[1] / "examples" / "programs"
-                   / f"{module.__name__.rpartition('.')[2]}.diderot")
-        text = example.read_text(encoding="utf-8")
-        assert text.rstrip("\n") == module.SOURCE.rstrip("\n")
+    def test_missing_source_names_its_path(self, monkeypatch, tmp_path):
+        import re
+
+        import repro.programs
+
+        monkeypatch.setattr(repro.programs, "PROGRAMS_DIR", tmp_path)
+        missing = re.escape(str(tmp_path / "vr_lite.diderot"))
+        with pytest.raises(FileNotFoundError, match=missing):
+            repro.programs.source("vr_lite")
 
     @pytest.mark.parametrize("name", list(ALL))
     def test_core_loc_smaller_than_total(self, name):

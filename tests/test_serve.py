@@ -475,7 +475,6 @@ class TestHttpServer:
     @pytest.mark.parametrize("probe,field", [
         ({"count_input": "N"}, "probe.points_image"),
         ("pts:N", "'probe'"),
-        ({"points_image": "pts", "count_input": "N", "pad": "x"}, "probe.pad"),
     ])
     def test_malformed_registration_answers_400(self, probe, field):
         async def drive():
@@ -649,7 +648,7 @@ class TestCli:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "--host", "127.0.0.1",
              "--port", "0", "--register", f"demo={EXAMPLE}",
-             "--probe", "demo=pts:N:2", "--precision", "double",
+             "--probe", "demo=pts:N", "--precision", "double",
              "--scheduler", "thread", "--workers", "2", "--backend", "numpy",
              "--capacity", "2", "--max-batch", "1",
              "--max-queue", "8", "--no-compile-cache",
@@ -682,13 +681,34 @@ class TestCli:
         entries = {e["name"]: e for e in listed["programs"]}
         assert set(entries) == {"w", "demo"}
         assert (entries["demo"]["scheduler"], entries["demo"]["workers"],
-                entries["demo"]["backend"], entries["demo"]["probe"]["pad"]) \
-            == ("thread", 2, "numpy", 2)
+                entries["demo"]["backend"], entries["demo"]["probe"]) \
+            == ("thread", 2, "numpy", {"points_image": "pts", "count_input": "N"})
         assert [s for s, _ in probes] == [200, 200]
         assert run["outputs"]["y"] == [0.0, 3.0, 6.0, 9.0]
         counters = json.loads(metrics.read_text(encoding="utf-8"))["counters"]
         assert counters["serve.batch.batches"] == 2
         assert "serve.batch.coalesced" not in counters
+
+    def test_probe_for_an_unregistered_name_exits_before_warming(self, tmp_path):
+        """A ``--probe`` whose name no ``--register`` names (a typo) would
+        leave its program without a batch contract, so that every
+        ``/probe`` to it answers 400: the command line is refused, naming
+        the stray probe, before the manifest is warmed."""
+        import json
+        import subprocess
+        import sys
+
+        (tmp_path / "warm.json").write_text(
+            json.dumps([{"name": "w", "source": SIMPLE}]), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "--port", "0",
+             "--register", f"demo={EXAMPLE}", "--probe", "dmeo=pts:N",
+             "--no-compile-cache", "--warm", str(tmp_path / "warm.json")],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 1
+        assert "'dmeo'" in proc.stderr
+        assert "warmed" not in proc.stderr and "serving" not in proc.stderr
 
 
 # -- one Obs per request: overlapping requests do not mix their counters --------

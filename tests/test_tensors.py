@@ -1,4 +1,6 @@
-"""Tests for the small-tensor operation substrate."""
+"""Tests for the small-tensor operations: the :mod:`repro.tensors`
+substrate and the order-driven ops (``•``, ``lerp``, ``identity[n]``) that
+:mod:`repro.runtime.ops` alone defines."""
 
 import numpy as np
 import pytest
@@ -6,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.runtime.ops import dot_ord, identity, lerp
 from repro.tensors import (
     cross,
     determinant,
-    dot,
-    frobenius,
-    identity,
-    lerp,
     norm,
     normalize,
     outer,
     trace,
     transpose,
 )
+
+
+def dot(u, v):
+    """``u • v`` of two vectors."""
+    return dot_ord(u, v, 1, 1)
+
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 vec3 = arrays(np.float64, (3,), elements=finite)
@@ -31,12 +36,18 @@ class TestDot:
 
     def test_matrix_vector(self):
         m = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assert np.allclose(dot(m, np.array([3.0, 4.0])), [3.0, 8.0])
+        assert np.allclose(dot_ord(m, np.array([3.0, 4.0]), 2, 1), [3.0, 8.0])
+
+    def test_vector_matrix_contracts_the_vector_with_the_rows(self):
+        u = np.array([1.0, 2.0])
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.allclose(dot_ord(u, m, 1, 2), [7.0, 10.0])
+        assert np.allclose(dot_ord(m, u, 2, 1), [5.0, 11.0])
 
     def test_matrix_matrix(self):
         a = np.arange(4.0).reshape(2, 2)
         b = np.eye(2)
-        assert np.allclose(dot(a, b), a)
+        assert np.allclose(dot_ord(a, b, 2, 2), a)
 
     def test_batched(self):
         u = np.ones((10, 3))
@@ -93,7 +104,7 @@ class TestNorm:
         assert norm(np.array([3.0, 4.0])) == 5.0
 
     def test_frobenius(self):
-        assert frobenius(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
+        assert norm(np.array([[3.0, 0.0], [0.0, 4.0]]), order=2) == 5.0
 
     @given(vec3, finite)
     @settings(max_examples=40)
@@ -157,5 +168,11 @@ class TestLerp:
         assert lerp(2.0, 10.0, 1.0) == 10.0
 
     def test_midpoint_vectors(self):
-        got = lerp(np.zeros(3), np.ones(3), 0.5)
+        got = lerp(np.zeros(3), np.ones(3), 0.5, 1)
         assert np.allclose(got, 0.5)
+
+    def test_laned_t_against_vectors(self):
+        a = np.zeros((4, 3))
+        b = np.ones((4, 3))
+        t = np.array([0.0, 0.25, 0.5, 1.0])
+        assert np.allclose(lerp(a, b, t, 1), t[:, None] * np.ones(3))
