@@ -73,8 +73,8 @@ class OpInfo:
         branch weight (:func:`arm_cost`): emitted-loop trip count relative
         to one elementwise lane op.
     ``foldable``
-        contraction evaluates the op when all arguments are constants
-        (``xform.contract._fold`` has a case for it).
+        contraction evaluates the op when all arguments are constants,
+        through its ``py`` template (``xform.contract._fold``).
     """
 
     doc: str

@@ -7,134 +7,58 @@ branch splicing, and dead-code elimination to a fixpoint; because every IR
 op is pure, DCE is simply backward liveness over the structured SSA.
 
 Run at every IR level (the vocabularies share the foldable core ops).
+An op flagged ``foldable`` folds through its NumPy meaning, the op
+table's ``py`` template formatted as ``pygen`` formats it, on the constant
+values in double precision; there is no second definition of any op here.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
+from repro.core.codegen.pygen import instr_expr
 from repro.core.ir.base import Body, Func, Instr, Value
-from repro.core.ty.types import INT
+from repro.core.ty.types import BOOL, INT, REAL, STRING
 from repro.errors import CompileError
 from repro.runtime import ops as rt
 
 # -- constant evaluation -------------------------------------------------------
 
+#: the names a folded expression reads besides its arguments
+_SCOPE = {"np": np, "rt": rt, "_dt": np.float64}
+#: a folded value's payload kind by result type (otherwise a float64 array)
+_KIND = {BOOL: bool, INT: int, STRING: str, REAL: float}
 
-def _as_np(v):
-    return np.asarray(v)
+
+@functools.lru_cache(maxsize=1024)
+def _code(expr: str):
+    return compile(expr, "<fold>", "eval")
+
+
+def _value(c):
+    """A constant payload as the generated module holds it (``pygen.const_text``)."""
+    if isinstance(c, (bool, str, np.ndarray)):
+        return c
+    return np.int64(c) if isinstance(c, int) else np.float64(c)
 
 
 def _fold(instr: Instr, args: list) -> object:
-    """Evaluate a foldable op on constant arguments.
+    """Evaluate a foldable op on constant arguments: its NumPy meaning
+    (``pygen.instr_expr``) over the constants, in double precision.
 
-    Returns the constant, or raises ``_NoFold`` when this op isn't folded.
+    Raises ``_NoFold`` for a division or remainder by a constant zero:
+    the int fault, or the real inf/NaN, stays at runtime.
     """
-    op = instr.op
-    a = args
-    ty = instr.results[0].ty if instr.results else None
-    is_int = ty == INT
-    if op == "add":
-        return a[0] + a[1]
-    if op == "sub":
-        return a[0] - a[1]
-    if op == "mul":
-        # folded operands are unbatched, so plain broadcasting is correct
-        return a[0] * a[1]
-    if op == "div":
-        if is_int:
-            if a[1] == 0:
-                raise _NoFold  # leave the fault to runtime
-            return int(rt.idiv(a[0], a[1]))
-        if isinstance(a[1], (int, float)) and a[1] == 0:
-            raise _NoFold  # keep IEEE faults at runtime
-        return a[0] / a[1]
-    if op == "mod":
-        if a[1] == 0:
-            raise _NoFold
-        return int(rt.imod(a[0], a[1]))
-    if op == "neg":
-        return -_as_np(a[0]) if isinstance(a[0], np.ndarray) else -a[0]
-    if op == "pow":
-        return rt.power(a[0], a[1])
-    if op == "eq":
-        return bool(np.all(_as_np(a[0]) == _as_np(a[1])))
-    if op == "ne":
-        return bool(np.any(_as_np(a[0]) != _as_np(a[1])))
-    if op == "lt":
-        return bool(a[0] < a[1])
-    if op == "le":
-        return bool(a[0] <= a[1])
-    if op == "gt":
-        return bool(a[0] > a[1])
-    if op == "ge":
-        return bool(a[0] >= a[1])
-    if op == "and":
-        return bool(a[0]) and bool(a[1])
-    if op == "or":
-        return bool(a[0]) or bool(a[1])
-    if op == "not":
-        return not bool(a[0])
-    if op == "select":
-        return a[1] if bool(a[0]) else a[2]
-    if op in ("sqrt", "sin", "cos", "tan", "asin", "acos", "atan", "exp", "log", "floor", "ceil"):
-        fn = getattr(math, op)
-        return fn(a[0])
-    if op == "atan2":
-        return math.atan2(a[0], a[1])
-    if op == "fmod":
-        return math.fmod(a[0], a[1])
-    if op == "min":
-        return min(a[0], a[1])
-    if op == "max":
-        return max(a[0], a[1])
-    if op == "abs":
-        return abs(a[0])
-    if op == "clamp":
-        return float(rt.clamp(a[0], a[1], a[2]))
-    if op == "lerp":
-        return rt.lerp(a[0], a[1], a[2])
-    if op == "int_to_real":
-        return float(a[0])
-    if op == "real_to_int":
-        return int(np.trunc(a[0]))
-    if op == "norm":
-        return float(rt.norm(_as_np(a[0]), instr.attrs["order"]))
-    if op == "dot":
-        # by tensor order, like the generated code; a folded operand has no
-        # lane axis, so its ndim is its order
-        u, v = _as_np(a[0]), _as_np(a[1])
-        return rt.dot_ord(u, v, u.ndim, v.ndim)
-    if op == "cross":
-        return rt.cross(_as_np(a[0]), _as_np(a[1]))
-    if op == "outer":
-        return rt.outer(_as_np(a[0]), _as_np(a[1]))
-    if op == "trace":
-        return float(rt.trace(_as_np(a[0])))
-    if op == "det":
-        return float(rt.det(_as_np(a[0])))
-    if op == "transpose":
-        return rt.transpose(_as_np(a[0]))
-    if op == "normalize_v":
-        return rt.normalize_v(_as_np(a[0]))
-    if op == "evals":
-        return rt.evals(_as_np(a[0]))
-    if op == "evecs":
-        return rt.evecs(_as_np(a[0]))
-    if op == "tensor_cons":
-        return rt.tensor_cons_flat(*a)
-    if op == "tensor_index":
-        arr = _as_np(a[0])
-        return rt.tensor_index(arr, instr.attrs["indices"], order=arr.ndim)
-    if op == "identity":
-        return rt.identity(instr.attrs["n"])
-    if op == "vec_cons":
-        return np.stack([np.asarray(x) for x in a], axis=-1)
-    if op == "horner":
-        return float(rt.horner(instr.attrs["coeffs"], np.float64(a[0])))
-    raise _NoFold
+    if instr.op in ("div", "mod") and np.ndim(args[1]) == 0 and args[1] == 0:
+        raise _NoFold
+    names = [f"_a{i}" for i in range(len(args))]
+    scope = dict(_SCOPE, **{n: _value(c) for n, c in zip(names, args)})
+    with np.errstate(all="ignore"):
+        value = eval(_code(instr_expr(instr, names)), scope)
+    kind = _KIND.get(instr.results[0].ty)
+    return kind(value) if kind else np.array(value, dtype=np.float64)
 
 
 class _NoFold(Exception):
@@ -185,11 +109,7 @@ class _Contract:
                     except (_NoFold, ValueError, ZeroDivisionError, OverflowError):
                         value = _NoFold
                     if value is not _NoFold:
-                        item.op = "const"
-                        item.args = []
-                        item.attrs = {"value": value}
-                        self.consts[item.results[0]] = value
-                        self.changed = True
+                        self._to_const(item, value)
                         new_items.append(item)
                         continue
                 self._algebraic(item, arg_consts)
@@ -228,32 +148,21 @@ class _Contract:
         if op == "select" and len(item.args) == 3 and item.args[1] is item.args[2]:
             self.repl[item.results[0]] = item.args[1]
             self.changed = True
-        elif op == "and":
-            for i, c in enumerate(arg_consts):
+        elif op in ("and", "or"):
+            # x && true = x, x && false = false; x || false = x, x || true = true
+            for c, other in zip(arg_consts, reversed(item.args)):
                 if c is not _NoFold:
-                    other = item.args[1 - i]
-                    if bool(c):
+                    if bool(c) == (op == "and"):
                         self.repl[item.results[0]] = other
+                        self.changed = True
                     else:
-                        item.op = "const"
-                        item.args = []
-                        item.attrs = {"value": False}
-                        self.consts[item.results[0]] = False
-                    self.changed = True
+                        self._to_const(item, op == "or")
                     return
-        elif op == "or":
-            for i, c in enumerate(arg_consts):
-                if c is not _NoFold:
-                    other = item.args[1 - i]
-                    if not bool(c):
-                        self.repl[item.results[0]] = other
-                    else:
-                        item.op = "const"
-                        item.args = []
-                        item.attrs = {"value": True}
-                        self.consts[item.results[0]] = True
-                    self.changed = True
-                    return
+
+    def _to_const(self, item: Instr, value) -> None:
+        item.op, item.args, item.attrs = "const", [], {"value": value}
+        self.consts[item.results[0]] = value
+        self.changed = True
 
     # backward pass: dead-code elimination
     def dce(self) -> None:

@@ -32,8 +32,10 @@ import numpy as np
 from repro.core.ir.base import Body, Func, Instr, Value
 from repro.kernels import Kernel
 
-#: ops whose two arguments commute (sorted for hashing)
-_COMMUTATIVE = {"add", "mul", "and", "or", "eq", "ne", "min", "max"}
+#: ops whose two arguments commute (sorted for hashing); not ``min`` and
+#: ``max``, which return their second operand when the two compare equal
+#: (``min(0.0, -0.0)`` is ``-0.0``, ``min(-0.0, 0.0)`` is ``0.0``)
+_COMMUTATIVE = {"add", "mul", "and", "or", "eq", "ne"}
 
 #: ops that must not be merged even with equal keys (none currently — all
 #: IR ops are pure — but kept as an explicit extension point)
@@ -52,9 +54,11 @@ def _attr_key(v) -> object:
         return ("kernel", v.support, tuple(p.coeffs for p in v.pieces))
     if isinstance(v, (list, tuple)):
         return tuple(_attr_key(x) for x in v)
-    if isinstance(v, float) and v != v:  # NaN constants never merge
-        return ("nan", object())
-    if isinstance(v, (bool, int, float)):
+    if isinstance(v, float):
+        # by bits: 0.0 == -0.0, yet 1/0.0 and 1/-0.0 differ; NaN constants
+        # never merge
+        return ("nan", object()) if v != v else ("float", v.hex())
+    if isinstance(v, (bool, int)):
         # 1 == 1.0 == True in Python; an int constant must not merge with
         # a real constant (their runtime dtypes differ)
         return (type(v).__name__, v)

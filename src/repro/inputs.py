@@ -21,7 +21,8 @@ from __future__ import annotations
 import argparse
 
 from repro.errors import InputError
-from repro.runtime.choices import BACKEND_NAMES, DEFAULT_BLOCK_SIZE, SCHEDULER_CHOICES
+from repro.runtime.choices import (BACKEND_NAMES, DEFAULT_BLOCK_SIZE,
+                                  SCHEDULER_CHOICES, default_scheduler)
 
 
 def add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -99,8 +100,7 @@ def report_run(args, obs, result, workers: int, stats=None, **meta) -> int:
         from repro.obs.metrics import write_metrics_json
 
         meta.update(workers=workers, block_size=args.block_size,
-                    scheduler=args.scheduler or
-                    ("seq" if workers == 1 else "thread"),
+                    scheduler=args.scheduler or default_scheduler(workers),
                     wall_seconds=result.wall_time)
         writers.append(("metrics", args.metrics_out,
                         partial(write_metrics_json, meta=meta)))

@@ -1,7 +1,10 @@
 """Tests for contraction (constant folding + DCE, paper §5.4)."""
 
 import numpy as np
+import pytest
 
+from repro.core.codegen import cbuild
+from repro.core.driver import compile_program
 from repro.core.ir import ops as irops
 from repro.core.ir.base import Body, Func, IfRegion, Phi, Value
 from repro.core.ty.types import BOOL, INT, REAL, TensorTy
@@ -94,6 +97,57 @@ class TestFolding:
                 b.emit("const", [], INT, value=1),
                 b.emit("const", [], INT, value=2)], INT)]
         assert final_const(fold(build)) == 2
+
+
+    def test_real_floor_folds_to_a_real(self):
+        fn = fold(lambda b: [b.emit("floor", [
+            b.emit("const", [], REAL, value=2.5)], REAL)])
+        value = final_const(fn)
+        assert type(value) is float and value == 2.0
+
+    def test_real_div_by_zero_not_folded(self):
+        fn = fold(lambda b: [b.emit("div", [
+            b.emit("const", [], REAL, value=1.0),
+            b.emit("const", [], REAL, value=0.0)], REAL)])
+        assert fn.results[0].producer.op == "div"
+
+    def test_nan_operand_propagates_through_min(self):
+        fn = fold(lambda b: [b.emit("min", [
+            b.emit("const", [], REAL, value=1.0),
+            b.emit("const", [], REAL, value=float("nan"))], REAL)])
+        assert np.isnan(final_const(fn))
+
+
+class TestNonFiniteConstants:
+    """A folded inf or NaN, scalar or tensor element, is spelled so the
+    generated NumPy module parses it, and both backends print it."""
+
+    SRC = """
+    strand S (int i) {{
+        output real o = 0.0;
+        output vec2 w = [0.0, 0.0];
+        update {{ o = {0}; w = [{0}, 1.0]; stabilize; }}
+    }}
+    initially [ S(i) | i in 0 .. 1 ];
+    """
+    CASES = {
+        "1e308*10.0 - 1e308*10.0": np.nan,
+        "1e308*10.0": np.inf,
+        "-(1e308*10.0)": -np.inf,
+    }
+
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("c", marks=pytest.mark.skipif(
+            not cbuild.compiler_available(),
+            reason="native backend needs a C compiler on PATH")),
+    ])
+    def test_both_backends(self, backend):
+        for expr, want in self.CASES.items():
+            prog = compile_program(self.SRC.format(expr), check=True)
+            out = prog.run(backend=backend).outputs
+            np.testing.assert_array_equal(out["o"], [want] * 2)
+            np.testing.assert_array_equal(out["w"], [[want, 1.0]] * 2)
 
 
 class TestAlgebraic:

@@ -6,7 +6,8 @@ Three table-driven suites, so a new row is covered the day it is added:
   exactly one C emitter; the typechecker's overload tables hold the
   table's own ``Sig`` objects;
 * ``foldable`` tells the truth — a flagged op folds on constant arguments
-  of each of its signatures, an unflagged one is left alone;
+  of each of its signatures, to its result type's payload kind and to the
+  bits its generated NumPy code computes; an unflagged one is left alone;
 * op coverage — one single-update strand program per op and per ``Sig``
   instance (dimensions 2 and 3, rectangular matrices included), from the
   fuzzer's generator (:func:`repro.core.verify.fuzz.op_programs`),
@@ -20,12 +21,15 @@ from __future__ import annotations
 import ast
 import functools
 import inspect
+import operator
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.codegen import cbuild, cgen
 from repro.core.codegen.cgen import _Emitter
+from repro.core.codegen.pygen import generate_func
 from repro.core.driver import OptOptions, compile_program
 from repro.core.ir import ops as irops
 from repro.core.ir.base import Body, Func, Instr, Value
@@ -40,6 +44,7 @@ from repro.core.verify.fuzz import (
 )
 from repro.core.verify.validate import _TypeChecker
 from repro.core.xform.contract import contract
+from repro.runtime import ops as rt
 
 VOCAB = {"high": irops.HIGH, "mid": irops.MID, "low": irops.LOW}
 
@@ -157,14 +162,35 @@ def _constant(ty, k: int):
     return (0.2 + 0.1 * np.arange(size) + 0.05 * k).reshape(ty.shape)
 
 
-def _contracted(name, values, tys, attrs, result_ty) -> list[str]:
-    """Ops left after contracting ``name`` applied to constants."""
+def _function(name, values, tys, attrs, result_ty) -> Func:
+    """``name`` applied to constants, as a function returning it."""
     body = Body()
     args = [body.emit("const", [], ty, value=v) for v, ty in zip(values, tys)]
     out = body.emit(name, args, result_ty, **attrs)
-    fn = Func("f", [], [], body, [out], ["out"])
+    return Func("f", [], [], body, [out], ["out"])
+
+
+def _contracted(name, values, tys, attrs, result_ty) -> list[Instr]:
+    """Instructions left after contracting ``name`` applied to constants."""
+    fn = _function(name, values, tys, attrs, result_ty)
     contract(fn, VOCAB[irops.OPS[name].levels[0]], check=True)
-    return [ins.op for ins in fn.body.instructions()]
+    return list(fn.body.instructions())
+
+
+def _unfolded(name, values, tys, attrs, result_ty):
+    """``name`` on the same constants, run by its generated NumPy code in
+    double precision (string constants have no NumPy spelling: Python's
+    comparison is their meaning)."""
+    if STRING in tys:
+        return {"eq": operator.eq, "ne": operator.ne}[name](*values)
+    namespace = {"np": np, "rt": rt}
+    exec(generate_func(_function(name, values, tys, attrs, result_ty)), namespace)
+    (out,) = namespace["f"](SimpleNamespace(dtype=np.float64, images={}))
+    return out
+
+
+def _payload_kind(ty) -> type:
+    return {BOOL: bool, INT: int, STRING: str, REAL: float}.get(ty, np.ndarray)
 
 
 def _all_instances(sigs):
@@ -178,7 +204,8 @@ def test_foldable_flag_tells_the_truth(name):
     info = irops.OPS[name]
     if not info.foldable:
         vec = np.array([0.5, 1.5])
-        assert name in _contracted(name, [vec], [TensorTy((2,))], {}, REAL)
+        left = _contracted(name, [vec], [TensorTy((2,))], {}, REAL)
+        assert name in [ins.op for ins in left]
         return
     if name in RULE_CASES:
         cases = [RULE_CASES[name]]
@@ -189,8 +216,16 @@ def test_foldable_flag_tells_the_truth(name):
             for params, result in _all_instances(info.sigs)
         ]
     assert cases
-    for values, tys, attrs, result in cases:
-        assert _contracted(name, values, tys, attrs, result) == ["const"], tys
+    for case in cases:
+        (folded,) = _contracted(name, *case)
+        assert folded.op == "const", case[1]
+        value, want = folded.attrs["value"], _unfolded(name, *case)
+        assert type(value) is _payload_kind(case[-1]), (case[1], value)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == np.float64, case[1]
+        got, want = np.asarray(value), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes()), (case[1], value, want)
 
 
 # -- op coverage ------------------------------------------------------------------
