@@ -309,9 +309,11 @@ OPS: dict[str, OpInfo] = {
         py="rt.to_real({0}, _dt)", c="(dd_real){0}",
     ),
     "real_to_int": OpInfo(
-        "real → int cast (truncating toward zero)",
+        "real → int cast (truncating toward zero; NaN, ±inf and reals "
+        "outside int64's range give INT64_MIN)",
         surface=("int",), sigs=(Sig((REAL,), const(INT)),),
-        py="rt.to_int({0})", c="(int64_t){0}",
+        py="rt.to_int({0})",
+        c="(({0} >= -0x1p63 && {0} < 0x1p63) ? (int64_t){0} : INT64_MIN)",
     ),
     # HighIR: the desugared source language — fields appear only as probes
     # of normalized convolutions (after field normalization) ------------------

@@ -15,15 +15,20 @@ positions — one lane per strand in a block.
 Safety contract: positions may be garbage in predicated-off lanes (DESIGN.md
 deviation 3), so index math sanitizes non-finite values and clamps gathers
 into the valid sample range.  The ``inside`` test is what gives *live* lanes
-their real domain guarantee.  The generated update code runs every arm that
-gathers on its live lanes only when a block's lanes disagree (DESIGN.md
+their real domain guarantee: a lane it admits has its whole window inside
+the image, and :func:`gather_neighborhood` copies such a window in one piece
+from a zero-copy window view.  Only lanes whose window crosses the border
+take the per-tap clamped gather.  The generated update code runs every arm
+that gathers on its live lanes only when a block's lanes disagree (DESIGN.md
 deviation 2), so there a gather sees live lanes only; the clamping still
-covers ``seed``/``init`` (mask-predicated) and live lanes' own edge reads.
+covers ``seed``/``init`` (mask-predicated), sanitized indices and live
+lanes' own unguarded edge reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.image import Image
 from repro.kernels import Kernel
@@ -49,6 +54,23 @@ def split_position(pos_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n.astype(np.int64), f.astype(pos_index.dtype, copy=False)
 
 
+def _gather_taps(data: np.ndarray, n: np.ndarray, support: int, dim: int) -> np.ndarray:
+    """The per-tap gather: one clamped index per tap and axis, broadcast
+    into a single fancy index.  Reads the nearest valid sample for every
+    out-of-range tap, so it serves any ``n`` (the lanes whose window
+    crosses the border, and images smaller than one window)."""
+    offsets = np.arange(1 - support, support + 1)
+    index_lists = []
+    for a in range(dim):
+        idx = n[:, a, None] + offsets  # (N, 2s)
+        idx = np.clip(idx, 0, data.shape[a] - 1)
+        # Broadcast shape: (N, 1, ..., 2s, ..., 1) with 2s in slot a+1.
+        shape = [idx.shape[0]] + [1] * dim
+        shape[a + 1] = 2 * support
+        index_lists.append(idx.reshape(shape))
+    return data[tuple(index_lists)]
+
+
 def gather_neighborhood(data: np.ndarray, n: np.ndarray, support: int, dim: int) -> np.ndarray:
     """Gather the ``(2s)^d`` sample neighborhood around floor indices ``n``.
 
@@ -66,17 +88,41 @@ def gather_neighborhood(data: np.ndarray, n: np.ndarray, support: int, dim: int)
     Returns an array of shape ``(N, 2s, ..., 2s, *tensor_shape)`` with one
     offset axis per spatial axis, in image-axis order.  Out-of-range indices
     are clamped to the nearest valid sample (see module docstring).
+
+    A lane is *interior* when its window ``n+1-s .. n+s`` lies inside the
+    image on every axis (every lane ``inside`` admits is).  Interior lanes
+    copy their whole window out of a zero-copy window view of ``data``,
+    indexed once per lane by the window's start; only the lanes whose
+    window crosses the border take the per-tap clamped gather, and every
+    lane takes it when the image is smaller than one window on some axis.
+    The two paths read the same samples, so the result is element for
+    element the per-tap gather's.  Support-1 windows take the window path
+    too: a 2×2 scalar ``tent`` window alone is ~8 % slower as a window
+    (2,304 interior lanes, 157 vs 146 µs), but lic2d, whose ``R`` is such a
+    field, runs in the same time either way (69.5 ms at paper-numpy size,
+    medians of 6 alternating rounds), and windows of tensors or of wider
+    support are faster as windows (2×2 of 2-vectors, 158 vs 241 µs; 4×4×4,
+    1,024 lanes, 321 vs 681 µs; one core of a 2-vCPU Xeon host).
     """
-    offsets = np.arange(1 - support, support + 1)
-    index_lists = []
-    for a in range(dim):
-        idx = n[:, a, None] + offsets  # (N, 2s)
-        idx = np.clip(idx, 0, data.shape[a] - 1)
-        # Broadcast shape: (N, 1, ..., 2s, ..., 1) with 2s in slot a+1.
-        shape = [idx.shape[0]] + [1] * dim
-        shape[a + 1] = 2 * support
-        index_lists.append(idx.reshape(shape))
-    return data[tuple(index_lists)]
+    width = 2 * support
+    last = np.subtract(data.shape[:dim], width)  # largest interior start
+    if (last < 0).any():
+        return _gather_taps(data, n, support, dim)
+    start = n + (1 - support)
+    border = ((start < 0) | (start > last)).any(axis=-1)
+    crossing = border.any()
+    if crossing:
+        start = np.clip(start, 0, last)
+    windows = as_strided(
+        data,
+        shape=tuple(last + 1) + (width,) * dim + data.shape[dim:],
+        strides=data.strides[:dim] * 2 + data.strides[dim:],
+        writeable=False,
+    )
+    out = windows[tuple(start[:, a] for a in range(dim))]
+    if crossing:
+        out[border] = _gather_taps(data, n[border], support, dim)
+    return out
 
 
 def axis_weights(kernel: Kernel, f: np.ndarray, deriv: int) -> np.ndarray:

@@ -352,11 +352,18 @@ def to_real(v, dtype):
     return dtype(v)
 
 
+_INT64_MIN = -(1 << 63)
+_INT_END = 2.0**63  # int64 holds the reals in [-_INT_END, _INT_END)
+
+
 def to_int(v):
-    """real → int cast, truncating toward zero (C semantics)."""
+    """real → int cast, truncating toward zero (C semantics).  NaN, ±inf
+    and reals outside int64's range give ``INT64_MIN``, laned or not, as
+    the op's C template does (a bare C cast is undefined there)."""
     if isinstance(v, np.ndarray):
-        return np.trunc(v).astype(np.int64)
-    return int(v)
+        ok = (v >= -_INT_END) & (v < _INT_END)  # False for NaN
+        return np.where(ok, np.where(ok, v, 0).astype(np.int64), _INT64_MIN)
+    return int(v) if -_INT_END <= v < _INT_END else _INT64_MIN
 
 
 # -- probe machinery (MidIR/LowIR ops; see paper §5.3) -------------------------

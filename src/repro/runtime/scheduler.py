@@ -173,7 +173,14 @@ class ThreadScheduler:
                     self._cv.notify_all()
 
     def run_step(self, blocks, run_block, obs=None):
+        """A step of one block runs on the calling thread, as worker 0: a
+        hand-off to the pool would only add a wake-up and a barrier."""
         n = len(blocks)
+        if n == 1:
+            if self._closed:
+                raise RuntimeError("ThreadScheduler is closed")
+            with (obs or current()).activate():
+                return [(0, clock(), run_block(blocks[0]))]
         with self._cv:
             if self._closed:
                 raise RuntimeError("ThreadScheduler is closed")

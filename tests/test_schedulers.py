@@ -517,9 +517,33 @@ class TestThreadPoolPersistence:
         sched = ThreadScheduler(2)
         sched.close()
         sched.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            sched.run_step([np.arange(2)], lambda b: None)
+        for blocks in ([np.arange(2)], [np.arange(2)] * 3):
+            with pytest.raises(RuntimeError):
+                sched.run_step(blocks, lambda b: None)
         assert not any(t.is_alive() for t in sched._threads)
+
+    def test_one_block_runs_on_the_calling_thread(self):
+        import threading
+
+        sched = ThreadScheduler(2)
+        try:
+            [(wid, start, out)] = sched.run_step(
+                [np.arange(5)], lambda b: (threading.get_ident(), int(b.sum())))
+            assert (wid, out) == (0, (threading.get_ident(), 10))
+            assert isinstance(start, float)
+            # two blocks still go to the pool
+            got = sched.run_step([np.arange(2)] * 2, lambda b: threading.get_ident())
+            assert {out for _, _, out in got} <= {t.ident for t in sched._threads}
+        finally:
+            sched.close()
+
+    @pytest.mark.parametrize("src", ["BRANCHY", "PROBING"])
+    def test_one_block_steps_bit_identical_to_seq(self, src, noise32):
+        prog = compile_program(globals()[src])
+        if src == "PROBING":
+            prog.bind_image("img", noise32)
+        base = prog.run(block_size=4096)
+        _results_equal(prog.run(scheduler="thread", workers=2, block_size=4096), base)
 
 
 GUARD_CASES = {
